@@ -70,7 +70,12 @@ def median_of(fn, repeats: int = 3, warmup: int = 1) -> float:
 
 
 def bench_kernel_events(n_events: int) -> float:
-    """Events/sec of the drain loop: 4 processes chaining Timeouts."""
+    """Events/sec of ``Simulator.run`` on 4 processes chaining Timeouts.
+
+    A kernel-only micro-number: real runs are dominated by CPU/network
+    model callbacks, not back-to-back Timeouts, so read end-to-end effects
+    off ``benchmarks/e2e/`` instead.
+    """
 
     def worker(n):
         for _ in range(n):
@@ -171,7 +176,7 @@ def bench_allocator_vs_reference(cases: int) -> dict:
 def bench_redist_rows(n_rows: int, n_src: int, n_dst: int) -> float:
     """Rows/sec through one compiled-plan redistribution round trip.
 
-    The batch-lane data path in isolation, no simulator in the loop: lower
+    The store data path in isolation, no simulator in the loop: lower
     the plan to flat index programs, pack every source rank's schedule with
     ``extract_batch`` (+ wire-size accounting), unpack on the target side
     with ``insert_batch``, and force CSR reassembly.  This is the work the
@@ -262,10 +267,6 @@ def main(argv=None) -> int:
         help="also emit cProfile top-20 of the hot workloads "
              "(<out-stem>_profile.txt)",
     )
-    parser.add_argument(
-        "--assert-events-floor", type=float, default=None, metavar="N",
-        help="fail when kernel_events_per_s drops below N",
-    )
     args = parser.parse_args(argv)
 
     quick = args.quick
@@ -323,16 +324,6 @@ def main(argv=None) -> int:
             Path(args.out).with_name(Path(args.out).stem + "_profile.txt"),
         )
 
-    if (
-        args.assert_events_floor is not None
-        and out["kernel_events_per_s"] < args.assert_events_floor
-    ):
-        print(
-            f"ASSERTION FAILED: {out['kernel_events_per_s']:.0f} events/s "
-            f"below floor {args.assert_events_floor:.0f}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -35,16 +35,15 @@ flow activation and completion.  This version is incremental:
 * **Batched advance.**  :meth:`_advance` updates ``bytes_left`` through a
   numpy rates/bytes-left view once the active set is large.
 
-Setting ``debug_invariants=True`` (or ``REPRO_NET_DEBUG=1``) re-runs the
-reference allocator after every rate update and asserts (a) no link
-capacity is exceeded and (b) the incremental rates match the oracle.
+Setting ``debug_invariants=True`` re-runs the reference allocator after
+every rate update and asserts (a) no link capacity is exceeded and (b) the
+incremental rates match the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from typing import Dict, Sequence
 
 import numpy as np
@@ -159,11 +158,10 @@ class Network:
     debug_invariants:
         When True, every rate update is checked against the reference
         allocator (:func:`max_min_reference`) and link-capacity feasibility.
-        Defaults to the ``REPRO_NET_DEBUG`` environment variable.  Slow;
-        meant for tests and debugging, not sweeps.
+        Slow; meant for tests and debugging, not sweeps.
     """
 
-    def __init__(self, sim: Simulator, debug_invariants: bool | None = None):
+    def __init__(self, sim: Simulator, debug_invariants: bool = False):
         self.sim = sim
         self._links: dict[int, Link] = {}
         self._link_ids = itertools.count()
@@ -172,8 +170,6 @@ class Network:
         self._completion_item = None
         #: total bytes ever carried, for reporting
         self.bytes_carried = 0.0
-        if debug_invariants is None:
-            debug_invariants = bool(int(os.environ.get("REPRO_NET_DEBUG", "0") or 0))
         self.debug_invariants = debug_invariants
         #: observability counters: full progressive-filling runs vs. rate
         #: updates resolved by the incremental fast paths.

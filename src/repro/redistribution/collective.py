@@ -81,41 +81,20 @@ class ColRedistribution(RedistributionSession):
         """Per-peer byte counts for the size Alltoall (0 where no chunk)."""
         sizes = [0] * self.comm.remote_size
         if self.is_source:
-            pre = self._precomputed_sends()
-            if pre is not None:
-                for tr, chunk in zip(*pre):
-                    if chunk is not None:
-                        sizes[tr.dst] = chunk[1]
-                return sizes
-            for tr in self.plan.sends_for(self.src_rank):
-                if self.is_target and tr.dst == self.dst_rank:
-                    continue  # self-chunk handled locally
-                sizes[tr.dst] = self.src_dataset.range_nbytes(
-                    tr.lo, tr.hi, self.names
-                )
+            for tr, chunk in zip(*self._precomputed_sends()):
+                if chunk is not None:  # None: self-chunk handled locally
+                    sizes[tr.dst] = chunk[1]
         return sizes
 
     def _values_args(self):
         """(send_map, nbytes_map, recv_from) for the value Alltoallv."""
         send_map, nbytes_map, recv_from = {}, {}, []
         if self.is_source:
-            pre = self._precomputed_sends()
-            if pre is not None:
-                for tr, chunk in zip(*pre):
-                    if chunk is None:
-                        continue
-                    send_map[tr.dst] = chunk[2]
-                    nbytes_map[tr.dst] = chunk[1]
-            else:
-                for tr in self.plan.sends_for(self.src_rank):
-                    if self.is_target and tr.dst == self.dst_rank:
-                        continue
-                    send_map[tr.dst] = self.src_dataset.extract(
-                        tr.lo, tr.hi, self.names
-                    )
-                    nbytes_map[tr.dst] = self.src_dataset.range_nbytes(
-                        tr.lo, tr.hi, self.names
-                    )
+            for tr, chunk in zip(*self._precomputed_sends()):
+                if chunk is None:
+                    continue
+                send_map[tr.dst] = chunk[2]
+                nbytes_map[tr.dst] = chunk[1]
         if self.is_target:
             for tr in self.plan.recvs_for(self.dst_rank):
                 if self.is_source and tr.src == self.src_rank:

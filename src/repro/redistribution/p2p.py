@@ -99,33 +99,19 @@ class P2PRedistribution(RedistributionSession):
                 self._num_rcv += 1
 
         if self.is_source:
-            # Batch lane: sizes and payloads for the whole schedule come
-            # from one pass over the stores; the per-transfer message
-            # sequence below (including the memcpy position) is unchanged,
-            # so every event fires at the scalar lane's timestamps.
-            pre = self._precomputed_sends()
-            transfers = (
-                pre[0] if pre is not None else self.plan.sends_for(self.src_rank)
-            )
-            for i, tr in enumerate(transfers):
-                if self.is_target and tr.dst == self.dst_rank:
+            # Sizes and payloads for the whole schedule come from one pass
+            # over the stores; the memcpy keeps its position in the
+            # per-transfer message sequence.
+            for tr, chunk in zip(*self._precomputed_sends()):
+                if chunk is None:
                     yield from self._do_local_copy()
                     continue
-                if pre is not None:
-                    sizes, total, payload = pre[1][i]
-                else:
-                    sizes = self._chunk_sizes(tr)
-                    total = sum(sizes.values())
-                    payload = None
+                sizes, total, payload = chunk
                 self._emit_transfer("values", total)
                 if self.coalesce:
                     # One message carrying both sizes and values; modeled
                     # size = sizes-message bytes + values bytes, so the wire
                     # volume matches the two-message schedule exactly.
-                    if payload is None:
-                        payload = self.src_dataset.extract(
-                            tr.lo, tr.hi, self.names
-                        )
                     creq = yield from self.ctx.isend(
                         (sizes, payload), tr.dst, tag=SIZES_TAG,
                         comm=self.comm,
@@ -138,8 +124,6 @@ class P2PRedistribution(RedistributionSession):
                     sizes, tr.dst, tag=SIZES_TAG, comm=self.comm,
                     label=f"{self.label}:sizes",
                 )
-                if payload is None:
-                    payload = self.src_dataset.extract(tr.lo, tr.hi, self.names)
                 vreq = yield from self.ctx.isend(
                     payload, tr.dst, tag=VALUES_TAG, comm=self.comm,
                     nbytes=total, label=f"{self.label}:values",

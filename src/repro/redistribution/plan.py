@@ -33,9 +33,9 @@ __all__ = [
 class PlanProgram:
     """One rank's transfer list lowered to flat numpy index arrays.
 
-    The compilation step of the batch lane: instead of re-deriving
-    ``(peer, lo, hi)`` per chunk per session, the plan lowers a rank's
-    whole schedule *once* into arrays the stores consume directly —
+    Instead of re-deriving ``(peer, lo, hi)`` per chunk per session, the
+    plan lowers a rank's whole schedule *once* into arrays the stores
+    consume directly —
     ``row_take`` (global row indices of every chunk, concatenated) plus
     ``seg_offsets`` (chunk boundaries within ``row_take``), so dense pack
     becomes one ``np.take`` and CSR pack one pass of row-pointer

@@ -47,12 +47,12 @@ class _DatasetExposure:
     def __init__(self, dataset, names, staged=None):
         self.dataset = dataset
         self.names = names
-        #: batch lane (target-driven variant): ``(lo, hi) -> (payloads,
-        #: nbytes)`` pre-packed from the compiled plan — the exposing source
-        #: knows its full get schedule up front, so one batched store pass
-        #: serves every request.  Reads outside the staged schedule (never
-        #: issued by the sessions) fall through to the scalar path.
-        self._staged = staged
+        #: target-driven variant: ``(lo, hi) -> (payloads, nbytes)``
+        #: pre-packed from the compiled plan — the exposing source knows its
+        #: full get schedule up front, so one batched store pass serves every
+        #: request.  Reads outside the staged schedule (never issued by the
+        #: sessions) are extracted on demand.
+        self._staged = staged or {}
 
     def apply_put(self, payload) -> None:
         lo, hi, payloads = payload
@@ -65,20 +65,18 @@ class _DatasetExposure:
         price a chunk (the requesting side's dataset is still empty — with
         CSR fields the wire size depends on the rows' population)."""
         lo, hi = offset, offset + count
-        if self._staged is not None:
-            hit = self._staged.get((lo, hi))
-            if hit is not None:
-                return hit
+        hit = self._staged.get((lo, hi))
+        if hit is not None:
+            return hit
         return (
             self.dataset.extract(lo, hi, list(self.names)),
             self.dataset.range_nbytes(lo, hi, list(self.names)),
         )
 
     def read_nbytes(self, offset: int, count: int) -> int:
-        if self._staged is not None:
-            hit = self._staged.get((offset, offset + count))
-            if hit is not None:
-                return hit[1]
+        hit = self._staged.get((offset, offset + count))
+        if hit is not None:
+            return hit[1]
         return self.dataset.range_nbytes(offset, offset + count, list(self.names))
 
 
@@ -225,16 +223,14 @@ class RmaRedistribution(RedistributionSession):
         if self._exposes:
             staged = None
             if self.variant == "target":
-                # Batch lane: pre-pack every chunk the targets will get from
-                # me — the plan predicts the full request schedule, so one
-                # batched store pass replaces a per-get extract.
-                pre = self._precomputed_sends()
-                if pre is not None:
-                    staged = {
-                        (tr.lo, tr.hi): (chunk[2], chunk[1])
-                        for tr, chunk in zip(*pre)
-                        if chunk is not None
-                    }
+                # Pre-pack every chunk the targets will get from me — the
+                # plan predicts the full request schedule, so one batched
+                # store pass replaces a per-get extract.
+                staged = {
+                    (tr.lo, tr.hi): (chunk[2], chunk[1])
+                    for tr, chunk in zip(*self._precomputed_sends())
+                    if chunk is not None
+                }
             exposure = _DatasetExposure(
                 self.dst_dataset if self.variant == "origin" else self.src_dataset,
                 self.names,
@@ -274,20 +270,12 @@ class RmaRedistribution(RedistributionSession):
 
         t0 = self.ctx.now
         if self.variant == "origin":
-            # Batch lane: payloads and wire sizes for the whole put schedule
-            # from one store pass; ``_schedule`` iterates the plan's send
-            # order minus the self-chunk, exactly the non-None chunks of
+            # Payloads and wire sizes for the whole put schedule from one
+            # store pass; ``_schedule`` iterates the plan's send order minus
+            # the self-chunk, exactly the non-None chunks of
             # ``_precomputed_sends`` in order.
-            pre = self._precomputed_sends()
-            pre_chunks = (
-                [c for c in pre[1] if c is not None] if pre is not None else None
-            )
-            for i, (dst, lo, hi) in enumerate(schedule):
-                if pre_chunks is not None:
-                    _sizes, nbytes, payloads = pre_chunks[i]
-                else:
-                    payloads = self.src_dataset.extract(lo, hi, self.names)
-                    nbytes = self.src_dataset.range_nbytes(lo, hi, self.names)
+            chunks = [c for c in self._precomputed_sends()[1] if c is not None]
+            for (dst, lo, hi), (_sizes, nbytes, payloads) in zip(schedule, chunks):
                 self._emit_transfer("put", nbytes)
                 ev = yield from self.ctx.win_put(
                     self._win, dst, (lo, hi, payloads),

@@ -21,7 +21,6 @@ Sessions expose two driving styles:
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from .plan import RedistributionPlan, Transfer
@@ -80,11 +79,7 @@ class RedistributionSession:
         self._started = False
         self._finished = False
         self._t_started: Optional[float] = None
-        #: batch lane (``REPRO_BATCH``, default on): lower the send schedule
-        #: through the compiled plan and one batched store pass instead of a
-        #: per-chunk extract/price loop.  Same values, same message schedule,
-        #: same simulated timings — only the number of store passes changes.
-        self._batch_lane = os.environ.get("REPRO_BATCH", "1") != "0"
+        #: cache of :meth:`_precomputed_sends`.
         self._pre_sends: Optional[tuple] = None
 
     # ------------------------------------------------------- observability
@@ -174,31 +169,21 @@ class RedistributionSession:
             san.on_memcpy_end(token)
         self.dst_dataset.insert(tr.lo, tr.hi, payloads, self.names)
 
-    def _chunk_sizes(self, tr: Transfer) -> dict[str, int]:
-        return {
-            n: self.src_dataset.stores[n].range_nbytes(tr.lo, tr.hi)
-            for n in self.names
-        }
-
-    def _precomputed_sends(self) -> Optional[tuple]:
-        """Batch lane: my whole send schedule from one pass over the stores.
+    def _precomputed_sends(self) -> tuple:
+        """My whole send schedule (source role) from one pass over the stores.
 
         Lowers :meth:`RedistributionPlan.compiled_sends` through the batched
         store interface and returns ``(transfers, chunks)`` where
         ``chunks[i]`` is ``(sizes, total, payload)`` for ``transfers[i]`` —
         ``sizes`` the per-field byte dict, ``total`` its sum, ``payload`` the
         extracted field dict — or ``None`` for the memcpy self-chunk, which
-        :meth:`_do_local_copy` keeps handling itself.  Returns ``None`` when
-        the lane is off (callers fall back to the scalar per-chunk loop).
+        :meth:`_do_local_copy` handles itself.
 
-        Values are byte-identical to the scalar path and extraction yields
-        nothing to the simulator, so hoisting it cannot move any event time.
-        The result is cached: a session's stores are immutable while it runs,
-        and every consumer (sizes list, values map, put loop) shares one
-        extraction.
+        Extraction yields nothing to the simulator, so doing it up front
+        cannot move any event time.  The result is cached: a session's
+        stores are immutable while it runs, and every consumer (sizes list,
+        values map, put loop) shares one extraction.
         """
-        if not (self._batch_lane and self.is_source):
-            return None
         pre = self._pre_sends
         if pre is None:
             prog = self.plan.compiled_sends(self.src_rank)

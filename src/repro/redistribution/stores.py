@@ -99,11 +99,11 @@ class BlockStore:
         """Store received rows ``[lo, hi)``."""
         raise NotImplementedError
 
-    # -------------------------------------------------------- batch lane
-    # Default implementations loop over the scalar methods; the concrete
-    # stores with vectorizable layouts (dense, CSR) override them.  All
-    # overrides are value-identical to the loop — the batch lane changes
-    # how payloads are built, never what bytes they hold.
+    # ---------------------------------------------------- whole schedules
+    # Default implementations loop over the single-range methods; the
+    # concrete stores with vectorizable layouts (dense, CSR) override them.
+    # All overrides are value-identical to the loop — batching changes how
+    # payloads are built, never what bytes they hold.
     def extract_batch(self, los: Sequence[int], his: Sequence[int]) -> list:
         """Payloads for several row ranges in one call."""
         return [self.extract(int(lo), int(hi)) for lo, hi in zip(los, his)]
@@ -453,7 +453,7 @@ class Dataset:
             value = payloads.get(n) if payloads else None
             self.stores[n].insert(lo, hi, value)
 
-    # -------------------------------------------------------- batch lane
+    # ---------------------------------------------------- whole schedules
     def extract_batch(
         self, los: Sequence[int], his: Sequence[int], names: list[str]
     ) -> list[dict[str, Any]]:

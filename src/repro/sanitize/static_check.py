@@ -182,12 +182,11 @@ class _CompiledPlanView:
     """Plan facade that re-derives the transfer lists from the compiled
     :class:`~repro.redistribution.plan.PlanProgram` flat arrays.
 
-    Elaborating a schedule through this view proves the batch lane's
-    plan-compilation step (``compiled_sends``/``compiled_recvs``) preserves
-    the message shapes the scalar lane sends: peers, chunk row counts and
-    chunk order all come back out of ``peers``/``los``/``his``, so a
-    lowering bug surfaces as an STA004/STA005 mismatch instead of silently
-    shipping different wire traffic under ``REPRO_BATCH=1``.
+    Sessions lower their send schedule through ``compiled_sends``, so the
+    verifier elaborates what ships: peers, chunk row counts and chunk order
+    all come back out of ``peers``/``los``/``his``, and a plan-compilation
+    bug surfaces as an STA004/STA005 mismatch instead of silently shipping
+    different wire traffic.
     """
 
     def __init__(self, plan: RedistributionPlan):
@@ -257,7 +256,6 @@ def elaborate(
     spawn: "SpawnMethod | str",
     coalesce: bool = False,
     variant: str = "origin",
-    batch: bool = False,
     label: str = "",
 ) -> CommGraph:
     """Build the symbolic communication graph of one configuration.
@@ -269,13 +267,10 @@ def elaborate(
     The strategy axis (S/A/T) changes how schedules are *driven*, not what
     they contain, so one graph covers all three.
 
-    ``batch=True`` elaborates the *batched* message shapes: every rank's
-    schedule is re-derived from the compiled plan programs (the flat
-    ``peers``/``los``/``his`` arrays the ``REPRO_BATCH`` lane consumes)
-    instead of the scalar transfer lists, so STA004/STA005 tag matching
-    verifies the lowering itself — including in combination with
-    ``coalesce`` (the coalesced+batched schedules the shipping default
-    sends).
+    Every rank's schedule is derived from the compiled plan programs (the
+    flat ``peers``/``los``/``his`` arrays the sessions consume, see
+    :class:`_CompiledPlanView`), so STA004/STA005 tag matching verifies the
+    plan lowering too.
     """
     if isinstance(method, str):
         method = RedistMethod.parse(method)
@@ -289,7 +284,7 @@ def elaborate(
             f"valid choices: {', '.join(RMA_VARIANTS)}")
 
     ns, nt = plan.n_sources, plan.n_targets
-    sched_plan = _CompiledPlanView(plan) if batch else plan
+    sched_plan = _CompiledPlanView(plan)
     nodes: list[RankNode] = []
     if spawn is SpawnMethod.MERGE:
         for r in range(max(ns, nt)):
@@ -698,7 +693,6 @@ def verify_config(
     *,
     coalesce: bool = False,
     variant: str = "origin",
-    batch: bool = False,
     plan: Optional[RedistributionPlan] = None,
 ) -> list[Finding]:
     """Verify one configuration's plan + elaborated schedule end to end."""
@@ -711,8 +705,6 @@ def verify_config(
         mods.append("coalesced")
     if config.redist is RedistMethod.RMA and variant != "origin":
         mods.append(variant)
-    if batch:
-        mods.append("batched")
     suffix = f" [{','.join(mods)}]" if mods else ""
     label = (f"{config.key} {n_sources}->{n_targets} "
              f"rows={n_rows}{suffix}")
@@ -723,7 +715,6 @@ def verify_config(
         spawn=config.spawn,
         coalesce=coalesce and config.redist is not RedistMethod.RMA,
         variant=variant,
-        batch=batch,
         label=label,
     )
     findings += check_graph(graph)
@@ -742,9 +733,7 @@ def verify_matrix(
     The default sweep covers the 18 shipped configurations with their
     shipped session options (plain messages, origin-driven RMA) across
     grow/shrink/equal resizes.  ``extended=True`` additionally verifies the
-    coalesced P2P/COL wire formats, the target-driven RMA variant, the
-    batched (compiled-plan) message shapes — alone and combined with the
-    other option, matching what ``REPRO_BATCH=1`` ships — and the
+    coalesced P2P/COL wire formats, the target-driven RMA variant and the
     movement-minimising plans.
     """
     findings: list[Finding] = []
@@ -754,14 +743,11 @@ def verify_matrix(
             for ns, nt in resizes:
                 variants: list[dict] = [{}]
                 if extended:
-                    other = (
+                    variants.append(
                         {"variant": "target"}
                         if config.redist is RedistMethod.RMA
                         else {"coalesce": True}
                     )
-                    variants.append(other)
-                    variants.append({"batch": True})
-                    variants.append({**other, "batch": True})
                 plans = [RedistributionPlan.block(n_rows, ns, nt)]
                 if extended:
                     plans.append(
@@ -824,9 +810,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="KEYS", help="comma-separated config keys, or 'all'")
     parser.add_argument(
         "--extended", action="store_true",
-        help="also verify coalesced wire formats, target-driven RMA, the "
-        "batched (compiled-plan) message shapes and movement-minimising "
-        "plans")
+        help="also verify coalesced wire formats, target-driven RMA and "
+        "movement-minimising plans")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
         "--max-wall", type=float, default=None, metavar="SECONDS",

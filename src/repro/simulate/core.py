@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from bisect import bisect_left
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from .errors import (
@@ -84,8 +82,8 @@ class SimProcess:
     def __init__(self, sim: "Simulator", gen: Generator[Command, Any, Any], name: str):
         self.sim = sim
         self.gen = gen
-        #: bound ``gen.send``, cached because the batch drain resumes the
-        #: generator once per event (one slotted load beats two lookups).
+        #: bound ``gen.send``, cached because :meth:`Simulator._step` resumes
+        #: the generator once per event (one slotted load beats two lookups).
         self._send = gen.send
         self.name = name
         self.pid = sim._next_id()
@@ -171,17 +169,6 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
         self._ids = itertools.count()
         self._processes: list[SimProcess] = []
         self._failures: list[tuple[SimProcess, BaseException]] = []
-        #: batch lane (timer wheel for Timeout wakeups), on by default;
-        #: ``REPRO_BATCH=0`` falls back to the scalar tuple-heap loop for
-        #: bisection.  Captured at construction so one Simulator instance
-        #: never mixes lanes mid-run.
-        self._batch: bool = os.environ.get("REPRO_BATCH", "1") != "0"
-        #: timer wheel: absolute deadline -> bucket of ``(seq, proc, value)``
-        #: Timeout wakeups, seq-sorted by construction (seqs are drawn
-        #: monotonically and appended).  ``_wheel_times`` is a heap of the
-        #: registered bucket times.  Only used when ``_batch`` is on.
-        self._wheel: dict[float, list[tuple[int, SimProcess, Any]]] = {}
-        self._wheel_times: list[float] = []
         #: hooks run every time the heap empties, before deadlock detection.
         #: Layers that keep internal work queues (e.g. lazily scheduled
         #: network recomputation) can register here.
@@ -265,17 +252,7 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
         """
         seq = next(self._seq)
         proc._pending_seq = seq
-        if self._batch:
-            time = self.now + delay
-            wheel = self._wheel
-            bucket = wheel.get(time)
-            if bucket is None:
-                wheel[time] = [(seq, proc, value)]
-                heapq.heappush(self._wheel_times, time)
-            else:
-                bucket.append((seq, proc, value))
-        else:
-            heapq.heappush(self._heap, (self.now + delay, seq, proc, value))
+        heapq.heappush(self._heap, (self.now + delay, seq, proc, value))
 
     def _schedule_wakeup(
         self, proc: SimProcess, value: Any, exc: Optional[BaseException]
@@ -392,19 +369,9 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
         Cancelled heap entries (stale wakeups) never count as pending work:
         a heap holding only cancelled items past ``until`` drains through to
         the normal end-of-run deadlock check rather than silently returning.
-
-        Two drain implementations exist: the scalar tuple-heap loop and the
-        batch timer-wheel lane (selected by ``REPRO_BATCH``, see
-        :meth:`_run_batch`).  Both produce the identical (time, seq) total
-        order of event execution.
         """
         if strict_until and until is None:
             raise ValueError("strict_until=True requires an explicit until")
-        if self._batch:
-            return self._run_batch(until, strict_until)
-        return self._run_scalar(until, strict_until)
-
-    def _run_scalar(self, until: Optional[float], strict_until: bool) -> float:
         # The drain loop runs hundreds of thousands of iterations per
         # simulated job; bind the hot lookups to locals (heap list, heappop,
         # failures list — both lists are only ever mutated in place).
@@ -476,259 +443,6 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
                 details.extend(hook())
             raise DeadlockError(blocked, details=details)
         return self.now
-
-    def _run_batch(self, until: Optional[float], strict_until: bool) -> float:
-        """Timer-wheel drain lane (``REPRO_BATCH=1``, the default).
-
-        Cancellable Timeout wakeups — the dominant event class by far — are
-        kept out of the tuple heap entirely: :meth:`_schedule_timeout` drops
-        them into per-deadline *buckets* (``_wheel``), seq-sorted by
-        construction because sequence numbers are drawn monotonically and
-        only ever appended.  A second small heap (``_wheel_times``) orders
-        the bucket deadlines.  One clock advance then drains a whole bucket
-        in a tight loop with the generator ``send`` inlined, and a rescheduled
-        ``Timeout`` re-enters the wheel without touching :meth:`_step`,
-        :meth:`Command.execute`, or any heap sift.  Lazy cancellation is a
-        per-entry seq mask exactly as in the scalar lane.
-
-        Order identity with the scalar lane is maintained by merging on the
-        (time, seq) key: when the tuple heap holds an entry at the *same*
-        time as the current bucket, only the bucket prefix with smaller seqs
-        runs before control returns to the merge point
-        (``bisect_left(bucket, (heap_seq,))`` — seqs are unique, so the
-        tuple compare never reaches the payload).  Buckets are drained
-        *in place* over a snapshot window, so same-time work scheduled
-        mid-drain (e.g. ``Timeout(0)``) lands behind the snapshot and is
-        re-merged in seq order on the next pass.  A bucket whose entries all
-        turn out stale never advances the clock, matching the scalar lane's
-        drop-before-advance behaviour.
-        """
-        from .primitives import Timeout  # deferred: primitives imports core
-
-        heap = self._heap
-        wheel = self._wheel
-        wtimes = self._wheel_times
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        failures = self._failures
-        step = self._step
-        seqc = self._seq
-        throw_in = self.throw_in
-        DONE = SimProcess._DONE
-        KILLED = SimProcess._KILLED
-        FAILED = SimProcess._FAILED
-        # Last-bucket append cache: the common traffic pattern reschedules
-        # many timeouts to the same future deadline back to back, so one
-        # (time -> bucket) pair short-circuits the dict probe.  Invariant:
-        # ``cache_t`` is only ever a time currently registered in ``wheel``.
-        cache_t = -1.0
-        cache_b: Optional[list] = None
-        cache_append = None  # bound cache_b.append, hoisted off the hot path
-        while True:
-            while True:
-                if failures:
-                    self._raise_failures()
-                # Drop cancelled callbacks / stale wakeups off the heap head
-                # so lane selection and equal-time merging only ever see
-                # live heap work.
-                while heap:
-                    e0 = heap[0]
-                    n0 = len(e0)
-                    if n0 == 4:
-                        if e0[2]._pending_seq != e0[1]:
-                            heappop(heap)
-                            continue
-                    elif n0 == 3 and e0[2].cancelled:
-                        heappop(heap)
-                        continue
-                    break
-                take_heap = False
-                hseq = None
-                if wtimes:
-                    t = wtimes[0]
-                    if heap:
-                        h0 = heap[0]
-                        if h0[0] < t:
-                            take_heap = True
-                        elif h0[0] == t:
-                            hseq = h0[1]
-                elif heap:
-                    take_heap = True
-                    t = 0.0
-                else:
-                    break
-                if take_heap or (
-                    hseq is not None and bisect_left(wheel[t], (hseq,)) == 0
-                ):
-                    # ------------------------------------------ tuple heap
-                    entry = heap[0]
-                    et = entry[0]
-                    if until is not None and et > until:
-                        self.now = until
-                        if strict_until:
-                            raise SimTimeLimitExceeded(
-                                until, self._pending_count(), self._blocked_report()
-                            )
-                        return self.now
-                    heappop(heap)
-                    now = self.now
-                    if et > now:
-                        self.now = et
-                    elif et < now - 1e-12:
-                        raise SimulationError(
-                            f"time went backwards: {et} < {now}"
-                        )
-                    n = len(entry)
-                    if n == 5:
-                        step(entry[2], entry[3], entry[4])
-                    elif n == 3:
-                        entry[2].fn()
-                    else:
-                        step(entry[2], entry[3], None)
-                    continue
-                # ------------------------------------------- timer wheel
-                bucket = wheel[t]
-                if until is not None and t > until:
-                    for seq, proc, _value in bucket:
-                        if proc._pending_seq == seq:
-                            self.now = until
-                            if strict_until:
-                                raise SimTimeLimitExceeded(
-                                    until,
-                                    self._pending_count(),
-                                    self._blocked_report(),
-                                )
-                            return self.now
-                    # All-stale bucket past the limit: not pending work.
-                    heappop(wtimes)
-                    del wheel[t]
-                    if cache_t == t:
-                        cache_t = -1.0
-                        cache_b = None
-                    continue
-                # Snapshot window: entries appended during the drain (same-
-                # time reschedules, new spawns' timeouts) stay beyond
-                # ``limit`` and re-merge by seq on the next pass.
-                limit = (
-                    len(bucket) if hseq is None else bisect_left(bucket, (hseq,))
-                )
-                # Single pass over a snapshot *copy* (a live list would feed
-                # mid-drain appends straight into the loop): the clock
-                # advances lazily at the first *live* wakeup, so an all-stale
-                # window never moves time (the scalar lane's drop-before-
-                # advance behaviour) and live entries pay exactly one seq
-                # check.  ``blocked_on`` must clear *before* the send —
-                # running process code can observe its own blocked state (the
-                # scalar lane shows None there) — but the ``_pending_seq``
-                # clear lives in the branch arms: nothing reads it mid-send
-                # (resume/throw_in/kill_now all *overwrite* it) and the
-                # Timeout fast path sets it anyway.
-                advanced = False
-                broke = False
-                for seq, proc, value in bucket[:limit]:
-                    if proc._pending_seq != seq:
-                        continue  # lazily cancelled (possibly mid-drain)
-                    if not advanced:
-                        now = self.now
-                        if t < now - 1e-12:
-                            raise SimulationError(
-                                f"time went backwards: {t} < {now}"
-                            )
-                        self.now = t
-                        advanced = True
-                    proc.blocked_on = None
-                    try:
-                        cmd = proc._send(value)
-                    except StopIteration as stop:
-                        proc._pending_seq = -1
-                        proc.state = DONE
-                        proc.result = stop.value
-                        proc.done_event.trigger(stop.value)
-                        continue
-                    except ProcessKilled:
-                        proc._pending_seq = -1
-                        proc.state = KILLED
-                        proc.done_event.trigger(None)
-                        continue
-                    except BaseException as err:  # noqa: BLE001
-                        proc._pending_seq = -1
-                        proc.state = FAILED
-                        failures.append((proc, err))
-                        if proc.done_event.pending:
-                            proc.done_event.fail(err)
-                        broke = True
-                        break  # outer loop raises
-                    if cmd.__class__ is Timeout:
-                        # Inline reschedule: no _step, no execute(), no
-                        # heap sift — straight back into the wheel.
-                        nseq = next(seqc)
-                        proc._pending_seq = nseq
-                        proc.blocked_on = "timeout"
-                        t2 = t + cmd.delay
-                        if t2 == cache_t:
-                            cache_append((nseq, proc, cmd.value))
-                        else:
-                            b2 = wheel.get(t2)
-                            if b2 is None:
-                                wheel[t2] = b2 = [(nseq, proc, cmd.value)]
-                                heappush(wtimes, t2)
-                            else:
-                                b2.append((nseq, proc, cmd.value))
-                            cache_t = t2
-                            cache_b = b2
-                            cache_append = b2.append
-                    elif isinstance(cmd, Command):
-                        proc._pending_seq = -1
-                        proc.blocked_on = cmd.blocking_reason
-                        try:
-                            cmd.execute(self, proc)
-                        except BaseException as err:  # noqa: BLE001
-                            throw_in(proc, err)
-                    else:
-                        proc._pending_seq = -1
-                        throw_in(
-                            proc,
-                            InvalidYield(
-                                f"{proc.name} yielded {cmd!r}; "
-                                "expected a simulate.Command"
-                            ),
-                        )
-                if broke:
-                    # Every executed window entry is stale by construction
-                    # (its proc re-armed with a new seq or dropped to -1),
-                    # and unexecuted entries after the failure must survive,
-                    # so the bucket is left untouched for the re-drain.
-                    continue
-                if limit == len(bucket):
-                    heappop(wtimes)
-                    del wheel[t]
-                    if cache_t == t:
-                        cache_t = -1.0
-                        cache_b = None
-                        cache_append = None
-                else:
-                    del bucket[:limit]
-            if failures:
-                self._raise_failures()
-            if any(hook() for hook in list(self.idle_hooks)):
-                continue
-            break
-        blocked = self._blocked_report()
-        if blocked:
-            details: list[str] = []
-            for hook in list(self.diagnostics):
-                details.extend(hook())
-            raise DeadlockError(blocked, details=details)
-        return self.now
-
-    def _pending_count(self) -> int:
-        """Live (non-cancelled) scheduled entries across both lanes."""
-        n = sum(1 for e in self._heap if not self._entry_stale(e))
-        for bucket in self._wheel.values():
-            for seq, proc, _value in bucket:
-                if proc._pending_seq == seq:
-                    n += 1
-        return n
 
     @staticmethod
     def _entry_stale(entry: tuple) -> bool:

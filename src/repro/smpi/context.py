@@ -180,62 +180,6 @@ class RankCtx:
         self.world.inject(msg, label=label)
         return req
 
-    def isend_batch(
-        self,
-        entries: Sequence[tuple],
-        dest: int,
-        comm: Optional[Communicator] = None,
-        label: str = "",
-    ) -> Generator[Any, Any, list[SendRequest]]:
-        """Non-blocking sends of several messages to one peer in one call.
-
-        ``entries`` is a sequence of ``(payload, tag, nbytes)`` triples
-        (``nbytes=None`` prices the payload).  Semantically identical to
-        issuing :meth:`isend` once per entry in order — same channel
-        sequence numbers, same per-message CPU overhead charges, same
-        sanitizer registrations — but the communicator/peer/fabric
-        resolution and probe lookups are paid once per batch, and on
-        zero-overhead channels the whole run enters the transport through
-        :meth:`MpiWorld.inject_batch` in a single pass.
-        """
-        comm = self._comm(comm)
-        dst_gid = comm.peer_gid(dest)
-        world = self.world
-        san = world._sanitizer if world.observed else None
-        src_rank = self._sender_rank_as_seen_by_peer(comm)
-        spec = world.channel_spec(self.gid, dst_gid)
-        overhead = spec.cpu_overhead
-        reqs: list[SendRequest] = []
-        staged: list[Message] = []
-        for payload, tag, nbytes in entries:
-            size = payload_nbytes(payload) if nbytes is None else int(nbytes)
-            req = SendRequest(self.sim, dst_gid, tag, size)
-            if san is not None:
-                san.on_isend(self, comm, dest, tag, payload, req)
-            msg = Message(
-                seq=world.next_chan_seq(self.gid, dst_gid),
-                ctx_id=comm.ctx_id,
-                src_gid=self.gid,
-                dst_gid=dst_gid,
-                src_rank=src_rank,
-                tag=tag,
-                payload=copy_payload(payload),
-                nbytes=size,
-                send_req=req,
-            )
-            reqs.append(req)
-            if overhead > 0:
-                # The per-message CPU charge must stay between injections
-                # (that is when the scalar lane yields), so only the
-                # bookkeeping above is batched on overhead-bearing fabrics.
-                yield Compute(overhead)
-                world.inject(msg, label=label)
-            else:
-                staged.append(msg)
-        if staged:
-            world.inject_batch(staged, label=label)
-        return reqs
-
     def _sender_rank_as_seen_by_peer(self, comm: Communicator) -> int:
         # On an intra-comm, peers see my local rank; on an inter-comm, they
         # see my rank within *their* remote group, which is my local rank.

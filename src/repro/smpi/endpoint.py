@@ -209,35 +209,6 @@ class Endpoint:  # repro: noqa[REP005] - one per rank (not per message); queues 
             raise RuntimeError(f"gid {self.gid}: RTS after finalize: {msg!r}")
         self._arrive("rts", msg)
 
-    def deliver_eager_batch(self, msgs: list[Message]) -> None:
-        """Bulk delivery of several eager messages from one sender.
-
-        When the batch forms a contiguous seq run starting exactly at the
-        channel's FIFO gate, the whole run pays one closed-check, one gate
-        read, and one gate write (plus a single held-backlog drain) instead
-        of the per-message gate protocol of :meth:`deliver_eager`.  Any
-        other shape — gap at the head, mixed senders, finalized endpoint —
-        falls back to per-message delivery, which handles holding,
-        stragglers, and error reporting exactly as the scalar lane does.
-        """
-        if not msgs:
-            return
-        src_gid = msgs[0].src_gid
-        if not self.closed:
-            expected = self._next_seq.get(src_gid, 0)
-            contiguous = True
-            for i, msg in enumerate(msgs):
-                if msg.src_gid != src_gid or msg.seq != expected + i:
-                    contiguous = False
-                    break
-            if contiguous:
-                for msg in msgs:
-                    self._dispatch("eager", msg)
-                self._drain_held(src_gid, expected + len(msgs))
-                return
-        for msg in msgs:
-            self.deliver_eager(msg)
-
     def _arrive(self, kind: str, msg: Message) -> None:
         """Per-channel FIFO gate: dispatch in seq order, buffering gaps."""
         expected = self._next_seq.get(msg.src_gid, 0)
@@ -245,17 +216,13 @@ class Endpoint:  # repro: noqa[REP005] - one per rank (not per message); queues 
             self._reorder.setdefault(msg.src_gid, {})[msg.seq] = (kind, msg)
             return
         self._dispatch(kind, msg)
-        self._drain_held(msg.src_gid, expected + 1)
-
-    def _drain_held(self, src_gid: int, nxt: int) -> None:
-        """Release the held out-of-order backlog from ``nxt`` on, then
-        advance the channel gate once."""
-        held = self._reorder.get(src_gid)
+        nxt = expected + 1
+        held = self._reorder.get(msg.src_gid)
         while held and nxt in held:
             k, m = held.pop(nxt)
             self._dispatch(k, m)
             nxt += 1
-        self._next_seq[src_gid] = nxt
+        self._next_seq[msg.src_gid] = nxt
 
     def _dispatch(self, kind: str, msg: Message) -> None:
         if msg.ctx_id in self.world.aborted_ctxs:

@@ -262,115 +262,6 @@ class MpiWorld:
             )
             ev.add_callback(lambda _ev: self._rts_arrived(msg))
 
-    def inject_batch(self, msgs: Sequence[Message], label: str = "") -> None:
-        """Start a batch of same-(src, dst) messages in one pass.
-
-        The per-message wire events are untouched — each message still gets
-        its own flow through the cluster network, because merging flows
-        would change the max-min bandwidth shares and break byte-identity
-        with the scalar lane.  What the batch hoists is the Python
-        bookkeeping that :meth:`inject` pays per message: one dead-peer
-        check, one endpoint/node/fabric lookup, one label accounting update,
-        and one metrics counter flush per (comm, protocol) class for the
-        whole batch (counter totals are identical to per-message
-        increments; the size histogram still observes each message so its
-        shape is unchanged).
-        """
-        if not msgs:
-            return
-        first = msgs[0]
-        dst_gid = first.dst_gid
-        if dst_gid in self.dead_gids:
-            for msg in msgs:
-                msg.send_req._fail(
-                    CommFailedError(
-                        f"send to dead rank gid={dst_gid}", dead_gids=[dst_gid]
-                    )
-                )
-            return
-        endpoints = self.endpoints
-        src_node = endpoints[first.src_gid].node
-        dst_node = endpoints[dst_gid].node
-        machine = self.machine
-        if src_node.node_id == dst_node.node_id:
-            spec = machine.memory_channel
-        else:
-            spec = machine.fabric
-        if label:
-            self.bytes_by_label[label] = self.bytes_by_label.get(
-                label, 0.0
-            ) + sum(msg.nbytes for msg in msgs)
-        threshold = spec.eager_threshold
-        if self.observed:
-            m = self._metrics
-            if m is not None:
-                totals: dict[tuple[int, str], list] = {}
-                hist = m.histogram("smpi.message_nbytes")
-                for msg in msgs:
-                    proto = "eager" if msg.nbytes <= threshold else "rndv"
-                    acc = totals.get((msg.ctx_id, proto))
-                    if acc is None:
-                        totals[(msg.ctx_id, proto)] = [1, msg.nbytes]
-                    else:
-                        acc[0] += 1
-                        acc[1] += msg.nbytes
-                    hist.observe(msg.nbytes)
-                for (ctx_id, proto), (count, nbytes) in totals.items():
-                    m.counter(
-                        "smpi.messages", comm=ctx_id, protocol=proto
-                    ).inc(count)
-                    m.counter(
-                        "smpi.bytes", comm=ctx_id, protocol=proto
-                    ).inc(nbytes)
-        transfer = machine.transfer
-        if (
-            len(msgs) > 1
-            and spec.copy_rate <= 0
-            and msgs[0].nbytes <= threshold
-            and all(m.nbytes == msgs[0].nbytes for m in msgs)
-        ):
-            # Equal-size eager flows launched together over one route get
-            # identical max-min shares at every instant, so they land at the
-            # same time no matter what else the network carries.  Hand the
-            # whole run to the endpoint when the last flow completes: one
-            # dead-receiver verdict and one FIFO-gate update instead of N.
-            # (With copy_rate > 0 the receiver-side touch-copies stagger the
-            # arrivals through the CPU model, so those fall through to the
-            # per-message path below.)
-            n = len(msgs)
-            landed: list[Message] = []
-
-            def _flow_landed(m: Message) -> None:
-                landed.append(m)
-                if len(landed) == n:
-                    if m.dst_gid in self.dead_gids:
-                        return  # receiver died; buffered data evaporates
-                    self.endpoints[m.dst_gid].deliver_eager_batch(landed)
-
-            for msg in msgs:
-                msg.protocol = "eager"
-                msg.send_req._complete(None)
-                ev = transfer(
-                    src_node, dst_node, msg.nbytes, label=f"eager:{msg.msg_id}"
-                )
-                ev.add_callback(lambda _ev, m=msg: _flow_landed(m))
-            return
-        for msg in msgs:
-            if msg.nbytes <= threshold:
-                msg.protocol = "eager"
-                msg.send_req._complete(None)
-                ev = transfer(
-                    src_node, dst_node, msg.nbytes, label=f"eager:{msg.msg_id}"
-                )
-                ev.add_callback(
-                    lambda _ev, m=msg: self._eager_arrived(m, spec)
-                )
-            else:
-                msg.protocol = "rndv"
-                self._inflight[msg.msg_id] = msg
-                ev = transfer(src_node, dst_node, 0, label=f"rts:{msg.msg_id}")
-                ev.add_callback(lambda _ev, m=msg: self._rts_arrived(m))
-
     def _eager_arrived(self, msg: Message, spec: FabricSpec) -> None:
         if msg.dst_gid in self.dead_gids:
             return  # receiver died; buffered data evaporates with it

@@ -87,7 +87,7 @@ def test_small_and_numpy_paths_agree():
 
 
 def test_debug_invariant_mode_simulation_smoke():
-    """A full simulated run with REPRO_NET_DEBUG-style checking enabled:
+    """A full simulated run with ``debug_invariants`` checking enabled:
     every rate update is verified against the oracle as the sim runs."""
     from repro.cluster.fabrics import fabric_by_name
     from repro.cluster.machine import Machine

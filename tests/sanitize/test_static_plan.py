@@ -21,6 +21,7 @@ from repro.redistribution.plan import RedistributionPlan, Transfer
 from repro.sanitize.static_check import (
     CommGraph,
     RankNode,
+    _CompiledPlanView,
     check_graph,
     elaborate,
     main,
@@ -139,47 +140,38 @@ class TestElaborate:
                           variant="target")
         assert check_graph(graph) == []
 
-    @pytest.mark.parametrize("method", ["p2p", "col", "rma"])
-    @pytest.mark.parametrize("spawn", ["merge", "baseline"])
-    def test_batched_graphs_clean(self, method, spawn):
-        graph = elaborate(fresh_plan(96, 4, 8), method=method, spawn=spawn,
-                          batch=True)
-        assert check_graph(graph) == []
-
-    @pytest.mark.parametrize("method", ["p2p", "col", "rma"])
-    def test_batched_shapes_equal_scalar_shapes(self, method):
-        # The compiled-plan lowering must reproduce the scalar lane's
-        # message schedule op for op — peers, tags, row counts, order.
-        plan = fresh_plan(1000, 8, 4)
-        scalar = elaborate(plan, method=method, spawn="merge")
-        batched = elaborate(plan, method=method, spawn="merge", batch=True)
-        assert batched.ops == scalar.ops
-
-    @pytest.mark.parametrize("method", ["p2p", "col"])
-    def test_coalesced_batched_graphs_clean(self, method):
-        # The shipping default: REPRO_BATCH=1 with coalescing enabled.
-        plan = fresh_plan(96, 8, 4)
-        graph = elaborate(plan, method=method, spawn="merge",
-                          coalesce=True, batch=True)
-        assert check_graph(graph) == []
-        scalar = elaborate(plan, method=method, spawn="merge", coalesce=True)
-        assert graph.ops == scalar.ops
-
-    def test_target_driven_batched_rma_clean(self):
-        graph = elaborate(fresh_plan(96, 4, 8), method="rma", spawn="merge",
-                          variant="target", batch=True)
-        assert check_graph(graph) == []
+    @pytest.mark.parametrize("movement_minimizing", [False, True])
+    @pytest.mark.parametrize(
+        "n_rows,ns,nt",
+        [(96, 4, 8), (96, 8, 4), (96, 6, 6), (1000, 8, 4), (1001, 7, 3),
+         (97, 3, 5)],
+    )
+    def test_compiled_view_matches_plan_transfers(
+            self, n_rows, ns, nt, movement_minimizing):
+        # The compiled-plan lowering the sessions (and ``elaborate``) read
+        # must reproduce the plan's transfer lists entry for entry — peers,
+        # row ranges, order — over grow/shrink/equal/non-divisible shapes.
+        if movement_minimizing:
+            plan = RedistributionPlan.movement_minimizing(n_rows, ns, nt)
+        else:
+            plan = fresh_plan(n_rows, ns, nt)
+        view = _CompiledPlanView(plan)
+        for s in range(ns):
+            assert view.sends_for(s) == plan.sends_for(s)
+        for d in range(nt):
+            assert view.recvs_for(d) == plan.recvs_for(d)
 
     def test_batched_lowering_bug_is_caught(self):
         # Corrupt one compiled program entry (a peer index off by one):
-        # STA004/STA005 must flag the batched schedule even though the
-        # scalar schedule verifies clean.
+        # STA004/STA005 must flag the elaborated schedule even though the
+        # plan's own transfer lists verify clean.
         plan = fresh_plan(96, 4, 8)
         prog = plan.compiled_sends(0)
         peers = prog.peers.copy()
         peers[0] = (peers[0] + 1) % plan.n_targets
         prog.peers = peers
-        graph = elaborate(plan, method="p2p", spawn="merge", batch=True)
+        assert verify_plan(plan) == []
+        graph = elaborate(plan, method="p2p", spawn="merge")
         findings = check_graph(graph)
         assert findings != []
         assert {"STA004"} <= set(rules_of(findings))
@@ -374,9 +366,9 @@ class TestSweep:
         findings, n = verify_matrix(rows=(96,), resizes=((6, 6),),
                                     extended=True)
         assert findings == []
-        # 18 configs x 4 option-variants (plain, coalesced/target-driven,
-        # batched, and the combination) x 2 plans.
-        assert n == len(ALL_CONFIGS) * 8
+        # 18 configs x 2 option-variants (plain, coalesced/target-driven)
+        # x 2 plans.
+        assert n == len(ALL_CONFIGS) * 4
 
     def test_matrix_reports_seeded_bug(self):
         # A tampered plan threaded through verify_config must surface.

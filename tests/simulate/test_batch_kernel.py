@@ -1,12 +1,11 @@
-"""Timer-wheel (batch lane) vs tuple-heap (scalar lane) identity tests.
+"""Kernel event-order tests: the ``(time, seq)`` contract of ``Simulator.run``.
 
-The ``REPRO_BATCH`` batch lane routes homogeneous Timeout traffic through a
-per-deadline timer wheel drained in bulk, while generic commands keep the
-tuple heap.  Its contract is *bit-for-bit* equivalence with the scalar
-lane: identical wakeup order, identical clock trajectory, identical
-process outcomes — under cancels, resumes, kills, zero-delay reschedules,
-``until`` cutoffs and strict limits.  Every test here runs one scenario
-under both lanes and compares full traces.
+Timeout wakeups, spawn/resume wakeups and scheduled callbacks share one
+heap and fire in ``(time, registration sequence)`` order.  Each scenario
+here pins the literal wakeup trace, end time and process outcomes of that
+order under cancels, resumes, kills, zero-delay reschedules, ``until``
+cutoffs and strict limits — the traces the sweep CSVs' byte-identity rests
+on.  (The file keeps its historical name so the test ids stay stable.)
 """
 
 from __future__ import annotations
@@ -26,49 +25,37 @@ from repro.simulate import (
 )
 
 
-def _lane_sim(monkeypatch, batch: bool) -> Simulator:
-    monkeypatch.setenv("REPRO_BATCH", "1" if batch else "0")
+def run_scenario(scenario, **run_kwargs):
+    """Run ``scenario(sim, trace)`` on a fresh simulator; return
+    ``(trace, end, now, [(name, state, result), ...])``."""
     sim = Simulator()
-    assert sim._batch is batch
-    return sim
-
-
-def run_both_lanes(monkeypatch, scenario, **run_kwargs):
-    """Run ``scenario(sim, trace)`` under each lane; assert identical
-    traces, end times and process outcomes; return the shared trace."""
-    outcomes = []
-    for batch in (True, False):
-        sim = _lane_sim(monkeypatch, batch)
-        trace: list = []
-        procs = scenario(sim, trace) or []
-        end = sim.run(**run_kwargs)
-        outcomes.append((
-            trace, end, sim.now,
-            [(p.name, p.state, p.result) for p in procs],
-        ))
-    assert outcomes[0] == outcomes[1]
-    return outcomes[0]
+    trace: list = []
+    procs = scenario(sim, trace) or []
+    end = sim.run(**run_kwargs)
+    return (
+        trace, end, sim.now,
+        [(p.name, p.state, p.result) for p in procs],
+    )
 
 
 # ------------------------------------------------------------ ordered wakeups
-def test_same_deadline_wakes_in_spawn_order(monkeypatch):
+def test_same_deadline_wakes_in_spawn_order():
     def scenario(sim, trace):
         def proc(name):
             yield Timeout(1.0)
             trace.append((sim.now, name))
         return [sim.spawn(proc(f"p{i}"), name=f"p{i}") for i in range(6)]
 
-    trace, end, *_ = run_both_lanes(monkeypatch, scenario)
+    trace, end, *_ = run_scenario(scenario)
     assert end == 1.0
     assert [name for _t, name in trace] == [f"p{i}" for i in range(6)]
 
 
-def test_heap_and_wheel_merge_by_seq_at_equal_time(monkeypatch):
-    # Scheduled callbacks (heap) and timeouts (wheel) at the same instant
-    # must fire in registration-sequence order in both lanes.  The
-    # callbacks draw their sequence numbers at setup; the timeouts draw
-    # theirs when the processes first run (inside ``run()``), so the
-    # callbacks come first — and the lanes must agree exactly.
+def test_callbacks_and_timeouts_merge_by_seq_at_equal_time():
+    # Scheduled callbacks and timeouts at the same instant fire in
+    # registration-sequence order.  The callbacks draw their sequence
+    # numbers at setup; the timeouts draw theirs when the processes first
+    # run (inside ``run()``), so the callbacks come first.
     def scenario(sim, trace):
         def proc(name, delay):
             yield Timeout(delay)
@@ -79,14 +66,13 @@ def test_heap_and_wheel_merge_by_seq_at_equal_time(monkeypatch):
         sim.schedule(2.0, lambda: trace.append((sim.now, "cb2")))
         return [a, b]
 
-    trace, *_ = run_both_lanes(monkeypatch, scenario)
+    trace, *_ = run_scenario(scenario)
     assert [name for _t, name in trace] == ["cb1", "cb2", "a", "b"]
 
 
-def test_zero_delay_timeout_reenters_current_bucket(monkeypatch):
-    # Timeout(0) from inside a draining bucket lands back in the *same*
-    # bucket past the drain snapshot — it must still fire this instant,
-    # after every already-queued wakeup.
+def test_zero_delay_timeout_reenters_current_instant():
+    # Timeout(0) must still fire this instant, after every wakeup already
+    # queued for it.
     def scenario(sim, trace):
         def spinner():
             for i in range(3):
@@ -97,11 +83,10 @@ def test_zero_delay_timeout_reenters_current_bucket(monkeypatch):
             trace.append((sim.now, "peer", 0))
         return [sim.spawn(spinner(), name="s"), sim.spawn(peer(), name="p")]
 
-    trace, end, *_ = run_both_lanes(monkeypatch, scenario)
+    trace, end, *_ = run_scenario(scenario)
     assert end == 0.0
     # The spinner's first reschedule draws its sequence before the peer's
-    # initial timeout fires, so it wakes again ahead of the peer — and the
-    # lanes must agree on that exact interleaving.
+    # initial timeout fires, so it wakes again ahead of the peer.
     assert trace == [
         (0.0, "spin", 0), (0.0, "spin", 1), (0.0, "peer", 0),
         (0.0, "spin", 2),
@@ -109,8 +94,8 @@ def test_zero_delay_timeout_reenters_current_bucket(monkeypatch):
 
 
 # ----------------------------------------------------------- cancels & kills
-def test_resume_cancels_pending_timeout(monkeypatch):
-    # A cross-process resume invalidates the wheel entry; the stale slot
+def test_resume_cancels_pending_timeout():
+    # A cross-process resume invalidates the queued wakeup; the stale entry
     # must be skipped without waking the process a second time.
     def scenario(sim, trace):
         def sleeper():
@@ -123,12 +108,12 @@ def test_resume_cancels_pending_timeout(monkeypatch):
             sim.resume(target, "early")
         return [target, sim.spawn(waker(), name="w")]
 
-    trace, end, *_ = run_both_lanes(monkeypatch, scenario)
+    trace, end, *_ = run_scenario(scenario)
     assert trace == [(1.0, "woke", "early")]
     assert end == 1.0  # the stale 10.0 entry never advances the clock
 
 
-def test_kill_discards_wheel_entry(monkeypatch):
+def test_kill_discards_pending_wakeup():
     def scenario(sim, trace):
         def sleeper():
             yield Timeout(5.0)
@@ -141,14 +126,15 @@ def test_kill_discards_wheel_entry(monkeypatch):
             trace.append((sim.now, "killed"))
         return [victim, sim.spawn(killer(), name="killer")]
 
-    trace, end, *_ = run_both_lanes(monkeypatch, scenario)
+    trace, end, _now, states = run_scenario(scenario)
     assert trace == [(1.0, "killed")]
     assert end == 1.0
+    assert states == [("victim", "killed", None), ("killer", "done", None)]
 
 
-def test_all_stale_bucket_does_not_advance_clock(monkeypatch):
-    # Every entry of a future bucket is cancelled before it fires: neither
-    # lane may move ``now`` to that bucket's deadline.
+def test_all_stale_entries_do_not_advance_clock():
+    # Every wakeup queued for a future deadline is cancelled before it
+    # fires: ``now`` must not move to that deadline.
     def scenario(sim, trace):
         sleepers = []
 
@@ -164,17 +150,14 @@ def test_all_stale_bucket_does_not_advance_clock(monkeypatch):
                 sim.resume(p, None)
         return sleepers + [sim.spawn(reaper(), name="r")]
 
-    def scenario_wrapped(sim, trace):
-        procs = scenario(sim, trace)
-        return procs
-
-    trace, end, now, states = run_both_lanes(monkeypatch, scenario_wrapped)
+    trace, end, now, _states = run_scenario(scenario)
+    assert trace == [(0.5, "ghost")] * 3  # resumed early, at the reaper's time
     assert end == 0.5
     assert now == 0.5
 
 
 # ------------------------------------------------------------- until limits
-def test_lenient_until_stops_mid_bucket_sequence(monkeypatch):
+def test_lenient_until_stops_mid_sequence():
     def scenario(sim, trace):
         def proc(name, delay):
             yield Timeout(delay)
@@ -182,106 +165,102 @@ def test_lenient_until_stops_mid_bucket_sequence(monkeypatch):
         return [sim.spawn(proc(f"p{d}", d), name=f"p{d}")
                 for d in (1.0, 2.0, 3.0)]
 
-    trace, end, now, _ = run_both_lanes(monkeypatch, scenario, until=2.0)
+    trace, end, now, _ = run_scenario(scenario, until=2.0)
     assert end == 2.0 and now == 2.0
     assert [name for _t, name in trace] == ["p1.0", "p2.0"]
 
 
-def test_until_excludes_later_entries_of_same_run(monkeypatch):
-    # until falls between two buckets: the earlier fires, the later stays
-    # queued, and a follow-up run drains it identically in both lanes.
-    for batch in (True, False):
-        sim = _lane_sim(monkeypatch, batch)
-        fired = []
+def test_until_excludes_later_entries_of_same_run():
+    # until falls between two deadlines: the earlier fires, the later stays
+    # queued, and a follow-up run drains it.
+    sim = Simulator()
+    fired = []
 
-        def proc(name, delay):
-            yield Timeout(delay)
-            fired.append((sim.now, name))
-        sim.spawn(proc("early", 1.0), name="early")
-        sim.spawn(proc("late", 4.0), name="late")
-        assert sim.run(until=2.5) == 2.5
-        assert fired == [(1.0, "early")]
-        assert sim.run() == 4.0
-        assert fired == [(1.0, "early"), (4.0, "late")]
-
-
-def test_strict_until_raises_identically(monkeypatch):
-    errs = []
-    for batch in (True, False):
-        sim = _lane_sim(monkeypatch, batch)
-
-        def sleeper():
-            yield Timeout(10.0)
-        sim.spawn(sleeper(), name="slow")
-        with pytest.raises(SimTimeLimitExceeded) as exc_info:
-            sim.run(until=1.0, strict_until=True)
-        errs.append((exc_info.value.until, exc_info.value.pending_events,
-                     tuple(exc_info.value.blocked), sim.now))
-    assert errs[0] == errs[1]
-    assert errs[0][0] == 1.0 and errs[0][1] >= 1
+    def proc(name, delay):
+        yield Timeout(delay)
+        fired.append((sim.now, name))
+    sim.spawn(proc("early", 1.0), name="early")
+    sim.spawn(proc("late", 4.0), name="late")
+    assert sim.run(until=2.5) == 2.5
+    assert fired == [(1.0, "early")]
+    assert sim.run() == 4.0
+    assert fired == [(1.0, "early"), (4.0, "late")]
 
 
-def test_strict_until_ignores_cancelled_entries(monkeypatch):
-    # The only queued work past the limit is a cancelled wheel entry — not
-    # a live event, so strict mode must *not* raise in either lane.
-    for batch in (True, False):
-        sim = _lane_sim(monkeypatch, batch)
+def test_strict_until_raises():
+    sim = Simulator()
 
-        def sleeper():
-            got = yield Timeout(10.0)
-            return got
+    def sleeper():
+        yield Timeout(10.0)
+    sim.spawn(sleeper(), name="slow")
+    with pytest.raises(SimTimeLimitExceeded) as exc_info:
+        sim.run(until=1.0, strict_until=True)
+    err = exc_info.value
+    assert err.until == 1.0
+    assert err.pending_events == 1
+    assert err.blocked == ["slow (waiting on timeout)"]
+    assert sim.now == 1.0
 
-        def waker(target):
-            yield Timeout(0.5)
-            sim.resume(target, "early")
-        t = sim.spawn(sleeper(), name="t")
-        sim.spawn(waker(t), name="w")
-        assert sim.run(until=1.0, strict_until=True) == 0.5
-        assert t.result == "early"
+
+def test_strict_until_ignores_cancelled_entries():
+    # The only queued work past the limit is a cancelled wakeup — not a
+    # live event, so strict mode must *not* raise.
+    sim = Simulator()
+
+    def sleeper():
+        got = yield Timeout(10.0)
+        return got
+
+    def waker(target):
+        yield Timeout(0.5)
+        sim.resume(target, "early")
+    t = sim.spawn(sleeper(), name="t")
+    sim.spawn(waker(t), name="w")
+    assert sim.run(until=1.0, strict_until=True) == 0.5
+    assert t.result == "early"
 
 
 # ------------------------------------------------------------------ failures
-def test_deadlock_detection_parity(monkeypatch):
-    msgs = []
-    for batch in (True, False):
-        sim = _lane_sim(monkeypatch, batch)
+def test_deadlock_report():
+    sim = Simulator()
 
-        def stuck():
-            yield Passivate()
+    def stuck():
+        yield Passivate()
 
-        def ticker():
-            yield Timeout(1.0)
-        sim.spawn(stuck(), name="stuck")
-        sim.spawn(ticker(), name="ticker")
-        with pytest.raises(DeadlockError) as exc_info:
-            sim.run()
-        msgs.append((str(exc_info.value), sim.now))
-    assert msgs[0] == msgs[1]
+    def ticker():
+        yield Timeout(1.0)
+    sim.spawn(stuck(), name="stuck")
+    sim.spawn(ticker(), name="ticker")
+    with pytest.raises(DeadlockError) as exc_info:
+        sim.run()
+    assert str(exc_info.value) == (
+        "simulation deadlock: 1 blocked process(es): "
+        "stuck (waiting on passivate)"
+    )
+    assert sim.now == 1.0
 
 
-def test_process_exception_parity(monkeypatch):
-    results = []
-    for batch in (True, False):
-        sim = _lane_sim(monkeypatch, batch)
+def test_process_exception_report():
+    sim = Simulator()
 
-        def boomer():
-            yield Timeout(1.0)
-            raise RuntimeError("boom")
+    def boomer():
+        yield Timeout(1.0)
+        raise RuntimeError("boom")
 
-        def bystander():
-            yield Timeout(2.0)
-            return "ok"
-        b = sim.spawn(boomer(), name="boom")
-        by = sim.spawn(bystander(), name="by")
-        with pytest.raises(SimulationError, match="boom") as exc_info:
-            sim.run()
-        assert isinstance(exc_info.value.__cause__, RuntimeError)
-        results.append((str(exc_info.value), sim.now, b.state, by.state))
-    assert results[0] == results[1]
+    def bystander():
+        yield Timeout(2.0)
+        return "ok"
+    b = sim.spawn(boomer(), name="boom")
+    by = sim.spawn(bystander(), name="by")
+    with pytest.raises(SimulationError) as exc_info:
+        sim.run()
+    assert str(exc_info.value) == "process 'boom' failed"
+    assert isinstance(exc_info.value.__cause__, RuntimeError)
+    assert (sim.now, b.state, by.state) == (1.0, "failed", "alive")
 
 
 # ---------------------------------------------------------------- event mix
-def test_wait_event_and_timeout_mix(monkeypatch):
+def test_wait_event_and_timeout_mix():
     def scenario(sim, trace):
         ev = sim.event("gate")
 
@@ -297,18 +276,19 @@ def test_wait_event_and_timeout_mix(monkeypatch):
         return [sim.spawn(waiter(), name="w"),
                 sim.spawn(trigger(), name="t")]
 
-    trace, end, *_ = run_both_lanes(monkeypatch, scenario)
+    trace, end, *_ = run_scenario(scenario)
     assert trace == [(1.5, "gate", "open"), (1.75, "after")]
     assert end == 1.75
 
 
 # --------------------------------------------------------------------- fuzz
 @pytest.mark.parametrize("seed", range(25))
-def test_randomized_trace_identity(monkeypatch, seed):
+def test_randomized_trace_identity(seed):
     """Randomized mixed workloads: N processes looping over random
     timeouts (including zero delays), cross-process resume-cancels and
-    scheduled callbacks, bounded by a random ``until`` — full trace,
-    end-time and final-state identity between the lanes."""
+    scheduled callbacks, bounded by a random ``until`` — the same seed
+    yields the identical trace, end time and final states on every run,
+    and the clock never moves backwards."""
 
     def build(sim, trace):
         rng = random.Random(seed)
@@ -343,4 +323,9 @@ def test_randomized_trace_identity(monkeypatch, seed):
     rng = random.Random(10_000 + seed)
     until = rng.choice([None, 0.004, 0.01, 1.0])
     kwargs = {} if until is None else {"until": until}
-    run_both_lanes(monkeypatch, build, **kwargs)
+    first = run_scenario(build, **kwargs)
+    assert run_scenario(build, **kwargs) == first
+    trace, end, now, _states = first
+    times = [entry[0] for entry in trace]
+    assert times == sorted(times)
+    assert end == now and (not times or times[-1] <= end)
