@@ -41,7 +41,6 @@ POLARITY = {
     "parallel_speedup_nocache": True,
     "warm_fleet_speedup": True,
     "rma_vs_col_ethernet_speedup": True,
-    "rmsim_events_per_s": True,
     "single_run_small_merge_p2p_t_ethernet_s": False,
 }
 

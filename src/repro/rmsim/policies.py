@@ -127,19 +127,25 @@ class FifoPolicy(SchedulingPolicy):
     name = "fifo"
 
     def resize(self, sched: "TraceScheduler") -> None:
+        # Candidate order decides who gets the free slots and in what order
+        # commits land, so jobs that cannot act (``ready`` is False) are
+        # skipped in place.  The verb itself applies the iterations guard.
         if sched.queue:
             for job in sched.shrink_candidates():
-                if sched.can_resize(job):
+                if job.ready:
                     sched.request_resize(job, job.spec.min_procs)
-        else:
-            for job in sched.grow_candidates():
+            return
+        free = sched.free_slots
+        if free <= 0:
+            return
+        for job in sched.grow_candidates():
+            if not job.ready:
+                continue
+            target = min(job.spec.max_procs, job.pool_procs + free)
+            if sched.request_resize(job, target):
                 free = sched.free_slots
                 if free <= 0:
                     return
-                spec = job.spec
-                target = min(spec.max_procs, job.pool_procs + free)
-                if target > job.pool_procs and sched.can_resize(job):
-                    sched.request_resize(job, target)
 
 
 class PriorityPolicy(FifoPolicy):
@@ -184,7 +190,7 @@ class EasyBackfillPolicy(FifoPolicy):
             if free <= 0:
                 return
             width = self._backfill_width(sched, job.spec, free, shadow, extra)
-            if width is not None and sched.start(job, width):
+            if width is not None and sched.start(job, width, backfilled=True):
                 # The start consumed slots: the head's reservation moved.
                 shadow, extra = sched.reservation_for(head_spec.min_procs)
                 continue  # job left the queue; queue[i] is the next one
@@ -274,7 +280,7 @@ class MalleableAwarePolicy(EasyBackfillPolicy):
             return  # enough is already free: schedule() starts it next pass
         head_rt = head.runtime(head.min_procs)
         donors = sorted(
-            sched.shrink_candidates(),
+            [job for job in sched.shrink_candidates() if job.ready],
             key=lambda j: (-(j.pool_procs - j.spec.min_procs), j.spec.name),
         )
         for job in donors:

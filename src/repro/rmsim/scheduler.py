@@ -25,6 +25,8 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ..cluster.fabrics import ETHERNET_10G, FabricSpec
@@ -61,7 +63,15 @@ def arrival_order(spec: JobSpec) -> tuple[float, str]:
 
 
 class SlotPool:
-    """Contiguous-block slot allocator with first-fit placement."""
+    """Slot allocator over a linear slot space.
+
+    ``_free`` is the sorted, coalesced list of free ``[lo, hi)`` ranges and
+    ``free_slots`` its total, kept as state so a read is O(1) (policies
+    read it on every decision).  Slots go out and come back as ``[lo, hi)``
+    runs; the id-list methods adapt them for the engine lane, which needs
+    explicit slot ids.  Every mutator validates before it mutates: a
+    rejected call leaves the pool exactly as it was.
+    """
 
     def __init__(self, total: int):
         if total < 1:
@@ -69,118 +79,119 @@ class SlotPool:
         self.total = total
         #: sorted list of free [lo, hi) ranges.
         self._free: list[tuple[int, int]] = [(0, total)]
+        #: == sum(hi - lo for lo, hi in _free); read-only for callers.
+        self.free_slots = total
 
     def allocate(self, k: int) -> Optional[int]:
-        """First-fit: returns the block base, or None."""
+        """First-fit contiguous block: returns its base, or None."""
         if k < 1:
             raise ValueError("allocation must be >= 1 slot")
         for i, (lo, hi) in enumerate(self._free):
             if hi - lo >= k:
-                if hi - lo == k:
-                    self._free.pop(i)
-                else:
-                    self._free[i] = (lo + k, hi)
+                self._take(i, k)
                 return lo
         return None
 
-    def release(self, base: int, k: int) -> None:
-        """Free [base, base+k) and merge adjacent ranges.
-
-        Validation happens *before* any mutation: a detected double free
-        raises :class:`ValueError` and leaves the free list exactly as it
-        was, so the pool stays usable after a rejected release.  (The
-        historical implementation appended and sorted first, leaving
-        ``_free`` holding overlapping ranges on the error path.)
-        """
-        if k == 0:
-            return
-        # _free is kept sorted and non-overlapping, so the new range can
-        # only overlap its immediate neighbours in sort order; the check
-        # runs before any mutation.
-        self._check_free_ok(base, k)
-        lo, hi = base, base + k
-        i = bisect.bisect_left(self._free, (lo, hi))
-        # Validated: splice in, merging with touching neighbours.
-        if i > 0 and self._free[i - 1][1] == lo:
-            i -= 1
-            lo = self._free[i][0]
-            self._free.pop(i)
-        if i < len(self._free) and self._free[i][0] == hi:
-            hi = self._free[i][1]
-            self._free.pop(i)
-        self._free.insert(i, (lo, hi))
+    def _take(self, i: int, k: int) -> None:
+        """Claim the first ``k`` slots of free range ``i`` (k <= its size)."""
+        lo, hi = self._free[i]
+        if hi - lo == k:
+            del self._free[i]
+        else:
+            self._free[i] = (lo + k, hi)
+        self.free_slots -= k
 
     def extension_room(self, base: int, current: int) -> int:
         """Free slots contiguously to the right of [base, base+current)."""
         start = base + current
-        for lo, hi in self._free:
-            if lo == start:
-                return hi - lo
+        i = bisect.bisect_left(self._free, (start,))
+        if i < len(self._free) and self._free[i][0] == start:
+            return self._free[i][1] - start
         return 0
 
     def claim_extension(self, base: int, current: int, extra: int) -> None:
         room = self.extension_room(base, current)
-        if extra > room:
+        if not 0 < extra <= room:
             raise ValueError(f"cannot extend by {extra}: only {room} free")
-        start = base + current
-        for i, (lo, hi) in enumerate(self._free):
-            if lo == start:
-                if hi - lo == extra:
-                    self._free.pop(i)
-                else:
-                    self._free[i] = (lo + extra, hi)
-                return
-        raise AssertionError("extension_room said there was room")  # pragma: no cover
+        self._take(bisect.bisect_left(self._free, (base + current,)), extra)
 
-    def allocate_scattered(self, k: int) -> Optional[list[int]]:
-        """Take ``k`` slots from anywhere (expansion path — the
-        malleability engine accepts arbitrary slot lists)."""
+    def allocate_runs(self, k: int) -> Optional[list[tuple[int, int]]]:
+        """Take the ``k`` lowest free slots, contiguous or not: their
+        ``[lo, hi)`` runs in ascending order, or None if fewer are free."""
         if k < 1:
             raise ValueError("allocation must be >= 1 slot")
         if self.free_slots < k:
             return None
-        out: list[int] = []
-        while len(out) < k:
-            lo, hi = self._free[0]
-            take = min(k - len(out), hi - lo)
-            out.extend(range(lo, lo + take))
+        free = self._free
+        runs: list[tuple[int, int]] = []
+        used = 0  # free ranges consumed whole
+        need = k
+        while need:
+            lo, hi = free[used]
+            take = min(need, hi - lo)
+            runs.append((lo, lo + take))
+            need -= take
             if lo + take == hi:
-                self._free.pop(0)
+                used += 1
             else:
-                self._free[0] = (lo + take, hi)
-        return out
+                free[used] = (lo + take, hi)
+        del free[:used]
+        self.free_slots -= k
+        return runs
+
+    def release_runs(self, runs: Sequence[tuple[int, int]]) -> None:
+        """Free ``[lo, hi)`` runs, merging adjacent free ranges.  Every run
+        is validated (in range, not already free, not given twice) before
+        the first is freed, so a rejected call changes nothing."""
+        runs = sorted(runs)
+        end = 0
+        for lo, hi in runs:
+            self._check_free_ok(lo, hi)
+            if lo < end:
+                raise ValueError(f"double free: [{lo},{hi}) given twice")
+            end = hi
+        free = self._free
+        for lo, hi in runs:
+            self.free_slots += hi - lo
+            i = bisect.bisect_left(free, (lo, hi))
+            if i > 0 and free[i - 1][1] == lo:
+                i -= 1
+                lo = free.pop(i)[0]
+            if i < len(free) and free[i][0] == hi:
+                hi = free.pop(i)[1]
+            free.insert(i, (lo, hi))
+
+    def release(self, base: int, k: int) -> None:
+        """Free the block [base, base+k)."""
+        if k:
+            self.release_runs([(base, base + k)])
+
+    def allocate_scattered(self, k: int) -> Optional[list[int]]:
+        """:meth:`allocate_runs` as a slot-id list (the engine lane's
+        expansion path: the malleability engine takes arbitrary slots)."""
+        runs = self.allocate_runs(k)
+        if runs is None:
+            return None
+        return [slot for lo, hi in runs for slot in range(lo, hi)]
 
     def release_slots(self, slots: Sequence[int]) -> None:
-        """Free an arbitrary slot list (grouped into runs).
-
-        A duplicate slot id in one call is rejected up front — silently
-        merging it would leak the double-counted slot, and detecting it
-        mid-release would leave the earlier runs already freed.
-        """
-        slots = sorted(slots)
-        for a, b in zip(slots, slots[1:]):
-            if a == b:
-                raise ValueError(f"duplicate slot id {a} in release_slots")
+        """:meth:`release_runs` for an arbitrary slot-id list; a duplicate
+        id is rejected (merging it would leak the double-counted slot)."""
         runs: list[tuple[int, int]] = []
-        i = 0
-        while i < len(slots):
-            j = i
-            while j + 1 < len(slots) and slots[j + 1] == slots[j] + 1:
-                j += 1
-            runs.append((slots[i], j - i + 1))
-            i = j + 1
-        # Validate every run before freeing the first, so a double free in
-        # a later run cannot leave the earlier ones already released.
-        for base, k in runs:
-            self._check_free_ok(base, k)
-        for base, k in runs:
-            self.release(base, k)
+        for slot in sorted(slots):
+            if runs and slot == runs[-1][1]:
+                runs[-1] = (runs[-1][0], slot + 1)
+            elif runs and slot < runs[-1][1]:
+                raise ValueError(f"duplicate slot id {slot} in release_slots")
+            else:
+                runs.append((slot, slot + 1))
+        self.release_runs(runs)
 
-    def _check_free_ok(self, base: int, k: int) -> None:
-        """Raise if freeing [base, base+k) would double-free; no mutation."""
-        if k < 0 or base < 0 or base + k > self.total:
-            raise ValueError(f"release out of range: [{base},{base + k})")
-        lo, hi = base, base + k
+    def _check_free_ok(self, lo: int, hi: int) -> None:
+        """Raise if freeing [lo, hi) is out of range or a double free (it
+        can only overlap its neighbours in sort order).  No mutation."""
+        if not 0 <= lo < hi <= self.total:
+            raise ValueError(f"release out of range: [{lo},{hi})")
         i = bisect.bisect_left(self._free, (lo, hi))
         if i > 0 and self._free[i - 1][1] > lo:
             raise ValueError(
@@ -190,10 +201,6 @@ class SlotPool:
             raise ValueError(
                 f"double free: [{lo},{hi}) overlaps {self._free[i]}"
             )
-
-    @property
-    def free_slots(self) -> int:
-        return sum(hi - lo for lo, hi in self._free)
 
 
 @dataclass
@@ -221,9 +228,10 @@ class ScheduleResult:
     n_grows: int = 0
     n_shrinks: int = 0
 
-    @property
+    @cached_property
     def completed(self) -> list[JobRecord]:
-        """Records of jobs that ran to completion, in name order."""
+        """Records of jobs that ran to completion, in name order (computed
+        once: a result describes a finished run)."""
         return [
             self.records[name]
             for name in sorted(self.records)
@@ -232,9 +240,7 @@ class ScheduleResult:
 
     @property
     def n_completed(self) -> int:
-        return sum(
-            1 for r in self.records.values() if r.finished_at is not None
-        )
+        return len(self.completed)
 
     @property
     def mean_waiting_time(self) -> float:
@@ -297,7 +303,7 @@ class MalleableScheduler:
         self.records: dict[str, JobRecord] = {
             j.name: JobRecord(spec=j) for j in jobs
         }
-        self._pending_arrivals = list(self.jobs)
+        self._arrival_ptr = 0
         self._done = 0
 
     # ------------------------------------------------------------------ run
@@ -337,19 +343,19 @@ class MalleableScheduler:
     # ------------------------------------------------------------ lifecycle
     def _admit_arrivals(self) -> None:
         now = self.sim.now
-        while self._pending_arrivals and self._pending_arrivals[0].arrival_time <= now:
-            spec = self._pending_arrivals.pop(0)
-            self.queue.append(spec)
+        jobs, ptr = self.jobs, self._arrival_ptr
+        while ptr < len(jobs) and jobs[ptr].arrival_time <= now:
+            ptr += 1
+        self.queue.extend(jobs[self._arrival_ptr:ptr])
+        self._arrival_ptr = ptr
 
     def _try_start_queued(self) -> None:
         # FIFO with no backfilling: the head blocks the queue (keeps the
         # malleability effect easy to read in the results).
-        while self.queue:
-            spec = self.queue[0]
-            started = self._try_start(spec)
-            if not started:
-                return
-            self.queue.pop(0)
+        started = 0
+        while started < len(self.queue) and self._try_start(self.queue[started]):
+            started += 1
+        del self.queue[:started]
 
     def _try_start(self, spec: JobSpec) -> bool:
         # Prefer the largest size that fits right now.
@@ -470,6 +476,7 @@ class MalleableScheduler:
 
 #: lifecycle states of a job inside :class:`TraceScheduler`.
 _QUEUED, _RUNNING, _RECONF, _DONE = 0, 1, 2, 3
+_QUEUE_KEY = attrgetter("queue_key")
 
 
 class _TraceJob:
@@ -483,6 +490,9 @@ class _TraceJob:
         "pool_procs",
         "pending_procs",
         "slots",
+        "ready",
+        "queue_key",
+        "cost_class",
         "it_time",
         "rem_iters",
         "synced_at",
@@ -493,17 +503,26 @@ class _TraceJob:
         "busy",
     )
 
-    def __init__(self, spec: JobSpec, record: JobRecord):
+    def __init__(self, spec: JobSpec, record: JobRecord, cost_class: int):
         self.spec = spec
         self.record = record
         self.state = _QUEUED
+        #: the policy's sort key of the job, computed once, on arrival.
+        self.queue_key: tuple = ()
+        #: jobs of one class share rows, bytes and configuration (the price key).
+        self.cost_class = cost_class
+        #: may post a resize decision: running, malleable, not yet past the
+        #: remaining-iterations guard (monotone, so it fails only once).
+        self.ready = False
         #: active compute width (the Amdahl speed the job runs at).
         self.procs = 0
         #: slots currently held in the pool (a growing job holds its new
         #: slots from the decision on; a shrinking one frees at commit).
         self.pool_procs = 0
         self.pending_procs = 0
-        self.slots: list[int] = []
+        #: [lo, hi) slot runs held, in allocation order: the first run
+        #: starts at ``record.base`` and a shrink frees from the tail.
+        self.slots: list[tuple[int, int]] = []
         self.it_time = 0.0
         #: iterations left *as of* ``synced_at`` (progress is integrated
         #: lazily — only at decision points, never per iteration).
@@ -546,6 +565,11 @@ class TraceScheduler:
     trace and policy the run is fully deterministic — byte-identical
     summaries across repeats and hosts (see ``docs/rmsim.md``).
 
+    **Cost of a pass** is O(its events + resize candidates at one
+    attribute test each): the free count is pool state, jobs hold slot
+    *runs*, and the resize scans skip a job that cannot act on its
+    ``ready`` flag.  See "Cost of a pass" in ``docs/rmsim.md``.
+
     The policy object (see :mod:`repro.rmsim.policies`) decides queue
     order, starts, and resizes through this class's verbs: :meth:`start`,
     :meth:`request_resize`, :meth:`reservation_for`, :meth:`resize_cost`.
@@ -581,14 +605,18 @@ class TraceScheduler:
         self.sim = sim or Simulator()
         self.pool = SlotPool(total_slots)
         self.jobs = sorted(jobs, key=arrival_order)
-        self._tjobs: dict[str, _TraceJob] = {
-            j.name: _TraceJob(j, JobRecord(spec=j)) for j in self.jobs
-        }
+        classes: dict[tuple, int] = {}
+        self._tjobs: dict[str, _TraceJob] = {}
+        for j in self.jobs:
+            cls = classes.setdefault((j.n_rows, j.data_bytes, j.config), len(classes))
+            self._tjobs[j.name] = _TraceJob(j, JobRecord(spec=j), cls)
+        self._cost_memo: dict[tuple[int, int, int], float] = {}
         self.queue: list[_TraceJob] = []
         self.running: dict[str, _TraceJob] = {}
         #: running malleable jobs above their minimum / below their maximum
         #: width — the policies' resize candidate sets.  Kept incrementally
         #: so an all-shrunk (or all-grown) steady state costs O(1) per pass.
+        #: Insertion order is who is offered slots first: never re-insert.
         self._wide: dict[str, _TraceJob] = {}
         self._narrow: dict[str, _TraceJob] = {}
         self._arrival_ptr = 0
@@ -736,8 +764,8 @@ class TraceScheduler:
 
     # ------------------------------------------------------------- lifecycle
     def _enqueue(self, job: _TraceJob) -> None:
-        key = self.policy.sort_key
-        bisect.insort(self.queue, job, key=lambda j: key(j.spec))
+        job.queue_key = self.policy.sort_key(job.spec)
+        bisect.insort(self.queue, job, key=_QUEUE_KEY)
 
     def start(self, job: _TraceJob, width: int, backfilled: bool = False) -> bool:
         """Launch a queued job at ``width`` slots.  Returns False when the
@@ -749,12 +777,14 @@ class TraceScheduler:
             raise ValueError(
                 f"width {width} outside [{spec.min_procs}, {spec.max_procs}]"
             )
-        slots = self.pool.allocate_scattered(width)
+        slots = self.pool.allocate_runs(width)
         if slots is None:
             return False
         now = self.sim.now
-        self.queue.remove(job)
+        # Queue keys are unique (they end in the job name): bisect finds it.
+        del self.queue[bisect.bisect_left(self.queue, job.queue_key, key=_QUEUE_KEY)]
         job.state = _RUNNING
+        job.ready = spec.malleable
         job.slots = slots
         job.procs = width
         job.pool_procs = width
@@ -764,7 +794,7 @@ class TraceScheduler:
         job.alloc_since = now
         rec = job.record
         rec.started_at = now
-        rec.base = slots[0]
+        rec.base = slots[0][0]
         rec.procs = width
         rec.size_history.append((now, width))
         self.running[spec.name] = job
@@ -797,9 +827,10 @@ class TraceScheduler:
     def _finish(self, job: _TraceJob, now: float) -> None:
         self._account(job, now)
         job.state = _DONE
+        job.ready = False
         job.fin_epoch += 1
         job.finish_handle = None
-        self.pool.release_slots(job.slots)
+        self.pool.release_runs(job.slots)
         job.slots = []
         job.pool_procs = 0
         rec = job.record
@@ -820,24 +851,31 @@ class TraceScheduler:
         running (one reconfiguration in flight at a time), malleable, and
         has enough iterations left for the safety margin plus a useful
         remainder — the same guard the full-fidelity scheduler applies."""
-        if job.state != _RUNNING or not job.spec.malleable:
+        if not job.ready:
             return False
         rem = self._rem_iters_at(job, self.sim.now)
-        return rem > DecisionBoard.SAFETY_MARGIN + 3
+        job.ready = rem > DecisionBoard.SAFETY_MARGIN + 3
+        return job.ready
 
     def resize_cost(self, job: _TraceJob, new_procs: int) -> float:
-        """Predicted stall of resizing ``job`` to ``new_procs`` (memoised)."""
-        spec = job.spec
-        return reconfiguration_cost(
-            spec.n_rows,
-            spec.data_bytes / spec.n_rows,
-            job.procs,
-            new_procs,
-            spec.config,
-            self.fabric,
-            self.spawn_model,
-            self.cores_per_node,
-        )
+        """Predicted stall of resizing ``job`` to ``new_procs``.
+
+        Memoised per scheduler on ``(cost class, width-from, width-to)``:
+        the class stands for the job's rows, bytes and configuration, and
+        fabric, spawn model and cores per node are fixed per scheduler, so
+        a hit hashes three ints.  A miss falls through to
+        :func:`reconfiguration_cost`'s process-wide cache, which hashes the
+        frozen dataclasses and carries prices across schedulers.
+        """
+        key = (job.cost_class, job.procs, new_procs)
+        cost = self._cost_memo.get(key)
+        if cost is None:
+            spec = job.spec
+            cost = self._cost_memo[key] = reconfiguration_cost(
+                spec.n_rows, spec.data_bytes / spec.n_rows, job.procs, new_procs,
+                spec.config, self.fabric, self.spawn_model, self.cores_per_node
+            )
+        return cost
 
     def est_remaining(self, job: _TraceJob) -> float:
         """Projected seconds until the job finishes at its current plan."""
@@ -876,7 +914,7 @@ class TraceScheduler:
             )
         now = self.sim.now
         if target > job.pool_procs:
-            extra = self.pool.allocate_scattered(target - job.pool_procs)
+            extra = self.pool.allocate_runs(target - job.pool_procs)
             if extra is None:
                 return False
             self._account(job, now)
@@ -892,6 +930,7 @@ class TraceScheduler:
         job.rem_iters = rem_now - margin
         job.synced_at = t_commit
         job.state = _RECONF
+        job.ready = False
         job.pending_procs = target
         if job.finish_handle is not None:
             job.finish_handle.cancelled = True
@@ -914,9 +953,7 @@ class TraceScheduler:
         target = job.pending_procs
         if target < job.pool_procs:  # shrink: the freed tail opens now
             self._account(job, now)
-            tail = job.slots[target:]
-            del job.slots[target:]
-            self.pool.release_slots(tail)
+            self.pool.release_runs(self._cut_tail(job, job.pool_procs - target))
             job.pool_procs = target
             self.n_shrinks += 1
             if self._m is not None:
@@ -929,6 +966,7 @@ class TraceScheduler:
         job.pending_procs = 0
         job.it_time = spec.iteration_time(target)
         job.state = _RUNNING
+        job.ready = True  # it passed the guard when the decision was posted
         # synced_at was set to this commit time when the decision was
         # posted, so the remaining iterations burn from now at the new rate.
         finish = now + job.rem_iters * job.it_time
@@ -948,6 +986,20 @@ class TraceScheduler:
         if job.state == _RUNNING and now > job.synced_at:
             return job.rem_iters - (now - job.synced_at) / job.it_time
         return job.rem_iters
+
+    @staticmethod
+    def _cut_tail(job: _TraceJob, n: int) -> list[tuple[int, int]]:
+        """Remove the ``n`` last-allocated slots from the job's runs."""
+        slots = job.slots
+        cut: list[tuple[int, int]] = []
+        while n:
+            lo, hi = slots.pop()
+            if hi - lo > n:
+                slots.append((lo, hi - n))
+                lo = hi - n
+            cut.append((lo, hi))
+            n -= hi - lo
+        return cut
 
     def _account(self, job: _TraceJob, now: float) -> None:
         """Bill the slots held since the last accounting boundary."""
