@@ -4,7 +4,7 @@ Usage::
 
     python benchmarks/perf/check_regression.py \
         [--baseline benchmarks/perf/baseline_pre_pr.json] \
-        [--threshold 10] BENCH_kernel.json [BENCH_sweep.json ...]
+        [--threshold 10] BENCH_kernel.json [BENCH_rma.json ...]
 
 Every metric that appears in **both** the baseline and one of the given
 bench documents is compared with the right polarity (events/s and
@@ -36,10 +36,7 @@ POLARITY = {
     "allocator_flows_per_s": True,
     "allocator_speedup_vs_reference_dense": True,
     "allocator_speedup_vs_reference_sparse": True,
-    "parallel_speedup": True,
     "redist_rows_per_s": True,
-    "parallel_speedup_nocache": True,
-    "warm_fleet_speedup": True,
     "rma_vs_col_ethernet_speedup": True,
     "single_run_small_merge_p2p_t_ethernet_s": False,
 }

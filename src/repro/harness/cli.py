@@ -89,7 +89,6 @@ def cmd_run(args) -> int:
             faults=args.faults or "",
             sanitize=args.sanitize,
             cache=cache,
-            wire=args.wire,
         )
     except Exception as exc:
         from ..sanitize import SanitizerError
@@ -335,13 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan the sweep out over N processes, or 'auto' for "
         "min(cpu_count, cells); results are bit-identical to a sequential "
         "run; N<=1 or N>cells falls back to sequential (default: sequential)",
-    )
-    p_run.add_argument(
-        "--wire", choices=["shm", "pickle"], default=None,
-        help="worker-fleet result transport: struct-packed records through "
-        "shared-memory rings (shm, the default) or per-cell queue pickling "
-        "(the debugging fallback); both are byte-identical (default: the "
-        "REPRO_WIRE environment variable, else shm)",
     )
     p_run.add_argument(
         "--cache", default=".repro-cache", metavar="DIR",

@@ -1,21 +1,15 @@
 """Cell execution core behind ``run_sweep(workers=...)``.
 
-The PR 5 executor opened a fresh :class:`~concurrent.futures.
-ProcessPoolExecutor` per sweep; pool startup plus per-chunk pickling left
-cold parallel sweeps *slower* than sequential (BENCH_sweep recorded
-0.915x nocache).  Parallel dispatch now rides the **persistent worker
-fleet** (:mod:`repro.harness.fleet`): workers are spawned once per
-base-config fingerprint, stay warm across ``run_sweep`` calls, and
-stream struct-packed results back through shared-memory rings in
-completion order.  This module keeps the executor's stable surface:
+What one cell is and how it travels, shared by the sequential loop, the
+**persistent worker fleet** (:mod:`repro.harness.fleet`, which owns the
+processes and the pipes) and the cell cache:
 
 * **worker resolution** — :func:`resolve_workers` turns the user-facing
   knob into a pool width (``"auto"``, sequential fallbacks, a clamp to 1
   when ``os.cpu_count()`` is unknown);
-* **chunked dispatch** — cells travel as strided index lists
-  (``n_chunks = min(n_cells, workers * 4)``), amortizing per-dispatch
-  cost over many cells while keeping late chunks small enough for load
-  balancing;
+* **the deal** — :func:`make_chunks` strides the pending cells into
+  ``min(n_cells, workers * 4)`` index lists that the fleet hands out
+  round-robin, which fixes the cells each worker runs and their order;
 * **a compact wire format** — a worker returns 13 scalars per cell
   (:data:`WIRE_FIELDS`); everything else in a :class:`RunResult` is
   reconstructed parent-side from the :class:`RunSpec` the parent already
@@ -32,8 +26,7 @@ the process boundary.
 from __future__ import annotations
 
 import os
-import time
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 __all__ = [
     "WIRE_FIELDS",
@@ -42,7 +35,7 @@ __all__ = [
     "result_to_wire",
     "wire_to_result",
     "run_cell",
-    "run_parallel",
+    "make_chunks",
 ]
 
 #: The 13 per-cell scalars a worker ships back (everything else in a
@@ -192,54 +185,3 @@ def make_chunks(indices: Sequence[int], workers: int) -> list[list[int]]:
     if n_chunks <= 0:
         return []
     return [list(indices[k::n_chunks]) for k in range(n_chunks)]
-
-
-def run_parallel(
-    specs,
-    base,
-    workers: int,
-    indices: Sequence[int],
-    wires: list,
-    docs: list,
-    found: list,
-    with_metrics: bool,
-    sanitize: bool,
-    progress: Optional[Callable[[str], None]],
-    total: int,
-    done: int,
-    started: float,
-    wire: Optional[str] = None,
-    on_cell: Optional[Callable[[int], None]] = None,
-) -> int:
-    """Fan the pending ``indices`` out over the persistent worker fleet.
-
-    Fills ``wires``/``docs``/``found`` (grid-indexed lists) in place and
-    returns the updated ``done`` counter.  Results stream back per cell
-    in completion order through the fleet's shared-memory rings (or the
-    ``REPRO_WIRE=pickle`` queue lane); ``on_cell(i)`` fires as each cell
-    lands, which is what lets ``run_sweep`` merge metrics documents and
-    feed the cell cache incrementally instead of per-chunk.  Progress is
-    emitted once per *cell* in completion order, preserving the
-    ``[done/total]`` counting contract of the sequential path.
-    """
-    from .fleet import get_fleet
-
-    fleet = get_fleet(base, workers, wire=wire)
-    for i, cell_wire, doc, cell_found in fleet.run_cells(
-        specs, indices, with_metrics, sanitize
-    ):
-        wires[i] = cell_wire
-        docs[i] = doc
-        found[i] = cell_found
-        done += 1
-        if on_cell is not None:
-            on_cell(i)
-        if progress is not None:
-            spec = specs[i]
-            elapsed = time.time() - started  # repro: noqa[REP001] - host-side progress heartbeat, not simulated time
-            progress(
-                f"[{done}/{total}] {spec.fabric} "
-                f"{spec.ns}->{spec.nt} {spec.config.key} "
-                f"rep{spec.rep} ({elapsed:.0f}s)"
-            )
-    return done

@@ -1,48 +1,50 @@
-"""Persistent worker fleet with shared-memory result streaming.
+"""Persistent worker fleet: one pipe per worker, master blocked in ``wait``.
 
-The PR 5 executor opened a fresh :class:`~concurrent.futures.
-ProcessPoolExecutor` per ``run_sweep`` call, so every sweep paid the pool
-startup (interpreter spawn, numpy/scipy import, warm-up machine build)
-and shipped results back as pickled tuples through a multiprocessing
-queue.  BENCH_sweep was honest about the consequence: cold parallel
-sweeps *lost* to sequential (0.915x).  This module is the fix, modeled on
-nengo_mpi's ``MpiSimulator`` master/worker design (PAPERS.md): workers
-stay alive across runs and the master merges streamed results.
+A process pool per ``run_sweep`` call pays interpreter spawn, the
+numpy/scipy imports and the first machine build every time.  The fleet,
+modeled on nengo_mpi's ``MpiSimulator`` master/worker design (PAPERS.md),
+keeps the workers alive across sweeps and merges streamed results.
 
 * **Workers outlive a sweep.**  A :class:`WorkerFleet` is spawned once
-  per (base-config fingerprint, width, wire mode) and registered in a
-  module-global slot; consecutive ``run_sweep`` calls with the same base
-  config reuse the same warm processes, so pool startup and
-  ``_worker_init``-style costs amortize to zero after the first call.  A
-  different base config (or width) shuts the old fleet down and spawns a
-  fresh one — stale simulation state can never leak between workloads.
-* **Shared-memory result streaming.**  Each worker owns a single-
-  producer/single-consumer ring in a :class:`multiprocessing.
-  shared_memory.SharedMemory` segment.  Completed cells are written as
-  struct-packed records (13 scalars + an int-typing mask; metrics or
-  sanitizer payloads ride along as an opaque blob) and the master drains
-  the rings incrementally, in completion order — no per-cell pickling,
-  no queue round-trip, and ``run_sweep`` can merge documents as cells
-  finish.  ``REPRO_WIRE=pickle`` keeps the old queue lane available for
-  debugging; both lanes produce byte-identical sweeps.
-* **Failures keep provenance.**  A cell raising inside a worker streams
-  back an error record and surfaces as :class:`~repro.harness.executor.
-  SweepCellError` naming the cell and grid index; a worker *dying*
-  mid-sweep (SIGKILL, OOM) is detected by liveness polling and surfaces
-  the same way, naming the first cell it still owed.  The fleet itself
-  survives both: the next sweep drains stale records and reuses the
-  remaining workers after a respawn of the dead ones.
+  per (base-config fingerprint, width) and registered in a module-global
+  slot; consecutive ``run_sweep`` calls with the same base config reuse
+  the same warm processes.  A different base config (or width) shuts the
+  old fleet down and spawns a fresh one — stale simulation state can
+  never leak between workloads.
+* **One duplex pipe per worker.**  A sweep sends each worker *one* task
+  message — ``(specs, the cells it owes, with_metrics, sanitize)`` — and
+  every worker is handed its whole share before the master reads
+  anything, so a worker is in ``recv()`` while the master writes and the
+  two can never block on each other's full pipe.  One pickled tuple
+  comes back per completed or failed cell, and the master sleeps in
+  :func:`multiprocessing.connection.wait` over the pipes and process
+  sentinels of the workers that still owe cells and yields results in
+  completion order.  A slow consumer simply leaves workers blocked in
+  ``send()`` on a full pipe.
+* **Failures keep provenance.**  A cell raising inside a worker comes
+  back as a pickled :class:`~repro.harness.executor.SweepCellError`
+  naming the cell and grid index, and is raised.  A worker *dying*
+  (SIGKILL, OOM) is end-of-file on its pipe — the master closed its own
+  copy of the worker's end at spawn — and surfaces the same way, naming
+  the first cell it still owed, after everything it had already sent
+  was yielded.
+* **A pipe only ever carries the sweep in progress.**  A sweep that ends
+  early (cell error, dead worker, consumer stops iterating, Ctrl-C)
+  kills the workers that still owe it cells, so no result can cross into
+  a later sweep and a failed paper-scale sweep does not compute its
+  orphaned cells in front of the next one.  :func:`get_fleet` respawns
+  dead workers in place.
 
 Lifecycle::
 
-    fleet = get_fleet(base, workers)     # spawn once (or reuse)
+    fleet = get_fleet(base, workers)     # spawn once (or reuse, or heal)
     for i, wire, doc, found in fleet.run_cells(specs, idx, m, s):
         ...                              # completion order, streamed
-    shutdown_fleet()                     # sentinel + join + shm unlink
+    shutdown_fleet()                     # sentinel message + join
 
-All fleet telemetry (cells streamed, ring stalls, worker reuse) lands in
-an :class:`repro.obs.MetricsRegistry` owned by the fleet
-(:attr:`WorkerFleet.metrics`) — deliberately *separate* from the
+Fleet telemetry (workers spawned, sweeps served, worker reuse, cells
+streamed) lands in an :class:`repro.obs.MetricsRegistry` owned by the
+fleet (:attr:`WorkerFleet.metrics`) — deliberately *separate* from the
 per-sweep metrics documents, which must stay byte-identical between
 sequential, fleet-parallel and cached executions.
 """
@@ -51,16 +53,14 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import os
-import pickle
-import struct
-import time
-from multiprocessing import get_context
-from multiprocessing.shared_memory import SharedMemory
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import wait
 from typing import Iterator, Optional, Sequence
 
+from .executor import SweepCellError, make_chunks, run_cell
+from .runner import _cell_key
+
 __all__ = [
-    "RING_BYTES",
     "WorkerFleet",
     "fleet_fingerprint",
     "get_fleet",
@@ -68,203 +68,15 @@ __all__ = [
     "shutdown_fleet",
 ]
 
-#: default per-worker ring capacity.  A no-metrics record is ~120 bytes,
-#: so the default buffers ~8k cells per worker; metrics blobs are a few
-#: KiB each and still leave hundreds of records of headroom.  Override
-#: with ``REPRO_SHM_RING`` (bytes) for million-cell grids on small /dev/shm.
-RING_BYTES = 1 << 20
-
-#: ring header: head (writer-owned), tail (reader-owned), stalls
-#: (writer-owned), each an 8-byte little-endian unsigned int.
-_HEADER = 32
-_U64 = struct.Struct("<Q")
-_LEN = struct.Struct("<I")
-
-#: record header: kind (0=result, 1=error), sweep seq, grid index,
-#: int-typing mask over the 13 wire scalars.
-_REC = struct.Struct("<BIIH")
-_KIND_RESULT = 0
-_KIND_ERROR = 1
-_SCALARS = struct.Struct("<13d")
-
-_POLL_S = 0.0002  # master/worker backoff while a ring is empty/full
-
-
-# ----------------------------------------------------------------- wire codec
-def _pack_result(seq: int, index: int, wire: Sequence, blob: bytes) -> bytes:
-    """Struct-pack one completed cell.
-
-    The 13 wire scalars travel as IEEE doubles plus a bitmask naming
-    which of them were Python ints — exact for every value the
-    simulation produces (|int| < 2**53), and required for byte-identical
-    CSVs (``3`` must not come back as ``3.0``).  ``blob`` is an opaque
-    pickled ``(metrics_doc, findings)`` payload, empty in the common
-    uninstrumented case.
-    """
-    mask = 0
-    vals = []
-    for bit, v in enumerate(wire):
-        if isinstance(v, int):
-            mask |= 1 << bit
-        vals.append(float(v))
-    return (
-        _REC.pack(_KIND_RESULT, seq, index, mask)
-        + _SCALARS.pack(*vals)
-        + _LEN.pack(len(blob))
-        + blob
-    )
-
-
-def _pack_error(seq: int, index: int, cell: str, message: str) -> bytes:
-    blob = pickle.dumps((cell, message), protocol=pickle.HIGHEST_PROTOCOL)
-    return _REC.pack(_KIND_ERROR, seq, index, 0) + _LEN.pack(len(blob)) + blob
-
-
-def _unpack(payload: bytes):
-    """Inverse of the packers: ``(kind, seq, index, wire|None, blob)``."""
-    kind, seq, index, mask = _REC.unpack_from(payload, 0)
-    off = _REC.size
-    wire = None
-    if kind == _KIND_RESULT:
-        scalars = _SCALARS.unpack_from(payload, off)
-        off += _SCALARS.size
-        wire = tuple(
-            int(v) if mask & (1 << bit) else v
-            for bit, v in enumerate(scalars)
-        )
-    (blob_len,) = _LEN.unpack_from(payload, off)
-    off += _LEN.size
-    return kind, seq, index, wire, payload[off:off + blob_len]
-
-
-# ------------------------------------------------------------------ shm ring
-class _Ring:
-    """Single-producer/single-consumer byte ring over a shm segment.
-
-    Layout: three u64 header words (``head`` = total bytes ever written,
-    ``tail`` = total bytes ever consumed, ``stalls`` = writer full-ring
-    waits) followed by the data region.  Head/tail are monotonically
-    increasing, so ``head - tail`` is the unread span and wraparound is
-    plain modular arithmetic; records are length-prefixed and may wrap
-    (writes/reads split into two slices at the region edge).  Exactly one
-    writer (the worker) advances ``head`` and one reader (the master)
-    advances ``tail``, each publishing *after* the data movement — the
-    ordering that makes the ring safe without locks.
-    """
-
-    def __init__(self, shm: SharedMemory, create: bool):
-        self.shm = shm
-        self.buf = shm.buf
-        self.capacity = len(shm.buf) - _HEADER
-        if create:
-            self.buf[:_HEADER] = b"\x00" * _HEADER
-
-    # header accessors -----------------------------------------------------
-    @property
-    def head(self) -> int:
-        return _U64.unpack_from(self.buf, 0)[0]
-
-    @head.setter
-    def head(self, v: int) -> None:
-        _U64.pack_into(self.buf, 0, v)
-
-    @property
-    def tail(self) -> int:
-        return _U64.unpack_from(self.buf, 8)[0]
-
-    @tail.setter
-    def tail(self, v: int) -> None:
-        _U64.pack_into(self.buf, 8, v)
-
-    @property
-    def stalls(self) -> int:
-        return _U64.unpack_from(self.buf, 16)[0]
-
-    def _copy_in(self, pos: int, data: bytes) -> None:
-        at = _HEADER + pos % self.capacity
-        first = min(len(data), _HEADER + self.capacity - at)
-        self.buf[at:at + first] = data[:first]
-        if first < len(data):
-            self.buf[_HEADER:_HEADER + len(data) - first] = data[first:]
-
-    def _copy_out(self, pos: int, n: int) -> bytes:
-        at = _HEADER + pos % self.capacity
-        first = min(n, _HEADER + self.capacity - at)
-        out = bytes(self.buf[at:at + first])
-        if first < n:
-            out += bytes(self.buf[_HEADER:_HEADER + n - first])
-        return out
-
-    # writer side ----------------------------------------------------------
-    def write(self, record: bytes) -> None:
-        """Append one framed record, spinning (and counting a stall) while
-        the master is behind.  Called only from the owning worker."""
-        need = _LEN.size + len(record)
-        if need > self.capacity:
-            raise ValueError(
-                f"record of {need} bytes exceeds ring capacity "
-                f"{self.capacity}; raise REPRO_SHM_RING"
-            )
-        while self.capacity - (self.head - self.tail) < need:
-            _U64.pack_into(self.buf, 16, self.stalls + 1)
-            time.sleep(_POLL_S)  # host-side backpressure wait, not simulated time
-        pos = self.head
-        self._copy_in(pos, _LEN.pack(len(record)))
-        self._copy_in(pos + _LEN.size, record)
-        self.head = pos + need  # publish after the data is in place
-
-    # reader side ----------------------------------------------------------
-    def drain(self) -> list[bytes]:
-        """Consume every complete record currently in the ring."""
-        out = []
-        head = self.head  # snapshot: records published before this call
-        tail = self.tail
-        while head - tail >= _LEN.size:
-            (n,) = _LEN.unpack(self._copy_out(tail, _LEN.size))
-            if head - tail < _LEN.size + n:
-                break  # length prefix landed, payload still being written
-            out.append(self._copy_out(tail + _LEN.size, n))
-            tail += _LEN.size + n
-            self.tail = tail  # publish after the payload is copied out
-        return out
-
-
-def _attach_ring(name: str, shared_tracker: bool) -> _Ring:
-    """Worker-side attach, avoiding CPython's shared_memory resource
-    tracker over-eagerness.  Under ``fork`` the worker shares the
-    master's tracker process, and its duplicate registration is a set
-    no-op the master's ``unlink`` cleans up — unregistering here would
-    strip the master's own entry.  Under ``spawn`` the worker owns a
-    *separate* tracker that would unlink the segment when the worker
-    exits (destroying it under the master), so there we do unregister."""
-    shm = SharedMemory(name=name)
-    if not shared_tracker:
-        try:  # pragma: no cover - tracker internals vary across builds
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    return _Ring(shm, create=False)
-
 
 # ------------------------------------------------------------------- workers
-def _fleet_worker(worker_id, base, task_q, result_q, ring_name,
-                  shared_tracker):
-    """Worker main loop: serve sweeps until the ``None`` sentinel.
+def _fleet_worker(conn, base):
+    """Worker main loop: serve one task message per sweep until ``None``.
 
-    Tasks arrive on ``task_q`` as either ``("sweep", seq, specs,
-    with_metrics, sanitize)`` — the per-sweep prologue replacing the old
-    pool initializer args — or ``("chunk", seq, indices)``.  Results
-    stream out through the shm ring (or ``result_q`` in pickle-wire
-    mode).  Cell exceptions become error records; the worker itself
-    keeps serving, which is what lets one fleet survive failing sweeps.
+    Each owed cell answers ``(index, (wire, doc, found))``, or ``(index,
+    SweepCellError)`` when it raised — the worker itself keeps serving,
+    which is what lets a fleet survive a bad cell.
     """
-    from .executor import run_cell
-    from .runner import _cell_key
-
-    ring = _attach_ring(ring_name, shared_tracker) if ring_name else None
-
     # Pre-warm once per *process*, not per sweep: the heavy imports and
     # the lazy per-class simulation setup are the bulk of cold-pool cost.
     import numpy  # noqa: F401
@@ -276,71 +88,26 @@ def _fleet_worker(worker_id, base, task_q, result_q, ring_name,
 
     Machine(Simulator(), 2, 2, ETHERNET_10G, seed=0)
 
-    specs: Sequence = ()
-    with_metrics = sanitize = False
-    cur_seq = 0
-
-    def emit(record: bytes, obj) -> None:
-        if ring is not None:
-            ring.write(record)
-        else:
-            result_q.put(obj)
-
-    while True:
-        task = task_q.get()
-        if task is None:
-            break
-        kind = task[0]
-        if kind == "sweep":
-            _, cur_seq, specs, with_metrics, sanitize = task
-            continue
-        _, seq, indices = task
-        if seq != cur_seq:
-            continue  # chunk of an aborted sweep: skip, don't compute
+    while (task := conn.recv()) is not None:
+        specs, indices, with_metrics, sanitize = task
         for i in indices:
-            spec = specs[i]
             try:
-                wire, doc, found = run_cell(spec, base, with_metrics, sanitize)
+                answer = run_cell(specs[i], base, with_metrics, sanitize)
             except Exception as exc:  # noqa: BLE001 - provenance wrapper
-                cell = _cell_key(spec)
-                message = f"{type(exc).__name__}: {exc}"
-                emit(
-                    _pack_error(seq, i, cell, message),
-                    (_KIND_ERROR, seq, i, None, (cell, message)),
+                answer = SweepCellError(
+                    _cell_key(specs[i]), i, f"{type(exc).__name__}: {exc}"
                 )
-                continue
-            blob = b""
-            payload = None
-            if doc is not None or found is not None:
-                payload = (doc, found)
-                blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            try:
-                emit(
-                    _pack_result(seq, i, wire, blob),
-                    (_KIND_RESULT, seq, i, wire, payload),
-                )
-            except ValueError as exc:
-                # Record (metrics blob) larger than the ring: surface the
-                # actionable sizing hint as a cell error instead of dying
-                # (the tiny error record always fits).
-                emit(
-                    _pack_error(seq, i, _cell_key(spec),
-                                f"{type(exc).__name__}: {exc}"),
-                    (_KIND_ERROR, seq, i, None, None),
-                )
-    if ring is not None:
-        ring.shm.close()
+            conn.send((i, answer))
 
 
 class _Worker:
-    """Master-side handle: process + task queue + result ring."""
+    """Master-side handle: process + the master's end of its pipe."""
 
-    __slots__ = ("process", "task_q", "ring", "sweeps_served")
+    __slots__ = ("process", "conn", "sweeps_served")
 
-    def __init__(self, process, task_q, ring):
+    def __init__(self, process, conn):
         self.process = process
-        self.task_q = task_q
-        self.ring = ring
+        self.conn = conn
         self.sweeps_served = 0
 
 
@@ -355,103 +122,76 @@ def fleet_fingerprint(base) -> str:
 class WorkerFleet:
     """A set of persistent sweep workers bound to one base config.
 
-    Use :func:`get_fleet` rather than constructing directly — the module
+    Use :func:`get_fleet` rather than building one directly — the module
     keeps the single live fleet registered so consecutive sweeps reuse
     it and interpreter exit tears it down.
     """
 
-    def __init__(
-        self,
-        base,
-        workers: int,
-        wire: Optional[str] = None,
-        ring_bytes: Optional[int] = None,
-    ):
-        wire = wire or os.environ.get("REPRO_WIRE", "shm").strip().lower()
-        if wire not in ("shm", "pickle"):
-            raise ValueError(f"wire must be 'shm' or 'pickle', not {wire!r}")
+    def __init__(self, base, workers: int):
         from ..obs import MetricsRegistry
 
         self.base = base
         self.fingerprint = fleet_fingerprint(base)
         self.workers = workers
-        self.wire = wire
-        self.ring_bytes = int(
-            ring_bytes
-            or os.environ.get("REPRO_SHM_RING", "").strip()
-            or RING_BYTES
-        )
         #: host-side fleet telemetry; never merged into sweep metrics
         #: documents (those must stay byte-identical across executors).
         self.metrics = MetricsRegistry()
         self.sweeps_served = 0
-        self._seq = 0
         self._closed = False
-        self._ctx = get_context()
-        self._result_q = self._ctx.SimpleQueue() if wire == "pickle" else None
-        self._workers: list[_Worker] = [
-            self._spawn(k) for k in range(workers)
-        ]
+        #: per worker, the cells of the open sweep it has not answered
+        #: yet; empty between sweeps.
+        self._owed: list[set[int]] = []
+        self._workers = [self._spawn(k) for k in range(workers)]
 
     # ----------------------------------------------------------- lifecycle
     def _spawn(self, worker_id: int) -> _Worker:
-        ring = None
-        ring_name = ""
-        if self.wire == "shm":
-            shm = SharedMemory(create=True, size=_HEADER + self.ring_bytes)
-            ring = _Ring(shm, create=True)
-            ring_name = shm.name
-        task_q = self._ctx.SimpleQueue()
-        proc = self._ctx.Process(
+        conn, child_end = Pipe()
+        proc = Process(
             target=_fleet_worker,
-            args=(worker_id, self.base, task_q, self._result_q, ring_name,
-                  self._ctx.get_start_method() == "fork"),
+            args=(child_end, self.base),
             daemon=True,
             name=f"repro-fleet-{worker_id}",
         )
         proc.start()
+        # The worker now holds the only copy of its end (no later fork
+        # can inherit one), so its death reads as EOF on ``conn``.
+        child_end.close()
         self.metrics.counter("fleet.workers_spawned").inc()
-        return _Worker(proc, task_q, ring)
+        return _Worker(proc, conn)
 
-    @property
-    def alive(self) -> bool:
-        return not self._closed and all(
-            w.process.is_alive() for w in self._workers
-        )
+    def _stop_owing(self) -> None:
+        """End the open sweep: kill the workers that still owe it cells,
+        so a pipe never carries a result into a later sweep."""
+        for w, cells in zip(self._workers, self._owed):
+            if cells:
+                w.process.kill()
+                w.process.join()
+        self._owed = []
 
     def shutdown(self) -> None:
-        """Sentinel every worker, drain rings so blocked writers finish,
-        join, then close + unlink every shared-memory segment."""
+        """Tell every worker to stop, join them, close the pipes."""
         if self._closed:
             return
         self._closed = True
+        self._stop_owing()
         for w in self._workers:
             try:
-                w.task_q.put(None)
-            except (OSError, ValueError):  # queue already broken
+                w.conn.send(None)
+            except OSError:  # worker already dead
                 pass
-        deadline = time.monotonic() + 10.0  # repro: noqa[REP001] - host-side shutdown timeout, not simulated time
-        while any(w.process.is_alive() for w in self._workers):
-            for w in self._workers:
-                if w.ring is not None:
-                    w.ring.drain()  # unblock writers stalled on a full ring
-                w.process.join(timeout=0.05)
-            if time.monotonic() > deadline:  # repro: noqa[REP001] - host-side shutdown timeout, not simulated time
-                for w in self._workers:  # pragma: no cover - hang backstop
-                    if w.process.is_alive():
-                        w.process.kill()
-                        w.process.join()
-                break
         for w in self._workers:
-            if w.ring is not None:
-                w.ring.shm.close()
-                try:
-                    w.ring.shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-            w.task_q.close()
-        if self._result_q is not None:
-            self._result_q.close()
+            w.process.join(timeout=10.0)  # idle in recv(): leaves at once
+            if w.process.is_alive():  # pragma: no cover - hang backstop
+                w.process.kill()
+                w.process.join()
+            w.conn.close()
+
+    def respawn_dead(self) -> None:
+        """Replace dead workers in place (fleet survives a lost sweep)."""
+        for k, w in enumerate(self._workers):
+            if not w.process.is_alive():
+                w.conn.close()
+                self._workers[k] = self._spawn(k)
 
     # ------------------------------------------------------------ sweeping
     def run_cells(
@@ -467,127 +207,94 @@ class WorkerFleet:
         and dealt round-robin, so the master knows exactly which cells
         each worker owes — that assignment is what turns a dead worker
         into a :class:`SweepCellError` with cell provenance instead of a
-        hang.  Results are yielded in completion order as they appear in
-        the rings.
+        hang.  Results are yielded in completion order.  One sweep at a
+        time: exhaust or ``close()`` the iterator before the next call.
         """
-        from .executor import SweepCellError, make_chunks
-        from .runner import _cell_key
-
         if self._closed:
             raise RuntimeError("fleet is shut down")
-        self._seq += 1
-        seq = self._seq
+        if self._owed:
+            raise RuntimeError(
+                "the previous sweep's iterator is still open; close it first"
+            )
         self.sweeps_served += 1
         reg = self.metrics
         reg.counter("fleet.sweeps_served").inc()
-        for w in self._workers:
-            if w.sweeps_served > 0:
-                reg.counter("fleet.worker_reuse").inc()
-            w.sweeps_served += 1
-            w.task_q.put(("sweep", seq, specs, with_metrics, sanitize))
-        owed: list[set[int]] = [set() for _ in self._workers]
+        share: list[list[int]] = [[] for _ in self._workers]
         for k, chunk in enumerate(make_chunks(indices, self.workers)):
-            w = k % self.workers
-            owed[w].update(chunk)
-            self._workers[w].task_q.put(("chunk", seq, chunk))
-        outstanding = sum(len(s) for s in owed)
-
-        stalls0 = sum(w.ring.stalls for w in self._workers if w.ring)
+            share[k % self.workers].extend(chunk)
+        owed = self._owed = [set(cells) for cells in share]
         try:
-            while outstanding:
-                got = 0
-                for wi, w in enumerate(self._workers):
-                    for kind, rseq, index, wire, payload in self._records(w):
-                        if rseq != seq:
-                            continue  # residue of an aborted sweep
-                        got += 1
-                        if kind == _KIND_ERROR:
-                            cell, message = payload
-                            raise SweepCellError(cell, index, message)
-                        owed[wi].discard(index)
-                        outstanding -= 1
-                        doc, found = payload if payload is not None else (None, None)
-                        reg.counter("fleet.cells_streamed").inc()
-                        yield index, wire, doc, found
-                if got:
+            # Every worker gets its whole share before anything is read.
+            for w, cells in zip(self._workers, share):
+                if not cells:
                     continue
-                for wi, w in enumerate(self._workers):
-                    if owed[wi] and not w.process.is_alive():
-                        lost = min(owed[wi])
-                        raise SweepCellError(
-                            _cell_key(specs[lost]),
-                            lost,
-                            f"worker {wi} died (exit code "
-                            f"{w.process.exitcode}) before the cell "
-                            "completed",
-                        )
-                time.sleep(_POLL_S)  # host-side result poll, not simulated time
+                if w.sweeps_served > 0:
+                    reg.counter("fleet.worker_reuse").inc()
+                w.sweeps_served += 1
+                try:
+                    w.conn.send((specs, cells, with_metrics, sanitize))
+                except OSError:
+                    pass  # dead worker: _drain reports it, with the cell it owes
+            while any(owed):
+                handles = {}
+                for k, w in enumerate(self._workers):
+                    if owed[k]:
+                        handles[w.conn] = handles[w.process.sentinel] = k
+                for k in sorted({handles[h] for h in wait(list(handles))}):
+                    yield from self._drain(k, owed[k], specs)
         finally:
-            stalls = sum(w.ring.stalls for w in self._workers if w.ring)
-            if stalls > stalls0:
-                reg.counter("fleet.ring_stalls").inc(stalls - stalls0)
+            self._stop_owing()
 
-    def _records(self, worker: _Worker) -> list[tuple]:
-        """Decode whatever ``worker`` has streamed since the last poll."""
-        if worker.ring is not None:
-            out = []
-            for raw in worker.ring.drain():
-                kind, seq, index, wire, blob = _unpack(raw)
-                out.append(
-                    (kind, seq, index, wire,
-                     pickle.loads(blob) if blob else None)
-                )
-            return out
-        out = []
-        while self._result_q is not None and not self._result_q.empty():
-            kind, seq, index, wire, payload = self._result_q.get()
-            out.append((kind, seq, index, wire, payload))
-        return out
-
-    def respawn_dead(self) -> None:
-        """Replace dead workers in place (fleet survives a lost sweep)."""
-        for k, w in enumerate(self._workers):
-            if not w.process.is_alive():
-                if w.ring is not None:
-                    w.ring.shm.close()
-                    try:
-                        w.ring.shm.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-                w.task_q.close()
-                self._workers[k] = self._spawn(k)
+    def _drain(self, k: int, owed: set, specs: Sequence) -> Iterator[tuple]:
+        """Yield what worker ``k`` has sent; raise if a cell failed, or if
+        the worker is dead with cells still owed (read *after* draining,
+        so everything it sent before dying is delivered first)."""
+        w = self._workers[k]
+        while owed and w.conn.poll():
+            try:
+                index, answer = w.conn.recv()
+            except (EOFError, OSError):
+                # End of file (or a message cut short by the kill): only
+                # an exiting worker closes its end.
+                w.process.join()
+                break
+            owed.discard(index)
+            if isinstance(answer, SweepCellError):
+                raise answer
+            self.metrics.counter("fleet.cells_streamed").inc()
+            yield (index, *answer)
+        if owed and not w.process.is_alive():
+            lost = min(owed)
+            raise SweepCellError(
+                _cell_key(specs[lost]),
+                lost,
+                f"worker {k} died (exit code {w.process.exitcode}) before "
+                "the cell completed",
+            )
 
 
 # ------------------------------------------------------------ module registry
 _FLEET: Optional[WorkerFleet] = None
 
 
-def get_fleet(
-    base, workers: int, wire: Optional[str] = None
-) -> WorkerFleet:
+def get_fleet(base, workers: int) -> WorkerFleet:
     """Return the live fleet for ``base``/``workers``, spawning if needed.
 
-    The registry holds one fleet: asking for a different base config,
-    width or wire mode shuts the old fleet down first (workers hold the
-    old base in memory; serving a new workload from them would be a
-    correctness bug, not just staleness).  Dead workers in a matching
-    fleet are respawned rather than rebuilding the whole fleet.
+    The registry holds one fleet: asking for a different base config or
+    width shuts the old fleet down first (workers hold the old base in
+    memory; serving a new workload from them would be a correctness bug,
+    not just staleness).  Dead workers in a matching fleet — killed by
+    the OS or by a sweep that ended early — are respawned rather than
+    rebuilding the whole fleet.
     """
     global _FLEET
-    want_wire = (
-        wire or os.environ.get("REPRO_WIRE", "shm").strip().lower()
-    )
     f = _FLEET
     if f is not None and not f._closed:
-        if (
-            f.fingerprint == fleet_fingerprint(base)
-            and f.workers == workers
-            and f.wire == want_wire
-        ):
+        if f.fingerprint == fleet_fingerprint(base) and f.workers == workers:
             f.respawn_dead()
             return f
         f.shutdown()
-    _FLEET = WorkerFleet(base, workers, wire=wire)
+    _FLEET = WorkerFleet(base, workers)
     return _FLEET
 
 

@@ -5,8 +5,9 @@ the whole sweep and answers the queries the figures need (reconfiguration
 times, application times, grouped by configuration / pair / fabric).
 Results round-trip through CSV so expensive sweeps can be cached.
 
-``run_sweep(..., workers=N)`` fans the grid out over a process pool.  Each
-cell is an independent simulation with a deterministic CRC32 seed
+``run_sweep(..., workers=N)`` fans the grid out over the persistent worker
+fleet (:mod:`repro.harness.fleet`).  Each cell is an independent
+simulation with a deterministic CRC32 seed
 (:func:`_seed_of`) and — since PR 1 — a *history-independent* outcome (the
 network layer no longer lets object-address set ordering leak into event
 ordering), so the parallel sweep is **bit-identical** to the sequential one:
@@ -16,6 +17,7 @@ CSV bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import time
@@ -62,7 +64,7 @@ def _coerce_config(config, klass: str) -> ReconfigConfig:
     return ReconfigConfig.parse(config)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RunSpec:
     """One simulated job: a (pair, configuration, fabric, repetition) cell.
 
@@ -75,43 +77,30 @@ class RunSpec:
 
     ns: int
     nt: int
-    config: ReconfigConfig
-    fabric: str
-    scale: str
-    rep: int
+    #: required; the ``None`` default only keeps the positional order and
+    #: is rejected with a ``TypeError`` on construction.
+    config: ReconfigConfig = None
+    fabric: str = ""
+    scale: str = ""
+    rep: int = 0
     #: redistribution plan flavour: 'block' (paper) or 'minmove' (the §5
     #: future-work movement-minimising extension, ablation benches).
     plan_mode: str = "block"
     #: canonical fault schedule spec (``repro.faults``); "" = fault-free.
     faults: str = ""
 
-    def __init__(
-        self,
-        ns: int,
-        nt: int,
-        config: Optional[ConfigLike] = None,
-        fabric: str = "",
-        scale: str = "",
-        rep: int = 0,
-        plan_mode: str = "block",
-        faults: str = "",
-    ):
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "nt", nt)
-        object.__setattr__(self, "config", _coerce_config(config, "RunSpec"))
-        object.__setattr__(self, "fabric", fabric)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "plan_mode", plan_mode)
+    def __post_init__(self):
+        object.__setattr__(self, "config", _coerce_config(self.config, "RunSpec"))
         # Validate + canonicalize eagerly: bad specs fail before any cell
         # runs, and equal schedules serialize identically in the CSV.
+        faults = self.faults
         object.__setattr__(
             self, "faults",
             FaultSchedule.parse(faults).canonical() if faults.strip() else "",
         )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RunResult:
     """Telemetry of one completed job.
 
@@ -125,15 +114,16 @@ class RunResult:
 
     ns: int
     nt: int
-    config: ReconfigConfig
-    fabric: str
-    scale: str
-    rep: int
-    reconfig_time: float
-    app_time: float
-    spawn_time: float
-    overlapped_iterations: int
-    total_iterations: int
+    #: required, string or object, exactly as in :class:`RunSpec`.
+    config: ReconfigConfig = None
+    fabric: str = ""
+    scale: str = ""
+    rep: int = 0
+    reconfig_time: float = 0.0
+    app_time: float = 0.0
+    spawn_time: float = 0.0
+    overlapped_iterations: int = 0
+    total_iterations: int = 0
     plan_mode: str = "block"
     #: Stage-1 decision -> plan built (sim seconds; ~0 in the emulation).
     rms_decision_time: float = 0.0
@@ -154,51 +144,8 @@ class RunResult:
     #: first failure -> recovery committed (sim seconds; 0.0 when clean).
     recovery_time: float = 0.0
 
-    def __init__(
-        self,
-        ns: int,
-        nt: int,
-        config: Optional[ConfigLike] = None,
-        fabric: str = "",
-        scale: str = "",
-        rep: int = 0,
-        reconfig_time: float = 0.0,
-        app_time: float = 0.0,
-        spawn_time: float = 0.0,
-        overlapped_iterations: int = 0,
-        total_iterations: int = 0,
-        plan_mode: str = "block",
-        rms_decision_time: float = 0.0,
-        plan_build_time: float = 0.0,
-        redist_time: float = 0.0,
-        commit_time: float = 0.0,
-        redist_bytes: float = 0.0,
-        peak_oversubscription: float = 0.0,
-        faults: str = "",
-        retries: int = 0,
-        recovery_time: float = 0.0,
-    ):
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "nt", nt)
-        object.__setattr__(self, "config", _coerce_config(config, "RunResult"))
-        object.__setattr__(self, "fabric", fabric)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "reconfig_time", reconfig_time)
-        object.__setattr__(self, "app_time", app_time)
-        object.__setattr__(self, "spawn_time", spawn_time)
-        object.__setattr__(self, "overlapped_iterations", overlapped_iterations)
-        object.__setattr__(self, "total_iterations", total_iterations)
-        object.__setattr__(self, "plan_mode", plan_mode)
-        object.__setattr__(self, "rms_decision_time", rms_decision_time)
-        object.__setattr__(self, "plan_build_time", plan_build_time)
-        object.__setattr__(self, "redist_time", redist_time)
-        object.__setattr__(self, "commit_time", commit_time)
-        object.__setattr__(self, "redist_bytes", redist_bytes)
-        object.__setattr__(self, "peak_oversubscription", peak_oversubscription)
-        object.__setattr__(self, "faults", faults)
-        object.__setattr__(self, "retries", retries)
-        object.__setattr__(self, "recovery_time", recovery_time)
+    def __post_init__(self):
+        object.__setattr__(self, "config", _coerce_config(self.config, "RunResult"))
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -565,7 +512,6 @@ def run_sweep(
     faults: str = "",
     sanitize: bool = False,
     cache=None,
-    wire: Optional[str] = None,
 ) -> ResultSet:
     """Run the full cross product; the master data behind every figure.
 
@@ -576,19 +522,13 @@ def run_sweep(
         fans the grid out over the **persistent worker fleet**
         (:mod:`repro.harness.fleet`): workers are spawned once per base
         config and reused by consecutive ``run_sweep`` calls, streaming
-        results back through shared-memory rings in completion order.
+        results back over one pipe per worker in completion order.
         Results are gathered back in canonical spec order, so the
         returned ResultSet (and its CSV serialization) is bit-identical
         to a sequential run.  ``"auto"`` picks
         ``min(os.cpu_count() or 1, n_cells)``.  A numeric ``N`` larger
         than the number of cells to run falls back to sequential (the
         fleet would mostly hold idle interpreters).
-    wire:
-        Fleet result transport: ``"shm"`` (struct-packed records through
-        shared-memory rings, the default) or ``"pickle"`` (per-cell
-        queue messages, the debugging fallback).  ``None`` defers to the
-        ``REPRO_WIRE`` environment variable.  Both lanes are
-        byte-identical; only throughput differs.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry` to aggregate the whole
         sweep into.  Each cell records into its own fresh registry; cell
@@ -619,7 +559,7 @@ def run_sweep(
         documents of a fresh run, so cached sweeps stay byte-identical.
     """
     from .cache import CellCache
-    from .executor import resolve_workers, run_cell, run_parallel, wire_to_result
+    from .executor import resolve_workers, run_cell, wire_to_result
 
     preset = SCALES[scale]
     reps = repetitions if repetitions is not None else preset.repetitions
@@ -677,13 +617,9 @@ def run_sweep(
             metrics.merge(MetricsRegistry.from_dict(docs[frontier]))
             frontier += 1
 
-    def _on_cell(i: int) -> None:
-        """Streamed-completion hook: persist + merge as cells finish."""
-        if cache_obj is not None:
-            cache_obj.put(specs[i], base, with_metrics, wires[i], docs[i])
-        _absorb()
-
     if nworkers is not None:
+        from .fleet import get_fleet
+
         # Cache hits report first (canonical order), then fleet completions.
         done = 0
         if progress is not None:
@@ -692,11 +628,20 @@ def run_sweep(
                     done += 1
                     _report(done, specs[i])
         _absorb()
-        done = run_parallel(
-            specs, base, nworkers, pending, wires, docs, found,
-            with_metrics, sanitize, progress, total, done, started,
-            wire=wire, on_cell=_on_cell,
+        cells = get_fleet(base, nworkers).run_cells(
+            specs, pending, with_metrics, sanitize
         )
+        # closing(): if this loop's body raises, the fleet stops the
+        # workers that still owe cells now, not when the frame is freed.
+        with contextlib.closing(cells):
+            for i, wire, doc, cell_found in cells:
+                wires[i], docs[i], found[i] = wire, doc, cell_found
+                if cache_obj is not None:
+                    cache_obj.put(specs[i], base, with_metrics, wires[i], docs[i])
+                _absorb()
+                done += 1
+                if progress is not None:
+                    _report(done, specs[i])
     else:
         for done, spec in enumerate(specs, start=1):
             i = done - 1

@@ -1,4 +1,4 @@
-"""Chunked pool executor: worker resolution, chunking, wire format, errors.
+"""Cell execution core: worker resolution, chunking, wire format, errors.
 
 Contracts under test (see ``repro.harness.executor``):
 
@@ -23,9 +23,9 @@ from repro.harness.executor import (
     WIRE_FIELDS,
     make_chunks,
     result_to_wire,
-    run_parallel,
     wire_to_result,
 )
+from repro.harness.fleet import get_fleet
 from repro.harness.runner import RunSpec, run_one
 from repro.synthetic.presets import cg_emulation_config
 
@@ -65,12 +65,12 @@ def test_bad_workers_values_raise():
 
 def test_run_sweep_oversized_workers_never_opens_a_pool(monkeypatch):
     """workers > cells must take the sequential path, not a clamped pool."""
-    import repro.harness.executor as executor
+    import repro.harness.fleet as fleet
 
     def _boom(*a, **k):  # pragma: no cover - failure path
         raise AssertionError("pool opened despite oversized workers")
 
-    monkeypatch.setattr(executor, "run_parallel", _boom)
+    monkeypatch.setattr(fleet, "get_fleet", _boom)
     seq = run_sweep(PAIRS, KEYS, FABRICS, scale="tiny", repetitions=1)
     big = run_sweep(
         PAIRS, KEYS, FABRICS, scale="tiny", repetitions=1, workers=999
@@ -133,14 +133,9 @@ def test_mid_chunk_failure_names_the_cell():
         2, 4, "merge-p2p-t", "ethernet", "tiny", 1, plan_mode="bogus"
     )
     specs = [good, bad]
-    base = cg_emulation_config("tiny")
-    wires, docs, found = [None, None], [None, None], [None, None]
+    fleet = get_fleet(cg_emulation_config("tiny"), 2)
     with pytest.raises(SweepCellError) as info:
-        run_parallel(
-            specs, base, 2, [0, 1], wires, docs, found,
-            with_metrics=False, sanitize=False, progress=None,
-            total=2, done=0, started=0.0,
-        )
+        list(fleet.run_cells(specs, [0, 1], False, False))
     assert info.value.cell == "ethernet:2->4:merge-p2p-t:rep1"
     assert info.value.index == 1
     assert "bogus" in info.value.cell_message

@@ -1,19 +1,21 @@
-"""Lifecycle of the persistent worker fleet (PR 6).
+"""Lifecycle of the persistent worker fleet.
 
 The fleet contract: workers are spawned once per base-config fingerprint
-and serve many ``run_sweep`` calls; results stream back through
-shared-memory rings (or the pickle queue lane) byte-identically; failure
-— a cell raising or a worker dying — surfaces as
+and serve many ``run_sweep`` calls; results stream back over one pipe per
+worker, byte-identical to a sequential sweep; failure — a cell raising or
+a worker dying, before or in the middle of a sweep — surfaces as
 :class:`~repro.harness.executor.SweepCellError` with cell provenance
-while the fleet itself stays usable; shutdown unlinks every shm segment.
+while the fleet itself stays usable; a sweep that ends early leaves
+nothing in a pipe for the next one; shutdown leaves no worker behind.
 """
 
 import dataclasses
 import os
+import time
 
 import pytest
 
-from repro.harness.executor import SweepCellError
+from repro.harness.executor import SweepCellError, make_chunks, wire_to_result
 from repro.harness.fleet import (
     WorkerFleet,
     active_fleet,
@@ -21,7 +23,7 @@ from repro.harness.fleet import (
     get_fleet,
     shutdown_fleet,
 )
-from repro.harness.runner import run_sweep, sweep_specs
+from repro.harness.runner import run_one, run_sweep, sweep_specs
 from repro.synthetic.presets import cg_emulation_config
 
 PAIRS = [(2, 4), (4, 8)]
@@ -41,6 +43,10 @@ def _fresh_fleet():
 
 def _worker_pids(fleet: WorkerFleet) -> list[int]:
     return [w.process.pid for w in fleet._workers]
+
+
+def _key(spec) -> str:
+    return f"{spec.fabric}:{spec.ns}->{spec.nt}:{spec.config.key}:rep{spec.rep}"
 
 
 def test_fleet_survives_across_run_sweep_calls_with_identical_csv():
@@ -86,10 +92,7 @@ def test_worker_death_surfaces_as_sweep_cell_error_with_provenance():
     assert "died" in err.cell_message
     # Provenance: the error names a real cell of this sweep and its index.
     assert 0 <= err.index < len(specs)
-    spec = specs[err.index]
-    assert err.cell == (
-        f"{spec.fabric}:{spec.ns}->{spec.nt}:{spec.config.key}:rep{spec.rep}"
-    )
+    assert err.cell == _key(specs[err.index])
     # The registry heals the fleet: the next get_fleet respawns the dead
     # workers and the fleet serves a full sweep again.
     healed = get_fleet(cg_emulation_config("tiny"), 2)
@@ -114,34 +117,124 @@ def test_failing_cell_streams_back_as_sweep_cell_error():
     assert sorted(i for i, *_ in got) == list(range(len(specs)))
 
 
-def test_shutdown_unlinks_all_shared_memory_segments():
+def test_shutdown_leaves_no_workers_or_shared_memory():
+    before = set(os.listdir("/dev/shm"))
     fleet = get_fleet(cg_emulation_config("tiny"), 2)
-    names = [w.ring.shm.name for w in fleet._workers]
-    assert all(os.path.exists(f"/dev/shm/{n}") for n in names)
+    specs = sweep_specs(PAIRS, KEYS, FABRICS, "tiny", 1)
+    assert len(list(fleet.run_cells(specs, [0, 1, 2, 3], False, False))) == 4
+    assert set(os.listdir("/dev/shm")) <= before  # the wire is a pipe
     shutdown_fleet()
     assert active_fleet() is None
-    assert not any(os.path.exists(f"/dev/shm/{n}") for n in names)
     assert not any(w.process.is_alive() for w in fleet._workers)
+    assert set(os.listdir("/dev/shm")) <= before
+    shutdown_fleet()  # idempotent, through the registry and on the object
+    fleet.shutdown()
+    with pytest.raises(RuntimeError, match="shut down"):
+        next(fleet.run_cells(specs, [0], False, False))
 
 
-def test_pickle_wire_lane_is_byte_identical():
-    seq = run_sweep(PAIRS, KEYS, FABRICS, **GRID)
-    shm = run_sweep(PAIRS, KEYS, FABRICS, workers=2, wire="shm", **GRID)
-    assert active_fleet().wire == "shm"
-    pik = run_sweep(PAIRS, KEYS, FABRICS, workers=2, wire="pickle", **GRID)
-    fleet = active_fleet()
-    assert fleet.wire == "pickle"
-    assert all(w.ring is None for w in fleet._workers)  # queue lane
-    assert seq.to_csv() == shm.to_csv() == pik.to_csv()
+def test_worker_killed_mid_sweep_names_a_cell_it_still_owed():
+    specs = sweep_specs(PAIRS, KEYS, FABRICS, "tiny", 6)  # 24 cells
+    everything = list(range(len(specs)))
+    base = cg_emulation_config("tiny")
+    fleet = get_fleet(base, 2)
+    # Worker 0's share, from the same deal run_cells makes.
+    share0 = {i for c in make_chunks(everything, 2)[0::2] for i in c}
+    cells = fleet.run_cells(specs, everything, False, False)
+    got = [next(cells)]  # the sweep is under way
+    fleet._workers[0].process.kill()
+    with pytest.raises(SweepCellError) as exc_info:
+        for cell in cells:
+            got.append(cell)
+    err = exc_info.value
+    assert "worker 0 died" in err.cell_message
+    seen = [i for i, *_ in got]
+    assert len(seen) == len(set(seen))
+    assert err.index in share0 - set(seen)  # owed, never delivered
+    assert err.cell == _key(specs[err.index])
+    # Everything yielded before the death is a valid result.
+    for i, wire, doc, found in got:
+        assert wire_to_result(specs[i], wire) == run_one(specs[i])
+        assert doc is None and found is None
+    healed = get_fleet(base, 2)
+    assert healed is fleet
+    assert all(w.process.is_alive() for w in healed._workers)
+    again = list(healed.run_cells(specs, everything[:4], False, False))
+    assert sorted(i for i, *_ in again) == everything[:4]
 
 
-def test_wire_env_variable_selects_the_lane(monkeypatch):
-    monkeypatch.setenv("REPRO_WIRE", "pickle")
+def test_aborted_sweep_leaves_nothing_for_the_next_one():
+    good = sweep_specs(PAIRS, KEYS, FABRICS, "tiny", 2)  # 8 cells
+    bad = list(good)
+    bad[0] = dataclasses.replace(good[0], plan_mode="bogus")
+    base = cg_emulation_config("tiny")
+    fleet = get_fleet(base, 2)
+    pids = _worker_pids(fleet)
+    with pytest.raises(SweepCellError) as exc_info:
+        list(fleet.run_cells(bad, list(range(len(bad))), False, False))
+    assert exc_info.value.index == 0 and "bogus" in exc_info.value.cell_message
+    # Whoever still owed cells at the abort was stopped, so it cannot
+    # deliver a result of the aborted sweep later on: worker 0 for sure
+    # (cell 0 was its first of four), worker 1 unless it had finished.
+    stopped = [not w.process.is_alive() for w in fleet._workers]
+    assert stopped[0]
+
+    healed = get_fleet(base, 2)
+    assert healed is fleet
+    assert all(w.process.is_alive() for w in healed._workers)
+    assert [new != old for new, old in zip(_worker_pids(healed), pids)] \
+        == stopped
+    got = list(healed.run_cells(good, list(range(len(good))), False, False))
+    assert sorted(i for i, *_ in got) == list(range(len(good)))
+    seq = run_sweep(PAIRS, KEYS, FABRICS, scale="tiny", repetitions=2)
+    par = run_sweep(PAIRS, KEYS, FABRICS, scale="tiny", repetitions=2,
+                    workers=2)
+    assert active_fleet() is fleet
+    assert seq.to_csv() == par.to_csv()
+
+
+def test_consumer_that_stops_early_stops_the_owing_workers():
+    specs = sweep_specs(PAIRS, KEYS, FABRICS, "tiny", 6)  # 24 cells
+    everything = list(range(len(specs)))
+    base = cg_emulation_config("tiny")
+    fleet = get_fleet(base, 2)
+    cells = fleet.run_cells(specs, everything, False, False)
+    next(cells)
+    # One sweep at a time: a second one cannot interleave with the first.
+    with pytest.raises(RuntimeError, match="still open"):
+        next(fleet.run_cells(specs, everything[:4], False, False))
+    cells.close()  # what leaving a for loop over it does
+    assert not any(w.process.is_alive() for w in fleet._workers)
+    healed = get_fleet(base, 2)
+    got = list(healed.run_cells(specs, everything[:4], False, False))
+    assert sorted(i for i, *_ in got) == everything[:4]
+
+
+def test_slow_consumer_blocks_workers_without_losing_cells():
+    """Back-pressure: metrics documents are tens of KiB, so workers fill
+    their pipes and block in send() while the master dawdles."""
+    from repro.obs import MetricsRegistry
+
+    specs = sweep_specs(PAIRS, KEYS, FABRICS, "tiny", 4)  # 16 cells
     fleet = get_fleet(cg_emulation_config("tiny"), 2)
-    assert fleet.wire == "pickle"
-    monkeypatch.setenv("REPRO_WIRE", "shm")
-    other = get_fleet(cg_emulation_config("tiny"), 2)
-    assert other is not fleet and other.wire == "shm"
+    got = {}
+    for i, wire, doc, found in fleet.run_cells(
+        specs, list(range(len(specs))), True, False
+    ):
+        assert i not in got
+        got[i] = (wire, doc)
+        time.sleep(0.05)
+    assert sorted(got) == list(range(len(specs)))
+    assert all(w.process.is_alive() for w in fleet._workers)
+
+    par_reg, seq_reg = MetricsRegistry(), MetricsRegistry()
+    for i in range(len(specs)):
+        par_reg.merge(MetricsRegistry.from_dict(got[i][1]))
+    seq = run_sweep(PAIRS, KEYS, FABRICS, scale="tiny", repetitions=4,
+                    metrics=seq_reg)
+    assert par_reg.to_dict() == seq_reg.to_dict()
+    assert [wire_to_result(s, got[i][0]) for i, s in enumerate(specs)] \
+        == seq.results
 
 
 def test_metrics_merge_is_identical_between_sequential_and_fleet():
