@@ -12,32 +12,24 @@ redistribution and application traffic squeeze each other through the same
 NICs, and serialized collective algorithms (pairwise exchange) occupy links
 one peer at a time.
 
-Performance notes (PR 1)
-------------------------
-The allocator is the simulation's hottest path: the seed implementation
-recomputed progressive filling over *all* links of the machine on *every*
-flow activation and completion.  This version is incremental:
+Allocator notes
+---------------
+The allocator is the simulation's hottest path, so it does the least work
+that still yields the reference rates:
 
-* **Touched-links only.**  :meth:`Network._max_min_allocate` builds compact
-  numpy ``remaining``/``counts`` arrays over just the links that carry at
-  least one active flow (a machine has ``3 * n_nodes (+1)`` links; an
-  allocation typically touches 2-6 of them).
-* **Vectorized filling.**  Each progressive-filling round computes the
-  per-link fair share, picks the bottleneck and updates remaining capacity
-  and flow counts with numpy primitives whose arithmetic *order* mirrors
-  the reference loop, so rates are bit-identical to the kept-as-oracle
-  :func:`max_min_reference`.
+* **Touched links only.**  :meth:`Network._max_min_allocate` runs
+  progressive filling over just the links that carry at least one active
+  flow (a machine has ``3 * n_nodes (+1)`` links; an allocation typically
+  touches 2-6 of them, at most 12 on the paper machine).  Links without
+  flows can never be bottlenecks, so the restriction is exact.
 * **Shape fast paths.**  :meth:`_activate`/:meth:`_on_completion` skip the
   allocation entirely when the touched links are private to the
   activating/retiring flows (the flow forms its own max-min component, so
-  no other rate can change).  Per-link flow counts are maintained
-  incrementally (``Link.nflows``) to make that test O(route length).
-* **Batched advance.**  :meth:`_advance` updates ``bytes_left`` through a
-  numpy rates/bytes-left view once the active set is large.
+  no other rate can change).
 
-Setting ``debug_invariants=True`` re-runs the reference allocator after
-every rate update and asserts (a) no link capacity is exceeded and (b) the
-incremental rates match the oracle.
+Setting ``debug_invariants=True`` re-runs the reference allocator
+(:func:`max_min_reference`) after every rate update and asserts (a) no link
+capacity is exceeded and (b) the production rates match the oracle.
 """
 
 from __future__ import annotations
@@ -45,8 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Dict, Sequence
-
-import numpy as np
 
 from ..simulate.core import Simulator
 from ..simulate.events import SimEvent
@@ -60,15 +50,11 @@ _EPS_BYTES = 1e-6
 #: respin the completion event forever.
 _EPS_SECONDS = 1e-12
 
-#: active-flow count above which :meth:`Network._advance` switches from the
-#: per-flow Python loop to the numpy batched update.
-_ADVANCE_VECTOR_THRESHOLD = 32
-
 
 class Link:
     """A unidirectional capacity: ``capacity`` bytes/second."""
 
-    __slots__ = ("link_id", "name", "capacity", "flows", "nflows")
+    __slots__ = ("link_id", "name", "capacity", "flows")
 
     def __init__(self, link_id: int, name: str, capacity: float):
         if capacity <= 0 or not math.isfinite(capacity):
@@ -77,13 +63,9 @@ class Link:
         self.name = name
         self.capacity = capacity
         self.flows: set["Flow"] = set()
-        #: incrementally maintained ``len(self.flows)`` (kept by
-        #: :meth:`Network._activate`/:meth:`Network._retire`; used by the
-        #: allocation fast paths without touching the set object).
-        self.nflows = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Link {self.name} {self.capacity:.3g}B/s nflows={len(self.flows)}>"
+        return f"<Link {self.name} {self.capacity:.3g}B/s flows={len(self.flows)}>"
 
 
 class Flow:
@@ -99,7 +81,7 @@ class Flow:
         self.bytes_left = float(size)
         self.rate = 0.0
         self.done = done
-        self.label = label
+        self.label = label or f"flow{self.flow_id}"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Flow {self.label} left={self.bytes_left:.3g}B rate={self.rate:.3g}>"
@@ -233,7 +215,7 @@ class Network:
         if size == 0:
             self.sim.schedule(latency, lambda: done.trigger(None))
             return done
-        flow = Flow(route, size, done, label=label or f"flow{Flow._ids}")
+        flow = Flow(route, size, done, label)
         if latency > 0:
             self.sim.schedule(latency, lambda: self._activate(flow))
         else:
@@ -246,11 +228,10 @@ class Network:
         # its own max-min component — every other rate is unchanged and the
         # new flow gets the minimum capacity along its route (exactly what
         # progressive filling would assign).
-        fast = all(l.nflows == 0 for l in flow.route)
+        fast = not any(l.flows for l in flow.route)
         self._active.add(flow)
         for link in flow.route:
             link.flows.add(flow)
-            link.nflows += 1
         if fast:
             flow.rate = min(l.capacity for l in flow.route)
             self.fast_path_hits += 1
@@ -264,145 +245,22 @@ class Network:
         self._active.discard(flow)
         for link in flow.route:
             link.flows.discard(flow)
-            link.nflows -= 1
 
     # ------------------------------------------------------------ allocation
     def _advance(self) -> None:
         now = self.sim.now
         dt = now - self._last_update
         if dt > 0:
-            active = self._active
-            if len(active) >= _ADVANCE_VECTOR_THRESHOLD:
-                flows = list(active)
-                n = len(flows)
-                bytes_left = np.fromiter(
-                    (f.bytes_left for f in flows), dtype=np.float64, count=n
-                )
-                rates = np.fromiter(
-                    (f.rate for f in flows), dtype=np.float64, count=n
-                )
-                bytes_left -= dt * rates
-                for f, b in zip(flows, bytes_left.tolist()):
-                    f.bytes_left = b
-            else:
-                for flow in active:
-                    flow.bytes_left -= dt * flow.rate
+            for flow in self._active:
+                flow.bytes_left -= dt * flow.rate
         self._last_update = now
 
     def _max_min_allocate(self) -> None:
         """Progressive filling: repeatedly saturate the most-contended link.
 
-        Vectorized over the *touched* links only; numerically identical to
-        :func:`max_min_reference` (same bottleneck order, same subtraction
-        sequence).
-        """
-        active = self._active
-        if not active:
-            return
-        self.reallocations += 1
-        if len(active) == 1:
-            f = next(iter(active))
-            # Single component of one flow: reference filling freezes it at
-            # the minimum capacity/1 across its route.
-            f.rate = min(l.capacity for l in f.route)
-            return
-
-        # Flow enumeration order does not need to be canonicalized: within a
-        # progressive-filling round every frozen flow subtracts the *same*
-        # share value, and repeated subtraction of one value is
-        # order-independent in IEEE arithmetic, so the resulting rates are
-        # identical for any iteration order over ``active``.  Only the
-        # *link* scan order matters (first-min tie-breaking), which is why
-        # the touched index below is sorted by link_id — the creation order
-        # the reference sees via ``self._links``.
-        flows = list(active)
-        n = len(flows)
-        # Compact index over touched links, in link_id order (matches the
-        # reference's all-links dict order for bottleneck tie-breaking).
-        touched: dict[int, Link] = {}
-        for f in flows:
-            for l in f.route:
-                touched[l.link_id] = l
-        lids = sorted(touched)
-        m = len(lids)
-        if m <= 128:
-            # Few touched links (the common case: contention confined to a
-            # node's uplinks) is faster in plain Python than through numpy's
-            # per-call dispatch — the per-round cost is O(m) in both paths,
-            # and numpy's fixed per-op overhead only amortizes once the
-            # bottleneck scan covers hundreds of links.  This path *is* the
-            # reference algorithm, restricted to the touched links (links
-            # without flows can never be bottlenecks, so the restriction is
-            # exact), hence trivially bit-compatible.
-            self._allocate_small(touched, lids)
-            return
-        index = {lid: i for i, lid in enumerate(lids)}
-        remaining = np.fromiter(
-            (touched[lid].capacity for lid in lids), dtype=np.float64, count=m
-        )
-        counts = np.zeros(m, dtype=np.int64)
-        # Per-flow route indices, stored CSR-style (one flat array + offset
-        # table) so a whole round's subtractions batch into two
-        # ``np.subtract.at`` calls instead of two per flow.
-        flat: list[int] = []
-        offsets = [0]
-        members: list[list[int]] = [[] for _ in range(m)]
-        for fi, f in enumerate(flows):
-            idx = [index[l.link_id] for l in f.route]
-            flat.extend(idx)
-            offsets.append(len(flat))
-            # link.flows is a set, so each flow counts once per link even if
-            # the route listed it twice (dict.fromkeys: dedup in first-seen
-            # order, keeping member iteration deterministic).
-            for j in dict.fromkeys(idx):
-                members[j].append(fi)
-                counts[j] += 1
-        flat_idx = np.array(flat, dtype=np.int64)
-
-        rates = [0.0] * n
-        unfrozen = [True] * n
-        n_unfrozen = n
-        inf = math.inf
-        shares = np.empty(m, dtype=np.float64)
-        while n_unfrozen > 0:
-            np.divide(remaining, counts, out=shares, where=counts > 0)
-            shares[counts <= 0] = inf
-            b = int(np.argmin(shares))
-            if shares[b] == inf:
-                break
-            # Recompute the scalar exactly as the reference does; float()
-            # keeps numpy scalars out of the simulation (they would slow
-            # every downstream arithmetic and change CSV reprs).
-            share = float(remaining[b]) / int(counts[b])
-            frozen_now = [fi for fi in members[b] if unfrozen[fi]]
-            for fi in frozen_now:
-                rates[fi] = share
-                unfrozen[fi] = False
-            n_unfrozen -= len(frozen_now)
-            # One unbuffered scatter for the whole round.  subtract.at
-            # applies repeated indices sequentially in list order, i.e. the
-            # exact per-route-occurrence subtraction sequence the reference
-            # performs flow by flow — bit-identical results.
-            if len(frozen_now) == 1:
-                fi = frozen_now[0]
-                idxcat = flat_idx[offsets[fi]:offsets[fi + 1]]
-            else:
-                idxcat = np.concatenate(
-                    [flat_idx[offsets[fi]:offsets[fi + 1]] for fi in frozen_now]
-                )
-            np.subtract.at(remaining, idxcat, share)
-            np.subtract.at(counts, idxcat, 1)
-            np.maximum(remaining, 0.0, out=remaining)
-        for fi, f in enumerate(flows):
-            f.rate = rates[fi]
-
-    def _allocate_small(self, touched: dict, lids) -> None:
-        """Progressive filling over the touched links only, seeded from
-        the incrementally maintained per-link flow counts.
-
-        Bit-identical to :func:`max_min_reference` on the restricted link
-        set, but sidesteps its two scaling sins (measured at 0.956x vs
-        the oracle on saturated 64-link fillings before this rework):
+        This is :func:`max_min_reference` restricted to the *touched* links
+        (links without flows can never be bottlenecks, so the restriction
+        is exact) and bit-identical to it, minus its two scaling sins:
 
         * **counts init** — the reference recounts membership per link
           with an O(links x flows) scan; every active flow is unfrozen at
@@ -415,11 +273,21 @@ class Network:
           of O(links).
 
         Links are scanned in link_id (creation) order, matching the
-        reference's all-links dict order for bottleneck tie-breaking;
-        within a round every frozen flow subtracts the *same* share, so
-        the ``link.flows`` set iteration order cannot leak into rates.
+        reference's all-links dict order for bottleneck first-min
+        tie-breaking.  Flow order needs no canonicalizing: within a round
+        every frozen flow subtracts the *same* share, and repeated
+        subtraction of one value is order-independent in IEEE arithmetic,
+        so the ``link.flows`` set iteration order cannot leak into rates.
         """
         active = self._active
+        if not active:
+            return
+        self.reallocations += 1
+        touched: dict[int, Link] = {}
+        for f in active:
+            for l in f.route:
+                touched[l.link_id] = l
+        lids = sorted(touched)
         unfrozen = set(active)
         remaining = {lid: touched[lid].capacity for lid in lids}
         counts = {lid: len(touched[lid].flows) for lid in lids}
@@ -506,7 +374,7 @@ class Network:
         # Fast path: all links the finished flows used are now flow-free, so
         # the survivors' max-min components are untouched and their rates
         # remain valid.
-        if all(l.nflows == 0 for f in finished for l in f.route):
+        if not any(l.flows for f in finished for l in f.route):
             self.fast_path_hits += 1
             if self.debug_invariants:
                 self._debug_verify("retire-fast")
@@ -526,11 +394,6 @@ class Network:
                 raise AssertionError(
                     f"[{where}] link {link.name} over capacity: "
                     f"{total} > {link.capacity}"
-                )
-            if link.nflows != len(link.flows):
-                raise AssertionError(
-                    f"[{where}] link {link.name} count drift: "
-                    f"nflows={link.nflows} len(flows)={len(link.flows)}"
                 )
         oracle = max_min_reference(self._active, links)
         for f, want in oracle.items():

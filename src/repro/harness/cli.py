@@ -482,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--configs", default=None, metavar="KEYS",
                        help="comma-separated config keys, or 'all'")
     p_ver.add_argument("--extended", action="store_true",
-                       help="also verify coalesced wire formats, "
-                       "target-driven RMA and movement-minimising plans")
+                       help="also verify target-driven RMA and "
+                       "movement-minimising plans")
     p_ver.add_argument("--format", choices=["text", "json"], default=None)
     p_ver.add_argument("--max-wall", type=float, default=None,
                        metavar="SECONDS",

@@ -139,7 +139,6 @@ def make_session(
     src_dataset: Optional[Dataset] = None,
     dst_dataset: Optional[Dataset] = None,
     label: str = "redist",
-    coalesce: bool = False,
     variant: Optional[str] = None,
 ) -> RedistributionSession:
     """Build this rank's Stage-3 session for the chosen method.
@@ -154,12 +153,6 @@ def make_session(
     mismatches fail in the session constructor with a named-argument
     message, instead of deep inside the manager.
 
-    ``coalesce=True`` (opt-in, P2P/COL only) piggybacks per-peer size
-    metadata on the value payloads so each peer pair exchanges one larger
-    simulated message instead of two — same modeled data volume, fewer
-    events.  Off by default to keep the paper's two-message Algorithm 1/2
-    schedules.
-
     ``variant`` selects the RMA data-movement direction:
     ``"origin"``/``"put"`` (sources drive; the default) or
     ``"target"``/``"get"`` (targets drive).  Setting it for P2P/COL is an
@@ -173,16 +166,10 @@ def make_session(
         src_dataset=src_dataset,
         dst_dataset=dst_dataset,
         label=label,
-        coalesce=coalesce,
     )
     if method is RedistMethod.RMA:
         from .rma import RmaRedistribution
 
-        if coalesce:
-            raise ValueError(
-                "coalesce does not apply to the RMA method: one-sided "
-                "chunks already travel as single messages"
-            )
         if variant is not None:
             kwargs["variant"] = parse_choice(
                 variant,

@@ -18,36 +18,26 @@ on them immediately while sources keep iterating (§3.2).
 
 from __future__ import annotations
 
-from ..smpi.datatypes import payload_nbytes
 from .session import RedistributionSession
 
 __all__ = ["ColRedistribution"]
 
 
 class ColRedistribution(RedistributionSession):
-    """One rank's Algorithm-2 participation.
-
-    With ``coalesce=True`` the separate size Alltoall disappears: each
-    peer's size entry piggybacks on its value message inside a single
-    Alltoallv, whose per-peer modeled size is the sum of the size entry and
-    the values — one collective instead of two, fewer simulated transfers,
-    and the moved data volume is unchanged (only the size *broadcast* to
-    peers that receive no data is elided, which is what coalescing means)."""
+    """One rank's Algorithm-2 participation."""
 
     method_name = "col"
 
     # ------------------------------------------------------------ static view
     @classmethod
-    def symbolic_schedule(cls, plan, src_rank=None, dst_rank=None, *,
-                          coalesce: bool = False) -> list[dict]:
+    def symbolic_schedule(cls, plan, src_rank=None, dst_rank=None) -> list[dict]:
         """Elaborate one rank's Algorithm-2 ops as plain data, for the static
         verifier (:mod:`repro.sanitize.static_check`).
 
         Mirrors :meth:`run_blocking`/:meth:`start`: every member enters the
-        size Alltoall (elided when coalesced) and the value Alltoallv, even
-        with nothing to move; ``send_to`` keys are target indices, the
-        ``recv_from`` entries source indices, exactly like
-        :meth:`_values_args`.
+        size Alltoall and the value Alltoallv, even with nothing to move;
+        ``send_to`` keys are target indices, the ``recv_from`` entries
+        source indices, exactly like :meth:`_values_args`.
         """
         ops: list[dict] = []
         self_rows = None
@@ -66,8 +56,7 @@ class ColRedistribution(RedistributionSession):
                 recv_from.append(tr.src)
         if self_rows is not None:
             ops.append({"op": "memcpy", "rows": self_rows})
-        if not coalesce:
-            ops.append({"op": "alltoall"})
+        ops.append({"op": "alltoall"})
         ops.append({"op": "alltoallv", "send_to": send_to,
                     "recv_from": recv_from})
         return ops
@@ -108,23 +97,6 @@ class ColRedistribution(RedistributionSession):
                 continue
             self.dst_dataset.insert(tr.lo, tr.hi, results.get(tr.src), self.names)
 
-    def _combined_args(self):
-        """Coalesced-mode arguments: per-peer ``(size_entry, values)``
-        payloads with summed modeled sizes, plus the raw values byte map
-        (for metric emission) and the plan-derived receive list."""
-        send_map, nbytes_map, recv_from = self._values_args()
-        sizes = self._sizes_sendlist() if self.is_source else []
-        comb = {dst: (sizes[dst], payload) for dst, payload in send_map.items()}
-        comb_nbytes = {
-            dst: nbytes_map[dst] + payload_nbytes(sizes[dst]) for dst in send_map
-        }
-        return comb, comb_nbytes, nbytes_map, recv_from
-
-    @staticmethod
-    def _split_values(results: dict) -> dict:
-        """Strip the piggybacked size entries off coalesced results."""
-        return {src: pair[1] for src, pair in results.items()}
-
     # -------------------------------------------------------------- blocking
     def run_blocking(self):
         """Synchronous strategy (S): Alltoall sizes, then Alltoallv values,
@@ -132,24 +104,6 @@ class ColRedistribution(RedistributionSession):
         self._started = True
         self._mark_started()
         yield from self._do_local_copy()
-        if self.coalesce:
-            comb, comb_nbytes, nbytes_map, recv_from = self._combined_args()
-            self._emit_send_bytes(nbytes_map)
-            self.sizes_received = None  # piggybacked; no separate exchange
-            t0 = self.ctx.now
-            results = yield from self.ctx.alltoallv(
-                comb,
-                recv_from=recv_from,
-                comm=self.comm,
-                nbytes_map=comb_nbytes,
-                label=f"{self.label}:coalesced",
-            )
-            self._emit_phase_span("values", t0)
-            if self.is_target:
-                self._insert_received(self._split_values(results))
-            self._finished = True
-            self._mark_finished()
-            return
         t0 = self.ctx.now
         self.sizes_received = yield from self.ctx.alltoall(
             self._sizes_sendlist(), comm=self.comm
@@ -180,23 +134,6 @@ class ColRedistribution(RedistributionSession):
         self._started = True
         self._mark_started()
         yield from self._do_local_copy()
-        if self.coalesce:
-            # Size entries ride the value messages: go straight to the
-            # (single) non-blocking Alltoallv.
-            comb, comb_nbytes, nbytes_map, recv_from = self._combined_args()
-            self._emit_send_bytes(nbytes_map)
-            self.sizes_received = None
-            self._sizes_req = None
-            self._stage = "values"
-            self._t_stage = self.ctx.now
-            self._values_req, self._values_results = yield from self.ctx.ialltoallv(
-                comb,
-                recv_from=recv_from,
-                comm=self.comm,
-                nbytes_map=comb_nbytes,
-                label=f"{self.label}:coalesced",
-            )
-            return
         self._stage = "sizes"
         self._t_stage = self.ctx.now
         self._sizes_req, self.sizes_received = yield from self.ctx.ialltoall(
@@ -223,10 +160,7 @@ class ColRedistribution(RedistributionSession):
         if self._stage == "values" and self._values_req.completed:
             self._emit_phase_span("values", self._t_stage)
             if self.is_target:
-                results = self._values_results
-                if self.coalesce:
-                    results = self._split_values(results)
-                self._insert_received(results)
+                self._insert_received(self._values_results)
             self._stage = "done"
             self._finished = True
             self._mark_finished()

@@ -18,36 +18,28 @@ source and target groups intersect — cannot deadlock (§3.1).
 
 from __future__ import annotations
 
-from ..smpi.datatypes import payload_nbytes
 from .session import SIZES_TAG, VALUES_TAG, RedistributionSession
 
 __all__ = ["P2PRedistribution"]
 
 
 class P2PRedistribution(RedistributionSession):
-    """One rank's Algorithm-1 state machine.
-
-    With ``coalesce=True`` the per-target pair of messages (sizes on tag 77,
-    values on tag 88) becomes a single tag-77 message whose payload is the
-    ``(sizes, values)`` tuple and whose modeled size is the *sum* of the two
-    original messages — same bytes on the wire, half the messages, and no
-    second receive wave on the target side."""
+    """One rank's Algorithm-1 state machine."""
 
     method_name = "p2p"
 
     # ------------------------------------------------------------ static view
     @classmethod
-    def symbolic_schedule(cls, plan, src_rank=None, dst_rank=None, *,
-                          coalesce: bool = False) -> list[dict]:
+    def symbolic_schedule(cls, plan, src_rank=None, dst_rank=None) -> list[dict]:
         """Elaborate one rank's Algorithm-1 ops as plain data, for the static
         verifier (:mod:`repro.sanitize.static_check`).
 
-        Pure function of ``(plan, roles, coalesce)`` — no simulator, comm or
+        Pure function of ``(plan, roles)`` — no simulator, comm or
         dataset required.  Must mirror :meth:`start`/:meth:`finish` exactly:
         every isend/irecv those methods would issue appears here as one op
         dict (``peer`` is a role index on the ``side`` group).  The tag-88
-        receives of plain mode are posted only after the matching tag-77
-        message lands, which ``after_tag`` records for the dependency check.
+        receives are posted only after the matching tag-77 message lands,
+        which ``after_tag`` records for the dependency check.
         """
         ops: list[dict] = []
         if dst_rank is not None:
@@ -56,22 +48,17 @@ class P2PRedistribution(RedistributionSession):
                     continue  # self-chunk arrives by memcpy (source loop)
                 ops.append({"op": "irecv", "peer": tr.src, "side": "src",
                             "tag": SIZES_TAG})
-                if not coalesce:
-                    ops.append({"op": "irecv", "peer": tr.src, "side": "src",
-                                "tag": VALUES_TAG, "after_tag": SIZES_TAG})
+                ops.append({"op": "irecv", "peer": tr.src, "side": "src",
+                            "tag": VALUES_TAG, "after_tag": SIZES_TAG})
         if src_rank is not None:
             for tr in plan.sends_for(src_rank):
                 if dst_rank is not None and tr.dst == dst_rank:
                     ops.append({"op": "memcpy", "rows": tr.n_rows})
                     continue
-                if coalesce:
-                    ops.append({"op": "isend", "peer": tr.dst, "side": "dst",
-                                "tag": SIZES_TAG, "rows": tr.n_rows})
-                else:
-                    ops.append({"op": "isend", "peer": tr.dst, "side": "dst",
-                                "tag": SIZES_TAG, "rows": 0})
-                    ops.append({"op": "isend", "peer": tr.dst, "side": "dst",
-                                "tag": VALUES_TAG, "rows": tr.n_rows})
+                ops.append({"op": "isend", "peer": tr.dst, "side": "dst",
+                            "tag": SIZES_TAG, "rows": 0})
+                ops.append({"op": "isend", "peer": tr.dst, "side": "dst",
+                            "tag": VALUES_TAG, "rows": tr.n_rows})
         return ops
 
     def start(self):
@@ -108,18 +95,6 @@ class P2PRedistribution(RedistributionSession):
                     continue
                 sizes, total, payload = chunk
                 self._emit_transfer("values", total)
-                if self.coalesce:
-                    # One message carrying both sizes and values; modeled
-                    # size = sizes-message bytes + values bytes, so the wire
-                    # volume matches the two-message schedule exactly.
-                    creq = yield from self.ctx.isend(
-                        (sizes, payload), tr.dst, tag=SIZES_TAG,
-                        comm=self.comm,
-                        nbytes=payload_nbytes(sizes) + total,
-                        label=f"{self.label}:coalesced",
-                    )
-                    self._send_reqs.append(creq)
-                    continue
                 sreq = yield from self.ctx.isend(
                     sizes, tr.dst, tag=SIZES_TAG, comm=self.comm,
                     label=f"{self.label}:sizes",
@@ -132,17 +107,7 @@ class P2PRedistribution(RedistributionSession):
 
     # ----------------------------------------------------------- completion
     def _handle_completed_size(self, src: int, req):
-        """Tag-77 arrival: 'create internal structures' and post tag-88.
-
-        Coalesced mode: the tag-77 payload already carries the values, so
-        the insert happens here and no tag-88 receive is posted."""
-        if self.coalesce:
-            sizes, payload = req.data
-            self._sizes_seen[src] = sizes
-            lo, hi = self._recv_ranges[src]
-            self.dst_dataset.insert(lo, hi, payload, self.names)
-            self._num_rcv -= 1
-            return
+        """Tag-77 arrival: 'create internal structures' and post tag-88."""
         self._sizes_seen[src] = req.data
         vreq = yield from self.ctx.irecv(
             source=src, tag=VALUES_TAG, comm=self.comm

@@ -92,11 +92,6 @@ class RmaRedistribution(RedistributionSession):
                 f"unknown RMA variant {variant!r}; "
                 f"valid choices: {', '.join(RMA_VARIANTS)}"
             )
-        if self.coalesce:
-            raise ValueError(
-                "coalesce does not apply to the RMA method: one-sided "
-                "chunks already travel as single messages"
-            )
         self.variant = variant
 
     # ------------------------------------------------------------ static view

@@ -50,7 +50,6 @@ class RedistributionSession:
         src_dataset: Optional[Dataset] = None,
         dst_dataset: Optional[Dataset] = None,
         label: str = "redist",
-        coalesce: bool = False,
     ):
         if src_rank is None and dst_rank is None:
             raise ValueError("a session needs at least one role")
@@ -69,13 +68,6 @@ class RedistributionSession:
         self.src_dataset = src_dataset
         self.dst_dataset = dst_dataset
         self.label = label
-        #: per-peer message coalescing (opt-in): sizes metadata piggybacks on
-        #: the values payload so each peer pair exchanges one larger message
-        #: instead of two — same modeled bytes on the wire, fewer simulated
-        #: events and per-message overheads.  Default off to keep the
-        #: paper-faithful two-message Algorithm 1/2 schedules (and their
-        #: timings) intact.
-        self.coalesce = bool(coalesce)
         self._started = False
         self._finished = False
         self._t_started: Optional[float] = None

@@ -7,7 +7,7 @@ that exact schedule.  This module proves redistribution schedules correct
 from their specification alone, without executing the simulator::
 
     python -m repro.sanitize.static                 # sweep the 18-config matrix
-    python -m repro.sanitize.static --extended      # + coalesced/target-driven
+    python -m repro.sanitize.static --extended      # + target-driven/min-move
     repro-harness verify-plans                      # same sweep via the harness
 
 Three layers, all producing :class:`~repro.sanitize.findings.Finding`
@@ -254,7 +254,6 @@ def elaborate(
     *,
     method: "RedistMethod | str",
     spawn: "SpawnMethod | str",
-    coalesce: bool = False,
     variant: str = "origin",
     label: str = "",
 ) -> CommGraph:
@@ -276,8 +275,6 @@ def elaborate(
         method = RedistMethod.parse(method)
     if isinstance(spawn, str):
         spawn = SpawnMethod.parse(spawn)
-    if method is RedistMethod.RMA and coalesce:
-        raise ValueError("coalesce does not apply to the RMA method")
     if variant not in RMA_VARIANTS:
         raise ValueError(
             f"unknown RMA variant {variant!r}; "
@@ -297,18 +294,17 @@ def elaborate(
         nodes.extend(RankNode(f"s{i}", src_rank=i) for i in range(ns))
         nodes.extend(RankNode(f"t{j}", dst_rank=j) for j in range(nt))
 
-    if method is RedistMethod.P2P:
-        def schedule(node):
-            return P2PRedistribution.symbolic_schedule(
-                sched_plan, node.src_rank, node.dst_rank, coalesce=coalesce)
-    elif method is RedistMethod.COL:
-        def schedule(node):
-            return ColRedistribution.symbolic_schedule(
-                sched_plan, node.src_rank, node.dst_rank, coalesce=coalesce)
-    else:
+    if method is RedistMethod.RMA:
         def schedule(node):
             return RmaRedistribution.symbolic_schedule(
                 sched_plan, node.src_rank, node.dst_rank, variant=variant)
+    else:
+        session_cls = (P2PRedistribution if method is RedistMethod.P2P
+                       else ColRedistribution)
+
+        def schedule(node):
+            return session_cls.symbolic_schedule(
+                sched_plan, node.src_rank, node.dst_rank)
 
     graph = CommGraph(
         label=label or f"{spawn.value}-{method.value} "
@@ -691,7 +687,6 @@ def verify_config(
     n_sources: int,
     n_targets: int,
     *,
-    coalesce: bool = False,
     variant: str = "origin",
     plan: Optional[RedistributionPlan] = None,
 ) -> list[Finding]:
@@ -700,12 +695,9 @@ def verify_config(
         config = ReconfigConfig.parse(config)
     if plan is None:
         plan = RedistributionPlan.block(n_rows, n_sources, n_targets)
-    mods = []
-    if coalesce:
-        mods.append("coalesced")
+    suffix = ""
     if config.redist is RedistMethod.RMA and variant != "origin":
-        mods.append(variant)
-    suffix = f" [{','.join(mods)}]" if mods else ""
+        suffix = f" [{variant}]"
     label = (f"{config.key} {n_sources}->{n_targets} "
              f"rows={n_rows}{suffix}")
     findings = verify_plan(plan, label=label)
@@ -713,7 +705,6 @@ def verify_config(
         plan,
         method=config.redist,
         spawn=config.spawn,
-        coalesce=coalesce and config.redist is not RedistMethod.RMA,
         variant=variant,
         label=label,
     )
@@ -731,31 +722,26 @@ def verify_matrix(
     """Sweep the config matrix over a size grid; returns (findings, n).
 
     The default sweep covers the 18 shipped configurations with their
-    shipped session options (plain messages, origin-driven RMA) across
-    grow/shrink/equal resizes.  ``extended=True`` additionally verifies the
-    coalesced P2P/COL wire formats, the target-driven RMA variant and the
-    movement-minimising plans.
+    shipped session options (origin-driven RMA) across grow/shrink/equal
+    resizes.  ``extended=True`` additionally verifies the target-driven RMA
+    variant and the movement-minimising plans.
     """
     findings: list[Finding] = []
     n_checked = 0
     for config in configs:
         for n_rows in rows:
             for ns, nt in resizes:
-                variants: list[dict] = [{}]
-                if extended:
-                    variants.append(
-                        {"variant": "target"}
-                        if config.redist is RedistMethod.RMA
-                        else {"coalesce": True}
-                    )
+                variants = ["origin"]
+                if extended and config.redist is RedistMethod.RMA:
+                    variants.append("target")
                 plans = [RedistributionPlan.block(n_rows, ns, nt)]
                 if extended:
                     plans.append(
                         RedistributionPlan.movement_minimizing(n_rows, ns, nt))
                 for plan in plans:
-                    for kwargs in variants:
+                    for variant in variants:
                         findings.extend(verify_config(
-                            config, n_rows, ns, nt, plan=plan, **kwargs))
+                            config, n_rows, ns, nt, plan=plan, variant=variant))
                         n_checked += 1
     return sorted(findings, key=Finding.sort_key), n_checked
 
@@ -810,8 +796,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="KEYS", help="comma-separated config keys, or 'all'")
     parser.add_argument(
         "--extended", action="store_true",
-        help="also verify coalesced wire formats, target-driven RMA and "
-        "movement-minimising plans")
+        help="also verify target-driven RMA and movement-minimising plans")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
         "--max-wall", type=float, default=None, metavar="SECONDS",

@@ -158,3 +158,12 @@ def test_many_flows_through_shared_nic_serialise_fairly():
     sim.run()
     # Four equal flows, 25 B/s each -> all finish at t=4.
     assert all(t == pytest.approx(4.0) for t in times)
+
+
+def test_unlabelled_flow_is_named_after_its_own_id():
+    sim, net, links = make_net([100.0])
+    net.start_flow([links[0]], 10.0)
+    net.start_flow([links[0]], 10.0, label="named")
+    first, second = sorted(net.active_flows, key=lambda f: f.flow_id)
+    assert first.label == f"flow{first.flow_id}"
+    assert second.label == "named"

@@ -1,8 +1,7 @@
 """RMA variant axis: origin-driven puts vs target-driven gets.
 
 Both directions must deliver bit-identical data over both layouts; the
-factory owns the variant vocabulary (aliases, golden errors) and the
-session rejects options that don't compose (coalesce).
+factory owns the variant vocabulary (aliases, golden errors).
 """
 
 import numpy as np
@@ -138,8 +137,3 @@ def test_variant_rejected_for_two_sided_methods():
             "col", None, None, PLAN, ["x"],
             src_rank=0, src_dataset=DATA, variant="target",
         )
-
-
-def test_coalesce_rejected_for_rma():
-    with pytest.raises(ValueError, match="coalesce does not apply to the RMA"):
-        build(coalesce=True)

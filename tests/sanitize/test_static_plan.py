@@ -113,11 +113,6 @@ class TestElaborate:
         assert graph.members == [f"s{i}" for i in range(4)] + [
             f"t{j}" for j in range(8)]
 
-    def test_rma_coalesce_rejected(self):
-        with pytest.raises(ValueError, match="coalesce"):
-            elaborate(fresh_plan(), method="rma", spawn="merge",
-                      coalesce=True)
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="valid choices"):
             elaborate(fresh_plan(), method="rma", spawn="merge",
@@ -127,12 +122,6 @@ class TestElaborate:
     @pytest.mark.parametrize("spawn", ["merge", "baseline"])
     def test_all_method_spawn_graphs_clean(self, method, spawn):
         graph = elaborate(fresh_plan(96, 4, 8), method=method, spawn=spawn)
-        assert check_graph(graph) == []
-
-    @pytest.mark.parametrize("method", ["p2p", "col"])
-    def test_coalesced_graphs_clean(self, method):
-        graph = elaborate(fresh_plan(96, 8, 4), method=method, spawn="merge",
-                          coalesce=True)
         assert check_graph(graph) == []
 
     def test_target_driven_rma_clean(self):
@@ -366,9 +355,9 @@ class TestSweep:
         findings, n = verify_matrix(rows=(96,), resizes=((6, 6),),
                                     extended=True)
         assert findings == []
-        # 18 configs x 2 option-variants (plain, coalesced/target-driven)
-        # x 2 plans.
-        assert n == len(ALL_CONFIGS) * 4
+        # 18 configs x 2 plans, plus the target-driven variant of the 6
+        # RMA configs x 2 plans.
+        assert n == len(ALL_CONFIGS) * 2 + 6 * 2
 
     def test_matrix_reports_seeded_bug(self):
         # A tampered plan threaded through verify_config must surface.
