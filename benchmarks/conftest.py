@@ -2,13 +2,11 @@
 
 Every figure of the paper is a view over the same evaluation grid, so the
 benchmarks share one session-scoped sweep at ``tiny`` scale (full pair grid,
-all 12 configurations, both fabrics).  Set ``REPRO_BENCH_SCALE=small`` to
+all 18 configurations, both fabrics).  Pass ``--bench-scale small`` to
 re-run the benches closer to paper scale (minutes instead of seconds).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -16,12 +14,17 @@ from repro.harness import run_sweep
 from repro.malleability import ALL_CONFIGS
 from repro.synthetic.presets import SCALES
 
-BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "tiny")
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--bench-scale", default="tiny", choices=sorted(SCALES),
+        help="preset the figure benchmarks sweep at (default: tiny)",
+    )
 
 
 @pytest.fixture(scope="session")
-def bench_scale() -> str:
-    return BENCH_SCALE
+def bench_scale(request) -> str:
+    return request.config.getoption("--bench-scale")
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,10 @@ paper's checkpoint protocol embedded (Algorithms 3 and 4):
 The async stop protocol: a source may only leave the loop when *every*
 source finished its redistribution, because per-iteration collectives would
 otherwise hang.  Sources agree with a one-scalar allreduce per checkpoint
-(the kind of reduction iterative solvers perform anyway).
+(the kind of reduction iterative solvers perform anyway).  A source whose
+iterations ran out has no checkpoint left and nothing to overlap with: it
+blocks until its own part is done (T sleeps in the thread join, A polls in
+the spawn/merge wait and the session's ``finish()``) and then agrees once.
 """
 
 from __future__ import annotations
@@ -203,34 +206,9 @@ class GroupRunner:
                     # For strategy S, _begin_reconfig completed the handoff
                     # inline and we continue as a member of the new group.
             else:
-                try:
-                    verdict = yield from self._poll_reconfig()
-                except CommFailedError as e:
-                    # The agreement itself failed: a fellow source died.
-                    if not self._fault_mode():
-                        raise
-                    outcome = yield from self._degrade_to_cr(
-                        e, self._ensure_record()
-                    )
+                outcome = yield from self._overlap_checkpoint(drain=False)
+                if outcome is RankOutcome.RETIRED:
                     return RankOutcome.RETIRED
-                if verdict == "failed":
-                    outcome = yield from self._recover_overlap()
-                    if outcome is RankOutcome.RETIRED:
-                        return RankOutcome.RETIRED
-                elif verdict == "done":
-                    try:
-                        outcome = yield from self._complete_reconfig()
-                    except CommFailedError as e:
-                        if not self._fault_mode():
-                            raise
-                        outcome = yield from self._degrade_to_cr(
-                            e, self._ensure_record()
-                        )
-                    if outcome is RankOutcome.RETIRED:
-                        return RankOutcome.RETIRED
-                else:
-                    if self.rank == 0 and self._record is not None:
-                        self._record.overlapped_iterations += 1
             # ---- end malleability code ---------------------------------
             t0 = mpi.now
             yield from self.app.iterate(mpi, self.comm, self.dataset, self.it)
@@ -241,32 +219,13 @@ class GroupRunner:
                 )
             self.it += 1
         # The iteration budget ran out with a reconfiguration still in
-        # flight: drain it, or the spawned processes would wait forever.
-        while self._phase is not _Phase.IDLE:
-            try:
-                verdict = yield from self._poll_reconfig()
-            except CommFailedError as e:
-                if not self._fault_mode():
-                    raise
-                yield from self._degrade_to_cr(e, self._ensure_record())
+        # flight: complete it, or the spawned processes would wait forever.
+        # Algorithms 3/4 test once per iteration and none is left, so this is
+        # no checkpoint loop — block to local completion, agree once.
+        if self._phase is not _Phase.IDLE:
+            outcome = yield from self._overlap_checkpoint(drain=True)
+            if outcome is RankOutcome.RETIRED:
                 return RankOutcome.RETIRED
-            if verdict == "failed":
-                outcome = yield from self._recover_overlap()
-                if outcome is RankOutcome.RETIRED:
-                    return RankOutcome.RETIRED
-                continue  # recovered: phase is IDLE again
-            if verdict == "done":
-                try:
-                    outcome = yield from self._complete_reconfig()
-                except CommFailedError as e:
-                    if not self._fault_mode():
-                        raise
-                    yield from self._degrade_to_cr(e, self._ensure_record())
-                    return RankOutcome.RETIRED
-                if outcome is RankOutcome.RETIRED:
-                    return RankOutcome.RETIRED
-                break
-            yield from mpi.compute(1e-3)
         if self.rank == 0:
             self.stats.finished_at = mpi.now
             if self.stats.finished_event is not None:
@@ -330,22 +289,25 @@ class GroupRunner:
             record.spawn_finished_at = self.mpi.now
             record.redist_started_at = self.mpi.now
             session = self._session_for(inter, names=names)
-            self._session = session
-            yield from session.run_blocking()
-            return
-        # Merge method
-        merged = yield from self._merge_stage2_blocking()
-        self._merged = merged
-        record.spawn_finished_at = self.mpi.now
-        record.redist_started_at = self.mpi.now
-        self._dst_dataset = dst_dataset = (
-            self._make_target_dataset(self._plan, self.rank)
-            if self.rank < nt
-            else None
-        )
-        session = self._session_for(merged, names=names, dst_dataset=dst_dataset)
+        else:  # Merge method
+            merged = yield from self._merge_stage2_blocking()
+            self._merged = merged
+            record.spawn_finished_at = self.mpi.now
+            record.redist_started_at = self.mpi.now
+            self._dst_dataset = dst_dataset = (
+                self._make_target_dataset(self._plan, self.rank)
+                if self.rank < nt
+                else None
+            )
+            session = self._session_for(merged, names=names, dst_dataset=dst_dataset)
         self._session = session
-        yield from session.run_blocking()
+        if self.config.strategy is Strategy.ASYNC_NONBLOCKING:
+            # A-config targets post the non-blocking collectives (see
+            # _target_entry); COL's blocking pair is another wire schedule.
+            yield from session.start()
+            yield from session.finish()
+        else:
+            yield from session.run_blocking()
 
     def _merge_stage2_blocking(self):
         ns, nt = self._plan.n_sources, self._plan.n_targets
@@ -673,11 +635,14 @@ class GroupRunner:
             yield from self._start_const_session(self._merged)
             self._phase = _Phase.REDIST
 
-    def _advance_async(self):
-        """Advance the A-strategy pipeline without blocking; returns local
-        completion of the constant-data redistribution."""
+    def _advance_async(self, drain: bool):
+        """Advance the A-strategy pipeline and return local completion of
+        the constant-data redistribution: one non-blocking step per
+        checkpoint, or — ``drain`` — every remaining step, blocking."""
         record = self._ensure_record()
         if self._phase is _Phase.SPAWN_WAIT:
+            if drain:
+                yield from self.mpi.wait_async(self._spawn_handle)
             if self._spawn_handle.failed:
                 self._spawn_handle.result  # raises the stored failure
             if not self._spawn_handle.completed:
@@ -694,6 +659,8 @@ class GroupRunner:
                 )
                 self._phase = _Phase.MERGE_WAIT
         if self._phase is _Phase.MERGE_WAIT:
+            if drain:
+                yield from self.mpi.wait_async(self._merge_handle)
             if self._merge_handle.failed:
                 self._merge_handle.result  # raises the stored failure
             if not self._merge_handle.completed:
@@ -702,6 +669,10 @@ class GroupRunner:
             yield from self._start_const_session(self._merged)
             self._phase = _Phase.REDIST
         if self._phase is _Phase.REDIST:
+            if drain:
+                if not self._session.finished:
+                    yield from self._session.finish()
+                return True
             done = yield from self._session.test()
             return done
         return False
@@ -790,9 +761,40 @@ class GroupRunner:
         self._phase = _Phase.THREAD_WAIT
 
     # ------------------------------------------------------- stop agreement
-    def _poll_reconfig(self):
-        """One checkpoint of an overlapped reconfiguration: advance my
-        pipeline, then agree with the other sources on stopping.
+    def _overlap_checkpoint(self, drain: bool):
+        """Poll the overlapped reconfiguration and act on the agreed
+        verdict: keep iterating, hand off, or enter the recovery ladder.
+        A failure is handled alike whether a test at a checkpoint or a
+        blocked wait of the drain observed it."""
+        try:
+            verdict = yield from self._poll_reconfig(drain)
+            if verdict == "done":
+                outcome = yield from self._complete_reconfig()
+                return outcome
+        except CommFailedError as e:
+            # The agreement or the handoff failed: a fellow source died.
+            if not self._fault_mode():
+                raise
+            outcome = yield from self._degrade_to_cr(e, self._ensure_record())
+            return outcome
+        if verdict == "failed":
+            outcome = yield from self._recover_overlap()
+            return outcome
+        if drain:
+            # Every source voted after blocking to completion or failure.
+            raise RuntimeError(
+                f"rank {self.rank} ({self.config.key}): drain agreement "
+                f"still pending in phase {self._phase.value}"
+            )
+        if self.rank == 0 and self._record is not None:
+            self._record.overlapped_iterations += 1
+        return None
+
+    def _poll_reconfig(self, drain: bool):
+        """One stop agreement of an overlapped reconfiguration: advance my
+        pipeline — a non-blocking step at a checkpoint, blocking until it is
+        through when ``drain`` — then agree with the other sources on
+        stopping.
 
         Returns ``"done"`` / ``"pending"`` / ``"failed"``.  Failures vote
         ``-1`` in the same agreement scalar, so every source learns about a
@@ -801,6 +803,8 @@ class GroupRunner:
         are the historical 0/1 — fault-free runs are unchanged."""
         err: Optional[CommFailedError] = None
         if self._phase is _Phase.THREAD_WAIT:
+            if drain:
+                yield from self.mpi.join_thread(self._thread)
             local_done = self._thread.finished
             if local_done:
                 res = self._thread.result
@@ -808,7 +812,7 @@ class GroupRunner:
                     err = res[1]
         else:
             try:
-                local_done = yield from self._advance_async()
+                local_done = yield from self._advance_async(drain)
             except CommFailedError as e:
                 err = e
                 local_done = False
@@ -821,6 +825,10 @@ class GroupRunner:
                     "targets died during redistribution", dead_gids=dead
                 )
                 local_done = False
+        if err is not None and drain:
+            # A peer blocked in this attempt's session cannot read my vote:
+            # fail its waits first, as the synchronous ladder does.
+            self._abort_session_comms()
         vote = -1 if err is not None else (1 if local_done else 0)
         agreed = yield from self.mpi.allreduce(vote, op_min, comm=self.comm)
         if agreed == -1:

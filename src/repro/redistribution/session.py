@@ -14,7 +14,8 @@ Sessions expose two driving styles:
 
 * ``run_blocking()`` — the synchronous strategy (S): complete everything;
 * ``start()`` then repeated ``test()`` — the non-blocking strategy (A),
-  Algorithm 3's ``Start data redistribution`` / ``Test_Redistribution``;
+  Algorithm 3's ``Start data redistribution`` / ``Test_Redistribution``,
+  closed by ``finish()`` once no iteration is left to test from;
   the thread strategy (T) simply runs ``run_blocking()`` inside an
   auxiliary thread.
 """

@@ -307,8 +307,14 @@ def ialltoall(ctx, sendlist, comm: Communicator):
     return MultiRequest(ctx.sim, reqs), result
 
 
-def _fill_on_done(result: list, rreq) -> None:
-    rreq.done.add_callback(lambda _ev: result.__setitem__(rreq.status.source, rreq.data))
+def _fill_on_done(result, rreq) -> None:
+    """Store ``rreq``'s payload under its source once it lands.  A failed
+    receive has no status; its ``CommFailedError`` belongs to the waiter."""
+    def fill(ev) -> None:
+        if not ev.failed:
+            result[rreq.status.source] = rreq.data
+
+    rreq.done.add_callback(fill)
 
 
 # --------------------------------------------------------------- alltoallv
@@ -404,11 +410,7 @@ def ialltoallv(
         if src == me_as_peer:
             continue
         rreq = yield from ctx.irecv(source=src, tag=base, comm=comm)
-
-        def fill(_ev, rreq=rreq):
-            result[rreq.status.source] = rreq.data
-
-        rreq.done.add_callback(fill)
+        _fill_on_done(result, rreq)
         reqs.append(rreq)
     for dest, payload in send_map.items():
         if dest == me_as_peer:

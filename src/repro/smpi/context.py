@@ -38,7 +38,9 @@ class AsyncOpHandle:
     The companion spawn paper [16] provides asynchronous variants of the
     process-management stage; sources keep iterating and check
     :attr:`completed` at their checkpoints (no CPU is burned waiting —
-    the launcher daemons do the work).
+    the launcher daemons do the work).  A source with no iterations left
+    has nothing to overlap with: it blocks in :meth:`RankCtx.wait_async`,
+    polling like the blocking call would have.
     """
 
     def __init__(self, event: SimEvent):
@@ -202,22 +204,23 @@ class RankCtx:
         san = self.world.sanitizer
         if san is not None:
             san.on_irecv(self, comm, source, tag, req)
-        # A receive naming a dead source that found nothing already arrived
-        # can never match: complete it in error now (after post_recv, so a
-        # buffered eager payload from the late peer still wins the race).
-        if (
-            req.done.pending
-            and source != ANY_SOURCE
-            and comm.peer_gid(source) in self.world.dead_gids
-        ):
-            if req in self._ep.posted:
-                self._ep.posted.remove(req)
-            req._fail(
-                CommFailedError(
+        # A receive that found nothing already arrived and names a dead
+        # source, or sits on a communicator recovery abandoned (its peers
+        # left the session), can never match: complete it in error now
+        # (after post_recv, so a buffered eager payload still wins the race).
+        if req.done.pending:
+            err = None
+            if comm.ctx_id in self.world.aborted_ctxs:
+                err = CommFailedError(f"receive on aborted {comm.name}")
+            elif source != ANY_SOURCE and comm.peer_gid(source) in self.world.dead_gids:
+                err = CommFailedError(
                     f"receive from dead rank {source} of {comm.name}",
                     dead_gids=[comm.peer_gid(source)],
                 )
-            )
+            if err is not None:
+                if req in self._ep.posted:
+                    self._ep.posted.remove(req)
+                req._fail(err)
         return req
         yield  # pragma: no cover - keeps this a generator for API symmetry
 
@@ -305,6 +308,13 @@ class RankCtx:
             AnyOf([r.done for r in reqs]), reqs
         )
         return idx, reqs[idx]
+
+    def wait_async(self, handle: AsyncOpHandle):
+        """Blocking twin of :attr:`AsyncOpHandle.completed`: poll, as
+        :meth:`comm_spawn` does, until the operation ends; returns its
+        result or raises its stored failure."""
+        result = yield from self._polling_block(WaitEvent(handle.event))
+        return result
 
     def progress_tick(self, cost: Optional[float] = None):
         """One bounded progress-engine window (the heart of ``MPI_Test``).

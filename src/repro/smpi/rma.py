@@ -31,6 +31,7 @@ from typing import Any, Callable, Optional
 
 from ..simulate.events import SimEvent
 from .communicator import Communicator
+from .errors import CommFailedError
 
 __all__ = ["Window", "ArrayExposure", "LOCK_SHARED", "LOCK_EXCLUSIVE"]
 
@@ -141,6 +142,7 @@ class Window:
         #: (origin_gid, target_gid) -> in-flight ops of the open epoch,
         #: as (kind, event) with kind in {"put", "get"} — the flush set.
         self._epoch_ops: dict[tuple[int, int], list[tuple[str, SimEvent]]] = {}
+        world.windows.append(self)
 
     # -------------------------------------------------------------- plumbing
     def _track(self, ev: SimEvent) -> None:
@@ -237,6 +239,18 @@ class Window:
                 if ev.pending:
                     out.append(ev)
         return out
+
+    def fail_ops_to(self, dead: set[int], reason: str) -> None:
+        """Complete in error every in-flight epoch op against a dead target
+        (its landing may have been lost with the node)."""
+        for (_origin, target), ops in sorted(self._epoch_ops.items()):
+            if target in dead:
+                for _kind, ev in ops:
+                    if ev.pending:
+                        ev.fail(CommFailedError(
+                            f"{reason}: one-sided op to dead rank gid={target}",
+                            dead_gids=[target],
+                        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Window {self.win_id} over {self.comm.name}>"

@@ -114,6 +114,8 @@ class MpiWorld:
         #: ctx_ids of communicators abandoned by a recovery policy; their
         #: leftover traffic is excused at endpoint close.
         self.aborted_ctxs: set[int] = set()
+        #: every window created in this world (rank deaths fail their ops).
+        self.windows: list = []
 
     # ----------------------------------------------------------------- probes
     @property
@@ -429,7 +431,9 @@ class MpiWorld:
         * survivor endpoints fail posted receives that can never match and
           drop announcements/handshakes involving the dead rank;
         * pending world-level collectives (spawn/merge) with a dead
-          participant fail for everyone still waiting at the rendezvous.
+          participant fail for everyone still waiting at the rendezvous;
+        * puts/gets of an open epoch to a dead target fail, so the origin's
+          flush returns (the target-side copy died with the node).
         """
         new = sorted(g for g in dict.fromkeys(gids) if g not in self.dead_gids)
         if not new:
@@ -477,6 +481,9 @@ class MpiWorld:
                         dead_gids=implicated,
                     )
                 )
+        # 4. one-sided operations of open epochs against a dead target
+        for win in self.windows:
+            win.fail_ops_to(dead, reason)
 
     def terminate_ranks(self, gids: Iterable[int], reason: str = "terminated") -> None:
         """Kill the main processes of ``gids`` *synchronously* and mark them
