@@ -17,9 +17,11 @@ collective phases, oversubscribed nodes):
   ``repro-harness observe`` configuration).
 
 The JSON records absolute best-of-N times plus the attached/detached and
-traced/detached ratios.  ``--assert-overhead PCT`` exits non-zero when the
-detached time regressed more than PCT percent against the pinned
-``detached_baseline_s`` (when present) — the CI smoke gate.
+traced/detached ratios.  ``--max-attached-ratio R`` exits non-zero when the
+attached/detached ratio of the same run exceeds R — the CI smoke gate.  It
+is a ratio of two timings taken back to back on one host, so it neither
+drifts with the machine nor goes vacuous when the engine gets faster (a
+pinned absolute detached time did both).
 """
 
 from __future__ import annotations
@@ -84,24 +86,13 @@ def main(argv=None) -> int:
                         help="tiny scale, fewer repeats (CI smoke)")
     parser.add_argument("--out", default=str(HERE / "BENCH_obs.json"))
     parser.add_argument(
-        "--assert-overhead", type=float, default=None, metavar="PCT",
-        help="exit 1 if detached_s exceeds the pinned detached_baseline_s "
-        "in the existing output JSON by more than PCT percent",
+        "--max-attached-ratio", type=float, default=None, metavar="R",
+        help="exit 1 if attached_s / detached_s of this run exceeds R",
     )
     args = parser.parse_args(argv)
 
     scale = "tiny" if args.quick else "small"
     repeats = 3 if args.quick else 5
-
-    baseline = None
-    out_path = Path(args.out)
-    if out_path.exists():
-        try:
-            baseline = json.loads(out_path.read_text()).get(
-                "detached_baseline_s"
-            )
-        except (ValueError, OSError):
-            baseline = None
 
     out = {
         "recorded_at": time.strftime("%Y-%m-%d"),
@@ -111,28 +102,23 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
     }
     out.update(bench(scale, repeats))
-    # the baseline carries forward so successive runs compare to the first
-    out["detached_baseline_s"] = (
-        baseline if baseline is not None else out["detached_s"]
-    )
 
-    out_path.write_text(json.dumps(out, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
     print(json.dumps(out, indent=2))
     print(f"wrote {args.out}")
 
-    if args.assert_overhead is not None and baseline is not None:
-        limit = baseline * (1 + args.assert_overhead / 100.0)
-        if out["detached_s"] > limit:
+    if args.max_attached_ratio is not None:
+        ratio = out["attached_over_detached"]
+        if ratio > args.max_attached_ratio:
             print(
-                f"FAIL: detached run {out['detached_s']:.5f}s exceeds "
-                f"baseline {baseline:.5f}s by more than "
-                f"{args.assert_overhead:.1f}%",
+                f"FAIL: attached/detached ratio {ratio:.2f} exceeds "
+                f"{args.max_attached_ratio:.2f}",
                 file=sys.stderr,
             )
             return 1
         print(
-            f"OK: detached {out['detached_s']:.5f}s within "
-            f"{args.assert_overhead:.1f}% of baseline {baseline:.5f}s"
+            f"OK: attached/detached ratio {ratio:.2f} <= "
+            f"{args.max_attached_ratio:.2f}"
         )
     return 0
 

@@ -11,23 +11,36 @@ behind the paper's oversubscription observations: during a Baseline
 reconfiguration NS source + NT target processes are alive on the same nodes,
 so iteration compute time inflates by roughly ``(NS+NT)/cores_used`` — the
 "20 % up to 7000 %" iteration-cost blowup of Figures 7 and 8.
+
+The sharing is kept in *virtual time*: every demand on a node receives the
+same service, so the node keeps one cumulative per-demand service counter
+and each task a finish tag (service at submit + work) in a heap.  Advancing
+the clock is one multiply-add, and the node holds one owner timer (see
+:mod:`repro.simulate.core`) for its head tag, re-armed only when the head
+tag or the per-demand rate changes.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from functools import partial
+from operator import itemgetter
 from typing import Any, Callable
 
 from ..simulate.core import Command, SimProcess, Simulator
 
 __all__ = ["Node", "Compute", "ComputeOn", "PollerToken"]
 
+#: a task whose finish tag is within ``max(_EPS, _EPS_SECONDS * rate)`` of
+#: the node's service counter completes now.  The seconds term guards the
+#: float livelock where the remaining runtime is below the ULP of the
+#: current simulation time (see the twin constant in cluster.network).
 _EPS = 1e-9
-#: remaining-runtime epsilon guarding against the float livelock where
-#: ``work_left / rate`` is below the ULP of the current simulation time
-#: (see the twin constant in cluster.network).
 _EPS_SECONDS = 1e-12
+
+_submission_order = itemgetter(1)
 
 
 class PollerToken:
@@ -45,21 +58,11 @@ class PollerToken:
         return f"<PollerToken {self.id} {self.label}>"
 
 
-class _CpuTask:
-    __slots__ = ("work_left", "on_done", "label")
-
-    def __init__(self, work: float, on_done: Callable[[], None], label: str):
-        self.work_left = work
-        self.on_done = on_done
-        self.label = label
-
-
 class Node:
     """One cluster node: ``cores`` cores shared by compute tasks and pollers.
 
-    The node keeps its own virtual-time accounting: whenever the demand set
-    changes it advances every task's remaining work by the elapsed time at
-    the previous rate, then reschedules the earliest completion.
+    ``_service`` is the work every demand has received since the node last
+    ran out of tasks; a task finishes when it reaches the task's tag.
     """
 
     def __init__(self, sim: Simulator, node_id: int, cores: int, name: str = ""):
@@ -69,10 +72,17 @@ class Node:
         self.node_id = node_id
         self.cores = cores
         self.name = name or f"node{node_id}"
-        self._tasks: list[_CpuTask] = []
+        #: heap of ``(finish tag, submission seq, on_done)``
+        self._tags: list[tuple[float, int, Callable[[], None]]] = []
+        self._submitted = 0
         self._pollers: set[int] = set()
+        #: demand (tasks + pollers); per-demand service rate and its integral
+        self._n = 0
+        self._rate = 1.0
+        self._service = 0.0
         self._last_update = sim.now
-        self._completion_item = None
+        #: owner-timer seq of the pending head completion (-1 = none)
+        self._timer_seq = -1
         #: cumulative busy core-seconds, for utilisation accounting
         self.busy_coreseconds = 0.0
         #: highest demand ever seen (always-on: one compare per change, so
@@ -89,75 +99,66 @@ class Node:
     @property
     def demand(self) -> int:
         """Number of CPU-hungry entities (compute tasks + pollers)."""
-        return len(self._tasks) + len(self._pollers)
+        return self._n
 
     @property
     def rate(self) -> float:
         """Progress rate currently granted to each demand (0 < rate <= 1)."""
-        n = self.demand
+        n = self._n
         if n == 0:
             return 1.0
         return min(1.0, self.cores / n)
 
-    @property
-    def oversubscribed(self) -> bool:
-        return self.demand > self.cores
-
     # ------------------------------------------------------------ bookkeeping
     def _advance(self) -> None:
-        # Hot path (runs on every demand-set change): ``rate``/``demand``
-        # are inlined as locals to skip repeated property-descriptor calls.
+        """Settle service and busy time up to now (the demand set is about
+        to change)."""
         now = self.sim.now
         dt = now - self._last_update
         if dt > 0:
-            tasks = self._tasks
-            n = len(tasks) + len(self._pollers)
-            if tasks:
-                r = 1.0 if n <= self.cores else self.cores / n
-                work = dt * r * self.speed
-                for t in tasks:
-                    t.work_left -= work
-            self.busy_coreseconds += dt * (self.cores if n > self.cores else n)
-        self._last_update = now
+            if self._tags:
+                self._service += dt * self._rate
+            n = self._n
+            cores = self.cores
+            self.busy_coreseconds += dt * (cores if n > cores else n)
+            self._last_update = now
 
-    def _reschedule(self) -> None:
-        if self._completion_item is not None:
-            self._completion_item.cancelled = True
-            self._completion_item = None
-        tasks = self._tasks
-        if not tasks:
-            return
-        n = len(tasks) + len(self._pollers)
-        r = (1.0 if n <= self.cores else self.cores / n) * self.speed
-        soonest = min(t.work_left for t in tasks)
-        # Guard against float drift leaving a microscopic negative remainder.
-        delay = soonest / r if soonest > 0.0 else 0.0
-        self._completion_item = self.sim.schedule(delay, self._on_completion)
+    def _retime(self) -> None:
+        """Refresh the per-demand rate and arm the owner timer for the head
+        tag.  Runs whenever either changed while tasks exist; without tasks
+        the rate is unused and refreshed by the next submit."""
+        tags = self._tags
+        if tags:
+            n = self._n
+            cores = self.cores
+            rate = self._rate = self.speed if n <= cores else cores / n * self.speed
+            left = tags[0][0] - self._service
+            self.sim.set_timer(self, left / rate if left > 0.0 else 0.0)
+        else:
+            self._timer_seq = -1
+            self._service = 0.0  # nothing refers to it: keep tags small
 
-    def _on_completion(self) -> None:
-        self._completion_item = None
+    def _on_timer(self) -> None:
+        self._timer_seq = -1
         self._advance()
-        n = len(self._tasks) + len(self._pollers)
-        rate = (1.0 if n <= self.cores else self.cores / n) * self.speed
-        done = {
-            id(t)
-            for t in self._tasks
-            if t.work_left <= _EPS or t.work_left / rate <= _EPS_SECONDS
-        }
-        if not done:
-            # Rate changed since scheduling; just reschedule.
-            self._reschedule()
-            return
-        finished = [t for t in self._tasks if id(t) in done]
-        self._tasks = [t for t in self._tasks if id(t) not in done]
-        self._reschedule()
-        for t in finished:
-            t.on_done()
+        tags = self._tags
+        eps = _EPS_SECONDS * self._rate
+        limit = self._service + (eps if eps > _EPS else _EPS)
+        done = []
+        while tags and tags[0][0] <= limit:
+            done.append(heapq.heappop(tags))
+        self._n -= len(done)
+        if len(done) > 1:  # tasks finishing together: submission order
+            done.sort(key=_submission_order)
+        self._retime()
+        for entry in done:
+            entry[2]()
 
     # ------------------------------------------------------------------- API
-    def submit(self, work: float, on_done: Callable[[], None], label: str = "") -> None:
+    def submit(self, work: float, on_done: Callable[[], None], label: Any = "") -> None:
         """Add ``work`` seconds of single-core compute; ``on_done`` fires when
-        it finishes (taking current and future load into account)."""
+        it finishes (taking current and future load into account).
+        ``label`` names the task for tracers only."""
         if work < 0 or not math.isfinite(work):
             raise ValueError(f"work must be finite and >= 0, got {work}")
         if self.failed:
@@ -166,11 +167,15 @@ class Node:
             self.sim.schedule(0.0, on_done)
             return
         self._advance()
-        self._tasks.append(_CpuTask(work, on_done, label))
-        d = len(self._tasks) + len(self._pollers)
-        if d > self.peak_demand:
-            self.peak_demand = d
-        self._reschedule()
+        tags = self._tags
+        entry = (self._service + work, self._submitted, on_done)
+        self._submitted += 1
+        heapq.heappush(tags, entry)
+        n = self._n = self._n + 1
+        if n > self.peak_demand:
+            self.peak_demand = n
+        if n > self.cores or tags[0] is entry:  # the rate fell or a new head
+            self._retime()
 
     def add_poller(self, token: PollerToken) -> None:
         """Register a CPU-burning poller (e.g. a rank inside MPI_Wait*)."""
@@ -178,17 +183,20 @@ class Node:
             raise ValueError(f"poller {token!r} registered twice")
         self._advance()
         self._pollers.add(token.id)
-        d = len(self._tasks) + len(self._pollers)
-        if d > self.peak_demand:
-            self.peak_demand = d
-        self._reschedule()
+        n = self._n = self._n + 1
+        if n > self.peak_demand:
+            self.peak_demand = n
+        if n > self.cores and self._tags:
+            self._retime()
 
     def remove_poller(self, token: PollerToken) -> None:
         if token.id not in self._pollers:
             raise ValueError(f"poller {token!r} not registered")
         self._advance()
         self._pollers.discard(token.id)
-        self._reschedule()
+        n = self._n = self._n - 1
+        if n >= self.cores and self._tags:  # it was beyond the cores
+            self._retime()
 
     # ---------------------------------------------------------------- faults
     def fail(self) -> None:
@@ -203,10 +211,9 @@ class Node:
             return
         self._advance()
         self.failed = True
-        self._tasks.clear()
-        if self._completion_item is not None:
-            self._completion_item.cancelled = True
-            self._completion_item = None
+        self._n -= len(self._tags)
+        self._tags.clear()
+        self._retime()
 
     def set_speed(self, factor: float) -> None:
         """Scale the node's clock (straggler injection: ``factor < 1``).
@@ -218,7 +225,7 @@ class Node:
             raise ValueError(f"speed factor must be finite and > 0, got {factor}")
         self._advance()
         self.speed = factor
-        self._reschedule()
+        self._retime()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.name} cores={self.cores} demand={self.demand}>"
@@ -227,7 +234,6 @@ class Node:
 class ComputeOn(Command):
     """Yieldable: run ``work`` seconds of single-core compute on ``node``."""
 
-    blocking_reason = "compute"
     __slots__ = ("node", "work", "value")
 
     def __init__(self, node: Node, work: float, value: Any = None):
@@ -235,9 +241,11 @@ class ComputeOn(Command):
         self.work = work
         self.value = value
 
+    def describe(self, proc: SimProcess) -> str:
+        return f"compute@{self.node.name}"
+
     def execute(self, sim: Simulator, proc: SimProcess) -> None:
-        proc.blocked_on = f"compute@{self.node.name}"
-        self.node.submit(self.work, lambda: sim.resume(proc, self.value),
+        self.node.submit(self.work, partial(sim.resume, proc, self.value),
                          label=proc.name)
 
 
@@ -248,12 +256,14 @@ class Compute(Command):
     (the simulated MPI world launcher does this for every rank).
     """
 
-    blocking_reason = "compute"
     __slots__ = ("work", "value")
 
     def __init__(self, work: float, value: Any = None):
         self.work = work
         self.value = value
+
+    def describe(self, proc: SimProcess) -> str:
+        return f"compute@{proc.context['node'].name}"
 
     def execute(self, sim: Simulator, proc: SimProcess) -> None:
         node = proc.context.get("node")
@@ -262,4 +272,5 @@ class Compute(Command):
                 f"{proc.name}: Compute yielded by a process with no node in context; "
                 "use ComputeOn(node, work) or run under smpi"
             )
-        ComputeOn(node, self.work, self.value).execute(sim, proc)
+        node.submit(self.work, partial(sim.resume, proc, self.value),
+                    label=proc.name)

@@ -23,7 +23,7 @@ runs up to ``2 × cores`` demands and the CPU model slows everyone down
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class Machine:
         src: Node,
         dst: Node,
         nbytes: float,
-        label: str = "",
+        label: Any = "",
         latency: Optional[float] = None,
     ) -> SimEvent:
         """Move ``nbytes`` from ``src`` to ``dst``; returns the delivery event.

@@ -4,7 +4,9 @@ Messages become *flows* over a route of :class:`Link` objects (typically the
 sender's NIC-up link and the receiver's NIC-down link; intra-node copies use
 the node's memory link).  Whenever the set of active flows changes, rates are
 re-allocated with the classic *progressive filling* algorithm, which yields
-the max-min fair allocation; flow completions are then rescheduled.
+the max-min fair allocation; the network's one owner-held completion timer
+(:meth:`repro.simulate.core.Simulator.set_timer`) is then re-armed for the
+earliest-finishing flow.
 
 This reproduces the first-order contention behaviour that differentiates the
 paper's Ethernet (10 Gb/s) and Infiniband (100 Gb/s) results: concurrent
@@ -22,7 +24,7 @@ that still yields the reference rates:
   flow (a machine has ``3 * n_nodes (+1)`` links; an allocation typically
   touches 2-6 of them, at most 12 on the paper machine).  Links without
   flows can never be bottlenecks, so the restriction is exact.
-* **Shape fast paths.**  :meth:`_activate`/:meth:`_on_completion` skip the
+* **Shape fast paths.**  :meth:`_activate`/:meth:`_on_timer` skip the
   allocation entirely when the touched links are private to the
   activating/retiring flows (the flow forms its own max-min component, so
   no other rate can change).
@@ -36,10 +38,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Sequence
+from typing import Any, Dict, Sequence
 
 from ..simulate.core import Simulator
-from ..simulate.events import SimEvent
+from ..simulate.events import SimEvent, label_text
 
 __all__ = ["Link", "Flow", "Network", "max_min_reference"]
 
@@ -71,17 +73,22 @@ class Link:
 class Flow:
     """One in-flight message: ``size`` bytes over ``route`` links."""
 
-    __slots__ = ("flow_id", "route", "bytes_left", "rate", "done", "label")
+    __slots__ = ("flow_id", "route", "bytes_left", "rate", "done", "_label")
 
     _ids = itertools.count()
 
-    def __init__(self, route: Sequence[Link], size: float, done: SimEvent, label: str):
+    def __init__(self, route: Sequence[Link], size: float, done: SimEvent, label):
         self.flow_id = next(Flow._ids)
         self.route = tuple(route)
         self.bytes_left = float(size)
         self.rate = 0.0
         self.done = done
-        self.label = label or f"flow{self.flow_id}"
+        #: raw label (see :func:`repro.simulate.events.label_text`)
+        self._label = label or ("flow", self.flow_id)
+
+    @property
+    def label(self) -> str:
+        return label_text(self._label)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Flow {self.label} left={self.bytes_left:.3g}B rate={self.rate:.3g}>"
@@ -149,7 +156,8 @@ class Network:
         self._link_ids = itertools.count()
         self._active: set[Flow] = set()
         self._last_update = sim.now
-        self._completion_item = None
+        #: owner-timer seq of the pending earliest completion (-1 = none)
+        self._timer_seq = -1
         #: total bytes ever carried, for reporting
         self.bytes_carried = 0.0
         self.debug_invariants = debug_invariants
@@ -195,13 +203,14 @@ class Network:
         route: Sequence[Link],
         size: float,
         latency: float = 0.0,
-        label: str = "",
+        label: Any = "",
     ) -> SimEvent:
         """Inject a message; returns an event triggered at delivery time.
 
         ``latency`` is a fixed pipeline delay before the flow starts eating
         bandwidth (wire + protocol latency).  Zero-byte messages complete
-        after the latency alone.
+        after the latency alone.  ``label`` is a string or a raw label tuple
+        (:func:`repro.simulate.events.label_text`), formatted only when read.
         """
         if size < 0 or not math.isfinite(size):
             raise ValueError(f"flow size must be finite and >= 0, got {size}")
@@ -210,7 +219,7 @@ class Network:
         for link in route:
             if link.link_id not in self._links:
                 raise ValueError(f"{link!r} does not belong to this network")
-        done = self.sim.event(name=f"flow:{label or size}")
+        done = SimEvent(self.sim, ("flow:", label or size))
         self.bytes_carried += size
         if size == 0:
             self.sim.schedule(latency, lambda: done.trigger(None))
@@ -324,10 +333,8 @@ class Network:
         self._reschedule_completion()
 
     def _reschedule_completion(self) -> None:
-        if self._completion_item is not None:
-            self._completion_item.cancelled = True
-            self._completion_item = None
         if not self._active:
+            self._timer_seq = -1
             return
         soonest = math.inf
         for f in self._active:
@@ -343,10 +350,11 @@ class Network:
                 "active flows with zero allocated rate: "
                 + ", ".join(f.label for f in self._active if f.rate <= 0)
             )
-        self._completion_item = self.sim.schedule(soonest, self._on_completion)
+        self.sim.set_timer(self, soonest)
 
-    def _on_completion(self) -> None:
-        self._completion_item = None
+    def _on_timer(self) -> None:
+        """The earliest flow completion is due (owner timer)."""
+        self._timer_seq = -1
         self._advance()
         # Sorted by flow_id: completion (and therefore waiter-resumption)
         # order must not depend on set iteration order, which hashes object

@@ -12,6 +12,14 @@ dependencies beyond numpy/scipy.
 
 Determinism: ties in the heap are broken by a monotonically increasing
 sequence number, so two runs with the same seed produce identical traces.
+
+Owner-held timers: a model with one pending completion (a CPU node, the
+network) arms it with :meth:`Simulator.set_timer`.  The heap entry is the
+plain tuple ``(time, seq, owner)`` and fires ``owner._on_timer()`` only while
+``owner._timer_seq`` still equals ``seq``, so re-arming or cancelling
+(``owner._timer_seq = -1``) is one integer store with no handle allocated —
+the seq-based cancellation Timeout wakeups use.  :meth:`Simulator.schedule`
+stays for one-off callbacks.
 """
 
 from __future__ import annotations
@@ -52,6 +60,10 @@ class Command:
     def execute(self, sim: "Simulator", proc: "SimProcess") -> None:
         raise NotImplementedError
 
+    def describe(self, proc: "SimProcess") -> str:
+        """What ``proc`` blocked on this waits for (formatted only when read)."""
+        return self.blocking_reason
+
 
 class SimProcess:
     """Handle for a running simulated process.
@@ -72,7 +84,7 @@ class SimProcess:
         "pid",
         "state",
         "done_event",
-        "blocked_on",
+        "_blocked",
         "result",
         "context",
         "_pending_seq",
@@ -88,9 +100,10 @@ class SimProcess:
         self.name = name
         self.pid = sim._next_id()
         self.state = self._ALIVE
-        self.done_event = SimEvent(sim, name=f"done:{name}")
-        #: what the process is currently blocked on (for deadlock reports)
-        self.blocked_on: Optional[str] = None
+        self.done_event = SimEvent(sim, ("done:", name))
+        #: the command the process is currently blocked on; rendered only
+        #: when read (:attr:`blocked_on`, deadlock reports).
+        self._blocked: Optional[Command] = None
         #: result value once finished
         self.result: Any = None
         #: arbitrary per-process scratch space for higher layers (e.g. the
@@ -107,6 +120,12 @@ class SimProcess:
     @property
     def alive(self) -> bool:
         return self.state == self._ALIVE
+
+    @property
+    def blocked_on(self) -> Optional[str]:
+        """What the process is currently blocked on (for deadlock reports)."""
+        cmd = self._blocked
+        return None if cmd is None else cmd.describe(self)
 
     def kill(self, reason: str = "killed") -> None:
         """Throw :class:`ProcessKilled` into the process at the current time.
@@ -131,21 +150,31 @@ class _HeapItem:
     resolved by C-level tuple comparison (``seq`` is unique, so the item
     object is never compared) — an order-of-magnitude cheaper than a Python
     ``__lt__`` for the hundreds of thousands of sift comparisons per run.
-    The handle's ``cancelled`` flag may be set to skip execution.
+    Setting the handle's ``cancelled`` flag skips execution.
 
-    Only *callback* events carry a ``_HeapItem``.  Process wakeups — the
+    The handle is an owner-held timer (see the module docstring) that owns
+    exactly one entry: ``_on_timer`` is the callback itself and
+    ``_timer_seq`` its entry's seq until cancelled.  Process wakeups — the
     dominant event class — ride the heap as plain tuples instead (see
     :meth:`Simulator._schedule_timeout` / the drain loop in
     :meth:`Simulator.run`), which keeps them allocation-light.
     """
 
-    __slots__ = ("time", "seq", "fn", "cancelled")
+    __slots__ = ("time", "seq", "_on_timer", "_timer_seq")
 
     def __init__(self, time: float, seq: int, fn: Callable[[], None]):
         self.time = time
         self.seq = seq
-        self.fn = fn
-        self.cancelled = False
+        self._on_timer = fn
+        self._timer_seq = seq
+
+    @property
+    def cancelled(self) -> bool:
+        return self._timer_seq != self.seq
+
+    @cancelled.setter
+    def cancelled(self, value: bool) -> None:
+        self._timer_seq = -1 if value else self.seq
 
 
 class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as attributes
@@ -164,7 +193,7 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, _HeapItem]] = []
+        self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._ids = itertools.count()
         self._processes: list[SimProcess] = []
@@ -183,7 +212,7 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
         return next(self._ids)
 
     # ----------------------------------------------------------------- events
-    def event(self, name: str = "") -> SimEvent:
+    def event(self, name: Any = "") -> SimEvent:
         return SimEvent(self, name=name)
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> _HeapItem:
@@ -239,14 +268,21 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
             heapq.heapify(heap)
         return handles
 
+    def set_timer(self, owner: Any, delay: float) -> None:
+        """(Re-)arm ``owner``'s one timer ``delay`` seconds ahead, staling
+        its earlier entry (owner-held timers: see the module docstring)."""
+        seq = next(self._seq)
+        owner._timer_seq = seq
+        heapq.heappush(self._heap, (self.now + delay, seq, owner))
+
     def _schedule_timeout(self, delay: float, proc: SimProcess, value: Any) -> None:
         """Allocation-light fast path for a cancellable Timeout wakeup.
 
         The wakeup is pushed as a plain 4-tuple ``(time, seq, proc, value)``
         — no handle object, no closure.  Cancellation is by sequence number:
         the wakeup fires only while ``proc._pending_seq`` still equals its
-        ``seq``, so :meth:`_cancel_pending` invalidates it with a single
-        integer store.  Equivalent to the historical ``schedule(delay,
+        ``seq``, so resuming or killing the process invalidates it with a
+        single integer store.  Equivalent to the historical ``schedule(delay,
         lambda: self._step(proc, value, None))`` + handle-cancel protocol,
         at a fraction of the per-event cost.
         """
@@ -305,12 +341,8 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
         """
         if not proc.alive:
             return
-        self._cancel_pending(proc)
-        self._step(proc, None, ProcessKilled(reason))
-
-    @staticmethod
-    def _cancel_pending(proc: SimProcess) -> None:
         proc._pending_seq = -1
+        self._step(proc, None, ProcessKilled(reason))
 
     def _step(self, proc: SimProcess, value: Any, exc: Optional[BaseException]) -> None:
         # ``state`` only ever holds the interned class constants, so an
@@ -318,7 +350,7 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
         if proc.state is not SimProcess._ALIVE:
             return
         proc._pending_seq = -1
-        proc.blocked_on = None
+        proc._blocked = None
         try:
             if exc is not None:
                 cmd = proc.gen.throw(exc)
@@ -343,7 +375,7 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
             bad = InvalidYield(f"{proc.name} yielded {cmd!r}; expected a simulate.Command")
             self.throw_in(proc, bad)
             return
-        proc.blocked_on = cmd.blocking_reason
+        proc._blocked = cmd
         try:
             cmd.execute(self, proc)
         except BaseException as err:  # command setup failed synchronously
@@ -378,7 +410,7 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
         # Heap entries come in three shapes, disambiguated by length (the
         # (time, seq) prefix is unique, so C-level tuple comparison never
         # reaches the payload):
-        #   3-tuple (time, seq, _HeapItem)        - generic callback
+        #   3-tuple (time, seq, owner)            - owner-held timer/callback
         #   4-tuple (time, seq, proc, value)      - cancellable Timeout wakeup
         #   5-tuple (time, seq, proc, value, exc) - spawn/resume/throw wakeup
         heap = self._heap
@@ -415,8 +447,11 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
                     proc = entry[2]
                     if proc._pending_seq != entry[1]:
                         continue
-                elif n == 3 and entry[2].cancelled:
-                    continue
+                elif n == 3:
+                    # Owner-held timer: live while its seq is the owner's.
+                    owner = entry[2]
+                    if owner._timer_seq != entry[1]:
+                        continue
                 now = self.now
                 if t > now:
                     self.now = t
@@ -427,7 +462,7 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
                 if n == 4:
                     step(proc, entry[3], None)
                 elif n == 3:
-                    entry[2].fn()
+                    owner._on_timer()
                 else:
                     step(entry[2], entry[3], entry[4])
             if failures:
@@ -446,10 +481,10 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
 
     @staticmethod
     def _entry_stale(entry: tuple) -> bool:
-        """True when a heap entry is a cancelled callback or stale wakeup."""
+        """True when a heap entry is a cancelled timer or stale wakeup."""
         n = len(entry)
         if n == 3:
-            return entry[2].cancelled
+            return entry[2]._timer_seq != entry[1]
         if n == 4:
             return entry[2]._pending_seq != entry[1]
         return False
@@ -458,7 +493,7 @@ class Simulator:  # repro: noqa[REP005] - one instance per run; hooks land as at
         return [
             f"{p.name} (waiting on {p.blocked_on})"
             for p in self._processes
-            if p.alive and p.blocked_on is not None
+            if p.alive and p._blocked is not None
         ]
 
     def _raise_failures(self) -> None:

@@ -12,7 +12,16 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Optional
 
-__all__ = ["EventState", "SimEvent"]
+__all__ = ["EventState", "SimEvent", "label_text"]
+
+
+def label_text(label: Any) -> str:
+    """Render a raw label: a ``str`` as is, a (nested) tuple as its parts
+    concatenated.  Hot paths name every message's events and flows
+    ``("recv#", 7)``; only reports and traces read them as ``"recv#7"``."""
+    if label.__class__ is str:
+        return label
+    return "".join(label_text(p) if p.__class__ is tuple else str(p) for p in label)
 
 
 class EventState(enum.Enum):
@@ -30,20 +39,25 @@ class SimEvent:
         Owning simulator.  Needed so that triggering an event can schedule
         waiter resumption at the current simulation time.
     name:
-        Optional label used in deadlock reports.
+        Optional label used in deadlock reports: a string or a raw label
+        tuple rendered by :func:`label_text` when :attr:`name` is read.
     """
 
-    __slots__ = ("sim", "name", "_state", "_value", "_exc", "_callbacks")
+    __slots__ = ("sim", "_name", "_state", "_value", "_exc", "_callbacks")
 
-    def __init__(self, sim: "Simulator", name: str = ""):  # noqa: F821
+    def __init__(self, sim: "Simulator", name: Any = ""):  # noqa: F821
         self.sim = sim
-        self.name = name or f"event#{sim._next_id()}"
+        self._name = name or ("event#", sim._next_id())
         self._state = EventState.PENDING
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._callbacks: list[Callable[["SimEvent"], None]] = []
 
     # ------------------------------------------------------------------ state
+    @property
+    def name(self) -> str:
+        return label_text(self._name)
+
     @property
     def state(self) -> EventState:
         return self._state

@@ -9,9 +9,12 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from .core import Command, SimProcess, Simulator
-from .events import SimEvent
+from .events import EventState, SimEvent
 
 __all__ = ["Timeout", "WaitEvent", "AnyOf", "AllOf", "Now", "Passivate"]
+
+_PENDING = EventState.PENDING
+_FAILED = EventState.FAILED
 
 
 class Timeout(Command):
@@ -46,7 +49,6 @@ class WaitEvent(Command):
     the current time, after already queued same-time events).
     """
 
-    blocking_reason = "event"
     __slots__ = ("event",)
 
     def __init__(self, event: SimEvent):
@@ -54,11 +56,12 @@ class WaitEvent(Command):
             raise TypeError(f"WaitEvent needs a SimEvent, got {type(event).__name__}")
         self.event = event
 
-    def execute(self, sim: Simulator, proc: SimProcess) -> None:
-        proc.blocked_on = f"event:{self.event.name}"
+    def describe(self, proc: SimProcess) -> str:
+        return f"event:{self.event.name}"
 
+    def execute(self, sim: Simulator, proc: SimProcess) -> None:
         def on_fire(ev: SimEvent) -> None:
-            if ev.failed:
+            if ev._state is _FAILED:
                 try:
                     ev.value
                 except BaseException as exc:  # noqa: BLE001
@@ -77,7 +80,6 @@ class AnyOf(Command):
     the kernel primitive underneath ``MPI_Waitany``.
     """
 
-    blocking_reason = "any-of"
     __slots__ = ("events",)
 
     def __init__(self, events: Iterable[SimEvent]):
@@ -85,8 +87,10 @@ class AnyOf(Command):
         if not self.events:
             raise ValueError("AnyOf needs at least one event")
 
+    def describe(self, proc: SimProcess) -> str:
+        return f"any-of[{len(self.events)}]"
+
     def execute(self, sim: Simulator, proc: SimProcess) -> None:
-        proc.blocked_on = f"any-of[{len(self.events)}]"
         done = False
         callbacks: list[tuple[SimEvent, Any]] = []
 
@@ -99,7 +103,7 @@ class AnyOf(Command):
                 for other, cb in callbacks:
                     if other is not ev:
                         other.discard_callback(cb)
-                if ev.failed:
+                if ev._state is _FAILED:
                     try:
                         ev.value
                     except BaseException as exc:  # noqa: BLE001
@@ -111,7 +115,7 @@ class AnyOf(Command):
 
         # Deterministic: check already-fired events in index order first.
         for i, ev in enumerate(self.events):
-            if not ev.pending:
+            if ev._state is not _PENDING:
                 make_cb(i)(ev)
                 return
         for i, ev in enumerate(self.events):
@@ -123,15 +127,16 @@ class AnyOf(Command):
 class AllOf(Command):
     """Block until *all* events fire; yields the list of their values."""
 
-    blocking_reason = "all-of"
     __slots__ = ("events",)
 
     def __init__(self, events: Iterable[SimEvent]):
         self.events = list(events)
 
+    def describe(self, proc: SimProcess) -> str:
+        return f"all-of[{len(self.events)}]"
+
     def execute(self, sim: Simulator, proc: SimProcess) -> None:
-        proc.blocked_on = f"all-of[{len(self.events)}]"
-        remaining = sum(1 for ev in self.events if ev.pending)
+        remaining = sum(1 for ev in self.events if ev._state is _PENDING)
         failed = False
 
         # Deterministic: an event that already failed surfaces its stored
@@ -139,7 +144,7 @@ class AllOf(Command):
         # pending anymore — otherwise an all-settled wait would silently
         # yield the failed events' ``None`` values.
         for ev in self.events:
-            if not ev.pending and ev.failed:
+            if ev._state is _FAILED:
                 try:
                     ev.value
                 except BaseException as exc:  # noqa: BLE001
@@ -154,7 +159,7 @@ class AllOf(Command):
             nonlocal remaining, failed
             if failed:
                 return
-            if ev.failed:
+            if ev._state is _FAILED:
                 failed = True
                 try:
                     ev.value
@@ -166,11 +171,8 @@ class AllOf(Command):
                 self._finish(sim, proc)
 
         for ev in self.events:
-            if ev.pending:
+            if ev._state is _PENDING:
                 ev.add_callback(on_fire)
-            elif ev.failed:
-                on_fire(ev)
-                return
 
     def _finish(self, sim: Simulator, proc: SimProcess) -> None:
         sim.resume(proc, [ev._value for ev in self.events])
@@ -197,12 +199,13 @@ class Passivate(Command):
     MPI processes.  An optional ``reason`` improves deadlock reports.
     """
 
-    blocking_reason = "passivate"
     __slots__ = ("reason",)
 
     def __init__(self, reason: str = "passivate"):
         self.reason = reason
 
+    def describe(self, proc: SimProcess) -> str:
+        return self.reason
+
     def execute(self, sim: Simulator, proc: SimProcess) -> None:
-        proc.blocked_on = self.reason
-        # Intentionally nothing: someone must sim.resume(proc) explicitly.
+        """Intentionally nothing: someone must ``sim.resume(proc)``."""

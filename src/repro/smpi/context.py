@@ -20,7 +20,7 @@ from typing import Any, Callable, Generator, Optional, Sequence
 
 from ..cluster.cpu import Compute, PollerToken
 from ..simulate.core import SimProcess
-from ..simulate.events import SimEvent
+from ..simulate.events import EventState, SimEvent
 from ..simulate.primitives import AllOf, AnyOf, Timeout, WaitEvent
 from . import collectives as _coll
 from .communicator import Communicator
@@ -30,6 +30,9 @@ from .errors import CommFailedError
 from .requests import RecvRequest, Request, SendRequest
 
 __all__ = ["RankCtx", "ThreadHandle"]
+
+_PENDING = EventState.PENDING
+_TRIGGERED = EventState.TRIGGERED
 
 
 class AsyncOpHandle:
@@ -107,6 +110,9 @@ class RankCtx:
         self._ep = endpoint if endpoint is not None else world.endpoints[gid]
         self.is_thread = is_thread
         self.proc: Optional[SimProcess] = None
+        #: the poller registration of this flow of control's blocking calls
+        #: (one process per context, so at most one is active at a time).
+        self._poller = PollerToken(label=f"gid{gid}")
         #: per-communicator collective sequence numbers (tag allocation).
         self._coll_seq: dict[int, int] = {}
         #: per-(kind, comm) world-op sequence numbers (spawn/merge keys).
@@ -155,7 +161,18 @@ class RankCtx:
         The payload is snapshotted immediately (MPI buffer semantics) and
         the caller is charged the fabric's per-message CPU overhead.
         """
-        comm = self._comm(comm)
+        req, msg, overhead = self._prepare_send(payload, dest, tag, comm, nbytes)
+        if overhead > 0:
+            yield Compute(overhead)
+        self.world.inject(msg, label=label)
+        return req
+
+    def _prepare_send(self, payload, dest, tag, comm, nbytes):
+        """The part of a send before its CPU overhead is charged: request,
+        snapshotted message and that overhead.  Blocking calls use it
+        directly, so each runs one generator instead of three."""
+        comm = comm if comm is not None else self.comm_world
+        gid = self.gid
         dst_gid = comm.peer_gid(dest)
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         req = SendRequest(self.sim, dst_gid, tag, size)
@@ -165,27 +182,13 @@ class RankCtx:
             # Register before injection: eager sends complete *at* inject,
             # so the mutation window closes immediately (as it should).
             san.on_isend(self, comm, dest, tag, payload, req)
-        msg = Message(
-            seq=self.world.next_chan_seq(self.gid, dst_gid),
-            ctx_id=comm.ctx_id,
-            src_gid=self.gid,
-            dst_gid=dst_gid,
-            src_rank=self._sender_rank_as_seen_by_peer(comm),
-            tag=tag,
-            payload=copy_payload(payload),
-            nbytes=size,
-            send_req=req,
-        )
-        spec = self.world.channel_spec(self.gid, dst_gid)
-        if spec.cpu_overhead > 0:
-            yield Compute(spec.cpu_overhead)
-        self.world.inject(msg, label=label)
-        return req
-
-    def _sender_rank_as_seen_by_peer(self, comm: Communicator) -> int:
         # On an intra-comm, peers see my local rank; on an inter-comm, they
         # see my rank within *their* remote group, which is my local rank.
-        return comm.rank_of_gid(self.gid)
+        msg = Message(
+            world.next_chan_seq(gid, dst_gid), comm.ctx_id, gid, dst_gid,
+            comm.rank_of_gid(gid), tag, copy_payload(payload), size, req,
+        )
+        return req, msg, world.channel_spec(gid, dst_gid).cpu_overhead
 
     def irecv(
         self,
@@ -194,46 +197,55 @@ class RankCtx:
         comm: Optional[Communicator] = None,
     ) -> Generator[Any, Any, RecvRequest]:
         """Non-blocking receive; the payload lands in ``req.data``."""
-        comm = self._comm(comm)
+        return self._post_recv(source, tag, comm)
+        yield  # pragma: no cover - keeps this a generator for API symmetry
+
+    def _post_recv(self, source, tag, comm) -> RecvRequest:
+        """:meth:`irecv`'s body as a plain call (it never blocks)."""
+        comm = comm if comm is not None else self.comm_world
         req = RecvRequest(self.sim, comm, source, tag)
-        self._ep.enter_progress()
+        ep = self._ep
+        ep.enter_progress()
         try:
-            self._ep.post_recv(req)
+            ep.post_recv(req)
         finally:
-            self._ep.exit_progress()
-        san = self.world.sanitizer
+            ep.exit_progress()
+        world = self.world
+        san = world._sanitizer if world.observed else None
         if san is not None:
             san.on_irecv(self, comm, source, tag, req)
         # A receive that found nothing already arrived and names a dead
         # source, or sits on a communicator recovery abandoned (its peers
         # left the session), can never match: complete it in error now
         # (after post_recv, so a buffered eager payload still wins the race).
-        if req.done.pending:
+        if req.done._state is _PENDING:
             err = None
-            if comm.ctx_id in self.world.aborted_ctxs:
+            if comm.ctx_id in world.aborted_ctxs:
                 err = CommFailedError(f"receive on aborted {comm.name}")
-            elif source != ANY_SOURCE and comm.peer_gid(source) in self.world.dead_gids:
+            elif source != ANY_SOURCE and comm.peer_gid(source) in world.dead_gids:
                 err = CommFailedError(
                     f"receive from dead rank {source} of {comm.name}",
                     dead_gids=[comm.peer_gid(source)],
                 )
             if err is not None:
-                if req in self._ep.posted:
-                    self._ep.posted.remove(req)
+                if req in ep.posted:
+                    ep.posted.remove(req)
                 req._fail(err)
         return req
-        yield  # pragma: no cover - keeps this a generator for API symmetry
 
     def send(self, payload, dest, tag=0, comm=None, nbytes=None, label=""):
         """Blocking send (isend + wait)."""
-        req = yield from self.isend(payload, dest, tag, comm, nbytes, label)
-        yield from self.wait(req)
+        req, msg, overhead = self._prepare_send(payload, dest, tag, comm, nbytes)
+        if overhead > 0:
+            yield Compute(overhead)
+        self.world.inject(msg, label=label)
+        yield from self._polling_block(WaitEvent(req.done), (req,))
         return req
 
     def recv(self, source=ANY_SOURCE, tag=ANY_TAG, comm=None):
         """Blocking receive; returns the payload (status on the request)."""
-        req = yield from self.irecv(source, tag, comm)
-        yield from self.wait(req)
+        req = self._post_recv(source, tag, comm)
+        yield from self._polling_block(WaitEvent(req.done), (req,))
         return req.data
 
     def sendrecv(
@@ -248,9 +260,19 @@ class RankCtx:
         label: str = "",
     ):
         """Simultaneous blocking send+recv (deadlock-free pairwise step)."""
-        sreq = yield from self.isend(payload, dest, tag, comm, nbytes, label)
-        rreq = yield from self.irecv(source, tag if recv_tag is None else recv_tag, comm)
-        yield from self.waitall([sreq, rreq])
+        sreq, msg, overhead = self._prepare_send(payload, dest, tag, comm, nbytes)
+        if overhead > 0:
+            yield Compute(overhead)
+        self.world.inject(msg, label=label)
+        rreq = self._post_recv(source, tag if recv_tag is None else recv_tag, comm)
+        if sreq.done._state is _TRIGGERED:
+            # The eager send already completed: waiting on the receive alone
+            # resumes at the same instant and fails the same way.
+            yield from self._polling_block(WaitEvent(rreq.done), (rreq,))
+        else:
+            yield from self._polling_block(
+                AllOf([sreq.done, rreq.done]), [sreq, rreq]
+            )
         return rreq.data
 
     # ---------------------------------------------------------------- waits
@@ -261,7 +283,7 @@ class RankCtx:
         ``reqs`` (optional) names the requests being waited on so an
         attached sanitizer can draw wait-for-graph edges on deadlock."""
         self._ep.enter_progress()
-        tok = PollerToken(label=f"gid{self.gid}")
+        tok = self._poller
         self.node.add_poller(tok)
         t0 = self.sim.now
         world = self.world
@@ -749,7 +771,7 @@ class RankCtx:
                 else:
                     apply()
 
-            if deferred and not dst_ep.progress_active:
+            if deferred and not dst_ep.progress:
                 dst_ep.pending_rma.append(begin)
                 m = world.metrics
                 if m is not None:
@@ -836,7 +858,7 @@ class RankCtx:
 
                 back.add_callback(landed)
 
-            if deferred and not dst_ep.progress_active:
+            if deferred and not dst_ep.progress:
                 dst_ep.pending_rma.append(serve)
                 m = world.metrics
                 if m is not None:

@@ -116,23 +116,9 @@ class Endpoint:  # repro: noqa[REP005] - one per rank (not per message); queues 
         self._reorder: dict[int, dict[int, tuple[str, Message]]] = {}
 
     # ------------------------------------------------------------- progress
-    @property
-    def progress_active(self) -> bool:
-        return self.progress > 0
-
     def enter_progress(self) -> None:
+        """Enter MPI and drive every handshake that was waiting for it."""
         self.progress += 1
-        self._pump()
-
-    def exit_progress(self) -> None:
-        if self.progress <= 0:
-            raise RuntimeError(f"gid {self.gid}: unbalanced exit_progress")
-        self.progress -= 1
-
-    def _pump(self) -> None:
-        """Drive every handshake that was waiting for us to enter MPI."""
-        if not self.progress_active:
-            return
         # Sender side: CTSs that arrived while we computed.
         while self.pending_cts:
             msg = self.pending_cts.pop(0)
@@ -145,6 +131,11 @@ class Endpoint:  # repro: noqa[REP005] - one per rank (not per message); queues 
             req = self._find_posted(msg)
             if req is not None:
                 self._claim(msg, req)
+
+    def exit_progress(self) -> None:
+        if self.progress <= 0:
+            raise RuntimeError(f"gid {self.gid}: unbalanced exit_progress")
+        self.progress -= 1
 
     # -------------------------------------------------------------- matching
     def _find_posted(self, msg: Message) -> Optional[RecvRequest]:
@@ -241,14 +232,14 @@ class Endpoint:  # repro: noqa[REP005] - one per rank (not per message); queues 
                 self.unexpected.append(msg)
         else:  # rendezvous announcement becomes matchable
             self.pending_rts.append(msg)
-            if self.progress_active:
+            if self.progress:
                 req = self._find_posted(msg)
                 if req is not None:
                     self._claim(msg, req)
 
     def cts_arrived(self, msg: Message) -> None:
         """(Sender side) the receiver is ready for our payload."""
-        if self.progress_active:
+        if self.progress:
             self.world._start_payload(msg)
         else:
             self.pending_cts.append(msg)

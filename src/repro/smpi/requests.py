@@ -11,7 +11,7 @@ import itertools
 from typing import Any, Iterable, Optional
 
 from ..simulate.core import Simulator
-from ..simulate.events import SimEvent
+from ..simulate.events import EventState, SimEvent
 from .datatypes import ANY_SOURCE, ANY_TAG
 from .status import Status
 
@@ -22,6 +22,8 @@ __all__ = ["Request", "SendRequest", "RecvRequest", "MultiRequest"]
 #: sanitizer is attached it observes reads of still-pending receive
 #: buffers (rule SAN002).
 _SANITIZER = None
+
+_PENDING = EventState.PENDING
 
 
 class Request:
@@ -34,7 +36,7 @@ class Request:
     def __init__(self, sim: Simulator, kind: str):
         self.req_id = next(Request._ids)
         self.kind = kind
-        self.done: SimEvent = sim.event(name=f"{kind}#{self.req_id}")
+        self.done = SimEvent(sim, (kind, "#", self.req_id))
         #: payload delivered to a receive (None for sends).
         self._data: Any = None
         #: envelope of a completed receive.
@@ -53,10 +55,6 @@ class Request:
             _SANITIZER.on_data_read(self)
         return self._data
 
-    @data.setter
-    def data(self, value: Any) -> None:
-        self._data = value
-
     @property
     def completed(self) -> bool:
         return self.done.triggered
@@ -66,16 +64,16 @@ class Request:
         return self.done.failed
 
     def _complete(self, data: Any = None, status: Optional[Status] = None) -> None:
-        if not self.done.pending:  # already failed (peer death raced us)
+        if self.done._state is not _PENDING:  # already failed (peer death raced us)
             return
-        self.data = data
+        self._data = data
         self.status = status
         self.done.trigger(self)
 
     def _fail(self, exc: BaseException) -> None:
         """Complete this request *in error* (peer died).  Idempotent: a
         request that already completed or failed is left untouched."""
-        if not self.done.pending:
+        if self.done._state is not _PENDING:
             return
         self.error = exc
         self.done.fail(exc)

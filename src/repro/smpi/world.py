@@ -253,14 +253,14 @@ class MpiWorld:
             msg.protocol = "eager"
             msg.send_req._complete(None)
             ev = machine.transfer(
-                src_node, dst_node, msg.nbytes, label=f"eager:{msg.msg_id}"
+                src_node, dst_node, msg.nbytes, label=("eager:", msg.msg_id)
             )
             ev.add_callback(lambda _ev: self._eager_arrived(msg, spec))
         else:
             msg.protocol = "rndv"
             self._inflight[msg.msg_id] = msg
             ev = machine.transfer(
-                src_node, dst_node, 0, label=f"rts:{msg.msg_id}"
+                src_node, dst_node, 0, label=("rts:", msg.msg_id)
             )
             ev.add_callback(lambda _ev: self._rts_arrived(msg))
 
@@ -294,13 +294,13 @@ class MpiWorld:
             return
         dst_node = self.endpoints[msg.dst_gid].node
         dst_node.submit(msg.nbytes / spec.copy_rate, deliver,
-                        label=f"rxcopy:{msg.msg_id}")
+                        label=("rxcopy:", msg.msg_id))
 
     def _send_cts(self, msg: Message) -> None:
         src_ep = self.endpoints[msg.src_gid]
         dst_ep = self.endpoints[msg.dst_gid]
         ev = self.machine.transfer(
-            dst_ep.node, src_ep.node, 0, label=f"cts:{msg.msg_id}"
+            dst_ep.node, src_ep.node, 0, label=("cts:", msg.msg_id)
         )
         ev.add_callback(lambda _ev: self._cts_arrived(msg))
 
@@ -326,7 +326,7 @@ class MpiWorld:
         dst_ep = self.endpoints[msg.dst_gid]
         spec = self.channel_spec(msg.src_gid, msg.dst_gid)
         ev = self.machine.transfer(
-            src_ep.node, dst_ep.node, msg.nbytes, label=f"data:{msg.msg_id}"
+            src_ep.node, dst_ep.node, msg.nbytes, label=("data:", msg.msg_id)
         )
         ev.add_callback(lambda _ev: self._payload_arrived(msg, spec))
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster.machine import Machine
+from ..simulate.events import label_text
 
 __all__ = ["TraceEvent", "Tracer"]
 
@@ -82,6 +83,7 @@ class Tracer:
         def traced_start_flow(route, size, latency=0.0, label=""):
             t0 = sim.now
             ev = orig(route, size, latency=latency, label=label)
+            label = label_text(label)
             if tracer._keep(label):
                 lane = route[0].name.split(".")[0] if route else "net"
 
@@ -104,6 +106,7 @@ class Tracer:
 
         def traced_submit(work, on_done, label=""):
             t0 = sim.now
+            label = label_text(label)
 
             def wrapped_done():
                 if tracer._keep(label):
