@@ -118,9 +118,6 @@ class Machine:
             raise ValueError(f"slot must be >= 0, got {slot}")
         return self.nodes[(slot // self.cores_per_node) % self.n_nodes]
 
-    def nodes_for_slots(self, n_slots: int) -> list[Node]:
-        return [self.node_for_slot(s) for s in range(n_slots)]
-
     def nodes_touched(self, n_slots: int) -> int:
         """⌈N/cores⌉ nodes, clamped to the machine size (paper §4.3)."""
         return min(self.n_nodes, math.ceil(n_slots / self.cores_per_node))

@@ -10,8 +10,8 @@ re-run the CLI) costs milliseconds instead of minutes.
 
 Keying — the cache token concatenates, in order:
 
-* :data:`CACHE_VERSION` (bump on any wire/semantic change in this file or
-  :data:`~repro.harness.executor.WIRE_FIELDS`);
+* :data:`CACHE_VERSION` (bump on any entry-format or cell-semantics
+  change the other components cannot see);
 * the observability **schema fingerprint**
   (:func:`repro.obs.schema.schema_fingerprint`) — metrics-shape changes
   invalidate every entry that carries a metrics document;
@@ -21,16 +21,20 @@ Keying — the cache token concatenates, in order:
 * the ``repr`` of the base synthetic config and of the scale preset, so
   edited workloads or presets never serve stale entries.
 
-Entries are one JSON file per cell named by the SHA-256 of the token;
-the full token is stored *inside* the entry and verified on load, so a
-(astronomically unlikely) prefix collision or a corrupt/truncated file
-degrades to a cache miss, never a wrong result.  Writes are atomic
+Entries are one JSON file per cell named by the SHA-256 of the token,
+holding the cell's results-CSV row
+(:func:`~repro.harness.runner.result_to_row`) and its metrics document.
+The full token is stored *inside* the entry and verified on load, so a
+(astronomically unlikely) prefix collision, a corrupt/truncated file or
+a row that is not exactly one full CSV record degrades to a cache miss,
+never a wrong result.  Writes are atomic
 (tempfile + ``os.replace``), so concurrent sweeps sharing a cache
 directory cannot observe torn entries.
 
-Values round-trip exactly: Python's ``json`` serializes floats with
-``repr`` and parses them back bit-for-bit, and ints stay ints — which is
-what makes a cached sweep's CSV **byte-identical** to an uncached one.
+Values round-trip exactly: the row holds each field's ``str`` (a float's
+``repr``), which the CSV reader parses back bit-for-bit with ints staying
+ints — which is what makes a cached sweep's CSV **byte-identical** to an
+uncached one.
 
 Sanitized sweeps bypass the cache entirely (findings are about the run,
 not the result, and must be regenerated), as does anything the caller
@@ -48,16 +52,16 @@ from typing import Optional, Union
 
 __all__ = ["CACHE_VERSION", "CellCache"]
 
-#: Bump to invalidate every existing cache entry (wire-format or cell
+#: Bump to invalidate every existing cache entry (entry-format or cell
 #: semantics changes that the schema fingerprint cannot see).
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Field separator inside the token (never appears in any component).
 _SEP = "\x1f"
 
 
 class CellCache:
-    """Directory-backed memo of ``(wire, metrics_doc)`` per sweep cell."""
+    """Directory-backed memo of ``(RunResult, metrics_doc)`` per sweep cell."""
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
@@ -106,38 +110,40 @@ class CellCache:
 
     # ------------------------------------------------------------ get/put
     def get(self, spec, base, with_metrics: bool):
-        """Return ``(wire, metrics_doc)`` or ``None`` on any miss.
+        """Return ``(RunResult, metrics_doc)`` or ``None`` on any miss.
 
-        Corrupt, truncated, stale-version or token-mismatched entries are
-        misses — the cache never guesses.
+        Corrupt, truncated, stale-version or token-mismatched entries, and
+        rows that are not one full CSV record, are misses — the cache
+        never guesses.
         """
+        from .runner import CSV_COLUMNS, result_from_row
+
         tok = self.token(spec, base, with_metrics)
-        path = self._path(tok)
         try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("v") != CACHE_VERSION
-            or entry.get("key") != tok
-            or not isinstance(entry.get("wire"), list)
-        ):
+            entry = json.loads(self._path(tok).read_text())
+            if entry["v"] != CACHE_VERSION or entry["key"] != tok:
+                raise ValueError("stale or foreign entry")
+            row = entry["row"]
+            if not isinstance(row, list) or len(row) != len(CSV_COLUMNS):
+                raise ValueError("not one full CSV record")
+            hit = result_from_row(dict(zip(CSV_COLUMNS, row))), entry["metrics"]
+        except (OSError, ValueError, TypeError, KeyError):
             self.misses += 1
             return None
         self.hits += 1
-        return tuple(entry["wire"]), entry.get("metrics")
+        return hit
 
-    def put(self, spec, base, with_metrics: bool, wire, doc) -> None:
+    def put(self, spec, base, with_metrics: bool, result, doc) -> None:
         """Persist one completed cell atomically (tmp file + replace)."""
+        from .runner import result_to_row
+
         tok = self.token(spec, base, with_metrics)
         path = self._path(tok)
         self.root.mkdir(parents=True, exist_ok=True)
         entry = {
             "v": CACHE_VERSION,
             "key": tok,
-            "wire": list(wire),
+            "row": result_to_row(result),
             "metrics": doc,
         }
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")

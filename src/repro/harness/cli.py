@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from ..malleability.config import ALL_CONFIGS
+from ..sanitize import static_check
 from ..synthetic.presets import SCALES
 from .experiments import EXPERIMENTS, pairs_for
 from .expmd import experiments_markdown
@@ -224,22 +225,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_verify_plans(args) -> int:
-    """Static plan & protocol verifier sweep (docs/sanitizer.md)."""
-    from ..sanitize.static_check import main as static_main
-
-    argv = []
-    for flag in ("rows", "resizes", "configs", "format", "max_wall"):
-        value = getattr(args, flag)
-        if value is not None:
-            argv += [f"--{flag.replace('_', '-')}", str(value)]
-    if args.extended:
-        argv.append("--extended")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return static_main(argv)
-
-
 def cmd_rmsim(args) -> int:
     """Trace-driven datacenter RMS simulation (docs/rmsim.md)."""
     from ..analysis.rmsim_summary import schedule_summary, summary_json
@@ -338,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--cache", default=".repro-cache", metavar="DIR",
         help="cell-result cache directory (default: .repro-cache); cache "
-        "hits replay a cell's exact wire scalars and metrics document, so "
+        "hits replay a cell's exact result row and metrics document, so "
         "cached sweeps stay byte-identical to fresh ones",
     )
     p_run.add_argument(
@@ -474,23 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-plans",
         help="statically verify the redistribution schedules of the config "
         "matrix (STA0xx rules, no simulation; docs/sanitizer.md)",
+        description="Static plan & protocol verifier (STA0xx): prove the "
+        "redistribution schedules of the config matrix correct without "
+        "executing the simulator; exit code 1 when findings exist.",
     )
-    p_ver.add_argument("--rows", default=None, metavar="N,N,...",
-                       help="row-count grid (default: 96,1000,4096)")
-    p_ver.add_argument("--resizes", default=None, metavar="NS:NT,...",
-                       help="grow/shrink/equal resizes (default: 4:8,8:4,6:6)")
-    p_ver.add_argument("--configs", default=None, metavar="KEYS",
-                       help="comma-separated config keys, or 'all'")
-    p_ver.add_argument("--extended", action="store_true",
-                       help="also verify target-driven RMA and "
-                       "movement-minimising plans")
-    p_ver.add_argument("--format", choices=["text", "json"], default=None)
-    p_ver.add_argument("--max-wall", type=float, default=None,
-                       metavar="SECONDS",
-                       help="fail if the sweep takes longer (CI budget gate)")
-    p_ver.add_argument("--list-rules", action="store_true",
-                       help="print the STA rule catalog and exit")
-    p_ver.set_defaults(fn=cmd_verify_plans)
+    static_check.add_arguments(p_ver)
+    p_ver.set_defaults(fn=static_check.run)
     return parser
 
 

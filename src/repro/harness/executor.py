@@ -10,12 +10,12 @@ processes and the pipes) and the cell cache:
 * **the deal** — :func:`make_chunks` strides the pending cells into
   ``min(n_cells, workers * 4)`` index lists that the fleet hands out
   round-robin, which fixes the cells each worker runs and their order;
-* **a compact wire format** — a worker returns 13 scalars per cell
-  (:data:`WIRE_FIELDS`); everything else in a :class:`RunResult` is
-  reconstructed parent-side from the :class:`RunSpec` the parent already
-  holds.  The same wire tuples feed the cell cache, so cached, parallel
-  and sequential sweeps all materialize rows through one code path and
-  stay byte-identical.
+* **one cell result** — :func:`run_cell` returns the cell's
+  :class:`~repro.harness.runner.RunResult` with its metrics document and
+  sanitizer findings; the fleet pipe carries that triple as is, and the
+  cell cache stores the result's CSV row, so cached, parallel and
+  sequential sweeps all serialize through one schema and stay
+  byte-identical.
 
 Failures keep their provenance: a cell raising inside a worker (or a
 worker dying mid-sweep) surfaces as :class:`SweepCellError` naming the
@@ -29,34 +29,11 @@ import os
 from typing import Optional, Sequence, Union
 
 __all__ = [
-    "WIRE_FIELDS",
     "SweepCellError",
     "resolve_workers",
-    "result_to_wire",
-    "wire_to_result",
     "run_cell",
     "make_chunks",
 ]
-
-#: The 13 per-cell scalars a worker ships back (everything else in a
-#: RunResult is spec-derived).  Order is a wire format: the cell cache
-#: persists tuples in this order, so reordering invalidates caches —
-#: bump :data:`repro.harness.cache.CACHE_VERSION` if you must.
-WIRE_FIELDS = (
-    "reconfig_time",
-    "app_time",
-    "spawn_time",
-    "overlapped_iterations",
-    "total_iterations",
-    "rms_decision_time",
-    "plan_build_time",
-    "redist_time",
-    "commit_time",
-    "redist_bytes",
-    "peak_oversubscription",
-    "retries",
-    "recovery_time",
-)
 
 
 class SweepCellError(RuntimeError):
@@ -112,38 +89,8 @@ def resolve_workers(workers: Union[int, str, None], total: int) -> Optional[int]
     return workers
 
 
-# --------------------------------------------------------------- wire format
-def result_to_wire(result) -> tuple:
-    """Collapse a RunResult to its 13 non-spec scalars (wire order)."""
-    return tuple(getattr(result, f) for f in WIRE_FIELDS)
-
-
-def wire_to_result(spec, wire: Sequence):
-    """Rebuild the full RunResult from its spec + wire scalars.
-
-    Lossless by construction: every RunResult field is either one of the
-    13 wire scalars or copied verbatim from the spec by
-    :func:`~repro.harness.runner.run_one` — so
-    ``wire_to_result(spec, result_to_wire(run_one(spec))) == run_one(spec)``.
-    """
-    from .runner import RunResult
-
-    kw = dict(zip(WIRE_FIELDS, wire))
-    return RunResult(
-        ns=spec.ns,
-        nt=spec.nt,
-        config=spec.config,
-        fabric=spec.fabric,
-        scale=spec.scale,
-        rep=spec.rep,
-        plan_mode=spec.plan_mode,
-        faults=spec.faults,
-        **kw,
-    )
-
-
 def run_cell(spec, base, with_metrics: bool, sanitize: bool):
-    """Run one cell; return ``(wire, metrics_doc | None, findings | None)``.
+    """Run one cell; return ``(result, metrics_doc | None, findings | None)``.
 
     The single cell-execution path shared by the sequential loop, the
     pool workers and the cache-fill: everything downstream (CSV rows,
@@ -169,7 +116,7 @@ def run_cell(spec, base, with_metrics: bool, sanitize: bool):
         if san is not None
         else None
     )
-    return result_to_wire(result), doc, found
+    return result, doc, found
 
 
 def make_chunks(indices: Sequence[int], workers: int) -> list[list[int]]:

@@ -38,7 +38,7 @@ keeps the workers alive across sweeps and merges streamed results.
 Lifecycle::
 
     fleet = get_fleet(base, workers)     # spawn once (or reuse, or heal)
-    for i, wire, doc, found in fleet.run_cells(specs, idx, m, s):
+    for i, result, doc, found in fleet.run_cells(specs, idx, m, s):
         ...                              # completion order, streamed
     shutdown_fleet()                     # sentinel message + join
 
@@ -73,7 +73,7 @@ __all__ = [
 def _fleet_worker(conn, base):
     """Worker main loop: serve one task message per sweep until ``None``.
 
-    Each owed cell answers ``(index, (wire, doc, found))``, or ``(index,
+    Each owed cell answers ``(index, (result, doc, found))``, or ``(index,
     SweepCellError)`` when it raised — the worker itself keeps serving,
     which is what lets a fleet survive a bad cell.
     """
@@ -201,7 +201,7 @@ class WorkerFleet:
         with_metrics: bool,
         sanitize: bool,
     ) -> Iterator[tuple]:
-        """Stream ``(index, wire, doc, found)`` for every pending cell.
+        """Stream ``(index, result, doc, found)`` for every pending cell.
 
         Chunks are strided (:func:`~repro.harness.executor.make_chunks`)
         and dealt round-robin, so the master knows exactly which cells

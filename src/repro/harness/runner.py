@@ -21,9 +21,9 @@ import contextlib
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ..cluster.fabrics import fabric_by_name
 from ..cluster.machine import Machine
@@ -41,6 +41,9 @@ __all__ = [
     "RunSpec",
     "RunResult",
     "ResultSet",
+    "CSV_COLUMNS",
+    "result_to_row",
+    "result_from_row",
     "run_one",
     "run_sweep",
     "sweep_specs",
@@ -238,9 +241,10 @@ def run_one(
         probe.finalize(stats)
     rec = stats.last_reconfig
     bd = rec.breakdown
-    redist_bytes = sum(
+    # float() even for an empty sum: the cache reads the column back as one.
+    redist_bytes = float(sum(
         v for k, v in world.bytes_by_label.items() if k.startswith("reconf")
-    )
+    ))
     peak_over = max(
         (n.peak_demand / n.cores for n in machine.nodes), default=0.0
     )
@@ -371,64 +375,11 @@ class ResultSet:
         )
 
     # ------------------------------------------------------------------- CSV
-    #: explicit column order: the original layout with the breakdown
-    #: columns appended, so old CSVs load and new CSVs stay diffable.
-    _FIELDS = [
-        "ns",
-        "nt",
-        "config_key",
-        "fabric",
-        "scale",
-        "rep",
-        "reconfig_time",
-        "app_time",
-        "spawn_time",
-        "overlapped_iterations",
-        "total_iterations",
-        "plan_mode",
-        "rms_decision_time",
-        "plan_build_time",
-        "redist_time",
-        "commit_time",
-        "redist_bytes",
-        "peak_oversubscription",
-        "faults",
-        "retries",
-        "recovery_time",
-    ]
-
-    @staticmethod
-    def _row_of(r: RunResult) -> list:
-        return [
-            r.ns,
-            r.nt,
-            r.config.key,  # serialized under the stable 'config_key' column
-            r.fabric,
-            r.scale,
-            r.rep,
-            r.reconfig_time,
-            r.app_time,
-            r.spawn_time,
-            r.overlapped_iterations,
-            r.total_iterations,
-            r.plan_mode,
-            r.rms_decision_time,
-            r.plan_build_time,
-            r.redist_time,
-            r.commit_time,
-            r.redist_bytes,
-            r.peak_oversubscription,
-            r.faults,
-            r.retries,
-            r.recovery_time,
-        ]
-
     def to_csv(self, path: Union[str, Path, None] = None) -> str:
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow(self._FIELDS)
-        for r in self.results:
-            writer.writerow(self._row_of(r))
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(result_to_row(r) for r in self.results)
         text = out.getvalue()
         if path is not None:
             Path(path).write_text(text)
@@ -441,37 +392,41 @@ class ResultSet:
             if isinstance(source, Path) or "\n" not in str(source)
             else str(source)
         )
-        reader = csv.DictReader(io.StringIO(text))
-        results = []
-        for row in reader:
-            results.append(
-                RunResult(
-                    ns=int(row["ns"]),
-                    nt=int(row["nt"]),
-                    config=row["config_key"],
-                    fabric=row["fabric"],
-                    scale=row["scale"],
-                    rep=int(row["rep"]),
-                    reconfig_time=float(row["reconfig_time"]),
-                    app_time=float(row["app_time"]),
-                    spawn_time=float(row["spawn_time"]),
-                    overlapped_iterations=int(row["overlapped_iterations"]),
-                    total_iterations=int(row["total_iterations"]),
-                    plan_mode=row.get("plan_mode", "block"),
-                    rms_decision_time=float(row.get("rms_decision_time", 0.0)),
-                    plan_build_time=float(row.get("plan_build_time", 0.0)),
-                    redist_time=float(row.get("redist_time", 0.0)),
-                    commit_time=float(row.get("commit_time", 0.0)),
-                    redist_bytes=float(row.get("redist_bytes", 0.0)),
-                    peak_oversubscription=float(
-                        row.get("peak_oversubscription", 0.0)
-                    ),
-                    faults=row.get("faults", ""),
-                    retries=int(row.get("retries", 0)),
-                    recovery_time=float(row.get("recovery_time", 0.0)),
-                )
-            )
-        return cls(results)
+        rows = csv.DictReader(io.StringIO(text))
+        return cls(result_from_row(row) for row in rows)
+
+
+#: The CSV schema is :class:`RunResult` itself: one column per field in
+#: declaration order (the original layout with the breakdown columns
+#: appended), ``config`` serialized under its stable ``config_key`` name.
+_RESULT_FIELDS = fields(RunResult)
+CSV_COLUMNS = tuple(
+    "config_key" if f.name == "config" else f.name for f in _RESULT_FIELDS
+)
+#: the original columns every results CSV has; later ones may be absent.
+_REQUIRED_COLUMNS = 11
+#: text -> value by field annotation (a string under postponed evaluation);
+#: ``str`` for the rest, ``config`` included (RunResult parses the key).
+_PARSERS = {"int": int, "float": float}
+
+
+def result_to_row(r: RunResult) -> list[str]:
+    """One CSV record (``str`` of each field, so floats keep their repr)."""
+    return [
+        r.config.key if f.name == "config" else str(getattr(r, f.name))
+        for f in _RESULT_FIELDS
+    ]
+
+
+def result_from_row(row: Mapping[str, Optional[str]]) -> RunResult:
+    """Parse one record keyed by :data:`CSV_COLUMNS`.  A missing original
+    column raises ``KeyError``; a missing later one takes its default."""
+    kw = {}
+    for k, (f, col) in enumerate(zip(_RESULT_FIELDS, CSV_COLUMNS)):
+        text = row[col] if k < _REQUIRED_COLUMNS else row.get(col)
+        if text is not None:
+            kw[f.name] = _PARSERS.get(f.type, str)(text)
+    return RunResult(**kw)
 
 
 def sweep_specs(
@@ -555,11 +510,11 @@ def run_sweep(
     cache:
         ``None`` (default) disables caching.  A path or
         :class:`repro.harness.cache.CellCache` memoizes completed cells
-        on disk; cache hits reproduce the exact wire scalars and metrics
+        on disk; cache hits reproduce the exact result row and metrics
         documents of a fresh run, so cached sweeps stay byte-identical.
     """
     from .cache import CellCache
-    from .executor import resolve_workers, run_cell, wire_to_result
+    from .executor import resolve_workers, run_cell
 
     preset = SCALES[scale]
     reps = repetitions if repetitions is not None else preset.repetitions
@@ -572,7 +527,7 @@ def run_sweep(
     # Grid-indexed gather targets; every execution style fills these and
     # the rows/merges below derive from them, which is what keeps
     # sequential / parallel / cached sweeps byte-identical.
-    wires: list = [None] * total
+    results: list = [None] * total
     docs: list = [None] * total
     found: list = [None] * total
 
@@ -582,7 +537,7 @@ def run_sweep(
         for i, spec in enumerate(specs):
             hit = cache_obj.get(spec, base, with_metrics)
             if hit is not None:
-                wires[i], docs[i] = hit
+                results[i], docs[i] = hit
             else:
                 pending.append(i)
 
@@ -613,7 +568,7 @@ def run_sweep(
             return
         from ..obs import MetricsRegistry
 
-        while frontier < total and wires[frontier] is not None:
+        while frontier < total and results[frontier] is not None:
             metrics.merge(MetricsRegistry.from_dict(docs[frontier]))
             frontier += 1
 
@@ -624,7 +579,7 @@ def run_sweep(
         done = 0
         if progress is not None:
             for i in range(total):
-                if wires[i] is not None:
+                if results[i] is not None:
                     done += 1
                     _report(done, specs[i])
         _absorb()
@@ -634,10 +589,10 @@ def run_sweep(
         # closing(): if this loop's body raises, the fleet stops the
         # workers that still owe cells now, not when the frame is freed.
         with contextlib.closing(cells):
-            for i, wire, doc, cell_found in cells:
-                wires[i], docs[i], found[i] = wire, doc, cell_found
+            for i, result, doc, cell_found in cells:
+                results[i], docs[i], found[i] = result, doc, cell_found
                 if cache_obj is not None:
-                    cache_obj.put(specs[i], base, with_metrics, wires[i], docs[i])
+                    cache_obj.put(specs[i], base, with_metrics, result, doc)
                 _absorb()
                 done += 1
                 if progress is not None:
@@ -645,12 +600,12 @@ def run_sweep(
     else:
         for done, spec in enumerate(specs, start=1):
             i = done - 1
-            if wires[i] is None:
-                wires[i], docs[i], found[i] = run_cell(
+            if results[i] is None:
+                results[i], docs[i], found[i] = run_cell(
                     spec, base, with_metrics, sanitize
                 )
                 if cache_obj is not None:
-                    cache_obj.put(spec, base, with_metrics, wires[i], docs[i])
+                    cache_obj.put(spec, base, with_metrics, results[i], docs[i])
             if progress is not None:
                 _report(done, spec)
     _absorb()
@@ -662,9 +617,7 @@ def run_sweep(
             for d in cell or ():
                 findings.append(Finding(**d))
     _raise_if_findings(findings)
-    return ResultSet(
-        [wire_to_result(spec, wires[i]) for i, spec in enumerate(specs)]
-    )
+    return ResultSet(results)
 
 
 def _cell_key(spec: RunSpec) -> str:

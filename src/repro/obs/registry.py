@@ -297,11 +297,6 @@ class MetricsRegistry:
         )
 
     # ----------------------------------------------------------------- export
-    @staticmethod
-    def _json_safe(v: float) -> object:
-        """None for the +-inf placeholders of empty aggregates."""
-        return None if isinstance(v, float) and not math.isfinite(v) else v
-
     def to_dict(self) -> dict:
         """Deterministic (sorted-key) plain-dict export; see obs.schema."""
         return {

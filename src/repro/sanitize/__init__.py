@@ -13,11 +13,11 @@ Three complementary checkers for the simulated stack:
   enforces the repo's determinism invariants (no wall-clock, no unseeded
   randomness — direct or via local call chains, no bare-set iteration,
   no bare ``except``, ``__slots__`` and immutable defaults on hot-path
-  classes, no dropped isend/irecv requests, struct arity and
-  dict-ordering discipline at the wire boundary).
+  classes, no dropped isend/irecv requests, dict-ordering discipline at
+  the wire boundary).
 * :mod:`repro.sanitize.static_check` (static, rules ``STA0xx``): the
-  plan & protocol verifier, run as ``python -m repro.sanitize.static``
-  or ``repro-harness verify-plans``.  It proves redistribution plans
+  plan & protocol verifier, run as ``repro-harness verify-plans``.  It
+  proves redistribution plans
   conserve bytes and tile both layouts, then symbolically elaborates the
   P2P/COL/RMA message schedules and checks tag matching, collective
   symmetry, deadlock freedom and RMA epoch discipline — before any

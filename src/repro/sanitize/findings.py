@@ -64,8 +64,6 @@ REP_RULES: dict[str, str] = {
               "requests, messages are allocated at very high rates)",
     "REP006": "isend/irecv result discarded or never waited/tested: the "
               "request can never be completed-checked (leak at finalize)",
-    "REP007": "struct pack/unpack arity mismatch: argument count does not "
-              "match the field count of the literal struct format",
     "REP008": "dict-iteration order leaked into a wire/CSV record: sort the "
               "view (or use an explicit ordering) before serialising",
     "REP009": "unseeded randomness reachable through a local call chain "
@@ -75,7 +73,7 @@ REP_RULES: dict[str, str] = {
 }
 
 #: static plan/protocol rules — detected by
-#: ``python -m repro.sanitize.static`` without executing the simulator.
+#: ``repro-harness verify-plans`` without executing the simulator.
 STA_RULES: dict[str, str] = {
     "STA001": "plan conservation violation: bytes/rows sent by sources do "
               "not equal bytes/rows received by targets",

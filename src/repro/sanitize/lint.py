@@ -10,13 +10,11 @@ that keep it that way::
     python -m repro.sanitize.lint --check-noqa src/ # also flag stale noqa
 
 Two passes per file: a symbol-table pass (:class:`_ModuleIndex`) records
-import bindings, ``struct.Struct`` wire formats and the module-local call
-graph (with its transitive unseeded-RNG closure); the checking pass
-(:class:`_Visitor`) then consults that table, which is what lets REP007
-check ``pack``/``unpack`` arity against formats defined elsewhere in the
-module, REP008 follow dict views through local variables into wire sinks,
-and REP009 flag call *sites* whose callee only reaches unseeded
-randomness transitively.
+import bindings and the module-local call graph (with its transitive
+unseeded-RNG closure); the checking pass (:class:`_Visitor`) then
+consults that table, which is what lets REP009 flag call *sites* whose
+callee only reaches unseeded randomness transitively.  REP008 follows
+dict views through local variables into wire sinks.
 
 Rules (see :data:`repro.sanitize.findings.REP_RULES`):
 
@@ -32,8 +30,6 @@ REP005  hot-path class without ``__slots__`` (kernel commands, events,
         requests and messages are allocated at very high rates)
 REP006  ``isend``/``irecv`` result discarded (the request can never be
         waited or tested — a guaranteed leak at finalize)
-REP007  ``struct`` pack/unpack argument count vs the field count of the
-        literal format (the fleet wire boundary)
 REP008  dict-iteration order leaked into a wire/CSV record (``.pack``,
         ``writerow``, ``dumps``, literal-string ``join``)
 REP009  unseeded randomness reachable through a module-local call chain
@@ -133,49 +129,10 @@ def _noqa_rules(line: str) -> Optional[frozenset[str]]:
     return frozenset(r.strip() for r in rules.split(",") if r.strip())
 
 
-def _struct_field_count(fmt: str) -> Optional[int]:
-    """Number of values a ``struct`` format packs/unpacks, or ``None``
-    when the format is not statically understood.
-
-    Repeat counts multiply (``"<3i"`` → 3) except for ``s``/``p`` where
-    they are byte lengths (one value) and pad bytes ``x`` (zero values).
-    """
-    fmt = fmt.strip()
-    if fmt[:1] in "@=<>!":
-        fmt = fmt[1:]
-    count = 0
-    i = 0
-    while i < len(fmt):
-        ch = fmt[i]
-        if ch.isspace():
-            i += 1
-            continue
-        repeat = None
-        if ch.isdigit():
-            j = i
-            while j < len(fmt) and fmt[j].isdigit():
-                j += 1
-            repeat = int(fmt[i:j])
-            i = j
-            if i >= len(fmt):
-                return None
-            ch = fmt[i]
-        if ch in "sp":
-            count += 1
-        elif ch == "x":
-            pass
-        elif ch in "cbB?hHiIlLqQnNefdP":
-            count += repeat if repeat is not None else 1
-        else:
-            return None
-        i += 1
-    return count
-
-
 # =============================================================== pass 1
 class _ModuleIndex(ast.NodeVisitor):
-    """Module symbol table: import bindings, struct wire formats, and the
-    local call graph with its transitive unseeded-RNG closure."""
+    """Module symbol table: import bindings and the local call graph with
+    its transitive unseeded-RNG closure."""
 
     def __init__(self) -> None:
         #: local names bound to the ``time`` module.
@@ -194,11 +151,6 @@ class _ModuleIndex(ast.NodeVisitor):
         self.numpy_mods: set[str] = set()
         #: local names bound to ``numpy.random``.
         self.np_random_mods: set[str] = set()
-        #: local names bound to the ``struct`` module / ``Struct`` class.
-        self.struct_mods: set[str] = set()
-        self.struct_classes: set[str] = set()
-        #: name -> field count of ``X = struct.Struct("<fmt>")`` constants.
-        self.struct_consts: dict[str, Optional[int]] = {}
         #: module-local function/method definitions by bare name.
         self.functions: dict[str, ast.AST] = {}
         #: function name -> " -> "-joined witness chain to unseeded RNG,
@@ -215,8 +167,6 @@ class _ModuleIndex(ast.NodeVisitor):
                 self.datetime_mods.add(bound)
             elif alias.name == "random":
                 self.random_mods.add(bound)
-            elif alias.name == "struct":
-                self.struct_mods.add(bound)
             elif alias.name in ("numpy", "numpy.random"):
                 if alias.name == "numpy.random" and alias.asname:
                     self.np_random_mods.add(alias.asname)
@@ -235,35 +185,6 @@ class _ModuleIndex(ast.NodeVisitor):
                 self.random_funcs.add(bound)
             elif node.module == "numpy" and alias.name == "random":
                 self.np_random_mods.add(bound)
-            elif node.module == "struct" and alias.name == "Struct":
-                self.struct_classes.add(bound)
-        self.generic_visit(node)
-
-    # ------------------------------------------------------ struct constants
-    def _struct_literal_fields(self, call: ast.expr) -> Optional[int]:
-        """Field count when ``call`` is ``struct.Struct("<literal>")``."""
-        if not isinstance(call, ast.Call) or not call.args:
-            return None
-        func = call.func
-        is_ctor = (
-            (isinstance(func, ast.Attribute) and func.attr == "Struct"
-             and isinstance(func.value, ast.Name)
-             and func.value.id in self.struct_mods)
-            or (isinstance(func, ast.Name) and func.id in self.struct_classes)
-        )
-        if not is_ctor:
-            return None
-        fmt = call.args[0]
-        if isinstance(fmt, ast.Constant) and isinstance(fmt.value, str):
-            return _struct_field_count(fmt.value)
-        return None
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        fields = self._struct_literal_fields(node.value)
-        if fields is not None:
-            for tgt in node.targets:
-                if isinstance(tgt, ast.Name):
-                    self.struct_consts[tgt.id] = fields
         self.generic_visit(node)
 
     # ------------------------------------------------------------- functions
@@ -409,7 +330,6 @@ class _Visitor(ast.NodeVisitor):
             else:
                 self._emit("REP002", f"unseeded randomness {rng}; "
                            "use np.random.default_rng(seed)", node)
-        self._check_pack_arity(node)
         self._check_rng_reachability(node)
         self._check_wire_sink(node)
         self.generic_visit(node)
@@ -524,62 +444,6 @@ class _Visitor(ast.NodeVisitor):
                        node)
         self.generic_visit(node)
 
-    # -------------------------------------------------- REP007 struct arity
-    def _struct_call_fields(self, func: ast.expr) -> Optional[tuple[str, int, int]]:
-        """(description, field count, leading non-value args) when ``func``
-        is a pack/unpack entry point with a statically-known format."""
-        if not isinstance(func, ast.Attribute):
-            return None
-        attr, base = func.attr, func.value
-        if attr not in ("pack", "pack_into", "unpack", "unpack_from"):
-            return None
-        if isinstance(base, ast.Name) and base.id in self.index.struct_consts:
-            fields = self.index.struct_consts[base.id]
-            if fields is None:
-                return None
-            # pack_into(buf, offset, v...); unpack_from(buf[, offset]).
-            lead = 2 if attr == "pack_into" else 0
-            return f"{base.id}.{attr}", fields, lead
-        if isinstance(base, ast.Name) and base.id in self.index.struct_mods:
-            return None  # handled by caller with the literal-format variant
-        return None
-
-    def _module_struct_call(self, node: ast.Call) -> Optional[tuple[str, int, int]]:
-        """Same, for direct ``struct.pack("<fmt>", ...)`` module calls."""
-        func = node.func
-        if not (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in self.index.struct_mods
-                and func.attr in ("pack", "pack_into", "unpack",
-                                  "unpack_from")):
-            return None
-        if not node.args:
-            return None
-        fmt = node.args[0]
-        if not (isinstance(fmt, ast.Constant) and isinstance(fmt.value, str)):
-            return None
-        fields = _struct_field_count(fmt.value)
-        if fields is None:
-            return None
-        lead = 1 + (2 if func.attr == "pack_into" else 0)
-        return f"{func.value.id}.{func.attr}", fields, lead
-
-    def _check_pack_arity(self, node: ast.Call) -> None:
-        spec = (self._struct_call_fields(node.func)
-                or self._module_struct_call(node))
-        if spec is None:
-            return
-        desc, fields, lead = spec
-        if not desc.endswith(("pack", "pack_into")):
-            return  # unpack arity is checked at the assignment target
-        if node.keywords or any(isinstance(a, ast.Starred) for a in node.args):
-            return  # not statically countable
-        n_values = len(node.args) - lead
-        if n_values != fields:
-            self._emit("REP007",
-                       f"{desc}() packs {n_values} value(s) into a "
-                       f"{fields}-field format", node)
-
     def visit_Assign(self, node: ast.Assign) -> None:
         attr = self._request_call(node.value)
         if attr is not None and all(
@@ -587,30 +451,8 @@ class _Visitor(ast.NodeVisitor):
             self._emit("REP006",
                        f"{attr}() request assigned to '_' and dropped; keep "
                        "it and wait/test it", node)
-        self._check_unpack_arity(node)
         self._track_view_binding(node)
         self.generic_visit(node)
-
-    def _check_unpack_arity(self, node: ast.Assign) -> None:
-        value = node.value
-        if not isinstance(value, ast.Call):
-            return
-        spec = (self._struct_call_fields(value.func)
-                or self._module_struct_call(value))
-        if spec is None or not spec[0].endswith(("unpack", "unpack_from")):
-            return
-        desc, fields, _lead = spec
-        if len(node.targets) != 1:
-            return
-        target = node.targets[0]
-        if not isinstance(target, (ast.Tuple, ast.List)):
-            return  # whole-tuple binding (or subscripting) is fine
-        if any(isinstance(e, ast.Starred) for e in target.elts):
-            return
-        if len(target.elts) != fields:
-            self._emit("REP007",
-                       f"{desc}() yields {fields} value(s) but the target "
-                       f"unpacks {len(target.elts)}", node)
 
     # ----------------------------------------------- REP008 dict-order leaks
     def _is_dict_view(self, expr: ast.AST) -> bool:

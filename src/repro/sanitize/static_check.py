@@ -6,9 +6,8 @@ a lock-order hazard in the RMA arm is only found if a test happens to drive
 that exact schedule.  This module proves redistribution schedules correct
 from their specification alone, without executing the simulator::
 
-    python -m repro.sanitize.static                 # sweep the 18-config matrix
-    python -m repro.sanitize.static --extended      # + target-driven/min-move
-    repro-harness verify-plans                      # same sweep via the harness
+    repro-harness verify-plans                 # sweep the 18-config matrix
+    repro-harness verify-plans --extended      # + target-driven/min-move
 
 Three layers, all producing :class:`~repro.sanitize.findings.Finding`
 objects with ``STA`` rule codes (:data:`repro.sanitize.findings.STA_RULES`):
@@ -64,7 +63,8 @@ __all__ = [
     "check_graph",
     "verify_config",
     "verify_matrix",
-    "main",
+    "add_arguments",
+    "run",
 ]
 
 #: collective op kinds — every comm member must enter these in lockstep.
@@ -777,13 +777,9 @@ def _parse_configs(text: str) -> list[ReconfigConfig]:
             for part in text.split(",") if part.strip()]
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sanitize.static",
-        description="Static plan & protocol verifier (STA0xx): prove the "
-        "redistribution schedules of the config matrix correct without "
-        "executing the simulator; exit code 1 when findings exist.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the verifier's options on ``parser`` (the ``repro-harness
+    verify-plans`` subcommand); :func:`run` consumes the parsed result."""
     parser.add_argument(
         "--rows", type=_parse_rows, default=[96, 1000, 4096],
         metavar="N,N,...", help="row-count grid (default: 96,1000,4096)")
@@ -803,7 +799,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="fail if the sweep takes longer than this (CI budget gate)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the STA rule catalog and exit")
-    args = parser.parse_args(argv)
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the sweep :func:`add_arguments` describes; exit code 1 when
+    findings exist or the wall budget is exceeded."""
     if args.list_rules:
         for code, doc in STA_RULES.items():
             print(f"{code}  {doc}")
@@ -833,7 +833,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 1
     return 1 if findings else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())

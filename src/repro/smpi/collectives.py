@@ -318,13 +318,6 @@ def _fill_on_done(result, rreq) -> None:
 
 
 # --------------------------------------------------------------- alltoallv
-def _pairwise_phases(ctx, comm: Communicator) -> tuple[int, int, int]:
-    """(my pairwise index, #local indices, #remote indices) for the canonical
-    phase schedule shared by both sides of the communicator."""
-    r = ctx.rank_in(comm)
-    return r, comm.size, comm.remote_size
-
-
 def alltoallv_pairwise(
     ctx,
     send_map: dict[int, Any],

@@ -104,11 +104,6 @@ class Communicator:
         except KeyError:
             raise KeyError(f"gid {gid} not a valid peer of {self.name}") from None
 
-    def local_view(self, gid: int) -> "Communicator":
-        """Identity helper so call sites read clearly; validates membership."""
-        self.rank_of_gid(gid)
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "inter" if self.is_inter else "intra"
         return f"<Communicator {self.name} {kind} {self.size}{'+' + str(self.remote_size) if self.is_inter else ''}>"

@@ -387,36 +387,7 @@ class MpiWorld:
     def finish_op(self, key: str) -> None:
         self._ops.pop(key, None)
 
-    def make_intercomm_pair(
-        self,
-        local_gids: Sequence[int],
-        remote_gids: Sequence[int],
-        name: str,
-    ) -> tuple[Communicator, Communicator]:
-        """Two views (A->B, B->A) of a fresh inter-communicator."""
-        ctx_id = next(self._ctx_ids)
-        a = Communicator(ctx_id, local_gids, remote_group=remote_gids, name=f"{name}.local")
-        b = Communicator(ctx_id, remote_gids, remote_group=local_gids, name=f"{name}.remote")
-        return a, b
-
-    def merged_comm(self, inter: Communicator, low_side_local: bool) -> Communicator:
-        """The intra-communicator produced by Intercomm_merge.
-
-        ``low_side_local``: whether the *local* group of ``inter`` takes the
-        low ranks.  In the Merge method, sources call with ``high=False`` so
-        they keep ranks ``0..NS-1`` and the spawned processes follow.
-        """
-        ctx_id = next(self._ctx_ids)
-        if low_side_local:
-            gids = list(inter.group) + list(inter.remote_group)
-        else:
-            gids = list(inter.remote_group) + list(inter.group)
-        return Communicator(ctx_id, gids, name=f"merge{ctx_id}")
-
     # ---------------------------------------------------------- failure layer
-    def mark_rank_dead(self, gid: int, reason: str = "rank died") -> None:
-        self.mark_ranks_dead([gid], reason=reason)
-
     def mark_ranks_dead(self, gids: Iterable[int], reason: str = "rank died") -> None:
         """Record rank deaths and propagate them to every survivor.
 

@@ -2,8 +2,8 @@
 
 The headline contract: a cached sweep's CSV and merged metrics document
 are **byte-identical** to a fresh run's, because cache entries replay the
-exact wire scalars and metrics documents a fresh cell produces (JSON
-round-trips Python floats exactly).  The rest is invalidation hygiene:
+exact CSV row and metrics document a fresh cell produces (a float's
+``str`` is its ``repr``, which parses back bit for bit).  The rest is invalidation hygiene:
 any change to the spec, the base workload, the metrics schema or the
 cache version must miss rather than serve a stale entry, and corrupt
 entries must degrade to misses.
@@ -14,7 +14,7 @@ import json
 
 from repro.harness import CellCache, run_sweep
 from repro.harness.cache import CACHE_VERSION
-from repro.harness.runner import RunSpec
+from repro.harness.runner import RunSpec, run_one
 from repro.obs import MetricsRegistry
 from repro.synthetic.presets import cg_emulation_config
 
@@ -109,7 +109,7 @@ def test_stale_version_is_a_miss(tmp_path):
     cache = CellCache(tmp_path)
     base = cg_emulation_config("tiny")
     spec = RunSpec(2, 4, "merge-p2p-t", "ethernet", "tiny", 0)
-    cache.put(spec, base, False, (0.0,) * 13, None)
+    cache.put(spec, base, False, run_one(spec, base), None)
     assert cache.get(spec, base, False) is not None
     # simulate an entry written by an older cache format
     (entry,) = cache.root.glob("*.json")
@@ -123,15 +123,31 @@ def test_corrupt_entries_degrade_to_misses(tmp_path):
     cache = CellCache(tmp_path)
     base = cg_emulation_config("tiny")
     spec = RunSpec(2, 4, "merge-p2p-t", "ethernet", "tiny", 0)
-    cache.put(spec, base, False, (0.0,) * 13, None)
+    result = run_one(spec, base)
+    cache.put(spec, base, False, result, None)
     (entry,) = cache.root.glob("*.json")
     for garbage in ("", "{not json", '{"v": 1}', '["wrong shape"]'):
         entry.write_text(garbage)
         assert cache.get(spec, base, False) is None
     # a recovered write repairs the entry
-    cache.put(spec, base, False, (1.0,) * 13, None)
-    wire, doc = cache.get(spec, base, False)
-    assert wire == (1.0,) * 13 and doc is None
+    cache.put(spec, base, False, result, None)
+    assert cache.get(spec, base, False) == (result, None)
+
+
+def test_rows_that_are_not_one_full_record_are_misses(tmp_path):
+    """A stored row one value short, or with a value that does not
+    parse, is a miss: never a result with a field silently defaulted."""
+    cache = CellCache(tmp_path)
+    fresh = _sweep(cache)
+    for cut in (lambda row: row[:-1], lambda row: row[:6] + ["x"] + row[7:]):
+        for entry in cache.root.glob("*.json"):
+            doc = json.loads(entry.read_text())
+            (field,) = [k for k, v in doc.items() if isinstance(v, list)]
+            doc[field] = cut(doc[field])
+            entry.write_text(json.dumps(doc))
+        cache.hits = cache.misses = 0
+        assert _sweep(cache).to_csv() == fresh.to_csv()  # refilled
+        assert cache.hits == 0
 
 
 def test_sanitized_sweeps_bypass_the_cache(tmp_path):

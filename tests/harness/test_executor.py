@@ -1,4 +1,4 @@
-"""Cell execution core: worker resolution, chunking, wire format, errors.
+"""Cell execution core: worker resolution, chunking, errors.
 
 Contracts under test (see ``repro.harness.executor``):
 
@@ -6,8 +6,6 @@ Contracts under test (see ``repro.harness.executor``):
   ``workers=0``, ``workers > n_cells``) and the ``"auto"`` spelling;
 * ``make_chunks`` — every pending index lands in exactly one chunk, odd
   remainders included, chunk sizes balanced to within one;
-* the 13-scalar wire format is lossless (``wire_to_result`` inverts
-  ``result_to_wire`` given the spec);
 * a cell failing inside a chunk surfaces as :class:`SweepCellError` with
   the cell's provenance and grid index, picklable across the pool;
 * sanitized and faulted sweeps stay byte-identical between sequential
@@ -19,14 +17,9 @@ import pickle
 import pytest
 
 from repro.harness import SweepCellError, resolve_workers, run_sweep
-from repro.harness.executor import (
-    WIRE_FIELDS,
-    make_chunks,
-    result_to_wire,
-    wire_to_result,
-)
+from repro.harness.executor import make_chunks
 from repro.harness.fleet import get_fleet
-from repro.harness.runner import RunSpec, run_one
+from repro.harness.runner import RunSpec
 from repro.synthetic.presets import cg_emulation_config
 
 PAIRS = [(2, 4), (4, 8)]
@@ -94,25 +87,6 @@ def test_chunks_partition_indices_exactly(n, workers):
 
 def test_chunks_of_nothing():
     assert make_chunks([], 4) == []
-
-
-# ---------------------------------------------------------------- wire format
-def test_wire_round_trip_is_lossless():
-    spec = RunSpec(2, 4, "merge-p2p-t", "ethernet", "tiny", 0)
-    result = run_one(spec)
-    wire = result_to_wire(result)
-    assert len(wire) == len(WIRE_FIELDS) == 13
-    assert wire_to_result(spec, wire) == result
-
-
-def test_wire_round_trip_survives_json():
-    """The cache stores wire tuples as JSON; floats must round-trip."""
-    import json
-
-    spec = RunSpec(4, 8, "baseline-col-a", "infiniband", "tiny", 1)
-    result = run_one(spec)
-    wire = tuple(json.loads(json.dumps(list(result_to_wire(result)))))
-    assert wire_to_result(spec, wire) == result
 
 
 # ------------------------------------------------------------ error handling

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.harness.executor import SweepCellError, make_chunks, wire_to_result
+from repro.harness.executor import SweepCellError, make_chunks
 from repro.harness.fleet import (
     WorkerFleet,
     active_fleet,
@@ -153,8 +153,8 @@ def test_worker_killed_mid_sweep_names_a_cell_it_still_owed():
     assert err.index in share0 - set(seen)  # owed, never delivered
     assert err.cell == _key(specs[err.index])
     # Everything yielded before the death is a valid result.
-    for i, wire, doc, found in got:
-        assert wire_to_result(specs[i], wire) == run_one(specs[i])
+    for i, result, doc, found in got:
+        assert result == run_one(specs[i])
         assert doc is None and found is None
     healed = get_fleet(base, 2)
     assert healed is fleet
@@ -218,11 +218,11 @@ def test_slow_consumer_blocks_workers_without_losing_cells():
     specs = sweep_specs(PAIRS, KEYS, FABRICS, "tiny", 4)  # 16 cells
     fleet = get_fleet(cg_emulation_config("tiny"), 2)
     got = {}
-    for i, wire, doc, found in fleet.run_cells(
+    for i, result, doc, found in fleet.run_cells(
         specs, list(range(len(specs))), True, False
     ):
         assert i not in got
-        got[i] = (wire, doc)
+        got[i] = (result, doc)
         time.sleep(0.05)
     assert sorted(got) == list(range(len(specs)))
     assert all(w.process.is_alive() for w in fleet._workers)
@@ -233,8 +233,7 @@ def test_slow_consumer_blocks_workers_without_losing_cells():
     seq = run_sweep(PAIRS, KEYS, FABRICS, scale="tiny", repetitions=4,
                     metrics=seq_reg)
     assert par_reg.to_dict() == seq_reg.to_dict()
-    assert [wire_to_result(s, got[i][0]) for i, s in enumerate(specs)] \
-        == seq.results
+    assert [got[i][0] for i in range(len(specs))] == seq.results
 
 
 def test_metrics_merge_is_identical_between_sequential_and_fleet():

@@ -46,11 +46,12 @@ def test_cached_replay_matches_sequential(sequential_csv, tmp_path):
     assert replay.to_csv() == sequential_csv
 
 
-def test_faulted_sync_sweep_parallel_identity():
+def test_faulted_sync_sweep_parallel_identity(tmp_path):
     """A crash during redistribution recovers in every *synchronous*
     configuration — the six-config slice the faults-smoke CI job sweeps
     (the async recovery envelope predates the RMA arm and is unchanged) —
-    and the faulted sweep stays byte-identical under the fleet."""
+    and the faulted sweep stays byte-identical under the fleet and when
+    replayed from the cell cache the fleet filled."""
     fault = "crash@redist+0.002:node=1"
     sync_keys = [k for k in KEYS if k.endswith("-s")]
     assert len(sync_keys) == 6
@@ -60,9 +61,13 @@ def test_faulted_sync_sweep_parallel_identity():
     )
     par = run_sweep(
         PAIRS, sync_keys, ["ethernet"], scale="tiny", repetitions=1,
-        faults=fault, workers=2,
+        faults=fault, workers=2, cache=tmp_path,
     )
-    assert seq.to_csv() == par.to_csv()
+    replay = run_sweep(
+        PAIRS, sync_keys, ["ethernet"], scale="tiny", repetitions=1,
+        faults=fault, cache=tmp_path,
+    )
+    assert seq.to_csv() == par.to_csv() == replay.to_csv()
     assert all(r.faults for r in seq.results)
 
 

@@ -176,46 +176,6 @@ def test_rep006_clean_when_request_kept():
     assert lint(clean) == []
 
 
-# ------------------------------------------------------------------ REP007
-@pytest.mark.parametrize("snippet", [
-    # Constant-bound Struct: 4 fields, 3 values packed.
-    "import struct\n_REC = struct.Struct('<BIIH')\n"
-    "def f(b):\n    return _REC.pack(1, 2, 3)\n",
-    # pack_into's buf/offset lead args must not count as values.
-    "import struct\n_REC = struct.Struct('<BIIH')\n"
-    "def f(b):\n    _REC.pack_into(b, 0, 1, 2, 3, 4, 5)\n",
-    # Direct module call with a literal format.
-    "import struct\n\ndef f():\n    return struct.pack('<II', 1, 2, 3)\n",
-    # Unpack side: 3 targets for a 4-field format.
-    "import struct\n_REC = struct.Struct('<BIIH')\n"
-    "def f(p):\n    kind, seq, index = _REC.unpack_from(p, 0)\n",
-    # from struct import Struct binding.
-    "from struct import Struct\n_LEN = Struct('<I')\n"
-    "def f():\n    return _LEN.pack(1, 2)\n",
-])
-def test_rep007_struct_arity_mismatch_detected(snippet):
-    assert rules_of(lint(snippet)) == ["REP007"]
-
-
-def test_rep007_clean_for_matching_starred_and_repeats():
-    clean = """
-    import struct
-
-    _REC = struct.Struct("<BIIH")
-    _SCALARS = struct.Struct("<13d")
-    _LEN = struct.Struct("<I")
-
-    def f(b, vals, payload):
-        _REC.pack_into(b, 0, 1, 2, 3, 4)        # 4 values, 4 fields
-        _SCALARS.pack(*vals)                    # starred: not countable
-        (n,) = _LEN.unpack(payload)             # 1 target, 1 field
-        kind, seq, index, mask = _REC.unpack_from(payload, 0)
-        n2 = _LEN.unpack_from(payload, 4)[0]    # subscript, not a tuple
-        return struct.pack("<3i", 1, 2, 3), n, n2
-    """
-    assert lint(clean) == []
-
-
 # ------------------------------------------------------------------ REP008
 @pytest.mark.parametrize("snippet", [
     # View fed straight into a struct pack.

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.harness.cli import main as harness_main
 from repro.malleability.config import ALL_CONFIGS
 from repro.redistribution.blockdist import block_offsets
 from repro.redistribution.plan import RedistributionPlan, Transfer
@@ -24,7 +25,6 @@ from repro.sanitize.static_check import (
     _CompiledPlanView,
     check_graph,
     elaborate,
-    main,
     verify_config,
     verify_matrix,
     verify_plan,
@@ -368,38 +368,42 @@ class TestSweep:
 
 
 # ====================================================================== CLI
+def verify_plans(argv):
+    """The ``repro-harness verify-plans`` subcommand, in process."""
+    return harness_main(["verify-plans", *argv])
+
+
 class TestCli:
     def test_clean_sweep_exit_zero(self, capsys):
-        assert main(["--rows", "96", "--resizes", "4:8"]) == 0
+        assert verify_plans(["--rows", "96", "--resizes", "4:8"]) == 0
         out = capsys.readouterr().out
         assert "clean: no findings" in out
         assert "verified 18 schedule(s)" in out
 
     def test_json_format(self, capsys):
-        assert main(["--rows", "96", "--resizes", "4:8",
-                     "--format", "json"]) == 0
+        assert verify_plans(["--rows", "96", "--resizes", "4:8",
+                             "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["checked"] == 18
         assert doc["findings"] == []
 
     def test_config_subset(self, capsys):
-        assert main(["--rows", "96", "--resizes", "4:8",
-                     "--configs", "merge-rma-a,baseline-col-s"]) == 0
+        assert verify_plans(["--rows", "96", "--resizes", "4:8",
+                             "--configs", "merge-rma-a,baseline-col-s"]) == 0
         assert "across 2 config(s)" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert verify_plans(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("STA001", "STA008"):
             assert code in out
 
     def test_wall_budget_overrun_fails(self, capsys):
-        assert main(["--rows", "96", "--resizes", "4:8",
-                     "--max-wall", "0"]) == 1
+        assert verify_plans(["--rows", "96", "--resizes", "4:8",
+                             "--max-wall", "0"]) == 1
         assert "wall budget exceeded" in capsys.readouterr().err
 
     def test_harness_verify_plans_forwarder(self, capsys):
-        from repro.harness.cli import main as harness_main
         assert harness_main(["verify-plans", "--rows", "96",
                              "--resizes", "4:8"]) == 0
         assert "clean: no findings" in capsys.readouterr().out
