@@ -12,7 +12,7 @@ import pytest
 from conftest import run_once
 from repro.analysis import markdown_table
 from repro.cluster import ETHERNET_10G, Machine
-from repro.rmsim import JobSpec, MalleableScheduler
+from repro.rmsim import FifoPolicy, JobSpec, MalleableScheduler, SchedulingPolicy
 from repro.simulate import Simulator
 
 
@@ -34,10 +34,8 @@ def workload(malleable: bool) -> list[JobSpec]:
 def run_schedule(malleable: bool):
     sim = Simulator()
     machine = Machine(sim, 4, 2, ETHERNET_10G)
-    sched = MalleableScheduler(
-        machine, workload(malleable), enable_malleability=malleable
-    )
-    return sched.run()
+    policy = FifoPolicy() if malleable else SchedulingPolicy()
+    return MalleableScheduler(machine, workload(malleable), policy=policy).run()
 
 
 def test_malleability_improves_makespan_and_utilization(benchmark):

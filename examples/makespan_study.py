@@ -13,7 +13,7 @@ Run:  python examples/makespan_study.py
 from repro.analysis import markdown_table
 from repro.cluster import ETHERNET_10G, Machine
 from repro.malleability import ReconfigConfig
-from repro.rmsim import JobSpec, MalleableScheduler
+from repro.rmsim import FifoPolicy, JobSpec, MalleableScheduler, SchedulingPolicy
 from repro.simulate import Simulator
 
 
@@ -40,10 +40,8 @@ def workload(malleable: bool) -> list[JobSpec]:
 def run(malleable: bool):
     sim = Simulator()
     machine = Machine(sim, n_nodes=4, cores_per_node=2, fabric=ETHERNET_10G)
-    sched = MalleableScheduler(
-        machine, workload(malleable), enable_malleability=malleable
-    )
-    return sched.run()
+    policy = FifoPolicy() if malleable else SchedulingPolicy()
+    return MalleableScheduler(machine, workload(malleable), policy=policy).run()
 
 
 def main() -> None:

@@ -4,19 +4,20 @@
 also be included.  Thus, it will be possible to study how malleability
 affects the real makespan of a system."
 
-This package does that study on the simulated substrate, in two lanes:
+This package does that study on the simulated substrate with one
+scheduler core — queue, slot pool, pluggable policies
+(:mod:`repro.rmsim.policies`), billing — and two executors:
 
-* **full fidelity** — a slot scheduler (:class:`MalleableScheduler`) runs
-  workloads of rigid and malleable jobs, posting live reconfiguration
-  decisions (:class:`DecisionBoard` / :class:`DynamicRMS`) that the
-  paper's malleability engine executes at full cost.  See
-  ``examples/makespan_study.py`` and
+* **engine** — :class:`MalleableScheduler` runs every job through the
+  paper's malleability engine, posting live reconfiguration decisions
+  (:class:`DecisionBoard` / :class:`DynamicRMS`) that it executes at full
+  cost.  See ``examples/makespan_study.py`` and
   ``benchmarks/test_ablation_makespan.py``.
-* **datacenter trace** — :class:`TraceScheduler` replays seeded workload
-  traces (:mod:`repro.rmsim.traces`) of 10^4 jobs over 10^3 nodes under
-  pluggable policies (:mod:`repro.rmsim.policies`), modelling job progress
-  analytically and reconfiguration stalls with the paper's cost model.
-  See ``docs/rmsim.md`` and ``repro-harness rmsim``.
+* **analytic** — :class:`TraceScheduler` (the core itself) models job
+  progress analytically and reconfiguration stalls with the paper's cost
+  model, so seeded traces (:mod:`repro.rmsim.traces`) of 10^4 jobs over
+  10^3 nodes run in seconds.  See ``docs/rmsim.md`` and
+  ``repro-harness rmsim``.
 """
 
 from .board import DecisionBoard, DynamicRMS

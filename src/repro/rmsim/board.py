@@ -50,16 +50,6 @@ class DecisionBoard:
         self.decisions.append(req)
         return req
 
-    @property
-    def pending(self) -> bool:
-        """True while the latest posted decision has not completed."""
-        if not self.decisions:
-            return False
-        completed = sum(
-            1 for r in self.stats.reconfigs if r.data_complete_at is not None
-        )
-        return completed < len(self.decisions)
-
 
 class DynamicRMS:
     """Per-rank view of a :class:`DecisionBoard` (same protocol as

@@ -1,21 +1,25 @@
-"""A malleability-aware slot scheduler (the paper's future-work §5 study:
-"how malleability affects the real makespan of a system").
+"""One malleability-aware scheduler core with two executors (the paper's
+future-work §5 study: "how malleability affects the real makespan of a
+system").
 
-Model: the cluster's cores form a linear slot space; every job owns one
-contiguous block.  First-fit placement; a FIFO queue.  Malleability policy:
+:class:`TraceScheduler` is the core: the waiting queue, the slot pool
+(``[lo, hi)`` runs over a linear slot space), the policy calls of
+:mod:`repro.rmsim.policies`, the ``ready`` flags, allocated-core-second
+billing and the :class:`ScheduleResult`.  How a started job makes progress
+is left to four executor hooks:
 
-* **shrink** — while jobs wait in the queue, running malleable jobs are
-  asked to shrink to their minimum (the Merge method keeps the surviving
-  ranks in the low slots, so the block's tail frees);
-* **expand** — when the queue is empty and the slots adjacent to a
-  malleable job's block are free, the job grows toward its maximum.
+* ``_launch`` — run a started job (analytic: set its finish timer);
+* ``_post_resize`` — a resize was decided (analytic: progress is frozen and
+  the commit is timed with the paper's cost model);
+* ``_retime`` — the resize committed (analytic: re-time the finish);
+* ``_rem_iters_at`` — iterations left.
 
-Decisions are posted on each job's :class:`~repro.rmsim.board.DecisionBoard`
-and executed by the ordinary malleability engine — reconfigurations cost
-what the paper says they cost, which is the whole point of the experiment.
-
-The scheduler runs as a simulated daemon process, ticking at a fixed
-period like a real RMS main loop.
+The base class integrates progress analytically ("integrate it").
+:class:`MalleableScheduler` overrides only the hooks and runs every job
+through the full malleability engine ("simulate it"): decisions go on the
+job's :class:`~repro.rmsim.board.DecisionBoard`, and reconfigurations cost
+what the simulated MPI machinery makes them cost.  Both are event-driven
+daemons on one simulator and run the same traces under the same policies.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from ..cluster.machine import Machine
 from ..malleability.manager import run_malleable
 from ..malleability.stats import RunStats
 from ..obs.registry import MetricsRegistry
+from ..redistribution.plan import RedistributionPlan
 from ..simulate.core import Simulator
-from ..simulate.primitives import Passivate, Timeout
+from ..simulate.primitives import Passivate
 from ..smpi.spawn import SpawnModel
 from ..smpi.world import MpiWorld
 from ..synthetic.application import SyntheticApp
@@ -68,9 +73,8 @@ class SlotPool:
     ``_free`` is the sorted, coalesced list of free ``[lo, hi)`` ranges and
     ``free_slots`` its total, kept as state so a read is O(1) (policies
     read it on every decision).  Slots go out and come back as ``[lo, hi)``
-    runs; the id-list methods adapt them for the engine lane, which needs
-    explicit slot ids.  Every mutator validates before it mutates: a
-    rejected call leaves the pool exactly as it was.
+    runs.  Every mutator validates before it mutates: a rejected call
+    leaves the pool exactly as it was.
     """
 
     def __init__(self, total: int):
@@ -81,39 +85,6 @@ class SlotPool:
         self._free: list[tuple[int, int]] = [(0, total)]
         #: == sum(hi - lo for lo, hi in _free); read-only for callers.
         self.free_slots = total
-
-    def allocate(self, k: int) -> Optional[int]:
-        """First-fit contiguous block: returns its base, or None."""
-        if k < 1:
-            raise ValueError("allocation must be >= 1 slot")
-        for i, (lo, hi) in enumerate(self._free):
-            if hi - lo >= k:
-                self._take(i, k)
-                return lo
-        return None
-
-    def _take(self, i: int, k: int) -> None:
-        """Claim the first ``k`` slots of free range ``i`` (k <= its size)."""
-        lo, hi = self._free[i]
-        if hi - lo == k:
-            del self._free[i]
-        else:
-            self._free[i] = (lo + k, hi)
-        self.free_slots -= k
-
-    def extension_room(self, base: int, current: int) -> int:
-        """Free slots contiguously to the right of [base, base+current)."""
-        start = base + current
-        i = bisect.bisect_left(self._free, (start,))
-        if i < len(self._free) and self._free[i][0] == start:
-            return self._free[i][1] - start
-        return 0
-
-    def claim_extension(self, base: int, current: int, extra: int) -> None:
-        room = self.extension_room(base, current)
-        if not 0 < extra <= room:
-            raise ValueError(f"cannot extend by {extra}: only {room} free")
-        self._take(bisect.bisect_left(self._free, (base + current,)), extra)
 
     def allocate_runs(self, k: int) -> Optional[list[tuple[int, int]]]:
         """Take the ``k`` lowest free slots, contiguous or not: their
@@ -161,32 +132,6 @@ class SlotPool:
                 hi = free.pop(i)[1]
             free.insert(i, (lo, hi))
 
-    def release(self, base: int, k: int) -> None:
-        """Free the block [base, base+k)."""
-        if k:
-            self.release_runs([(base, base + k)])
-
-    def allocate_scattered(self, k: int) -> Optional[list[int]]:
-        """:meth:`allocate_runs` as a slot-id list (the engine lane's
-        expansion path: the malleability engine takes arbitrary slots)."""
-        runs = self.allocate_runs(k)
-        if runs is None:
-            return None
-        return [slot for lo, hi in runs for slot in range(lo, hi)]
-
-    def release_slots(self, slots: Sequence[int]) -> None:
-        """:meth:`release_runs` for an arbitrary slot-id list; a duplicate
-        id is rejected (merging it would leak the double-counted slot)."""
-        runs: list[tuple[int, int]] = []
-        for slot in sorted(slots):
-            if runs and slot == runs[-1][1]:
-                runs[-1] = (runs[-1][0], slot + 1)
-            elif runs and slot < runs[-1][1]:
-                raise ValueError(f"duplicate slot id {slot} in release_slots")
-            else:
-                runs.append((slot, slot + 1))
-        self.release_runs(runs)
-
     def _check_free_ok(self, lo: int, hi: int) -> None:
         """Raise if freeing [lo, hi) is out of range or a double free (it
         can only overlap its neighbours in sort order).  No mutation."""
@@ -218,13 +163,14 @@ class ScheduleResult:
     utilization: float
     #: slots in the machine the schedule ran on (0 = unknown/legacy).
     total_slots: int = 0
-    #: allocated core-seconds summed over all jobs.
+    #: allocated core-seconds summed over all jobs (slots held, busy or not).
     busy_coreseconds: float = 0.0
     #: scheduler events processed (arrivals/starts/completions/decisions).
     n_events: int = 0
-    #: scheduling policy that produced the run.
+    #: scheduling policy that produced the run (a ``POLICIES`` name, or
+    #: ``"base"`` for the rigid :class:`SchedulingPolicy`).
     policy: str = ""
-    #: (time, free_slots_before -> after) resize commits, per direction.
+    #: committed resizes, per direction.
     n_grows: int = 0
     n_shrinks: int = 0
 
@@ -253,234 +199,13 @@ class ScheduleResult:
         return sum(vals) / len(vals) if vals else 0.0
 
 
-class _RunningJob:
-    def __init__(self, record: JobRecord, stats: RunStats,
-                 board: Optional[DecisionBoard], slots: list[int]):
-        self.record = record
-        self.stats = stats
-        self.board = board
-        self.finished = False
-        #: machine slots owned by the job, indexed by job-internal slot id.
-        #: The malleability engine reads it through the slot_of closure, so
-        #: appending here makes future spawns land on the new slots.
-        self.slots = slots
-        #: sizes already accounted into the slot pool.
-        self.pool_procs = record.procs
-        #: completed reconfigurations already processed by the scheduler.
-        self.processed_reconfigs = 0
-
-
-class MalleableScheduler:
-    """Drives a workload of jobs over one machine; see module docstring."""
-
-    def __init__(
-        self,
-        machine: Machine,
-        jobs: Sequence[JobSpec],
-        spawn_model: Optional[SpawnModel] = None,
-        tick: float = 0.02,
-        enable_malleability: bool = True,
-    ):
-        names = [j.name for j in jobs]
-        if len(set(names)) != len(names):
-            raise ValueError("job names must be unique")
-        self.machine = machine
-        self.sim = machine.sim
-        # Total order: (arrival_time, name).  Sorting by arrival_time alone
-        # left identical-arrival traces at the mercy of the caller's list
-        # order, so the same trace could schedule differently across runs
-        # and hosts.  Names are unique (checked above), so this ordering is
-        # deterministic for any input permutation.
-        self.jobs = sorted(jobs, key=arrival_order)
-        self.spawn_model = spawn_model or SpawnModel(
-            base=0.02, per_process=0.002, per_node=0.005
-        )
-        self.tick = tick
-        self.enable_malleability = enable_malleability
-        self.pool = SlotPool(machine.total_cores)
-        self.queue: list[JobSpec] = []
-        self.running: dict[str, _RunningJob] = {}
-        self.records: dict[str, JobRecord] = {
-            j.name: JobRecord(spec=j) for j in jobs
-        }
-        self._arrival_ptr = 0
-        self._done = 0
-
-    # ------------------------------------------------------------------ run
-    def run(self) -> ScheduleResult:
-        """Execute the whole workload; returns the schedule metrics."""
-        self.sim.spawn(self._daemon(), name="rms-daemon")
-        self.sim.run()
-        finished = [r.finished_at for r in self.records.values()]
-        if any(f is None for f in finished):
-            unfinished = [n for n, r in self.records.items() if r.finished_at is None]
-            raise RuntimeError(f"jobs never finished: {unfinished}")
-        makespan = max(finished) if finished else 0.0
-        busy = sum(n.busy_coreseconds for n in self.machine.nodes)
-        utilization = busy / (makespan * self.machine.total_cores) if makespan else 0.0
-        return ScheduleResult(
-            records=dict(self.records),
-            makespan=makespan,
-            utilization=utilization,
-            total_slots=self.machine.total_cores,
-            busy_coreseconds=busy,
-            policy="fifo-tick",
-        )
-
-    def _daemon(self):
-        """The RMS main loop."""
-        while self._done < len(self.jobs):
-            self._admit_arrivals()
-            self._collect_completions()
-            self._sync_shrunk_blocks()
-            self._try_start_queued()
-            if self.enable_malleability:
-                self._policy_shrink()
-                self._policy_expand()
-            yield Timeout(self.tick)
-        return "rms-done"
-
-    # ------------------------------------------------------------ lifecycle
-    def _admit_arrivals(self) -> None:
-        now = self.sim.now
-        jobs, ptr = self.jobs, self._arrival_ptr
-        while ptr < len(jobs) and jobs[ptr].arrival_time <= now:
-            ptr += 1
-        self.queue.extend(jobs[self._arrival_ptr:ptr])
-        self._arrival_ptr = ptr
-
-    def _try_start_queued(self) -> None:
-        # FIFO with no backfilling: the head blocks the queue (keeps the
-        # malleability effect easy to read in the results).
-        started = 0
-        while started < len(self.queue) and self._try_start(self.queue[started]):
-            started += 1
-        del self.queue[:started]
-
-    def _try_start(self, spec: JobSpec) -> bool:
-        # Prefer the largest size that fits right now.
-        for p in range(spec.max_procs, spec.min_procs - 1, -1):
-            base = self.pool.allocate(p)
-            if base is not None:
-                self._launch(spec, base, p)
-                return True
-        return False
-
-    def _launch(self, spec: JobSpec, base: int, procs: int) -> None:
-        record = self.records[spec.name]
-        record.started_at = self.sim.now
-        record.base = base
-        record.procs = procs
-        record.size_history.append((self.sim.now, procs))
-        stats = RunStats()
-        stats.finished_event = self.sim.event(name=f"job-done:{spec.name}")
-        board = DecisionBoard(stats) if spec.malleable else None
-        world = MpiWorld(self.machine, spawn_model=self.spawn_model)
-        app = SyntheticApp(spec.synthetic_config())
-        from ..redistribution.plan import RedistributionPlan
-
-        rms_factory = (lambda b=board: DynamicRMS(b)) if board is not None else None
-        slots = [base + i for i in range(procs)]
-        rj = _RunningJob(record, stats, board, slots)
-        world.launch(
-            run_malleable,
-            slots=list(slots),
-            args=(
-                app,
-                spec.config,
-                [],                            # no scripted requests ...
-                stats,
-                RedistributionPlan.block,
-                (lambda i, s=rj.slots: s[i]),  # slot_of: the job's slot list
-                rms_factory,                   # ... decisions come from the board
-            ),
-            name_prefix=f"job-{spec.name}",
-        )
-        self.running[spec.name] = rj
-
-    def _collect_completions(self) -> None:
-        for name, rj in list(self.running.items()):
-            if rj.finished:
-                continue
-            if rj.stats.finished_at is not None:
-                rj.finished = True
-                self._done += 1
-                rj.record.finished_at = rj.stats.finished_at
-                self.pool.release_slots(rj.slots[: rj.pool_procs])
-                del self.running[name]
-
-    def _sync_shrunk_blocks(self) -> None:
-        """Process newly completed reconfigurations, exactly once each.
-
-        At most one decision is ever in flight (the policies check
-        ``board.pending``) and this sync runs before the policies in every
-        tick, so when a *shrink* record completes the job's slot list still
-        has its pre-shrink length — the invariant the truncation relies on.
-        """
-        for rj in self.running.values():
-            completed = [
-                r for r in rj.stats.reconfigs if r.data_complete_at is not None
-            ]
-            for rec in completed[rj.processed_reconfigs:]:
-                new = rec.n_targets
-                if new < len(rj.slots):  # a shrink finished: free the tail
-                    self.pool.release_slots(rj.slots[new:])
-                    del rj.slots[new:]
-                    rj.pool_procs = new
-                rj.record.procs = new
-                rj.record.size_history.append((self.sim.now, new))
-            rj.processed_reconfigs = len(completed)
-
-    # ---------------------------------------------------------------- policy
-    def _policy_shrink(self) -> None:
-        if not self.queue:
-            return
-        for rj in self.running.values():
-            spec = rj.record.spec
-            if rj.board is None or rj.board.pending:
-                continue
-            if rj.pool_procs > spec.min_procs and self._worth_reconfiguring(rj):
-                rj.board.post(spec.min_procs)
-
-    def _policy_expand(self) -> None:
-        if self.queue:
-            return
-        for rj in self.running.values():
-            spec = rj.record.spec
-            if rj.board is None or rj.board.pending:
-                continue
-            if rj.pool_procs >= spec.max_procs or not self._worth_reconfiguring(rj):
-                continue
-            extra = min(spec.max_procs - rj.pool_procs, self.pool.free_slots)
-            if extra <= 0:
-                continue
-            new_slots = self.pool.allocate_scattered(extra)
-            req = rj.board.post(rj.pool_procs + extra)
-            if req is None:  # board busy after all: give the slots back
-                self.pool.release_slots(new_slots)
-                continue
-            rj.slots.extend(new_slots)
-            rj.pool_procs += extra  # slots are committed immediately
-
-    def _worth_reconfiguring(self, rj: _RunningJob) -> bool:
-        """Don't reconfigure jobs about to finish (the decision could not
-        even fire safely before the last iteration)."""
-        spec = rj.record.spec
-        remaining = spec.iterations - (rj.stats.latest_checked_iteration + 1)
-        return remaining > DecisionBoard.SAFETY_MARGIN + 3
-
-
-# ---------------------------------------------------------------------------
-# Trace-driven datacenter lane
-# ---------------------------------------------------------------------------
-
 #: lifecycle states of a job inside :class:`TraceScheduler`.
 _QUEUED, _RUNNING, _RECONF, _DONE = 0, 1, 2, 3
 _QUEUE_KEY = attrgetter("queue_key")
 
 
 class _TraceJob:
-    """Mutable per-job state of the analytic lane (progress, slots, busy)."""
+    """Mutable per-job state of the core (projected progress, slots, busy)."""
 
     __slots__ = (
         "spec",
@@ -539,12 +264,13 @@ class _TraceJob:
 
 
 class TraceScheduler:
-    """Datacenter-scale trace lane: 10^3 nodes / 10^4 jobs in seconds.
+    """The scheduler core, with the analytic executor: 10^3 nodes / 10^4
+    jobs in seconds.
 
-    The full-fidelity :class:`MalleableScheduler` runs every rank of every
-    job through the simulated MPI machinery — perfect for tens of jobs,
-    hopeless for a datacenter trace.  This lane keeps the *scheduling*
-    physics and replaces per-rank execution with the analytic model:
+    :class:`MalleableScheduler` runs every rank of every job through the
+    simulated MPI machinery — perfect for tens of jobs, hopeless for a
+    datacenter trace.  This class keeps the *scheduling* physics and
+    replaces per-rank execution with the analytic model:
 
     * a job's iteration time follows Amdahl's law at its current width
       (:meth:`~repro.rmsim.jobs.JobSpec.iteration_time`);
@@ -573,6 +299,9 @@ class TraceScheduler:
     The policy object (see :mod:`repro.rmsim.policies`) decides queue
     order, starts, and resizes through this class's verbs: :meth:`start`,
     :meth:`request_resize`, :meth:`reservation_for`, :meth:`resize_cost`.
+    The analytic projections (``proj_finish``, the finish heap) are kept
+    under either executor: they are the runtime estimates the policies
+    price and reserve with.
     """
 
     def __init__(
@@ -804,8 +533,7 @@ class TraceScheduler:
         heapq.heappush(
             self._fin_heap, (finish, next(self._fin_seq), job, job.fin_epoch)
         )
-        self._staged.append((finish, lambda j=job: self._on_finish(j)))
-        self._staged_jobs.append(job)
+        self._launch(job, finish)
         self.n_events += 1
         self.n_starts += 1
         if backfilled:
@@ -850,7 +578,7 @@ class TraceScheduler:
         """True when a resize decision may still fire safely: the job is
         running (one reconfiguration in flight at a time), malleable, and
         has enough iterations left for the safety margin plus a useful
-        remainder — the same guard the full-fidelity scheduler applies."""
+        remainder (the executor's :meth:`_rem_iters_at` counts them)."""
         if not job.ready:
             return False
         rem = self._rem_iters_at(job, self.sim.now)
@@ -897,13 +625,14 @@ class TraceScheduler:
         return list(self._narrow.values())
 
     def request_resize(self, job: _TraceJob, target: int) -> bool:
-        """Post a resize decision: the job runs its safety-margin
-        iterations at the old width, stalls for the predicted
-        reconfiguration cost, then resumes at ``target``.
+        """Post a resize decision.  The projection: the job runs its
+        safety-margin iterations at the old width, stalls for the predicted
+        reconfiguration cost, then resumes at ``target``; the executor's
+        :meth:`_post_resize` carries it out.
 
         A grow claims its new slots *now* (they are committed to the job
-        and billed from this moment, exactly like the full engine); a
-        shrink frees its tail only when the redistribution commits.
+        and billed from this moment); a shrink frees its tail only when the
+        redistribution commits.
         """
         spec = job.spec
         if not self.can_resize(job) or target == job.procs:
@@ -932,9 +661,6 @@ class TraceScheduler:
         job.state = _RECONF
         job.ready = False
         job.pending_procs = target
-        if job.finish_handle is not None:
-            job.finish_handle.cancelled = True
-            job.finish_handle = None
         job.proj_finish = t_commit + job.rem_iters * spec.iteration_time(target)
         job.fin_epoch += 1
         heapq.heappush(
@@ -942,7 +668,7 @@ class TraceScheduler:
             (job.proj_finish, next(self._fin_seq), job, job.fin_epoch),
         )
         self._update_width_sets(job)
-        self.sim.schedule_at(t_commit, lambda j=job: self._on_commit(j))
+        self._post_resize(job, target, t_commit)
         self.n_events += 1
         if self._m is not None:
             self._m["resize_cost"].observe(cost)
@@ -971,21 +697,41 @@ class TraceScheduler:
         # posted, so the remaining iterations burn from now at the new rate.
         finish = now + job.rem_iters * job.it_time
         job.proj_finish = finish
-        self._staged.append((finish, lambda j=job: self._on_finish(j)))
-        self._staged_jobs.append(job)
+        self._retime(job, finish)
         rec = job.record
         rec.procs = target
         rec.size_history.append((now, target))
         self._update_width_sets(job)
         self.n_events += 1
 
-    # -------------------------------------------------------------- internal
+    # -------------------------------------------------------- executor hooks
+    def _launch(self, job: _TraceJob, finish: float) -> None:
+        """Run a job that just started; ``finish`` is its projected end.
+        Analytic: a finish timer, scheduled with the pass's others."""
+        self._staged.append((finish, lambda j=job: self._on_finish(j)))
+        self._staged_jobs.append(job)
+
+    def _post_resize(self, job: _TraceJob, target: int, t_commit: float) -> None:
+        """Execute a resize decision (progress is already frozen).
+        Analytic: the finish timer is void and the commit fires at the
+        priced ``t_commit``."""
+        if job.finish_handle is not None:
+            job.finish_handle.cancelled = True
+            job.finish_handle = None
+        self.sim.schedule_at(t_commit, lambda j=job: self._on_commit(j))
+
+    #: A resize committed; the job now ends at ``finish``.  Analytic: a new
+    #: finish timer, as at the start (an executor overrides both hooks).
+    _retime = _launch
+
     def _rem_iters_at(self, job: _TraceJob, now: float) -> float:
         """Iterations left at ``now`` (frozen during a reconfiguration:
         ``synced_at`` then lies in the future, at the commit time)."""
         if job.state == _RUNNING and now > job.synced_at:
             return job.rem_iters - (now - job.synced_at) / job.it_time
         return job.rem_iters
+
+    # -------------------------------------------------------------- internal
 
     @staticmethod
     def _cut_tail(job: _TraceJob, n: int) -> list[tuple[int, int]]:
@@ -1043,3 +789,86 @@ class TraceScheduler:
             if free + released >= width:
                 return (t, free + released - width)
         return (math.inf, 0)  # pragma: no cover - width is capped at total
+
+
+class MalleableScheduler(TraceScheduler):
+    """The scheduler core with the engine executor: every job runs through
+    the full malleability engine on ``machine``.
+
+    A started job is :func:`~repro.malleability.manager.run_malleable` on
+    the ids of its slot runs; a resize is posted on the job's
+    :class:`DecisionBoard` and costs what the simulated spawn and
+    redistribution make it cost.  Queue, pool, policy and billing are the
+    core's, so both executors run the same trace under the same policy
+    (rigid is ``policy=SchedulingPolicy()``).
+    """
+
+    #: simulated seconds between looks at an in-flight resize's record:
+    #: it commits when all its targets hold their data.
+    COMMIT_POLL = 0.01
+
+    def __init__(
+        self,
+        machine: Machine,
+        jobs: Sequence[JobSpec],
+        policy: Optional[SchedulingPolicy] = None,
+    ):
+        super().__init__(
+            machine.total_cores, jobs, policy, fabric=machine.fabric,
+            cores_per_node=machine.cores_per_node, sim=machine.sim,
+        )
+        self.machine = machine
+        #: per started job: its run stats, decision board (None when rigid)
+        #: and machine slot ids, indexed by job-internal slot.
+        self._engine: dict[
+            str, tuple[RunStats, Optional[DecisionBoard], list[int]]
+        ] = {}
+
+    def _launch(self, job: _TraceJob, finish: float) -> None:
+        spec = job.spec
+        stats = RunStats()
+        stats.finished_event = self.sim.event(name=f"job-done:{spec.name}")
+        stats.finished_event.add_callback(lambda _e, j=job: self._on_finish(j))
+        board = DecisionBoard(stats) if spec.malleable else None
+        ids = [s for lo, hi in job.slots for s in range(lo, hi)]
+        self._engine[spec.name] = (stats, board, ids)
+        MpiWorld(self.machine, spawn_model=self.spawn_model).launch(
+            run_malleable,
+            slots=list(ids),
+            args=(
+                SyntheticApp(spec.synthetic_config()),
+                spec.config,
+                [],                      # decisions come from the board
+                stats,
+                RedistributionPlan.block,
+                ids.__getitem__,         # slot_of reads the live id list
+                (lambda: DynamicRMS(board)) if board is not None else None,
+            ),
+            name_prefix=f"job-{spec.name}",
+        )
+
+    def _post_resize(self, job: _TraceJob, target: int, t_commit: float) -> None:
+        stats, board, ids = self._engine[job.spec.name]
+        # A grow's slots are claimed already; future spawns land on them.
+        ids[:] = [s for lo, hi in job.slots for s in range(lo, hi)]
+        board.post(target)
+        k = len(board.decisions) - 1
+
+        def poll() -> None:
+            if job.state != _RECONF:
+                return  # the job finished with the resize in flight
+            recs = stats.reconfigs
+            if len(recs) > k and recs[k].data_complete_at is not None:
+                self._on_commit(job)
+            else:
+                self.sim.schedule(self.COMMIT_POLL, poll)
+
+        self.sim.schedule(self.COMMIT_POLL, poll)
+
+    def _retime(self, job: _TraceJob, finish: float) -> None:
+        # A shrink's retired ranks held the tail ids (Merge keeps the low ones).
+        del self._engine[job.spec.name][2][job.pool_procs:]
+
+    def _rem_iters_at(self, job: _TraceJob, now: float) -> float:
+        stats = self._engine[job.spec.name][0]
+        return job.spec.iterations - (stats.latest_checked_iteration + 1)

@@ -4,11 +4,14 @@ import pytest
 
 from repro.cluster import ETHERNET_10G, Machine
 from repro.malleability import ReconfigConfig, RunStats
+from repro.analysis.rmsim_summary import schedule_summary
 from repro.rmsim import (
     DecisionBoard,
     DynamicRMS,
+    FifoPolicy,
     JobSpec,
     MalleableScheduler,
+    SchedulingPolicy,
     SlotPool,
 )
 from repro.simulate import Simulator
@@ -17,42 +20,32 @@ from repro.simulate import Simulator
 # ---------------------------------------------------------------- slot pool
 def test_pool_first_fit_and_release():
     pool = SlotPool(10)
-    assert pool.allocate(4) == 0
-    assert pool.allocate(3) == 4
+    assert pool.allocate_runs(4) == [(0, 4)]
+    assert pool.allocate_runs(3) == [(4, 7)]
     assert pool.free_slots == 3
-    pool.release(0, 4)
-    assert pool.allocate(2) == 0  # first fit reuses the hole
-    assert pool.allocate(5) is None  # only 2 + 3 fragmented
+    pool.release_runs([(0, 4)])
+    assert pool.allocate_runs(2) == [(0, 2)]  # the lowest free slots first
+    # 2 + 3 free in two fragments: a 5-slot ask spans both.
+    assert pool.allocate_runs(5) == [(2, 4), (7, 10)]
+    assert pool.allocate_runs(1) is None
 
 
 def test_pool_merges_adjacent_frees():
     pool = SlotPool(10)
-    a = pool.allocate(5)
-    b = pool.allocate(5)
-    pool.release(a, 5)
-    pool.release(b, 5)
-    assert pool.allocate(10) == 0
-
-
-def test_pool_extension_room():
-    pool = SlotPool(10)
-    base = pool.allocate(4)     # [0,4)
-    other = pool.allocate(2)    # [4,6)
-    assert pool.extension_room(base, 4) == 0
-    pool.release(other, 2)
-    assert pool.extension_room(base, 4) == 6
-    pool.claim_extension(base, 4, 3)
-    assert pool.free_slots == 3
-    with pytest.raises(ValueError):
-        pool.claim_extension(base, 7, 99)
+    a = pool.allocate_runs(5)
+    b = pool.allocate_runs(5)
+    pool.release_runs(a)
+    pool.release_runs(b)
+    assert pool._free == [(0, 10)]
+    assert pool.allocate_runs(10) == [(0, 10)]
 
 
 def test_pool_double_free_detected():
     pool = SlotPool(10)
-    base = pool.allocate(4)
-    pool.release(base, 4)
+    runs = pool.allocate_runs(4)
+    pool.release_runs(runs)
     with pytest.raises(ValueError):
-        pool.release(base, 4)
+        pool.release_runs(runs)
 
 
 def test_pool_validation():
@@ -60,7 +53,7 @@ def test_pool_validation():
         SlotPool(0)
     pool = SlotPool(4)
     with pytest.raises(ValueError):
-        pool.allocate(0)
+        pool.allocate_runs(0)
 
 
 # -------------------------------------------------------------------- board
@@ -70,7 +63,7 @@ def test_board_posts_beyond_latest_checkpoint():
     board = DecisionBoard(stats)
     req = board.post(4)
     assert req.at_iteration == 7 + DecisionBoard.SAFETY_MARGIN
-    assert board.pending
+    assert board.decisions == [req]
 
 
 def test_board_refuses_overlapping_decisions():
@@ -120,8 +113,8 @@ def small_workload(malleable):
 def run_schedule(jobs, enable=True):
     sim = Simulator()
     machine = Machine(sim, 4, 2, ETHERNET_10G)
-    sched = MalleableScheduler(machine, jobs, enable_malleability=enable)
-    return sched.run()
+    policy = FifoPolicy() if enable else SchedulingPolicy()
+    return MalleableScheduler(machine, jobs, policy=policy).run()
 
 
 def test_all_jobs_finish_rigid():
@@ -151,6 +144,18 @@ def test_malleable_job_shrinks_when_queue_fills():
     sizes = [p for _, p in a.size_history]
     assert sizes[0] == 8          # started wide on the empty machine
     assert min(sizes) <= 4        # shrank when others arrived
+
+
+def test_engine_result_counts_resizes_and_names_its_policy():
+    res = run_schedule(small_workload(True))
+    assert res.policy == "fifo"
+    resizes = sum(len(r.size_history) - 1 for r in res.records.values())
+    assert resizes > 0
+    assert res.n_grows + res.n_shrinks == resizes
+    assert res.n_events > 0
+    summary = schedule_summary(res)
+    assert summary["policy"] == "fifo"
+    assert summary["n_grows"] == res.n_grows
 
 
 def test_unique_job_names_required():

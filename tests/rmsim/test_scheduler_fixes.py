@@ -14,6 +14,7 @@ from repro.rmsim import (
     JobSpec,
     MalleableScheduler,
     ScheduleResult,
+    SchedulingPolicy,
     arrival_order,
 )
 from repro.simulate import Simulator
@@ -66,7 +67,7 @@ def _same_instant_jobs():
 def _run(jobs):
     sim = Simulator()
     machine = Machine(sim, 2, 2, ETHERNET_10G)  # 4 slots total
-    return MalleableScheduler(machine, jobs, enable_malleability=False).run()
+    return MalleableScheduler(machine, jobs, policy=SchedulingPolicy()).run()
 
 
 def test_arrival_order_key():
