@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 from ..cluster.fabrics import FabricSpec
-from ..redistribution.plan import RedistributionPlan
+from ..redistribution.plan import RedistributionPlan, Transfer
+from ..redistribution.session import is_memcpy
 from ..smpi.spawn import SpawnModel
 
 __all__ = [
@@ -47,24 +48,36 @@ def message_time(fabric: FabricSpec, nbytes: float) -> float:
     return t
 
 
+def _wire_transfers(plan: RedistributionPlan, merge: bool) -> list[Transfer]:
+    """The chunks that cross the wire, by the sessions' own memcpy-vs-wire
+    decision: a Merge rank ``r`` is source ``r`` and (if ``r < NT``) target
+    ``r``, so its overlap stays local; Baseline's source and target groups
+    are disjoint processes, so every chunk is wire traffic."""
+    nt = plan.n_targets
+    return [
+        tr for tr in plan.all_transfers()
+        if not is_memcpy(tr.dst, tr.src if merge and tr.src < nt else None)
+    ]
+
+
 def chunk_times(
-    plan: RedistributionPlan, bytes_per_row: float, fabric: FabricSpec
+    plan: RedistributionPlan, bytes_per_row: float, fabric: FabricSpec,
+    merge: bool = True,
 ) -> dict[tuple[int, int], float]:
-    """Uncontended per-chunk times for every (src, dst) transfer."""
+    """Uncontended per-chunk times for every (src, dst) wire transfer."""
     return {
         (tr.src, tr.dst): message_time(fabric, tr.n_rows * bytes_per_row)
-        for tr in plan.all_transfers()
-        if tr.src != tr.dst
+        for tr in _wire_transfers(plan, merge)
     }
 
 
-def _bottleneck_bytes(plan: RedistributionPlan, bytes_per_row: float) -> float:
+def _bottleneck_bytes(
+    plan: RedistributionPlan, bytes_per_row: float, merge: bool
+) -> float:
     """The serialisation floor: the busiest endpoint's total traffic."""
     out_bytes: dict[int, float] = {}
     in_bytes: dict[int, float] = {}
-    for tr in plan.all_transfers():
-        if tr.src == tr.dst:
-            continue
+    for tr in _wire_transfers(plan, merge):
         b = tr.n_rows * bytes_per_row
         out_bytes[tr.src] = out_bytes.get(tr.src, 0.0) + b
         in_bytes[tr.dst] = in_bytes.get(tr.dst, 0.0) + b
@@ -75,12 +88,13 @@ def _bottleneck_bytes(plan: RedistributionPlan, bytes_per_row: float) -> float:
 
 
 def predict_p2p_redistribution(
-    plan: RedistributionPlan, bytes_per_row: float, fabric: FabricSpec
+    plan: RedistributionPlan, bytes_per_row: float, fabric: FabricSpec,
+    merge: bool = True,
 ) -> float:
     """Algorithm 1 with all chunks in flight concurrently: the makespan is
     bounded below by the busiest endpoint draining its bytes, plus one
     size-message round and the rendezvous handshake."""
-    peak = _bottleneck_bytes(plan, bytes_per_row)
+    peak = _bottleneck_bytes(plan, bytes_per_row, merge)
     if peak == 0:
         return 0.0
     t = peak / fabric.bandwidth
@@ -92,12 +106,13 @@ def predict_p2p_redistribution(
 
 
 def predict_pairwise_alltoallv(
-    plan: RedistributionPlan, bytes_per_row: float, fabric: FabricSpec
+    plan: RedistributionPlan, bytes_per_row: float, fabric: FabricSpec,
+    merge: bool = True,
 ) -> float:
     """Algorithm 2's blocking schedule: P serialized phases per rank; each
     phase costs its chunk's message time (empty phases still pay latency)."""
     P = max(plan.n_sources, plan.n_targets)
-    times = chunk_times(plan, bytes_per_row, fabric)
+    times = chunk_times(plan, bytes_per_row, fabric, merge)
     total = 0.0
     # Phase i moves pairs (r, (r+i) mod P); the phase lasts as long as its
     # slowest pair.
@@ -110,7 +125,8 @@ def predict_pairwise_alltoallv(
 
 
 def predict_rma_redistribution(
-    plan: RedistributionPlan, bytes_per_row: float, fabric: FabricSpec
+    plan: RedistributionPlan, bytes_per_row: float, fabric: FabricSpec,
+    merge: bool = True,
 ) -> float:
     """Passive-target puts with all chunks in flight concurrently.
 
@@ -119,7 +135,7 @@ def predict_rma_redistribution(
     is one lock round-trip plus the fire-and-forget unlock release.  On
     non-RDMA fabrics the simulator adds the rendezvous-progress stalls this
     closed form deliberately ignores."""
-    peak = _bottleneck_bytes(plan, bytes_per_row)
+    peak = _bottleneck_bytes(plan, bytes_per_row, merge)
     if peak == 0:
         return 0.0
     t = peak / fabric.bandwidth
@@ -163,11 +179,11 @@ def predict_reconfiguration(
     if merge and nt != ns:
         t_spawn += spawn.merge_cost
     if method == "p2p":
-        t_redist = predict_p2p_redistribution(plan, bytes_per_row, fabric)
+        t_redist = predict_p2p_redistribution(plan, bytes_per_row, fabric, merge)
     elif method == "col":
-        t_redist = predict_pairwise_alltoallv(plan, bytes_per_row, fabric)
+        t_redist = predict_pairwise_alltoallv(plan, bytes_per_row, fabric, merge)
     elif method == "rma":
-        t_redist = predict_rma_redistribution(plan, bytes_per_row, fabric)
+        t_redist = predict_rma_redistribution(plan, bytes_per_row, fabric, merge)
     else:
         raise ValueError(
             f"unknown method {method!r}; use 'p2p', 'col' or 'rma'"

@@ -221,6 +221,9 @@ def cmd_predict(args) -> int:
     print(f"  spawn          : {pred.spawn * 1e3:10.3f} ms")
     print(f"  redistribution : {pred.redistribution * 1e3:10.3f} ms")
     print(f"  total          : {pred.total * 1e3:10.3f} ms")
+    if args.baseline:
+        print("(Baseline's groups are disjoint: index-equal chunks cross the "
+              "wire too)")
     print("(uncontended closed form; a simulation adds CPU/network contention)")
     return 0
 

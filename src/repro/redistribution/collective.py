@@ -28,74 +28,35 @@ class ColRedistribution(RedistributionSession):
 
     method_name = "col"
 
-    # ------------------------------------------------------------ static view
-    @classmethod
-    def symbolic_schedule(cls, plan, src_rank=None, dst_rank=None) -> list[dict]:
-        """Elaborate one rank's Algorithm-2 ops as plain data, for the static
-        verifier (:mod:`repro.sanitize.static_check`).
-
-        Mirrors :meth:`run_blocking`/:meth:`start`: every member enters the
-        size Alltoall and the value Alltoallv, even with nothing to move;
-        ``send_to`` keys are target indices, the ``recv_from`` entries
-        source indices, exactly like :meth:`_values_args`.
-        """
-        ops: list[dict] = []
-        self_rows = None
-        send_to: dict[int, int] = {}
-        recv_from: list[int] = []
-        if src_rank is not None:
-            for tr in plan.sends_for(src_rank):
-                if dst_rank is not None and tr.dst == dst_rank:
-                    self_rows = tr.n_rows
-                    continue
-                send_to[tr.dst] = tr.n_rows
-        if dst_rank is not None:
-            for tr in plan.recvs_for(dst_rank):
-                if src_rank is not None and tr.src == src_rank:
-                    continue
-                recv_from.append(tr.src)
-        if self_rows is not None:
-            ops.append({"op": "memcpy", "rows": self_rows})
-        ops.append({"op": "alltoall"})
-        ops.append({"op": "alltoallv", "send_to": send_to,
-                    "recv_from": recv_from})
-        return ops
-
     def _emit_send_bytes(self, nbytes_map: dict) -> None:
         for nbytes in nbytes_map.values():
             self._emit_transfer("values", nbytes)
 
     # ------------------------------------------------------------- build args
+    def _pack_values(self) -> None:
+        """Pack my outgoing chunks (``send_to`` of my program's Alltoallv)."""
+        self._values_op = self.program[-1]
+        send_to = self._values_op["send_to"]
+        self._packed = dict(zip(send_to, self._pack(list(send_to.values()))))
+
     def _sizes_sendlist(self) -> list[int]:
         """Per-peer byte counts for the size Alltoall (0 where no chunk)."""
         sizes = [0] * self.comm.remote_size
-        if self.is_source:
-            for tr, chunk in zip(*self._precomputed_sends()):
-                if chunk is not None:  # None: self-chunk handled locally
-                    sizes[tr.dst] = chunk[1]
+        for dst, (_sizes, total, _payload) in self._packed.items():
+            sizes[dst] = total
         return sizes
 
     def _values_args(self):
         """(send_map, nbytes_map, recv_from) for the value Alltoallv."""
-        send_map, nbytes_map, recv_from = {}, {}, []
-        if self.is_source:
-            for tr, chunk in zip(*self._precomputed_sends()):
-                if chunk is None:
-                    continue
-                send_map[tr.dst] = chunk[2]
-                nbytes_map[tr.dst] = chunk[1]
-        if self.is_target:
-            for tr in self.plan.recvs_for(self.dst_rank):
-                if self.is_source and tr.src == self.src_rank:
-                    continue
-                recv_from.append(tr.src)
-        return send_map, nbytes_map, recv_from
+        send_map = {dst: chunk[2] for dst, chunk in self._packed.items()}
+        nbytes_map = {dst: chunk[1] for dst, chunk in self._packed.items()}
+        return send_map, nbytes_map, self._values_op["recv_from"]
 
     def _insert_received(self, results: dict) -> None:
-        for tr in self.plan.recvs_for(self.dst_rank):
-            if self.is_source and tr.src == self.src_rank:
-                continue
-            self.dst_dataset.insert(tr.lo, tr.hi, results.get(tr.src), self.names)
+        ranges = self._values_op["recv_ranges"]
+        for src in self._values_op["recv_from"]:
+            lo, hi = ranges[src]
+            self.dst_dataset.insert(lo, hi, results.get(src), self.names)
 
     # -------------------------------------------------------------- blocking
     def run_blocking(self):
@@ -103,7 +64,8 @@ class ColRedistribution(RedistributionSession):
         with MPICH's pairwise schedule for the blocking Alltoallv."""
         self._started = True
         self._mark_started()
-        yield from self._do_local_copy()
+        self._pack_values()
+        yield from self._memcpys()
         t0 = self.ctx.now
         self.sizes_received = yield from self.ctx.alltoall(
             self._sizes_sendlist(), comm=self.comm
@@ -121,8 +83,7 @@ class ColRedistribution(RedistributionSession):
             label=f"{self.label}:values",
         )
         self._emit_phase_span("values", t0)
-        if self.is_target:
-            self._insert_received(results)
+        self._insert_received(results)
         self._finished = True
         self._mark_finished()
 
@@ -133,7 +94,8 @@ class ColRedistribution(RedistributionSession):
             raise RuntimeError("session already started")
         self._started = True
         self._mark_started()
-        yield from self._do_local_copy()
+        self._pack_values()
+        yield from self._memcpys()
         self._stage = "sizes"
         self._t_stage = self.ctx.now
         self._sizes_req, self.sizes_received = yield from self.ctx.ialltoall(
@@ -159,8 +121,7 @@ class ColRedistribution(RedistributionSession):
             self._stage = "values"
         if self._stage == "values" and self._values_req.completed:
             self._emit_phase_span("values", self._t_stage)
-            if self.is_target:
-                self._insert_received(self._values_results)
+            self._insert_received(self._values_results)
             self._stage = "done"
             self._finished = True
             self._mark_finished()

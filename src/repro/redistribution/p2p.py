@@ -28,41 +28,9 @@ class P2PRedistribution(RedistributionSession):
 
     method_name = "p2p"
 
-    # ------------------------------------------------------------ static view
-    @classmethod
-    def symbolic_schedule(cls, plan, src_rank=None, dst_rank=None) -> list[dict]:
-        """Elaborate one rank's Algorithm-1 ops as plain data, for the static
-        verifier (:mod:`repro.sanitize.static_check`).
-
-        Pure function of ``(plan, roles)`` — no simulator, comm or
-        dataset required.  Must mirror :meth:`start`/:meth:`finish` exactly:
-        every isend/irecv those methods would issue appears here as one op
-        dict (``peer`` is a role index on the ``side`` group).  The tag-88
-        receives are posted only after the matching tag-77 message lands,
-        which ``after_tag`` records for the dependency check.
-        """
-        ops: list[dict] = []
-        if dst_rank is not None:
-            for tr in plan.recvs_for(dst_rank):
-                if src_rank is not None and tr.src == src_rank:
-                    continue  # self-chunk arrives by memcpy (source loop)
-                ops.append({"op": "irecv", "peer": tr.src, "side": "src",
-                            "tag": SIZES_TAG})
-                ops.append({"op": "irecv", "peer": tr.src, "side": "src",
-                            "tag": VALUES_TAG, "after_tag": SIZES_TAG})
-        if src_rank is not None:
-            for tr in plan.sends_for(src_rank):
-                if dst_rank is not None and tr.dst == dst_rank:
-                    ops.append({"op": "memcpy", "rows": tr.n_rows})
-                    continue
-                ops.append({"op": "isend", "peer": tr.dst, "side": "dst",
-                            "tag": SIZES_TAG, "rows": 0})
-                ops.append({"op": "isend", "peer": tr.dst, "side": "dst",
-                            "tag": VALUES_TAG, "rows": tr.n_rows})
-        return ops
-
     def start(self):
-        """Sources: fire all Isends.  Targets: post all tag-77 Irecvs."""
+        """Walk my program: targets post their tag-77 Irecvs, sources fire
+        their Isend pairs, with the memcpy in the self-chunk's place."""
         if self._started:
             raise RuntimeError("session already started")
         self._started = True
@@ -73,34 +41,35 @@ class P2PRedistribution(RedistributionSession):
         self._recv_ranges = {}
         self._num_rcv = 0
         self._sizes_seen = {}
-
-        if self.is_target:
-            for tr in self.plan.recvs_for(self.dst_rank):
-                self._recv_ranges[tr.src] = (tr.lo, tr.hi)
-                if self.is_source and tr.src == self.src_rank:
-                    continue  # self-chunk arrives by memcpy
+        # Sizes and payloads for the whole send schedule come from one pass
+        # over the stores, consumed in program order.
+        packed = iter(self._pack([
+            (op["lo"], op["hi"]) for op in self.program
+            if op["op"] == "isend" and op["tag"] == VALUES_TAG
+        ]))
+        for op in self.program:
+            kind, peer = op["op"], op.get("peer")
+            if kind == "memcpy":
+                yield from self._memcpy(op)
+            elif kind == "irecv" and op["tag"] == SIZES_TAG:
                 req = yield from self.ctx.irecv(
-                    source=tr.src, tag=SIZES_TAG, comm=self.comm
+                    source=peer, tag=SIZES_TAG, comm=self.comm
                 )
-                self._size_reqs[tr.src] = req
+                self._size_reqs[peer] = req
                 self._num_rcv += 1
-
-        if self.is_source:
-            # Sizes and payloads for the whole schedule come from one pass
-            # over the stores; the memcpy keeps its position in the
-            # per-transfer message sequence.
-            for tr, chunk in zip(*self._precomputed_sends()):
-                if chunk is None:
-                    yield from self._do_local_copy()
-                    continue
-                sizes, total, payload = chunk
+            elif kind == "irecv":
+                # Posted once the sizes land (:meth:`_handle_completed_size`).
+                self._recv_ranges[peer] = (op["lo"], op["hi"])
+            elif op["tag"] == SIZES_TAG:
+                sizes, total, payload = next(packed)
                 self._emit_transfer("values", total)
                 sreq = yield from self.ctx.isend(
-                    sizes, tr.dst, tag=SIZES_TAG, comm=self.comm,
+                    sizes, peer, tag=SIZES_TAG, comm=self.comm,
                     label=f"{self.label}:sizes",
                 )
+            else:
                 vreq = yield from self.ctx.isend(
-                    payload, tr.dst, tag=VALUES_TAG, comm=self.comm,
+                    payload, peer, tag=VALUES_TAG, comm=self.comm,
                     nbytes=total, label=f"{self.label}:values",
                 )
                 self._send_reqs.extend([sreq, vreq])

@@ -28,12 +28,9 @@ remote progress and the method's no-matching advantage shows directly.
 from __future__ import annotations
 
 from ..simulate.primitives import AllOf
-from .session import RedistributionSession
+from .session import RMA_VARIANTS, RedistributionSession
 
 __all__ = ["RmaRedistribution", "RMA_VARIANTS"]
-
-#: accepted values of :class:`RmaRedistribution` ``variant=``.
-RMA_VARIANTS = ("origin", "target")
 
 
 class _DatasetExposure:
@@ -48,7 +45,7 @@ class _DatasetExposure:
         self.dataset = dataset
         self.names = names
         #: target-driven variant: ``(lo, hi) -> (payloads, nbytes)``
-        #: pre-packed from the compiled plan — the exposing source knows its
+        #: pre-packed from the exposing source's program, which lists its
         #: full get schedule up front, so one batched store pass serves every
         #: request.  Reads outside the staged schedule (never issued by the
         #: sessions) are extracted on demand.
@@ -86,145 +83,29 @@ class RmaRedistribution(RedistributionSession):
     method_name = "rma"
 
     def __init__(self, *args, variant: str = "origin", **kwargs):
+        self.variant = variant  # validated by the lowering
         super().__init__(*args, **kwargs)
-        if variant not in RMA_VARIANTS:
-            raise ValueError(
-                f"unknown RMA variant {variant!r}; "
-                f"valid choices: {', '.join(RMA_VARIANTS)}"
-            )
-        self.variant = variant
-
-    # ------------------------------------------------------------ static view
-    @classmethod
-    def symbolic_schedule(cls, plan, src_rank=None, dst_rank=None, *,
-                          variant: str = "origin") -> list[dict]:
-        """Elaborate one rank's one-sided ops as plain data, for the static
-        verifier (:mod:`repro.sanitize.static_check`).
-
-        Mirrors :meth:`start`/:meth:`finish`: the collective ``win_create``,
-        the shared lock epochs opened *concurrently* over the sorted peer
-        set (the AllOf block), one put/get per scheduled chunk, the closing
-        unlocks, and — on the exposing side — the notification wait with the
-        plan-predicted threshold of :meth:`_expected_notifications`.
-        """
-        if variant not in RMA_VARIANTS:
-            raise ValueError(
-                f"unknown RMA variant {variant!r}; "
-                f"valid choices: {', '.join(RMA_VARIANTS)}"
-            )
-        is_source = src_rank is not None
-        is_target = dst_rank is not None
-        drives = is_source if variant == "origin" else is_target
-        exposes = is_target if variant == "origin" else is_source
-        peer_side = "dst" if variant == "origin" else "src"
-        ops: list[dict] = [{"op": "win_create"}]
-        if is_source and is_target:
-            for tr in plan.sends_for(src_rank):
-                if tr.dst == dst_rank:
-                    ops.append({"op": "memcpy", "rows": tr.n_rows})
-        if drives:
-            if variant == "origin":
-                schedule = [
-                    (tr.dst, tr.n_rows)
-                    for tr in plan.sends_for(src_rank)
-                    if not (is_target and tr.dst == dst_rank)
-                ]
-            else:
-                schedule = [
-                    (tr.src, tr.n_rows)
-                    for tr in plan.recvs_for(dst_rank)
-                    if not (is_source and tr.src == src_rank)
-                ]
-            peers = sorted({peer for peer, _rows in schedule})
-            for order, peer in enumerate(peers):
-                ops.append({"op": "lock", "peer": peer, "side": peer_side,
-                            "mode": "shared", "concurrent": True,
-                            "order": order})
-            kind = "put" if variant == "origin" else "get"
-            for peer, rows in schedule:
-                ops.append({"op": kind, "peer": peer, "side": peer_side,
-                            "rows": rows})
-            for peer in peers:
-                ops.append({"op": "unlock", "peer": peer, "side": peer_side})
-        if exposes:
-            if variant == "origin":
-                threshold = sum(
-                    1
-                    for tr in plan.recvs_for(dst_rank)
-                    if not (is_source and tr.src == src_rank)
-                )
-            else:
-                threshold = sum(
-                    1
-                    for tr in plan.sends_for(src_rank)
-                    if not (is_target and tr.dst == dst_rank)
-                )
-            ops.append({"op": "notify_wait", "threshold": threshold})
-        return ops
-
-    # --------------------------------------------------------------- common
-    @property
-    def _drives(self) -> bool:
-        """Do I issue the one-sided operations (lock/put or lock/get)?"""
-        if self.variant == "origin":
-            return self.is_source
-        return self.is_target
-
-    def _schedule(self):
-        """(peer, lo, hi) triples I drive, excluding the memcpy self-chunk."""
-        if self.variant == "origin":
-            for tr in self.plan.sends_for(self.src_rank):
-                if self.is_target and tr.dst == self.dst_rank:
-                    continue  # self-chunk moves by memcpy
-                yield tr.dst, tr.lo, tr.hi
-        else:
-            for tr in self.plan.recvs_for(self.dst_rank):
-                if self.is_source and tr.src == self.src_rank:
-                    continue
-                yield tr.src, tr.lo, tr.hi
-
-    def _expected_notifications(self) -> int:
-        """Completed ops my exposure must observe before I am done."""
-        if self.variant == "origin":
-            # Puts landing in my destination dataset.
-            return sum(
-                1
-                for tr in self.plan.recvs_for(self.dst_rank)
-                if not (self.is_source and tr.src == self.src_rank)
-            )
-        # Gets served from my source dataset.
-        return sum(
-            1
-            for tr in self.plan.sends_for(self.src_rank)
-            if not (self.is_target and tr.dst == self.dst_rank)
-        )
-
-    @property
-    def _exposes(self) -> bool:
-        """Does my dataset sit behind the window for the other side?"""
-        if self.variant == "origin":
-            return self.is_target
-        return self.is_source
 
     # ------------------------------------------------------------ lifecycle
     def start(self):
         """Create the window (collective), open the lock epochs, and issue
-        every one-sided operation of my schedule."""
+        every one-sided operation of my program."""
         if self._started:
             raise RuntimeError("session already started")
         self._started = True
         self._mark_started()
+        prog = self.program
+        wait = prog[-1] if prog[-1]["op"] == "notify_wait" else None
         exposure = None
-        if self._exposes:
+        if wait is not None:
             staged = None
             if self.variant == "target":
                 # Pre-pack every chunk the targets will get from me — the
-                # plan predicts the full request schedule, so one batched
+                # program lists the full request schedule, so one batched
                 # store pass replaces a per-get extract.
                 staged = {
-                    (tr.lo, tr.hi): (chunk[2], chunk[1])
-                    for tr, chunk in zip(*self._precomputed_sends())
-                    if chunk is not None
+                    chunk: (payload, nbytes) for chunk, (_s, nbytes, payload)
+                    in zip(wait["chunks"], self._pack(wait["chunks"]))
                 }
             exposure = _DatasetExposure(
                 self.dst_dataset if self.variant == "origin" else self.src_dataset,
@@ -237,51 +118,50 @@ class RmaRedistribution(RedistributionSession):
         self._locked = []        # peers whose epoch is still open
         self._notify_event = None
 
-        if self._exposes:
+        if wait is not None:
             self._notify_event = self._win.notification_event(
-                self.ctx.gid, threshold=self._expected_notifications()
+                self.ctx.gid, threshold=wait["threshold"]
             )
 
-        if self.is_source and self.is_target:
-            yield from self._do_local_copy()
+        yield from self._memcpys()
 
-        if not self._drives:
+        if not prog[0]["drives"]:
             return
-
-        schedule = list(self._schedule())
 
         # Open one shared epoch per distinct peer, concurrently: the lock
         # requests overlap their control-message round trips.
         t0 = self.ctx.now
-        peers = sorted({peer for peer, _lo, _hi in schedule})
+        peers = [op["peer"] for op in prog if op["op"] == "lock"]
         grants = []
         for peer in peers:
             ev = yield from self.ctx.win_ilock(self._win, peer)
             grants.append(ev)
         if grants:
             yield from self.ctx._polling_block(AllOf(grants))
-            self._locked = list(peers)
+            self._locked = peers
         self._emit_phase_span("lock", t0)
 
         t0 = self.ctx.now
         if self.variant == "origin":
             # Payloads and wire sizes for the whole put schedule from one
-            # store pass; ``_schedule`` iterates the plan's send order minus
-            # the self-chunk, exactly the non-None chunks of
-            # ``_precomputed_sends`` in order.
-            chunks = [c for c in self._precomputed_sends()[1] if c is not None]
-            for (dst, lo, hi), (_sizes, nbytes, payloads) in zip(schedule, chunks):
+            # store pass.
+            puts = [op for op in prog if op["op"] == "put"]
+            packed = self._pack([(op["lo"], op["hi"]) for op in puts])
+            for op, (_sizes, nbytes, payloads) in zip(puts, packed):
                 self._emit_transfer("put", nbytes)
                 ev = yield from self.ctx.win_put(
-                    self._win, dst, (lo, hi, payloads),
+                    self._win, op["peer"], (op["lo"], op["hi"], payloads),
                     nbytes=nbytes, label=f"{self.label}:put",
                 )
                 self._op_events.append(ev)
             self._emit_phase_span("put", t0)
         else:
-            for src, lo, hi in schedule:
+            for op in prog:
+                if op["op"] != "get":
+                    continue
+                lo, hi = op["lo"], op["hi"]
                 ev = yield from self.ctx.win_iget(
-                    self._win, src, lo, hi - lo,
+                    self._win, op["peer"], lo, hi - lo,
                     label=f"{self.label}:get",
                 )
                 self._op_events.append(ev)

@@ -18,8 +18,8 @@ Three complementary checkers for the simulated stack:
 * :mod:`repro.sanitize.static_check` (static, rules ``STA0xx``): the
   plan & protocol verifier, run as ``repro-harness verify-plans``.  It
   proves redistribution plans
-  conserve bytes and tile both layouts, then symbolically elaborates the
-  P2P/COL/RMA message schedules and checks tag matching, collective
+  conserve bytes and tile both layouts, then takes the op programs the
+  P2P/COL/RMA sessions execute and checks tag matching, collective
   symmetry, deadlock freedom and RMA epoch discipline — before any
   simulation runs.  (Not imported here: it pulls in the redistribution
   stack, which the lint and runtime sanitizer must not depend on.)

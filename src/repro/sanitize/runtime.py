@@ -282,7 +282,7 @@ class Sanitizer:
         until the epoch is flushed (:meth:`on_win_flush`)."""
         comm = win.comm
         self._check_aborted(ctx, comm, "win_put")
-        dst_gid = comm.peer_gid(target_rank)
+        dst_gid = win.peer_gid(ctx.gid, target_rank)
         if win.epoch_mode(ctx.gid, dst_gid) is None:
             self._register(
                 "put", ctx.gid, comm.ctx_id, None, dst_gid, payload, done,
@@ -302,7 +302,7 @@ class Sanitizer:
         """Hooked from :meth:`RankCtx.win_ilock` at lock-issue time."""
         comm = win.comm
         self._check_aborted(ctx, comm, "win_lock")
-        dst_gid = comm.peer_gid(target_rank)
+        dst_gid = win.peer_gid(ctx.gid, target_rank)
         self._epoch_open[(win.win_id, ctx.gid, dst_gid)] = (
             comm.ctx_id, self._now(),
         )
@@ -314,7 +314,7 @@ class Sanitizer:
         (epoch-aware SAN001).  ``MPI_Win_flush_local`` also completes put
         origin buffers, so both variants release the held fingerprints."""
         dst_gid = (
-            win.comm.peer_gid(target_rank) if target_rank is not None else None
+            win.peer_gid(ctx.gid, target_rank) if target_rank is not None else None
         )
         now = self._now()
         for key in sorted(self._epoch_puts):
@@ -337,7 +337,7 @@ class Sanitizer:
 
     def on_win_unlock(self, ctx, win, target_rank: int) -> None:
         """Hooked from :meth:`RankCtx.win_unlock` after the closing flush."""
-        dst_gid = win.comm.peer_gid(target_rank)
+        dst_gid = win.peer_gid(ctx.gid, target_rank)
         self._epoch_open.pop((win.win_id, ctx.gid, dst_gid), None)
         self._epoch_puts.pop((win.win_id, ctx.gid, dst_gid), None)
 

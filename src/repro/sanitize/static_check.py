@@ -18,10 +18,10 @@ objects with ``STA`` rule codes (:data:`repro.sanitize.findings.STA_RULES`):
   views.  Rows are the unit of conservation: both sides derive a chunk's
   wire bytes from the same rows, so a row-conserving plan is
   byte-conserving by construction.
-* :func:`elaborate` — symbolic elaboration of the per-rank message
-  schedules of P2P/COL/RMA sessions (via their ``symbolic_schedule``
-  hooks) into a :class:`CommGraph` over the spawn method's rank topology
-  (Merge: persisting dual-role ranks; Baseline: disjoint groups).
+* :func:`elaborate` — the per-rank programs the P2P/COL/RMA sessions
+  execute (:func:`repro.redistribution.session.lower`), gathered into a
+  :class:`CommGraph` over the spawn method's rank topology (Merge:
+  persisting dual-role ranks; Baseline: disjoint groups).
 * :func:`check_graph` — send/recv tag matching and one-sided-op vs
   notification budgets (STA004), collective membership and alltoallv
   count symmetry (STA005), an abstract execution proving the schedule can
@@ -49,10 +49,8 @@ from typing import Iterable, Optional, Sequence
 
 from ..malleability.config import ALL_CONFIGS, ReconfigConfig, SpawnMethod
 from ..redistribution.api import RedistMethod
-from ..redistribution.collective import ColRedistribution
-from ..redistribution.p2p import P2PRedistribution
-from ..redistribution.plan import RedistributionPlan, Transfer
-from ..redistribution.rma import RMA_VARIANTS, RmaRedistribution
+from ..redistribution.plan import RedistributionPlan
+from ..redistribution.session import lower
 from .findings import Finding, STA_RULES
 
 __all__ = [
@@ -178,38 +176,6 @@ def verify_plan(plan: RedistributionPlan, *, label: str = "plan") -> list[Findin
 
 
 # ============================================================== elaboration
-class _CompiledPlanView:
-    """Plan facade that re-derives the transfer lists from the compiled
-    :class:`~repro.redistribution.plan.PlanProgram` flat arrays.
-
-    Sessions lower their send schedule through ``compiled_sends``, so the
-    verifier elaborates what ships: peers, chunk row counts and chunk order
-    all come back out of ``peers``/``los``/``his``, and a plan-compilation
-    bug surfaces as an STA004/STA005 mismatch instead of silently shipping
-    different wire traffic.
-    """
-
-    def __init__(self, plan: RedistributionPlan):
-        self._plan = plan
-
-    def __getattr__(self, name):
-        return getattr(self._plan, name)
-
-    def sends_for(self, src: int) -> list[Transfer]:
-        prog = self._plan.compiled_sends(src)
-        return [
-            Transfer(src, int(peer), int(lo), int(hi))
-            for peer, lo, hi in zip(prog.peers, prog.los, prog.his)
-        ]
-
-    def recvs_for(self, dst: int) -> list[Transfer]:
-        prog = self._plan.compiled_recvs(dst)
-        return [
-            Transfer(int(peer), dst, int(lo), int(hi))
-            for peer, lo, hi in zip(prog.peers, prog.los, prog.his)
-        ]
-
-
 @dataclass(frozen=True)
 class RankNode:
     """One process in the symbolic communication graph."""
@@ -223,8 +189,8 @@ class RankNode:
 class CommGraph:
     """Per-rank symbolic op lists plus the role-index resolution maps.
 
-    ``ops[node.name]`` holds the op dicts a ``symbolic_schedule`` hook
-    produced (or a test handcrafted); ``src_node``/``dst_node`` map role
+    ``ops[node.name]`` holds the op dicts of the rank's lowered program
+    (or ones a test handcrafted); ``src_node``/``dst_node`` map role
     indices to node names so peer references resolve to graph nodes.  An op
     may carry ``peer_node`` directly instead of ``peer``/``side`` —
     handcrafted graphs use that form.
@@ -266,22 +232,17 @@ def elaborate(
     The strategy axis (S/A/T) changes how schedules are *driven*, not what
     they contain, so one graph covers all three.
 
-    Every rank's schedule is derived from the compiled plan programs (the
-    flat ``peers``/``los``/``his`` arrays the sessions consume, see
-    :class:`_CompiledPlanView`), so STA004/STA005 tag matching verifies the
-    plan lowering too.
+    Every rank's ops are its session's own program
+    (:func:`repro.redistribution.session.lower`, read from the compiled
+    plan programs), so the checks see exactly what ships — a plan-lowering
+    bug surfaces as an STA004/STA005 mismatch.
     """
     if isinstance(method, str):
         method = RedistMethod.parse(method)
     if isinstance(spawn, str):
         spawn = SpawnMethod.parse(spawn)
-    if variant not in RMA_VARIANTS:
-        raise ValueError(
-            f"unknown RMA variant {variant!r}; "
-            f"valid choices: {', '.join(RMA_VARIANTS)}")
 
     ns, nt = plan.n_sources, plan.n_targets
-    sched_plan = _CompiledPlanView(plan)
     nodes: list[RankNode] = []
     if spawn is SpawnMethod.MERGE:
         for r in range(max(ns, nt)):
@@ -294,27 +255,16 @@ def elaborate(
         nodes.extend(RankNode(f"s{i}", src_rank=i) for i in range(ns))
         nodes.extend(RankNode(f"t{j}", dst_rank=j) for j in range(nt))
 
-    if method is RedistMethod.RMA:
-        def schedule(node):
-            return RmaRedistribution.symbolic_schedule(
-                sched_plan, node.src_rank, node.dst_rank, variant=variant)
-    else:
-        session_cls = (P2PRedistribution if method is RedistMethod.P2P
-                       else ColRedistribution)
-
-        def schedule(node):
-            return session_cls.symbolic_schedule(
-                sched_plan, node.src_rank, node.dst_rank)
-
-    graph = CommGraph(
+    return CommGraph(
         label=label or f"{spawn.value}-{method.value} "
                        f"{ns}->{nt} rows={plan.n_rows}",
         nodes=nodes,
-        ops={node.name: schedule(node) for node in nodes},
+        ops={node.name: lower(plan, method.value, node.src_rank,
+                              node.dst_rank, variant)
+             for node in nodes},
         src_node={n.src_rank: n.name for n in nodes if n.src_rank is not None},
         dst_node={n.dst_rank: n.name for n in nodes if n.dst_rank is not None},
     )
-    return graph
 
 
 # ============================================================ graph checks

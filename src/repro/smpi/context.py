@@ -706,7 +706,7 @@ class RankCtx:
         the fabric's eager threshold on a non-RDMA fabric only land while
         the target is inside an MPI call.  Returns the completion event
         (tracked by the window for fences and epoch flushes)."""
-        dst_gid = win.comm.peer_gid(target_rank)
+        dst_gid = win.peer_gid(self.gid, target_rank)
         world = self.world
         epoch = win.epoch_mode(self.gid, dst_gid)
         self._rma_count("put")
@@ -797,7 +797,7 @@ class RankCtx:
         epoch the response obeys the rendezvous-progress rule (the *data
         holder* must be inside MPI for rendezvous-sized responses on
         non-RDMA fabrics) — the target-driven mirror of ``win_put``."""
-        dst_gid = win.comm.peer_gid(target_rank)
+        dst_gid = win.peer_gid(self.gid, target_rank)
         world = self.world
         dst_ep = self.world.endpoints[dst_gid]
         dst_node = dst_ep.node
@@ -894,7 +894,7 @@ class RankCtx:
         travels back — no target-side MPI call is needed to grant."""
         from .rma import LOCK_EXCLUSIVE, LOCK_SHARED
 
-        dst_gid = win.comm.peer_gid(target_rank)
+        dst_gid = win.peer_gid(self.gid, target_rank)
         world = self.world
         if win.epoch_mode(self.gid, dst_gid) is not None:
             raise ValueError(
@@ -976,7 +976,7 @@ class RankCtx:
     def _win_flush(self, win, target_rank, local_only: bool):
         dst_gid = None
         if target_rank is not None:
-            dst_gid = win.comm.peer_gid(target_rank)
+            dst_gid = win.peer_gid(self.gid, target_rank)
             if win.epoch_mode(self.gid, dst_gid) is None:
                 raise ValueError(
                     f"win_flush: no epoch open to rank {target_rank}"
@@ -996,7 +996,7 @@ class RankCtx:
     def win_unlock(self, win, target_rank: int):
         """Close the passive-target epoch (``MPI_Win_unlock``): flush every
         operation of the epoch, then release the target's lock word."""
-        dst_gid = win.comm.peer_gid(target_rank)
+        dst_gid = win.peer_gid(self.gid, target_rank)
         mode = win.epoch_mode(self.gid, dst_gid)
         if mode is None:
             raise ValueError(

@@ -147,6 +147,22 @@ class Window:
         world.windows.append(self)
 
     # -------------------------------------------------------------- plumbing
+    def peer_gid(self, origin_gid: int, rank: int) -> int:
+        """gid of the member ``origin_gid`` calls ``rank``.
+
+        The shared handle keeps whichever side's communicator arrived last;
+        on an inter-communicator window the other side's ranks name the
+        handle's *local* group, so resolve from the caller's side."""
+        comm = self.comm
+        if comm.is_inter and not comm.contains_gid(origin_gid):
+            if not 0 <= rank < comm.size:
+                raise IndexError(
+                    f"{comm.name}: peer rank {rank} out of range "
+                    f"0..{comm.size - 1}"
+                )
+            return comm.group[rank]
+        return comm.peer_gid(rank)
+
     def _track(self, ev: SimEvent) -> None:
         self._pending.append(ev)
 

@@ -192,3 +192,27 @@ def test_baseline_vs_merge_prediction_matches_paper_ordering():
     baseline = predict_reconfiguration(plan, 100.0, ETHERNET_10G, spawn, 2,
                                        method="p2p", merge=False)
     assert merge.total < baseline.total
+
+
+def test_baseline_prices_index_equal_chunks_as_wire_traffic():
+    """Source i and target i are one process only under Merge; Baseline's
+    groups are disjoint, so its index-equal chunks cross the wire."""
+    spawn = SpawnModel()
+
+    def redist(ns, nt, method, merge):
+        plan = RedistributionPlan.block(500_000, ns, nt)
+        return predict_reconfiguration(
+            plan, 100.0, ETHERNET_10G, spawn, 2, method=method, merge=merge
+        ).redistribution
+
+    # 6->6: every chunk is index-equal; Merge keeps them all local.
+    assert redist(6, 6, "p2p", merge=True) == 0.0
+    assert redist(6, 6, "p2p", merge=False) > 0
+    # 8->4: source 0's chunk to target 0 now costs the pairwise schedule a
+    # real phase 0.  The bottleneck models' busiest endpoint (target 2, fed
+    # by sources 4 and 5) is the same under both spawn methods.
+    assert redist(8, 4, "col", merge=False) > redist(8, 4, "col", merge=True)
+    assert redist(8, 4, "p2p", merge=False) == redist(8, 4, "p2p", merge=True)
+    # Merge numbers are the ones the models always gave.
+    assert redist(8, 4, "p2p", merge=True) == pytest.approx(14.3667392e-3)
+    assert redist(8, 4, "col", merge=True) == pytest.approx(29.3333333e-3)

@@ -4,18 +4,25 @@ Every combination of {P2P, COL, RMA} x {merge-style intra, baseline-style
 inter} x {blocking, test-driven} must deliver bit-identical data.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import sparse as sp
 
+from repro.cluster import ETHERNET_10G, Machine
+from repro.obs import MetricsProbe
 from repro.redistribution import (
+    VALUES_TAG,
     Dataset,
     FieldSpec,
     RedistMethod,
     RedistributionPlan,
     make_session,
 )
-from repro.smpi import run_spmd
+from repro.redistribution.session import lower
+from repro.simulate import Simulator
+from repro.smpi import MpiWorld, run_spmd
 
 N_ROWS = 60
 N_COLS = 30
@@ -61,7 +68,7 @@ def check_target(ds, plan, t):
     assert ds.stores["blob"].complete
 
 
-def merge_style_main(mpi, method, ns, nt, driving):
+def merge_style_main(mpi, method, ns, nt, driving, variant=None):
     """All ranks share one intra-comm; ranks < ns are sources, < nt targets."""
     plan = RedistributionPlan.block(N_ROWS, ns, nt)
     r = mpi.rank
@@ -79,6 +86,7 @@ def merge_style_main(mpi, method, ns, nt, driving):
         dst_rank=dst_rank,
         src_dataset=source_dataset(plan, src_rank) if src_rank is not None else None,
         dst_dataset=target_dataset(plan, dst_rank) if dst_rank is not None else None,
+        variant=variant,
     )
     if driving == "blocking":
         yield from session.run_blocking()
@@ -119,7 +127,7 @@ def test_merge_style_test_driven(method, ns, nt):
     assert results.count("target-ok") == nt
 
 
-def baseline_style_main(mpi, method, ns, nt, driving):
+def baseline_style_main(mpi, method, ns, nt, driving, variant=None):
     """Sources spawn nt children and redistribute over the inter-comm."""
     plan = RedistributionPlan.block(N_ROWS, ns, nt)
 
@@ -130,6 +138,7 @@ def baseline_style_main(mpi, method, ns, nt, driving):
             names=["A", "x", "blob"],
             dst_rank=t,
             dst_dataset=target_dataset(plan, t),
+            variant=variant,
         )
         if driving == "blocking":
             yield from session.run_blocking()
@@ -149,6 +158,7 @@ def baseline_style_main(mpi, method, ns, nt, driving):
         names=["A", "x", "blob"],
         src_rank=s,
         src_dataset=source_dataset(plan, s),
+        variant=variant,
     )
     if driving == "blocking":
         yield from session.run_blocking()
@@ -181,6 +191,60 @@ def test_baseline_style_async_sources(method):
         n_nodes=4, cores_per_node=2,
     )
     assert results == ["source-done"] * ns
+
+
+#: every shipped session shape: (method, RMA variant).
+SHIPPED = [("p2p", None), ("col", None), ("rma", "origin"), ("rma", "target")]
+PHASES = ("values", "put", "get", "memcpy")
+
+
+def lowered_transfers(plan, method, variant, spawn):
+    """Per-phase chunk count of every rank's lowered program."""
+    ns, nt = plan.n_sources, plan.n_targets
+    if spawn == "merge":
+        roles = [(r if r < ns else None, r if r < nt else None)
+                 for r in range(max(ns, nt))]
+    else:
+        roles = [(s, None) for s in range(ns)] + [(None, t) for t in range(nt)]
+    counts = Counter()
+    for src_rank, dst_rank in roles:
+        for op in lower(plan, method, src_rank, dst_rank, variant or "origin"):
+            if op["op"] == "alltoallv":
+                counts["values"] += len(op["send_to"])
+            elif op["op"] == "isend" and op["tag"] == VALUES_TAG:
+                counts["values"] += 1
+            elif op["op"] in PHASES:
+                counts[op["op"]] += 1
+    return {phase: counts[phase] for phase in PHASES}
+
+
+@pytest.mark.parametrize("method,variant", SHIPPED,
+                         ids=["p2p", "col", "rma-origin", "rma-target"])
+@pytest.mark.parametrize("spawn", ["merge", "baseline"])
+@pytest.mark.parametrize("ns,nt", [(2, 4), (4, 2), (3, 3)])
+def test_lowered_program_is_what_ships(method, variant, spawn, ns, nt):
+    """The runtime transfer counters equal the chunk ops of the ranks'
+    lowered programs — the same programs the static verifier checks."""
+    plan = RedistributionPlan.block(N_ROWS, ns, nt)
+    sim = Simulator()
+    machine = Machine(sim, 4, 2, ETHERNET_10G)
+    world = MpiWorld(machine)
+    probe = MetricsProbe().attach(machine, world)
+    if spawn == "merge":
+        main, slots = merge_style_main, range(max(ns, nt))
+    else:
+        main, slots = baseline_style_main, range(ns)
+    world.launch(main, slots=slots, args=(method, ns, nt, "blocking", variant))
+    sim.run()
+    counters = probe.detach().registry.to_dict()["counters"]
+    shipped = {
+        phase: counters.get(
+            f"redist.transfers{{method={method},phase={phase}}}", 0)
+        for phase in PHASES
+    }
+    expected = lowered_transfers(plan, method, variant, spawn)
+    assert sum(expected.values()) > 0
+    assert shipped == expected
 
 
 def test_thread_driven_redistribution():

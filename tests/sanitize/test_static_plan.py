@@ -22,7 +22,6 @@ from repro.redistribution.plan import RedistributionPlan, Transfer
 from repro.sanitize.static_check import (
     CommGraph,
     RankNode,
-    _CompiledPlanView,
     check_graph,
     elaborate,
     verify_config,
@@ -137,18 +136,25 @@ class TestElaborate:
     )
     def test_compiled_view_matches_plan_transfers(
             self, n_rows, ns, nt, movement_minimizing):
-        # The compiled-plan lowering the sessions (and ``elaborate``) read
-        # must reproduce the plan's transfer lists entry for entry — peers,
-        # row ranges, order — over grow/shrink/equal/non-divisible shapes.
+        # The compiled plan programs the sessions (and ``elaborate``) lower
+        # from must reproduce the plan's transfer lists entry for entry —
+        # peers, row ranges, order — over grow/shrink/equal/non-divisible
+        # shapes.
         if movement_minimizing:
             plan = RedistributionPlan.movement_minimizing(n_rows, ns, nt)
         else:
             plan = fresh_plan(n_rows, ns, nt)
-        view = _CompiledPlanView(plan)
+
+        def rows(prog):
+            return list(zip(prog.peers.tolist(), prog.los.tolist(),
+                            prog.his.tolist()))
+
         for s in range(ns):
-            assert view.sends_for(s) == plan.sends_for(s)
+            assert rows(plan.compiled_sends(s)) == [
+                (tr.dst, tr.lo, tr.hi) for tr in plan.sends_for(s)]
         for d in range(nt):
-            assert view.recvs_for(d) == plan.recvs_for(d)
+            assert rows(plan.compiled_recvs(d)) == [
+                (tr.src, tr.lo, tr.hi) for tr in plan.recvs_for(d)]
 
     def test_batched_lowering_bug_is_caught(self):
         # Corrupt one compiled program entry (a peer index off by one):
