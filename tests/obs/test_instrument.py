@@ -138,3 +138,87 @@ def test_detached_run_emits_nothing():
     sim, machine, world = build_stack()
     run_pingpong(sim, world)
     assert world.metrics is None  # cooperative guard stayed cold
+
+
+# Observer outputs pinned byte for byte: metrics.json, the Perfetto trace and
+# the sorted sanitizer findings of one run with all three observers attached.
+OBSERVED_CELLS = {
+    "merge-col-t-2-4": ((2, 4, "merge-col-t"), ""),
+    "merge-rma-a-4-8": ((4, 8, "merge-rma-a"), ""),
+    "merge-col-s-2-8-crash": (
+        (2, 8, "merge-col-s"), "crash@redist+0.002:node=1"
+    ),
+    "merge-p2p-a-4-8-crash": (
+        (4, 8, "merge-p2p-a"), "crash@redist+0.002:node=1"
+    ),
+}
+
+OBSERVED_DIGESTS = {
+    "merge-col-s-2-8-crash": {
+        "metrics": "67b3c325c93dddab57ee341074f7f6795d23d1556cc1ea9ff9d3c3f6bc984c5e",
+        "trace": "61aee6f8d0d6f46af4a8b7fa5ed4acb398c39a296c297c71bb1af404308702ee",
+        "findings": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    },
+    "merge-col-t-2-4": {
+        "metrics": "2cde87b3ef3c9fbaccc4bfb65591784d7ba7eef3217e9452afd4869a6e512b42",
+        "trace": "7f93947777256c7680b6078d31bbd0817090533dca93cebe943b905556ad5868",
+        "findings": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    },
+    "merge-p2p-a-4-8-crash": {
+        "metrics": "08add8aeb2b54f60f1e8006f86b7e73da409eaa83c334a66616af6820e7a3894",
+        "trace": "97e56992f2b54c5b667dae5118dfda766f11ec0cd872c68c9d82c597873a76bc",
+        "findings": "fed8ab26dccf80c69cf5277e817a5b117181e96d5a5f6fffa81d874f53469729",
+    },
+    "merge-rma-a-4-8": {
+        "metrics": "c5a2cc190a3b0a986082c28c591f1e52d596b8d415033b5684f7b98ffb4ddf3a",
+        "trace": "6874e945aa3d452fd0948468ef053d705be30e63d1b6bc42b78924d52825af3a",
+        "findings": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    },
+}
+
+
+def _sha(text: str) -> str:
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _renumber_messages(trace: str) -> str:
+    """Message ids in flow labels come from a process-wide counter: number
+    them by first appearance so the digest does not depend on what ran
+    earlier in the same interpreter."""
+    import re
+
+    ids: dict[str, int] = {}
+    return re.sub(
+        r"\b(eager|rts|cts|data|rxcopy):(\d+)",
+        lambda m: f"{m[1]}:{ids.setdefault(m[2], len(ids))}",
+        trace,
+    )
+
+
+@pytest.mark.parametrize("cell", sorted(OBSERVED_CELLS))
+def test_observer_outputs_pinned(cell):
+    import json
+
+    from repro.harness.runner import RunSpec, run_one
+    from repro.obs import build_metrics_doc
+    from repro.sanitize import Sanitizer
+    from repro.sanitize.findings import Finding
+    from repro.trace import Tracer
+
+    (ns, nt, config), faults = OBSERVED_CELLS[cell]
+    spec = RunSpec(ns, nt, config, "ethernet", "tiny", faults=faults)
+    reg, tracer, san = MetricsRegistry(), Tracer(), Sanitizer()
+    run_one(spec, metrics=reg, tracer=tracer, sanitizer=san)
+    metrics = json.dumps(build_metrics_doc(reg), indent=2, sort_keys=True)
+    findings = json.dumps(
+        [f.to_dict() for f in sorted(san.findings, key=Finding.sort_key)],
+        sort_keys=True,
+    )
+    got = {
+        "metrics": _sha(metrics),
+        "trace": _sha(_renumber_messages(tracer.to_chrome_trace())),
+        "findings": _sha(findings),
+    }
+    assert got == OBSERVED_DIGESTS[cell]
