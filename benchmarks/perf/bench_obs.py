@@ -9,10 +9,10 @@ detached*.  Three timings of the same simulated job (merge-col-t on
 ethernet, the configuration with the busiest emission sites — async
 collective phases, oversubscribed nodes):
 
-* ``detached``  — no registry anywhere; the cooperative ``world.metrics``
-  guards are one pointer comparison each, hot paths unwrapped.
-* ``attached``  — a :class:`~repro.obs.MetricsProbe` wrapping the cluster
-  hot paths plus cooperative emission everywhere.
+* ``detached``  — no observer anywhere; every event site is one
+  empty-``observers``-tuple test.
+* ``attached``  — a :class:`~repro.obs.MetricsProbe` subscribed to the
+  network, the nodes and the MPI world.
 * ``traced``    — probe *and* :class:`~repro.trace.Tracer` together (the
   ``repro-harness observe`` configuration).
 

@@ -9,8 +9,8 @@ ISSUE 4's acceptance bar mirrors the obs layer's: the sanitizer must be
 same simulated job (merge-col-t on ethernet — the busiest configuration:
 async collective phases, windowed self-copies, heavy P2P):
 
-* ``detached``  — no sanitizer anywhere; every emission site is one
-  ``world.sanitizer is None`` pointer comparison.
+* ``detached``  — no sanitizer anywhere; every event site is one
+  empty-``observers``-tuple test.
 * ``attached``  — a :class:`~repro.sanitize.Sanitizer` tracking every
   request, fingerprinting every payload, and running the finalize and
   alltoallv cross-check passes.

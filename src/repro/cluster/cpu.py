@@ -94,6 +94,9 @@ class Node:
         #: set by :meth:`fail` — a crashed node computes nothing and silently
         #: swallows new work (its processes are killed by the fault injector).
         self.failed = False
+        #: subscribed :class:`repro.obs.Observer` objects (``on_submit``,
+        #: ``on_demand``); empty unless one is attached.
+        self.observers = ()
 
     # ---------------------------------------------------------------- load
     @property
@@ -158,24 +161,31 @@ class Node:
     def submit(self, work: float, on_done: Callable[[], None], label: Any = "") -> None:
         """Add ``work`` seconds of single-core compute; ``on_done`` fires when
         it finishes (taking current and future load into account).
-        ``label`` names the task for tracers only."""
+        ``label`` names the task for observers only."""
         if work < 0 or not math.isfinite(work):
             raise ValueError(f"work must be finite and >= 0, got {work}")
+        observers = self.observers
+        if observers:
+            for o in observers:
+                on_done = o.on_submit(self, on_done, label)
         if self.failed:
-            return  # crashed node: the work (and its completion) evaporates
-        if work == 0:
+            pass  # crashed node: the work (and its completion) evaporates
+        elif work == 0:
             self.sim.schedule(0.0, on_done)
-            return
-        self._advance()
-        tags = self._tags
-        entry = (self._service + work, self._submitted, on_done)
-        self._submitted += 1
-        heapq.heappush(tags, entry)
-        n = self._n = self._n + 1
-        if n > self.peak_demand:
-            self.peak_demand = n
-        if n > self.cores or tags[0] is entry:  # the rate fell or a new head
-            self._retime()
+        else:
+            self._advance()
+            tags = self._tags
+            entry = (self._service + work, self._submitted, on_done)
+            self._submitted += 1
+            heapq.heappush(tags, entry)
+            n = self._n = self._n + 1
+            if n > self.peak_demand:
+                self.peak_demand = n
+            if n > self.cores or tags[0] is entry:  # rate fell or new head
+                self._retime()
+        if observers:
+            for o in observers:
+                o.on_demand(self)
 
     def add_poller(self, token: PollerToken) -> None:
         """Register a CPU-burning poller (e.g. a rank inside MPI_Wait*)."""
@@ -188,6 +198,9 @@ class Node:
             self.peak_demand = n
         if n > self.cores and self._tags:
             self._retime()
+        if self.observers:
+            for o in self.observers:
+                o.on_demand(self)
 
     def remove_poller(self, token: PollerToken) -> None:
         if token.id not in self._pollers:
@@ -197,6 +210,9 @@ class Node:
         n = self._n = self._n - 1
         if n >= self.cores and self._tags:  # it was beyond the cores
             self._retime()
+        if self.observers:
+            for o in self.observers:
+                o.on_demand(self)
 
     # ---------------------------------------------------------------- faults
     def fail(self) -> None:

@@ -165,6 +165,9 @@ class Network:
         #: updates resolved by the incremental fast paths.
         self.reallocations = 0
         self.fast_path_hits = 0
+        #: subscribed :class:`repro.obs.Observer` objects (``on_flow``,
+        #: ``on_flow_active``); empty unless one is attached.
+        self.observers = ()
 
     # ----------------------------------------------------------------- links
     def add_link(self, name: str, capacity: float) -> Link:
@@ -220,6 +223,9 @@ class Network:
             if link.link_id not in self._links:
                 raise ValueError(f"{link!r} does not belong to this network")
         done = SimEvent(self.sim, ("flow:", label or size))
+        if self.observers:
+            for o in self.observers:
+                o.on_flow(route, size, label, done)
         self.bytes_carried += size
         if size == 0:
             self.sim.schedule(latency, lambda: done.trigger(None))
@@ -249,6 +255,9 @@ class Network:
             self._reschedule_completion()
         else:
             self._reallocate_and_reschedule()
+        if self.observers:
+            for o in self.observers:
+                o.on_flow_active(flow)
 
     def _retire(self, flow: Flow) -> None:
         self._active.discard(flow)

@@ -15,8 +15,8 @@ world):
 3. the dead ranks are marked in the MPI world, completing outstanding
    traffic with :class:`~repro.smpi.errors.CommFailedError`.
 
-Every injection increments the ``faults_injected{kind=...}`` counter when an
-observability registry is attached.
+Every injection is reported to the world's observers (``on_fault``); an
+attached metrics probe counts it as ``faults_injected{kind=...}``.
 """
 
 from __future__ import annotations
@@ -90,9 +90,8 @@ class FaultInjector:
         return len(self.injected)
 
     def _count(self, ev: FaultEvent) -> None:
-        m = self.world.metrics
-        if m is not None:
-            m.counter("faults_injected", kind=ev.kind).inc()
+        for o in self.world.observers:
+            o.on_fault(ev.kind)
 
     def _fire(self, ev: FaultEvent) -> None:
         self.injected.append((self.sim.now, ev.canonical()))

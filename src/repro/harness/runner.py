@@ -198,7 +198,7 @@ def run_one(
     if tracer is not None:
         tracer.attach(machine)
     if sanitizer is not None:
-        sanitizer.attach(world)
+        sanitizer.attach(world=world)
     if spec.plan_mode == "block":
         plan_factory = RedistributionPlan.block
     elif spec.plan_mode == "minmove":

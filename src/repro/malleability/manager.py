@@ -490,15 +490,11 @@ class GroupRunner:
             record.recovery_policy = policy
         if record.recovered_at is None:
             record.recovered_at = self.mpi.now
-            m = self.mpi.world.metrics
-            if m is not None:
-                m.counter("recoveries", policy=record.recovery_policy).inc()
-                if record.first_failure_at is not None:
-                    m.timer("recovery_time").record(
-                        record.first_failure_at,
-                        self.mpi.now,
-                        label=f"reconf{self.group_index}",
-                    )
+            for o in self.mpi.world.observers:
+                o.on_recovery(
+                    record.recovery_policy, record.first_failure_at,
+                    f"reconf{self.group_index}",
+                )
 
     def _finish_recovery(self, record: ReconfigRecord) -> None:
         if record.first_failure_at is None:
@@ -594,15 +590,11 @@ class GroupRunner:
             record.recovered_at = world.sim.now
             record.mark_data_complete(world.sim.now)
             record.mark_commit_finished(world.sim.now)
-            m = world.metrics
-            if m is not None:
-                m.counter("recoveries", policy="checkpoint_restart").inc()
-                if record.first_failure_at is not None:
-                    m.timer("recovery_time").record(
-                        record.first_failure_at,
-                        world.sim.now,
-                        label=f"reconf{group_index - 1}",
-                    )
+            for o in world.observers:
+                o.on_recovery(
+                    "checkpoint_restart", record.first_failure_at,
+                    f"reconf{group_index - 1}",
+                )
             world.launch(
                 _restart_entry,
                 alive[:n],

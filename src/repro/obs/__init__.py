@@ -1,9 +1,10 @@
 """Run-wide observability: structured metrics across every layer.
 
-The package mirrors the :class:`repro.trace.Tracer` attach pattern: a
-:class:`MetricsProbe` wraps cluster hot paths and plants a cooperative
-``world.metrics`` hook while attached, and the stack pays (at most) one
-``is not None`` pointer check per event when it is not.
+A :class:`MetricsProbe` is one :class:`~repro.obs.instrument.Observer`:
+while attached it sits in the ``observers`` tuples of the machine's
+network and nodes and of the MPI world, like the Tracer and the
+Sanitizer; with nothing attached the stack pays one empty-tuple test per
+event.
 
 Typical use::
 

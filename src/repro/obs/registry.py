@@ -2,11 +2,9 @@
 
 Design constraints (ISSUE 2):
 
-* **Near-zero overhead when not attached.**  Layers that cooperate with the
-  registry hold a single ``metrics`` attribute that defaults to ``None`` and
-  guard every emission with one ``is not None`` test; the wrapping probe
-  (:mod:`repro.obs.instrument`) only patches hot paths while attached,
-  mirroring :class:`repro.trace.recorder.Tracer`.
+* **Near-zero overhead when not attached.**  Layers never see a registry:
+  they call observer hooks behind one empty-tuple test, and only an
+  attached :class:`~repro.obs.instrument.MetricsProbe` writes here.
 * **Deterministic serialization.**  ``to_dict()`` sorts every metric family
   by its canonical key, so two registries holding the same observations
   serialize to the same JSON bytes — the property the parallel sweep
@@ -385,7 +383,7 @@ class MetricsRegistry:
         """Replay recorded timer spans as tracer marks (Perfetto lanes).
 
         Returns the number of marks emitted.  The tracer's own flow/CPU
-        wrapping is untouched; this adds the obs layer's *semantic* spans
+        events are untouched; this adds the obs layer's *semantic* spans
         (redistribution phases, reconfiguration stages) on top.
         """
         emitted = 0

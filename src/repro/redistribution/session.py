@@ -207,37 +207,19 @@ class RedistributionSession:
                              self.variant)
 
     # ------------------------------------------------------- observability
-    # Cooperative emission (see repro.obs): when no MetricsProbe is
-    # attached, ``world.metrics`` is None and each helper is one pointer
-    # comparison; sessions never require a registry to run.
-    def _metrics(self):
-        return getattr(self.ctx.world, "metrics", None)
-
+    # The world's observers (repro.obs.instrument.Observer) see transfers,
+    # phase ends and test() calls; with none attached each is a no-op loop.
     def _emit_transfer(self, phase: str, nbytes: float) -> None:
-        m = self._metrics()
-        if m is not None:
-            m.counter(
-                "redist.transfer_bytes", method=self.method_name, phase=phase
-            ).inc(nbytes)
-            m.counter(
-                "redist.transfers", method=self.method_name, phase=phase
-            ).inc()
+        for o in self.ctx.world.observers:
+            o.on_redist_transfer(self, phase, nbytes)
 
     def _emit_phase_span(self, phase: str, t0: float) -> None:
-        m = self._metrics()
-        if m is not None:
-            m.timer(
-                "redist.phase_seconds", method=self.method_name, phase=phase
-            ).record(t0, self.ctx.now, label=f"{self.label}:{phase}")
+        for o in self.ctx.world.observers:
+            o.on_redist_phase(self, phase, t0)
 
     def _emit_test(self, done: bool) -> None:
-        """Async progress timeline: one gauge sample per ``test()`` call."""
-        m = self._metrics()
-        if m is not None:
-            m.counter("redist.test_calls", method=self.method_name).inc()
-            m.gauge("redist.session_done", label=self.label).set(
-                1.0 if done else 0.0, self.ctx.now
-            )
+        for o in self.ctx.world.observers:
+            o.on_redist_test(self, done)
 
     def _mark_started(self) -> None:
         if self._t_started is None:
@@ -261,17 +243,14 @@ class RedistributionSession:
         payloads = self.src_dataset.extract(lo, hi, self.names)
         nbytes = self.src_dataset.range_nbytes(lo, hi, self.names)
         self._emit_transfer("memcpy", nbytes)
-        san = self.ctx.world.sanitizer
-        token = None
-        if san is not None:
-            token = san.on_memcpy_begin(
-                self.ctx, self.src_dataset, lo, hi, self.names
-            )
+        observers = self.ctx.world.observers
+        for o in observers:
+            o.on_memcpy_begin(self, lo, hi)
         cost = nbytes / self.ctx.machine.memory_channel.bandwidth
         if cost > 0:
             yield from self.ctx.compute(cost)
-        if san is not None:
-            san.on_memcpy_end(token)
+        for o in observers:
+            o.on_memcpy_end(self, lo, hi)
         self.dst_dataset.insert(lo, hi, payloads, self.names)
 
     def _memcpys(self):

@@ -3,11 +3,11 @@ static plan/protocol verifier.
 
 Three complementary checkers for the simulated stack:
 
-* :class:`Sanitizer` (runtime, rules ``SAN0xx``): attaches to a live
-  :class:`~repro.smpi.world.MpiWorld` in the cooperative Tracer /
-  MetricsProbe style (zero cost detached) and observes buffer races,
-  request leaks, unmatched traffic, aborted-communicator use,
-  inconsistent vector collectives and deadlock wait-for-graphs.
+* :class:`Sanitizer` (runtime, rules ``SAN0xx``): subscribes to a live
+  :class:`~repro.smpi.world.MpiWorld`'s observers, like the Tracer and
+  MetricsProbe (one empty-tuple test per event detached), and observes
+  buffer races, request leaks, unmatched traffic, aborted-communicator
+  use, inconsistent vector collectives and deadlock wait-for-graphs.
 * :mod:`repro.sanitize.lint` (static, rules ``REP0xx``): a symbol-table
   AST lint over ``src/`` run as ``python -m repro.sanitize.lint`` that
   enforces the repo's determinism invariants (no wall-clock, no unseeded

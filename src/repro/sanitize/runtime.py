@@ -3,13 +3,16 @@
 Because the whole MPI library is simulated, every send, receive, request
 and buffer access is visible in-process — so the checker real-MPI users
 need MUST or ThreadSanitizer for can be built directly on the library's
-own hooks.  :class:`Sanitizer` attaches to one :class:`~repro.smpi.world.
-MpiWorld` in the same style as :class:`repro.obs.MetricsProbe`:
+own hooks.  :class:`Sanitizer` subscribes to one :class:`~repro.smpi.world.
+MpiWorld`'s observers like :class:`repro.obs.MetricsProbe`
+(:class:`repro.obs.instrument.Observer`):
 
-* **cooperative emission** — the smpi/redistribution layers hold a single
-  ``world.sanitizer`` attribute that defaults to ``None``; every emission
-  site is guarded by one pointer comparison, so a detached run pays
-  nothing and stays byte-identical;
+* **observer hooks** — the smpi/redistribution layers report sends,
+  receives, puts, lock epochs, blocking waits, self-copies and finalize
+  to the world's ``observers`` tuple; a detached run pays one empty-tuple
+  check per event and stays byte-identical.  Each posted receive carries
+  its world's sanitizer as ``reader``, so ``req.data`` reads (SAN002)
+  reach only the sanitizer of that world;
 * **completion callbacks** — pending operations register a one-shot
   callback on their completion event, so races are checked exactly when
   the operation (locally) completes.
@@ -47,6 +50,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Optional
 
+from ..obs.instrument import Observer
 from .findings import Finding
 
 __all__ = ["Sanitizer", "SanitizerError", "fingerprint_payload"]
@@ -129,13 +133,11 @@ class _OpenOp:
         self.t0 = t0
 
 
-class Sanitizer:
+class Sanitizer(Observer):
     """Attachable MPI-correctness checker for one simulated world."""
 
     def __init__(self) -> None:
         self.findings: list[Finding] = []
-        self._world = None
-        self._attached = False
         #: open (pending) tracked ops keyed by an integer token.
         self._open: dict[int, _OpenOp] = {}
         self._next_token = 0
@@ -151,23 +153,14 @@ class Sanitizer:
         #: (win_id, origin_gid, target_gid) -> puts issued inside the open
         #: epoch; fingerprints are verified when the epoch is flushed.
         self._epoch_puts: dict[tuple[int, int, int], list[_OpenOp]] = {}
+        #: session -> fingerprint and start time of its open self-copy.
+        self._copies: dict = {}
 
     # ------------------------------------------------------------- lifecycle
-    def attach(self, world) -> "Sanitizer":
-        """Start checking ``world``.  Mirrors ``MetricsProbe.attach``."""
-        from ..smpi import requests as _requests
-
-        if self._attached:
-            raise RuntimeError("sanitizer already attached")
-        if getattr(world, "sanitizer", None) is not None:
-            raise RuntimeError("world already carries a sanitizer")
-        if _requests._SANITIZER is not None:
-            raise RuntimeError("another sanitizer is active in this process")
-        self._world = world
-        world.sanitizer = self
-        _requests._SANITIZER = self
+    def attach(self, machine=None, world=None) -> "Sanitizer":
+        """Start checking ``world`` (the sanitizer needs no machine hooks)."""
+        super().attach(world=world)
         world.sim.diagnostics.append(self._deadlock_details)
-        self._attached = True
         return self
 
     def detach(self) -> "Sanitizer":
@@ -176,16 +169,9 @@ class Sanitizer:
         Findings (and the obs export) survive detach, exactly like a
         metrics registry surviving ``MetricsProbe.detach``.
         """
-        from ..smpi import requests as _requests
-
-        if not self._attached:
-            raise RuntimeError("sanitizer not attached")
+        super().detach()
         self._check_incomplete_alltoallv()
-        world = self._world
-        world.sim.diagnostics.remove(self._deadlock_details)
-        world.sanitizer = None
-        _requests._SANITIZER = None
-        self._attached = False
+        self.world.sim.diagnostics.remove(self._deadlock_details)
         return self
 
     # -------------------------------------------------------------- findings
@@ -249,10 +235,10 @@ class Sanitizer:
         done_event.add_callback(on_done)
 
     def _now(self) -> float:
-        return self._world.sim.now if self._world is not None else 0.0
+        return self.world.sim.now if self.world is not None else 0.0
 
     def _check_aborted(self, ctx, comm, what: str) -> None:
-        if comm.ctx_id in self._world.aborted_ctxs:
+        if comm.ctx_id in self.world.aborted_ctxs:
             self._emit(
                 "SAN005",
                 f"{what} issued on aborted communicator {comm.name}",
@@ -270,6 +256,7 @@ class Sanitizer:
     def on_irecv(self, ctx, comm, source: int, tag: int, req) -> None:
         """Hooked from :meth:`RankCtx.irecv` after posting."""
         self._check_aborted(ctx, comm, "irecv")
+        req.reader = self
         peer = comm.peer_gid(source) if source >= 0 else None
         self._register("recv", ctx.gid, comm.ctx_id, tag, peer, None, req.done)
 
@@ -298,7 +285,7 @@ class Sanitizer:
         )
 
     # ------------------------------------------------- passive-target epochs
-    def on_win_lock(self, ctx, win, target_rank: int, exclusive: bool) -> None:
+    def on_win_lock(self, ctx, win, target_rank: int) -> None:
         """Hooked from :meth:`RankCtx.win_ilock` at lock-issue time."""
         comm = win.comm
         self._check_aborted(ctx, comm, "win_lock")
@@ -308,7 +295,7 @@ class Sanitizer:
         )
 
     def on_win_flush(self, ctx, win, target_rank: Optional[int],
-                     local_only: bool = False) -> None:
+                     local_only: bool) -> None:
         """Hooked after a flush wait: the epoch's put buffers become legal
         to reuse exactly now — verify none was touched while held
         (epoch-aware SAN001).  ``MPI_Win_flush_local`` also completes put
@@ -342,17 +329,14 @@ class Sanitizer:
         self._epoch_puts.pop((win.win_id, ctx.gid, dst_gid), None)
 
     def on_data_read(self, req) -> None:
-        """Hooked from the ``Request.data`` property (SAN002)."""
-        if req.kind == "recv" and req.done.pending:
-            comm = getattr(req, "comm", None)
+        """Hooked from the ``RecvRequest.data`` property (SAN002)."""
+        if self._targets is not None and req.done.pending:
             self._emit(
                 "SAN002",
                 "req.data of a pending receive read before wait/test "
                 "completion (undefined contents under real MPI)",
-                ctx=comm.ctx_id if comm is not None else None,
-                tag=getattr(req, "tag", None),
-                t=self._now(),
-                detail={"source": getattr(req, "source", None)},
+                ctx=req.comm.ctx_id, tag=req.tag, t=self._now(),
+                detail={"source": req.source},
             )
 
     # --------------------------------------------------------- wait tracking
@@ -364,7 +348,7 @@ class Sanitizer:
             desc = f"{desc}({event.name})"
         self._blocked[ctx.gid] = (desc, tuple(reqs) if reqs else ())
 
-    def on_unblock(self, ctx) -> None:
+    def on_unblock(self, ctx, command, t0: float) -> None:
         self._blocked.pop(ctx.gid, None)
 
     def _describe_req(self, req) -> tuple[str, Optional[int]]:
@@ -473,7 +457,7 @@ class Sanitizer:
         if gid in self._finalized:
             return
         self._finalized.add(gid)
-        world = self._world
+        world = self.world
         dead = world.dead_gids
         aborted = world.aborted_ctxs
         now = self._now()
@@ -551,53 +535,39 @@ class Sanitizer:
             self._check_alltoallv(comm.ctx_id, group)
 
     def _check_alltoallv(self, ctx_id: int, group: dict[int, tuple]) -> None:
+        """Every declared send must be a declared receive of its peer, and
+        vice versa: all send-side mismatches first, then receive-side."""
         now = self._now()
-        for gid in sorted(group):
-            comm, rank, sends, _recvs = group[gid]
-            my_rank_for_peers = comm.rank_of_gid(gid)
-            for peer in sorted(sends):
-                if not comm.is_inter and peer == rank:
-                    continue  # self-exchange is local
-                peer_gid = comm.peer_gid(peer)
-                peer_decl = group.get(peer_gid)
-                if peer_decl is None:
-                    continue  # dead/aborted peer: failure layer's business
-                _, _, _, peer_recvs = peer_decl
-                if my_rank_for_peers not in peer_recvs:
+        for mine, theirs, direction in ((2, 3, "send"), (3, 2, "recv")):
+            for gid in sorted(group):
+                comm, rank = group[gid][:2]
+                for peer in sorted(group[gid][mine]):
+                    if not comm.is_inter and peer == rank:
+                        continue  # self-exchange is local
+                    peer_gid = comm.peer_gid(peer)
+                    peer_decl = group.get(peer_gid)
+                    if peer_decl is None:
+                        continue  # dead/aborted peer: failure layer's business
+                    if rank in peer_decl[theirs]:
+                        continue
+                    if direction == "send":
+                        what = (f"sends to peer {peer} (gid={peer_gid}) but "
+                                f"that member does not list rank {rank} in "
+                                f"recv_from")
+                    else:
+                        what = (f"expects data from peer {peer} "
+                                f"(gid={peer_gid}) but that member never "
+                                f"sends to rank {rank}")
                     self._emit(
                         "SAN006",
-                        f"alltoallv mismatch: rank {rank} (gid={gid}) sends "
-                        f"to peer {peer} (gid={peer_gid}) but that member "
-                        f"does not list rank {my_rank_for_peers} in "
-                        f"recv_from",
+                        f"alltoallv mismatch: rank {rank} (gid={gid}) {what}",
                         rank=gid, ctx=ctx_id, t=now,
-                        detail={"peer_gid": peer_gid, "direction": "send"},
-                    )
-        for gid in sorted(group):
-            comm, rank, _sends, recvs = group[gid]
-            my_rank_for_peers = comm.rank_of_gid(gid)
-            for peer in sorted(recvs):
-                if not comm.is_inter and peer == rank:
-                    continue
-                peer_gid = comm.peer_gid(peer)
-                peer_decl = group.get(peer_gid)
-                if peer_decl is None:
-                    continue
-                _, _, peer_sends, _ = peer_decl
-                if my_rank_for_peers not in peer_sends:
-                    self._emit(
-                        "SAN006",
-                        f"alltoallv mismatch: rank {rank} (gid={gid}) "
-                        f"expects data from peer {peer} (gid={peer_gid}) "
-                        f"but that member never sends to rank "
-                        f"{my_rank_for_peers}",
-                        rank=gid, ctx=ctx_id, t=now,
-                        detail={"peer_gid": peer_gid, "direction": "recv"},
+                        detail={"peer_gid": peer_gid, "direction": direction},
                     )
 
     def _check_incomplete_alltoallv(self) -> None:
         """Detach-time pass: collective calls some members never entered."""
-        world = self._world
+        world = self.world
         now = self._now()
         for (ctx_id, tag_base) in sorted(self._a2av):
             group = self._a2av[(ctx_id, tag_base)]
@@ -621,21 +591,24 @@ class Sanitizer:
             )
 
     # --------------------------------------------------------------- memcpy
-    def on_memcpy_begin(self, ctx, dataset, lo: int, hi: int, names) -> tuple:
-        """Fingerprint the local source range before the self-copy window."""
-        fp = fingerprint_payload(dataset.extract(lo, hi, list(names)))
-        return (ctx.gid, dataset, lo, hi, tuple(names), fp, self._now())
+    @staticmethod
+    def _source_fp(session, lo: int, hi: int) -> Optional[int]:
+        return fingerprint_payload(
+            session.src_dataset.extract(lo, hi, list(session.names))
+        )
 
-    def on_memcpy_end(self, token: tuple) -> None:
-        gid, dataset, lo, hi, names, fp, t0 = token
-        if fp is None:
-            return
-        if fingerprint_payload(dataset.extract(lo, hi, list(names))) != fp:
+    def on_memcpy_begin(self, session, lo: int, hi: int) -> None:
+        """Fingerprint the local source range before the self-copy window."""
+        self._copies[session] = (self._source_fp(session, lo, hi), self._now())
+
+    def on_memcpy_end(self, session, lo: int, hi: int) -> None:
+        fp, t0 = self._copies.pop(session)
+        if fp is not None and self._source_fp(session, lo, hi) != fp:
             self._emit(
                 "SAN007",
                 f"source rows [{lo},{hi}) of a redistribution self-copy "
                 f"were modified during the copy window "
                 f"(started at t={t0:.6f})",
-                rank=gid, t=self._now(),
-                detail={"lo": lo, "hi": hi, "names": list(names)},
+                rank=session.ctx.gid, t=self._now(),
+                detail={"lo": lo, "hi": hi, "names": list(session.names)},
             )

@@ -341,9 +341,8 @@ def alltoallv_pairwise(
     Returns dict ``src peer rank -> payload`` for non-empty receptions.
     """
     base = ctx.next_coll_tag(comm)
-    san = ctx.world.sanitizer
-    if san is not None:
-        san.on_alltoallv(ctx, comm, base, send_map, recv_from)
+    for o in ctx.world.observers:
+        o.on_alltoallv(ctx, comm, base, send_map, recv_from)
     r = ctx.rank_in(comm)
     P = max(comm.size, comm.remote_size)
     me_as_peer = _self_peer_rank(ctx, comm)
@@ -393,9 +392,8 @@ def ialltoallv(
     Algorithm-3 semantics.  Self-exchange is completed immediately.
     """
     base = ctx.next_coll_tag(comm)
-    san = ctx.world.sanitizer
-    if san is not None:
-        san.on_alltoallv(ctx, comm, base, send_map, recv_from)
+    for o in ctx.world.observers:
+        o.on_alltoallv(ctx, comm, base, send_map, recv_from)
     me_as_peer = _self_peer_rank(ctx, comm)
     result: dict[int, Any] = {}
     reqs = []

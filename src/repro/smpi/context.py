@@ -177,11 +177,11 @@ class RankCtx:
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         req = SendRequest(self.sim, dst_gid, tag, size)
         world = self.world
-        san = world._sanitizer if world.observed else None
-        if san is not None:
-            # Register before injection: eager sends complete *at* inject,
-            # so the mutation window closes immediately (as it should).
-            san.on_isend(self, comm, dest, tag, payload, req)
+        if world.observers:
+            # Before injection: eager sends complete *at* inject, so a
+            # sanitizer's mutation window closes immediately (as it should).
+            for o in world.observers:
+                o.on_isend(self, comm, dest, tag, payload, req)
         # On an intra-comm, peers see my local rank; on an inter-comm, they
         # see my rank within *their* remote group, which is my local rank.
         msg = Message(
@@ -211,9 +211,9 @@ class RankCtx:
         finally:
             ep.exit_progress()
         world = self.world
-        san = world._sanitizer if world.observed else None
-        if san is not None:
-            san.on_irecv(self, comm, source, tag, req)
+        if world.observers:
+            for o in world.observers:
+                o.on_irecv(self, comm, source, tag, req)
         # A receive that found nothing already arrived and names a dead
         # source, or sits on a communicator recovery abandoned (its peers
         # left the session), can never match: complete it in error now
@@ -287,21 +287,17 @@ class RankCtx:
         self.node.add_poller(tok)
         t0 = self.sim.now
         world = self.world
-        san = world._sanitizer if world.observed else None
-        if san is not None:
-            san.on_block(self, command, reqs)
+        if world.observers:
+            for o in world.observers:
+                o.on_block(self, command, reqs)
         try:
             result = yield command
         finally:
             self.node.remove_poller(tok)
             self._ep.exit_progress()
-            if san is not None:
-                san.on_unblock(self)
-            m = world._metrics if world.observed else None
-            if m is not None:
-                m.timer("smpi.wait_blocked", rank=self.gid).record(
-                    t0, self.sim.now, label=type(command).__name__
-                )
+            if world.observers:
+                for o in world.observers:
+                    o.on_unblock(self, command, t0)
         return result
 
     def wait(self, req: Request):
@@ -347,10 +343,9 @@ class RankCtx:
         if cost is None:
             cost = self.machine.fabric.cpu_overhead
         world = self.world
-        if world.observed:
-            m = world._metrics
-            if m is not None:
-                m.counter("smpi.progress_ticks", rank=self.gid).inc()
+        if world.observers:
+            for o in world.observers:
+                o.on_progress_tick(self)
         self._ep.enter_progress()
         try:
             if cost > 0:
@@ -692,9 +687,8 @@ class RankCtx:
         return win
 
     def _rma_count(self, kind: str) -> None:
-        m = self.world.metrics
-        if m is not None:
-            m.counter("rma.ops", kind=kind).inc()
+        for o in self.world.observers:
+            o.on_rma(kind)
 
     def win_put(self, win, target_rank: int, payload: Any,
                 nbytes: Optional[int] = None, label: str = ""):
@@ -773,15 +767,13 @@ class RankCtx:
 
             if deferred and not dst_ep.progress:
                 dst_ep.pending_rma.append(begin)
-                m = world.metrics
-                if m is not None:
-                    m.counter("rma.deferred_landings").inc()
+                for o in world.observers:
+                    o.on_rma_deferred()
             else:
                 begin()
 
-        san = world.sanitizer
-        if san is not None:
-            san.on_win_put(self, win, target_rank, payload, done)
+        for o in world.observers:
+            o.on_win_put(self, win, target_rank, payload, done)
         flow_done.add_callback(land)
         win._track(done)
         if epoch is not None:
@@ -862,9 +854,8 @@ class RankCtx:
 
             if deferred and not dst_ep.progress:
                 dst_ep.pending_rma.append(serve)
-                m = world.metrics
-                if m is not None:
-                    m.counter("rma.deferred_landings").inc()
+                for o in world.observers:
+                    o.on_rma_deferred()
             else:
                 serve()
 
@@ -901,9 +892,8 @@ class RankCtx:
                 f"win_lock: an epoch to rank {target_rank} is already open"
             )
         self._rma_count("lock")
-        san = world.sanitizer
-        if san is not None:
-            san.on_win_lock(self, win, target_rank, exclusive)
+        for o in world.observers:
+            o.on_win_lock(self, win, target_rank)
         granted = self.sim.event(name=f"lock@{win.win_id}->{target_rank}")
         if dst_gid in world.dead_gids:
             granted.fail(
@@ -938,11 +928,8 @@ class RankCtx:
                         )
                         return
                     win._epoch_opened(self.gid, dst_gid, mode, self.sim.now)
-                    m = world.metrics
-                    if m is not None:
-                        m.timer("rma.lock_wait_seconds", mode=mode).record(
-                            t0, self.sim.now, label=f"win{win.win_id}"
-                        )
+                    for o in world.observers:
+                        o.on_win_lock_granted(win, mode, t0)
                     granted.trigger(None)
 
                 back.add_callback(opened)
@@ -987,11 +974,10 @@ class RankCtx:
         pending = win.epoch_pending(self.gid, dst_gid, local_only=local_only)
         if pending:
             yield from self._polling_block(AllOf(pending))
-        san = self.world.sanitizer
-        if san is not None:
-            # Epoch-aware SAN001: the origin buffers of this epoch's puts
-            # become reusable exactly now — verify they were not touched.
-            san.on_win_flush(self, win, target_rank, local_only=local_only)
+        # The origin buffers of this epoch's puts become reusable exactly
+        # now (a sanitizer checks them: epoch-aware SAN001).
+        for o in self.world.observers:
+            o.on_win_flush(self, win, target_rank, local_only)
 
     def win_unlock(self, win, target_rank: int):
         """Close the passive-target epoch (``MPI_Win_unlock``): flush every
@@ -1004,15 +990,8 @@ class RankCtx:
             )
         yield from self.win_flush(win, target_rank)
         self._rma_count("unlock")
-        san = self.world.sanitizer
-        if san is not None:
-            san.on_win_unlock(self, win, target_rank)
-        m = self.world.metrics
-        if m is not None:
-            t0 = win.epoch_t0(self.gid, dst_gid)
-            m.timer("rma.epoch_seconds", mode=mode).record(
-                t0, self.sim.now, label=f"win{win.win_id}"
-            )
+        for o in self.world.observers:
+            o.on_win_unlock(self, win, target_rank)
         win._epoch_closed(self.gid, dst_gid)
         spec = self.world.channel_spec(self.gid, dst_gid)
         if spec.cpu_overhead > 0:

@@ -361,11 +361,10 @@ class Endpoint:  # repro: noqa[REP005] - one per rank (not per message); queues 
         senders, failed receives, or traffic on a communicator a recovery
         policy explicitly abandoned (:meth:`MpiWorld.abort_comm`)."""
         self.closed = True
-        san = self.world.sanitizer
-        if san is not None:
-            # Findings first, so leaks/unmatched traffic carry full
-            # provenance even when the hard check below then raises.
-            san.on_finalize(self)
+        # Observers first, so a sanitizer's leak/unmatched-traffic findings
+        # carry full provenance even when the hard check below then raises.
+        for o in self.world.observers:
+            o.on_finalize(self)
         dead = self.world.dead_gids
         aborted = self.world.aborted_ctxs
 

@@ -17,12 +17,6 @@ from .status import Status
 
 __all__ = ["Request", "SendRequest", "RecvRequest", "MultiRequest"]
 
-#: Cooperative hook for :class:`repro.sanitize.Sanitizer`.  ``None`` in
-#: normal runs (one pointer comparison per ``req.data`` read); when a
-#: sanitizer is attached it observes reads of still-pending receive
-#: buffers (rule SAN002).
-_SANITIZER = None
-
 _PENDING = EventState.PENDING
 
 
@@ -46,13 +40,7 @@ class Request:
 
     @property
     def data(self) -> Any:
-        """Payload of a completed receive (``None`` for sends).
-
-        Reading this before the request completed is undefined behaviour
-        under real MPI; an attached sanitizer flags it as SAN002.
-        """
-        if _SANITIZER is not None:
-            _SANITIZER.on_data_read(self)
+        """Payload of a completed receive (``None`` for sends)."""
         return self._data
 
     @property
@@ -100,13 +88,27 @@ class RecvRequest(Request):
     """Posted receive.  ``source``/``tag`` may be wildcards; the matched
     sender's communicator-relative rank lands in :attr:`Request.status`."""
 
-    __slots__ = ("comm", "source", "tag")
+    __slots__ = ("comm", "source", "tag", "reader")
 
     def __init__(self, sim: Simulator, comm, source: int, tag: int):
         super().__init__(sim, "recv")
         self.comm = comm
         self.source = source  # comm-relative rank or ANY_SOURCE
         self.tag = tag
+        #: told of every ``data`` read: the sanitizer of this request's
+        #: world sets itself here when it sees the receive posted.
+        self.reader = None
+
+    @property
+    def data(self) -> Any:
+        """Payload of the completed receive.
+
+        Reading this before the request completed is undefined behaviour
+        under real MPI; an attached sanitizer flags it as SAN002.
+        """
+        if self.reader is not None:
+            self.reader.on_data_read(self)
+        return self._data
 
     def matches(self, ctx_id: int, src_rank: int, tag: int) -> bool:
         if self.comm.ctx_id != ctx_id:

@@ -81,21 +81,10 @@ class MpiWorld:
         self.slot_of: dict[int, int] = {}
         #: traffic accounting by label prefix, for experiment reports.
         self.bytes_by_label: dict[str, float] = {}
-        #: cooperative observability hook: a MetricsRegistry set by
-        #: :class:`repro.obs.MetricsProbe` while attached; ``None`` means
-        #: every instrumented layer pays one pointer comparison and no more.
-        self._metrics = None
-        #: cooperative correctness hook: a
-        #: :class:`repro.sanitize.Sanitizer` while attached, else ``None``.
-        #: The smpi/redistribution layers report sends, receives, puts,
-        #: blocking waits and finalize through it at pointer-comparison
-        #: cost; detached runs are byte-identical.
-        self._sanitizer = None
-        #: cached "anything attached?" boolean, recomputed by the
-        #: ``metrics``/``sanitizer`` property setters on attach/detach.
-        #: Hot paths (inject, isend, progress ticks) test this one flag and
-        #: skip both probe attribute lookups entirely on detached runs.
-        self.observed = False
+        #: subscribed :class:`repro.obs.instrument.Observer` objects (metrics
+        #: probe, sanitizer): the smpi, redistribution, malleability and
+        #: fault event sites call their hooks (none while detached).
+        self.observers = ()
         #: gids of ranks known dead (node crash, kill, terminate_ranks).
         self.dead_gids: set[int] = set()
         #: every message injected and not yet delivered/retired, keyed by
@@ -106,35 +95,15 @@ class MpiWorld:
         #: launch the fault schedule forces to fail.
         self.fail_spawns: set[int] = set()
         self._spawn_attempts: int = 0
-        #: cooperative fault-injection hook: a
-        #: :class:`repro.faults.FaultInjector` while attached, else ``None``.
-        #: Layers with fault-relevant milestones (e.g. the redistribution
-        #: session start) notify through it at pointer-comparison cost.
+        #: the run's :class:`repro.faults.FaultInjector`, else ``None``.  A
+        #: behaviour switch, not an observer: it changes the agreement
+        #: protocol, and the redistribution session start arms it.
         self.fault_injector = None
         #: ctx_ids of communicators abandoned by a recovery policy; their
         #: leftover traffic is excused at endpoint close.
         self.aborted_ctxs: set[int] = set()
         #: every window created in this world (rank deaths fail their ops).
         self.windows: list = []
-
-    # ----------------------------------------------------------------- probes
-    @property
-    def metrics(self):
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-        self.observed = registry is not None or self._sanitizer is not None
-
-    @property
-    def sanitizer(self):
-        return self._sanitizer
-
-    @sanitizer.setter
-    def sanitizer(self, san) -> None:
-        self._sanitizer = san
-        self.observed = san is not None or self._metrics is not None
 
     # ------------------------------------------------------------------ launch
     def launch(
@@ -235,13 +204,9 @@ class MpiWorld:
         if label:
             self.bytes_by_label[label] = self.bytes_by_label.get(label, 0.0) + msg.nbytes
         eager = msg.nbytes <= spec.eager_threshold
-        if self.observed:
-            m = self._metrics
-            if m is not None:
-                proto = "eager" if eager else "rndv"
-                m.counter("smpi.messages", comm=msg.ctx_id, protocol=proto).inc()
-                m.counter("smpi.bytes", comm=msg.ctx_id, protocol=proto).inc(msg.nbytes)
-                m.histogram("smpi.message_nbytes").observe(msg.nbytes)
+        if self.observers:
+            for o in self.observers:
+                o.on_message(msg, eager)
         if eager:
             # Eager fast lane: buffered semantics complete the send locally
             # right now, so the in-flight table — which only exists to fail

@@ -1,12 +1,12 @@
 """Execution tracing for simulated runs.
 
-A :class:`Tracer` attaches to a :class:`~repro.cluster.machine.Machine` and
-records every network flow and CPU task as timed intervals, plus arbitrary
-user marks.  Zero overhead when not attached (the hot paths are wrapped
-only on attach).  Traces export to the Chrome ``chrome://tracing`` /
-Perfetto JSON format and render as ASCII timelines
-(:mod:`repro.trace.render`) — the practical way to *see* an overlap
-strategy doing its thing.
+A :class:`Tracer` subscribes to a :class:`~repro.cluster.machine.Machine`'s
+network and nodes (see :class:`repro.obs.instrument.Observer`) and records
+every network flow and CPU task as timed intervals, plus arbitrary user
+marks.  A machine with no tracer attached pays one empty-tuple check per
+flow and task.  Traces export to the Chrome ``chrome://tracing`` / Perfetto
+JSON format and render as ASCII timelines (:mod:`repro.trace.render`) — the
+practical way to *see* an overlap strategy doing its thing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster.machine import Machine
+from ..obs.instrument import Observer
 from ..simulate.events import label_text
 
 __all__ = ["TraceEvent", "Tracer"]
@@ -36,89 +36,46 @@ class TraceEvent:
         return self.t1 - self.t0
 
 
-class Tracer:
+class Tracer(Observer):
     """Records flows, CPU tasks and user marks of one machine."""
 
     def __init__(self, label_filter: Optional[str] = None):
         self.events: list[TraceEvent] = []
         #: substring filter applied to flow/CPU labels (None records all).
         self.label_filter = label_filter
-        self._machine: Optional[Machine] = None
-        self._installed = False
-        self._saved: list[tuple[object, str, object]] = []
-
-    # ----------------------------------------------------------------- attach
-    def attach(self, machine: Machine) -> "Tracer":
-        """Start recording ``machine``'s flows and compute tasks."""
-        if self._installed:
-            raise RuntimeError("tracer already attached")
-        self._machine = machine
-        self._installed = True
-        self._wrap_network(machine)
-        for node in machine.nodes:
-            self._wrap_node(node)
-        return self
-
-    def detach(self) -> "Tracer":
-        """Restore every wrapped hook; recorded events are kept."""
-        if not self._installed:
-            raise RuntimeError("tracer not attached")
-        for obj, attr, orig in reversed(self._saved):
-            setattr(obj, attr, orig)
-        self._saved.clear()
-        self._machine = None
-        self._installed = False
-        return self
 
     def _keep(self, label: str) -> bool:
         return self.label_filter is None or self.label_filter in label
 
-    def _wrap_network(self, machine: Machine) -> None:
-        net = machine.network
-        sim = machine.sim
-        orig = net.start_flow
-        self._saved.append((net, "start_flow", orig))
-        tracer = self
+    def on_flow(self, route, size, label, done) -> None:
+        label = label_text(label)
+        if not self._keep(label):
+            return
+        sim = done.sim
+        t0 = sim.now
+        lane = f"net:{route[0].name.split('.')[0]}" if route else "net:net"
+        text = f"{label} ({size:.3g}B)"
+        done.add_callback(
+            lambda _ev: self.events.append(
+                TraceEvent(t0, sim.now, lane, "flow", text)
+            )
+        )
 
-        def traced_start_flow(route, size, latency=0.0, label=""):
-            t0 = sim.now
-            ev = orig(route, size, latency=latency, label=label)
-            label = label_text(label)
-            if tracer._keep(label):
-                lane = route[0].name.split(".")[0] if route else "net"
-
-                def record(_ev):
-                    tracer.events.append(
-                        TraceEvent(t0, sim.now, f"net:{lane}", "flow",
-                                   f"{label} ({size:.3g}B)")
-                    )
-
-                ev.add_callback(record)
-            return ev
-
-        net.start_flow = traced_start_flow
-
-    def _wrap_node(self, node) -> None:
+    def on_submit(self, node, on_done, label):
+        label = label_text(label)
+        if not self._keep(label):
+            return on_done
         sim = node.sim
-        orig = node.submit
-        self._saved.append((node, "submit", orig))
-        tracer = self
+        t0 = sim.now
+        lane = f"cpu:{node.name}"
 
-        def traced_submit(work, on_done, label=""):
-            t0 = sim.now
-            label = label_text(label)
+        def traced_done():
+            self.events.append(
+                TraceEvent(t0, sim.now, lane, "cpu", label or "compute")
+            )
+            on_done()
 
-            def wrapped_done():
-                if tracer._keep(label):
-                    tracer.events.append(
-                        TraceEvent(t0, sim.now, f"cpu:{node.name}", "cpu",
-                                   label or "compute")
-                    )
-                on_done()
-
-            orig(work, wrapped_done, label=label)
-
-        node.submit = traced_submit
+        return traced_done
 
     # ------------------------------------------------------------------ marks
     def mark(self, lane: str, label: str, t0: float, t1: Optional[float] = None) -> None:

@@ -49,32 +49,47 @@ def test_probe_records_cluster_and_smpi_metrics():
     assert smpi and all("comm=" in k and "protocol=" in k for k in smpi)
 
 
+def emitters(machine, world):
+    return [machine.network, *machine.nodes, world]
+
+
 def test_attach_sets_and_detach_clears_world_metrics():
     _, machine, world = build_stack()
-    assert world.metrics is None
+    assert world.observers == ()
     probe = MetricsProbe().attach(machine, world)
-    assert world.metrics is probe.registry
+    assert world.observers == (probe,)
     probe.detach()
-    assert world.metrics is None
+    assert world.observers == ()
 
 
 def test_detach_restores_wrapped_hooks():
     _, machine, world = build_stack()
-    net_start = machine.network.start_flow
-    net_activate = machine.network._activate
-    node_hooks = [
-        (n.submit, n.add_poller, n.remove_poller) for n in machine.nodes
-    ]
+    cls_methods = [type(machine.network).start_flow, type(machine.nodes[0]).submit]
     probe = MetricsProbe().attach(machine, world)
-    assert machine.network.start_flow is not net_start
+    assert all(e.observers == (probe,) for e in emitters(machine, world))
+    # nothing is patched: the hot paths stay the class's own methods
+    assert "start_flow" not in vars(machine.network)
+    assert all("submit" not in vars(n) for n in machine.nodes)
     probe.detach()
-    # bound methods compare equal when __self__/__func__ match the originals
-    assert machine.network.start_flow == net_start
-    assert machine.network._activate == net_activate
-    for node, (sub, add, rem) in zip(machine.nodes, node_hooks):
-        assert node.submit == sub
-        assert node.add_poller == add
-        assert node.remove_poller == rem
+    assert all(e.observers == () for e in emitters(machine, world))
+    assert [type(machine.network).start_flow, type(machine.nodes[0]).submit] == cls_methods
+
+
+def test_non_lifo_detach_leaves_no_observer():
+    from repro.trace import Tracer
+
+    sim, machine, world = build_stack()
+    probe = MetricsProbe().attach(machine, world)
+    tracer = Tracer().attach(machine)
+    probe.detach()
+    assert machine.network.observers == (tracer,)
+    tracer.detach()
+    assert all(e.observers == () for e in emitters(machine, world))
+    before = probe.registry.to_dict()["counters"]
+    machine.transfer(machine.nodes[0], machine.nodes[1], 1000)
+    sim.run()
+    assert probe.registry.to_dict()["counters"] == before
+    assert tracer.events == []
 
 
 def test_double_attach_rejected():
@@ -136,8 +151,12 @@ def test_wait_blocked_timer_recorded():
 
 def test_detached_run_emits_nothing():
     sim, machine, world = build_stack()
+    probe = MetricsProbe().attach(machine, world).detach()
     run_pingpong(sim, world)
-    assert world.metrics is None  # cooperative guard stayed cold
+    assert all(e.observers == () for e in emitters(machine, world))
+    assert len(probe.registry) == 2 * len(machine.nodes)  # bound at attach
+    assert all(c.value == 0 for c in probe.registry.counters.values())
+    assert all(g.n == 0 for g in probe.registry.gauges.values())
 
 
 # Observer outputs pinned byte for byte: metrics.json, the Perfetto trace and

@@ -25,7 +25,7 @@ def run_sanitized(func, n, *, n_nodes=2, cores_per_node=1, seed=0):
     sim = Simulator()
     machine = Machine(sim, n_nodes, cores_per_node, ETHERNET_10G, seed=seed)
     world = MpiWorld(machine)
-    san = Sanitizer().attach(world)
+    san = Sanitizer().attach(world=world)
     world.launch(func, slots=range(n))
     error = None
     try:

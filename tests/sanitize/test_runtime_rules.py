@@ -252,16 +252,22 @@ def _dataset():
     )
 
 
+class _Session:
+    """The session fields the self-copy hooks read."""
+
+    def __init__(self, ds):
+        self.ctx = type("Ctx", (), {"gid": 0})()
+        self.src_dataset = ds
+        self.names = ["x"]
+
+
 def test_san007_memcpy_overlap_race_detected():
     san = Sanitizer()
     ds = _dataset()
-
-    class _Ctx:
-        gid = 0
-
-    token = san.on_memcpy_begin(_Ctx(), ds, 0, 4, ["x"])
+    session = _Session(ds)
+    san.on_memcpy_begin(session, 0, 4)
     ds.stores["x"].data[1] = 99.0  # BUG: source mutated inside the window
-    san.on_memcpy_end(token)
+    san.on_memcpy_end(session, 0, 4)
     assert rules_of(san) == ["SAN007"]
     assert san.findings[0].detail == {"lo": 0, "hi": 4, "names": ["x"]}
 
@@ -269,13 +275,10 @@ def test_san007_memcpy_overlap_race_detected():
 def test_san007_clean_when_source_untouched():
     san = Sanitizer()
     ds = _dataset()
-
-    class _Ctx:
-        gid = 0
-
-    token = san.on_memcpy_begin(_Ctx(), ds, 0, 4, ["x"])
+    session = _Session(ds)
+    san.on_memcpy_begin(session, 0, 4)
     ds.stores["x"].data[6] = 99.0  # outside the copy window's rows
-    san.on_memcpy_end(token)
+    san.on_memcpy_end(session, 0, 4)
     assert san.findings == []
 
 
@@ -339,21 +342,51 @@ def test_report_flush_and_assert_clean():
     assert rec["rule"] == "SAN003" and rec["rank"] == 1
 
 
-def test_detached_world_has_no_sanitizer_hooks():
-    """Attach/detach symmetry: detach restores all cooperative pointers."""
+def _bare_world():
     from repro.cluster import ETHERNET_10G, Machine
     from repro.simulate import Simulator
     from repro.smpi import MpiWorld
-    from repro.smpi import requests as _requests
 
-    sim = Simulator()
-    machine = Machine(sim, 1, 2, ETHERNET_10G, seed=0)
-    world = MpiWorld(machine)
-    san = Sanitizer().attach(world)
-    assert world.sanitizer is san and _requests._SANITIZER is san
+    machine = Machine(Simulator(), 2, 1, ETHERNET_10G, seed=0)
+    return MpiWorld(machine)
+
+
+def test_detached_world_has_no_sanitizer_hooks():
+    """Attach/detach symmetry: detach unsubscribes from every emitter."""
+    world = _bare_world()
+    machine, sim = world.machine, world.sim
+    san = Sanitizer().attach(world=world)
+    assert world.observers == (san,)
+    # world hooks only: the cluster hot paths stay unobserved
+    assert machine.network.observers == ()
+    assert all(n.observers == () for n in machine.nodes)
     assert san._deadlock_details in sim.diagnostics
     san.detach()
-    assert world.sanitizer is None and _requests._SANITIZER is None
+    assert world.observers == ()
     assert sim.diagnostics == []
     with pytest.raises(RuntimeError):
         san.detach()
+
+
+def test_sanitizers_are_per_world():
+    """Two worlds in one process each carry their own sanitizer, and a
+    pending-receive read in one world reaches only that world's."""
+    world_a, world_b = _bare_world(), _bare_world()
+    san_a = Sanitizer().attach(world=world_a)
+    san_b = Sanitizer().attach(world=world_b)
+
+    def main(mpi):
+        if mpi.rank == 0:
+            yield from mpi.sleep(0.01)
+            yield from mpi.send(np.arange(4.0), dest=1)
+        else:
+            req = yield from mpi.irecv(source=0)
+            _ = req.data  # BUG: undefined before wait/test under real MPI
+            yield from mpi.wait(req)
+
+    world_b.launch(main, slots=range(2))
+    world_b.sim.run()
+    san_a.detach()
+    san_b.detach()
+    assert san_a.findings == []
+    assert rules_of(san_b) == ["SAN002"]

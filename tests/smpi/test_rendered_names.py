@@ -44,7 +44,7 @@ def _blocked_world():
 
 def test_deadlock_report_and_wait_for_graph_read_rendered_names():
     sim, world, main = _blocked_world()
-    san = Sanitizer().attach(world)
+    san = Sanitizer().attach(world=world)
     world.launch(main, slots=range(2))
     try:
         with pytest.raises(DeadlockError) as exc_info:

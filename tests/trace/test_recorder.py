@@ -40,14 +40,12 @@ def run_pingpong(sim, world):
 
 def test_detach_restores_machine_hooks():
     sim, machine, world = build_stack()
-    net_start = machine.network.start_flow
-    submits = [n.submit for n in machine.nodes]
+    emitters = [machine.network, *machine.nodes]
     tracer = Tracer().attach(machine)
-    assert machine.network.start_flow != net_start
+    assert all(e.observers == (tracer,) for e in emitters)
+    assert world.observers == ()  # a tracer needs no world hooks
     tracer.detach()
-    assert machine.network.start_flow == net_start
-    for node, sub in zip(machine.nodes, submits):
-        assert node.submit == sub
+    assert all(e.observers == () for e in emitters)
     # events recorded before detach are kept; a detached tracer records
     # nothing further
     run_pingpong(sim, world)
