@@ -10,10 +10,13 @@ checkpoint/restart or a typed ``CommFailedError`` — never in a bare
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from repro.harness import RunSpec, run_one, run_sweep
+from repro.malleability.config import ALL_CONFIGS
 from repro.simulate import SimulationError
 from repro.smpi.errors import CommFailedError
 from repro.synthetic.presets import SCALES, cg_emulation_config
@@ -95,3 +98,45 @@ def test_faulted_draining_rows_repeat_exactly():
     first = sweep()
     assert first == sweep()
     assert first.count("crash@redist") == 8
+
+
+# ------------------------------------------------------------ faulted rows
+def _faulted_digest(faults, synth_config):
+    """sha256 over every config × {4→8, 8→4} tiny Ethernet cell: the row
+    (``dataclasses.asdict``) or the typed error's class and message."""
+    h = hashlib.sha256()
+    for config in ALL_CONFIGS:
+        for ns, nt in ((4, 8), (8, 4)):
+            out = run_typed(RunSpec(ns, nt, config, "ethernet", "tiny", faults=faults),
+                            synth_config=synth_config)
+            if isinstance(out, CommFailedError):
+                cell = [type(out).__name__, str(out)]
+            else:
+                cell = dataclasses.asdict(out)
+            h.update(json.dumps(cell, sort_keys=True, default=str).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("faults,budget,digest", [
+    pytest.param("crash@redist+0.002:node=1", "stock",
+                 "3239939bfb2d8af0cdd4c25ba847baefcf91e41f59bf24a0435d447a5e4b5dc1",
+                 id="crash-stock"),
+    pytest.param("crash@redist+0.002:node=1", "draining",
+                 "4490ee3e2e9e7b9a9298b51ab116c5255b73ff8a971112a16bade9ac3b0e3d56",
+                 id="crash-draining"),
+    pytest.param("spawnfail@0:attempt=0", "stock",
+                 "a6c6c7822a443cd719b41400c5f2e69edccbd27e2a86ab19836677ef4321d782",
+                 id="spawnfail-stock"),
+    pytest.param("spawnfail@0:attempt=0", "draining",
+                 "b9dc9d5924546bc525edc7b364d4a4db86ea097aab7e91ccad5d5b4880493af4",
+                 id="spawnfail-draining"),
+])
+def test_faulted_rows_pinned(faults, budget, digest):
+    """Recovered rows and typed errors of S, A and T under a source-node
+    crash and a failed first spawn, at the stock budget and draining.
+
+    The crash cases hold 24 S, 22 A and 14 T recoveries and 2 A and 10 T
+    typed errors between them; the spawn failure is recovered by 18 cells
+    of each strategy."""
+    synth_config = DRAINING if budget == "draining" else None
+    assert _faulted_digest(faults, synth_config) == digest
