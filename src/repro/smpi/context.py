@@ -185,7 +185,7 @@ class RankCtx:
         # On an intra-comm, peers see my local rank; on an inter-comm, they
         # see my rank within *their* remote group, which is my local rank.
         msg = Message(
-            world.next_chan_seq(gid, dst_gid), comm.ctx_id, gid, dst_gid,
+            next(world._msg_ids), world.next_chan_seq(gid, dst_gid), comm.ctx_id, gid, dst_gid,
             comm.rank_of_gid(gid), tag, copy_payload(payload), size, req,
         )
         return req, msg, world.channel_spec(gid, dst_gid).cpu_overhead

@@ -21,7 +21,6 @@ blocking (polling) wait — at the cost of one extra CPU demand on the node.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Optional
 
 from .datatypes import ANY_SOURCE
@@ -40,8 +39,6 @@ __all__ = ["Message", "Endpoint"]
 class Message:
     """One in-flight point-to-point message."""
 
-    _ids = itertools.count()
-
     __slots__ = (
         "msg_id", "seq", "ctx_id", "src_gid", "dst_gid", "src_rank", "tag",
         "payload", "nbytes", "protocol", "send_req", "recv_req",
@@ -49,6 +46,7 @@ class Message:
 
     def __init__(
         self,
+        msg_id: int,
         seq: int,
         ctx_id: int,
         src_gid: int,
@@ -59,7 +57,8 @@ class Message:
         nbytes: int,
         send_req: SendRequest,
     ):
-        self.msg_id = next(Message._ids)
+        #: numbered per world (``MpiWorld._msg_ids``).
+        self.msg_id = msg_id
         #: per-(src,dst) channel sequence number — non-overtaking matching.
         self.seq = seq
         self.ctx_id = ctx_id

@@ -71,9 +71,10 @@ class MpiWorld:
         self.endpoints: dict[int, Endpoint] = {}
         self._gids = itertools.count()
         self._ctx_ids = itertools.count(1)
-        #: per-world RMA window ids (metric labels depend on them, so they
-        #: must not leak process history — see smpi.rma.Window).
+        #: per-world RMA window and message ids (metric labels and flow
+        #: labels carry them, so they must not leak process history).
         self._win_ids = itertools.count()
+        self._msg_ids = itertools.count()
         self._chan_seq: dict[tuple[int, int], int] = {}
         self._ops: dict[str, _PendingOp] = {}
         #: gid -> slot, kept so reconfiguration layers can reason about

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ETHERNET_10G, Machine
+from repro.harness import RunSpec, run_one
 from repro.simulate import Simulator
 from repro.smpi import MpiWorld
 from repro.trace import TraceEvent, Tracer, ascii_timeline
@@ -96,3 +97,15 @@ def test_ascii_timeline_lane_cap():
     ]
     text = ascii_timeline(events, max_lanes=5)
     assert "more lane(s) hidden" in text
+
+
+def test_same_cell_twice_in_one_process_traces_identically():
+    """Message ids in flow labels are numbered per world, so a trace does
+    not depend on what ran earlier in the same interpreter."""
+
+    def trace():
+        tracer = Tracer()
+        run_one(RunSpec(2, 4, "merge-col-t", "ethernet", "tiny"), tracer=tracer)
+        return tracer.to_chrome_trace()
+
+    assert trace() == trace()
