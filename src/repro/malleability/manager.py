@@ -5,21 +5,24 @@ paper's checkpoint protocol embedded (Algorithms 3 and 4):
 
 * **Stage 1** (resource reallocation) is the scripted RMS decision;
 * **Stage 2** (process management) spawns/merges per the Baseline or Merge
-  method — blocking (S), non-blocking handles (A) or inside the auxiliary
-  thread (T);
+  method;
 * **Stage 3** (data redistribution) runs the P2P/COL/RMA session: constant
   fields may overlap the application (A/T); variable fields always move
   synchronously once the sources stop (§3.2);
 * **Stage 4** (resuming) hands the new group its communicator, dataset and
   resume iteration.
 
+Stage 2 and the first Stage-3 wave are one program,
+:meth:`GroupRunner._stage23`: S and the recovery ladder run it blocking, T
+runs it blocking on its auxiliary thread, and A steps it at its checkpoints.
+
 The async stop protocol: a source may only leave the loop when *every*
 source finished its redistribution, because per-iteration collectives would
 otherwise hang.  Sources agree with a one-scalar allreduce per checkpoint
 (the kind of reduction iterative solvers perform anyway).  A source whose
 iterations ran out has no checkpoint left and nothing to overlap with: it
-blocks until its own part is done (T sleeps in the thread join, A polls in
-the spawn/merge wait and the session's ``finish()``) and then agrees once.
+blocks until its own part is done (T sleeps in the thread join, A runs the
+rest of its program blocking) and then agrees once.
 """
 
 from __future__ import annotations
@@ -118,11 +121,11 @@ class GroupRunner:
         # per-reconfiguration scratch:
         self._req: Optional[ReconfigRequest] = None
         self._plan: Optional[RedistributionPlan] = None
-        self._spawn_handle = None
-        self._merge_handle = None
         self._inter = None
         self._merged = None
-        self._session = None
+        #: A's :meth:`_stage23` while it steps at checkpoints (its waits
+        #: test); ``None`` for S/T/ladder runs and once A drains (they block).
+        self._pipeline = None
         self._thread = None
         self._record: Optional[ReconfigRecord] = None
         self._dst_dataset: Optional[Dataset] = None
@@ -161,22 +164,20 @@ class GroupRunner:
         lo, hi = plan.dst_range(t)
         return Dataset.create(self.app.n_rows, tuple(self.dataset.specs), lo, hi)
 
-    def _session_for(self, comm, names, dst_dataset=None) -> Any:
+    def _session_for(self, mpi, comm, names) -> Any:
         """Build this source rank's Stage-3 session on ``comm``."""
-        ns, nt = self._plan.n_sources, self._plan.n_targets
         is_merge = self.config.spawn is SpawnMethod.MERGE
-        src_rank = self.rank
-        dst_rank = self.rank if (is_merge and self.rank < nt) else None
+        nt = self._plan.n_targets
         return make_session(
             self.config.redist,
-            self.mpi,
+            mpi,
             comm,
             self._plan,
             names=names,
-            src_rank=src_rank,
-            dst_rank=dst_rank,
+            src_rank=self.rank,
+            dst_rank=self.rank if (is_merge and self.rank < nt) else None,
             src_dataset=self.dataset,
-            dst_dataset=dst_dataset,
+            dst_dataset=self._dst_dataset,
             label=f"reconf{self.group_index}",
         )
 
@@ -249,81 +250,129 @@ class GroupRunner:
 
         if self.config.strategy is Strategy.SYNC:
             if self._fault_mode():
-                outcome = yield from self._ft_sync_reconfig()
-            else:
-                outcome = yield from self._sync_reconfig()
+                outcome = yield from self._ft_ladder(record, attempt=0, last_err=None)
+                return outcome
+            yield from self._stage23(self.mpi)
+            outcome = yield from self._handoff(stopped_at=self.it)
             return outcome
         if self.config.strategy is Strategy.ASYNC_NONBLOCKING:
-            yield from self._begin_async()
-            return None
-        yield from self._begin_thread()
+            self._pipeline = self._stage23(self.mpi, overlapped=True)
+            yield from self._step(drain=False)
+        else:
+            yield from self._begin_thread()
         return None
 
-    # .................................................... synchronous path S
-    def _sync_reconfig(self):
-        yield from self._sync_stage23()
-        outcome = yield from self._handoff(stopped_at=self.it)
-        return outcome
+    def _stage23(self, mpi, overlapped: bool = False):
+        """Stage 2 and the first Stage-3 wave: the one program of S, A and T.
 
-    def _sync_stage23(self):
-        """Blocking Stage 2 + Stage 3 (first data wave); Stage 4 is left to
-        :meth:`_handoff` so the fault-tolerant ladder can interpose its
+        S and the recovery ladder run it blocking on the rank, T on its
+        auxiliary thread's ``mpi``; A (``overlapped``) steps it through
+        :meth:`_step`.  The checkpoint that begins A only issues work; each
+        later one tests once and falls through whatever completed.  Stage 4
+        is left to :meth:`_handoff` so the ladder can interpose its
         agreement between the data movement and the commit."""
-        ns, nt = self._plan.n_sources, self._plan.n_targets
-        record = self._record = self._ensure_record()
-        # Under A/T configs the recovery ladder replays the overlapped shape
-        # synchronously: the first wave moves the constant fields (what the
-        # targets expect), the variable fields follow in _handoff.
-        is_async = self.config.strategy is not Strategy.SYNC
-        names = (
-            (self._const_names() or self.dataset.field_names())
-            if is_async
-            else self.dataset.field_names()
-        )
-        if self.config.spawn is SpawnMethod.BASELINE:
-            inter = yield from self.mpi.comm_spawn(
-                _target_entry, slots=self._spawn_slots(range(nt)),
+        plan, record = self._plan, self._ensure_record()
+        ns, nt = plan.n_sources, plan.n_targets
+        baseline = self.config.spawn is SpawnMethod.BASELINE
+        spawned = baseline or nt > ns
+        if spawned:
+            spawn = yield from mpi.comm_spawn_async(
+                _target_entry, slots=self._spawn_slots(range(0 if baseline else ns, nt)),
                 comm=self.comm, args=self._child_args(),
             )
-            self._inter = inter
-            record.spawn_finished_at = self.mpi.now
-            record.redist_started_at = self.mpi.now
-            session = self._session_for(inter, names=names)
-        else:  # Merge method
-            merged = yield from self._merge_stage2_blocking()
-            self._merged = merged
-            record.spawn_finished_at = self.mpi.now
-            record.redist_started_at = self.mpi.now
-            self._dst_dataset = dst_dataset = (
-                self._make_target_dataset(self._plan, self.rank)
-                if self.rank < nt
-                else None
-            )
-            session = self._session_for(merged, names=names, dst_dataset=dst_dataset)
-        self._session = session
-        if self.config.strategy is Strategy.ASYNC_NONBLOCKING:
-            # A-config targets post the non-blocking collectives (see
-            # _target_entry); COL's blocking pair is another wire schedule.
-            yield from session.start()
-            yield from session.finish()
+            if overlapped:
+                yield _Phase.SPAWN_WAIT  # the beginning checkpoint
+            self._inter = comm = yield from self._await(mpi, spawn, _Phase.SPAWN_WAIT)
+            if overlapped and record.spawn_finished_at is None:
+                record.spawn_finished_at = mpi.now
+            if not baseline:
+                merge = yield from mpi.merge_intercomm_async(comm, high=False)
+                self._merged = comm = yield from self._await(
+                    mpi, merge, _Phase.MERGE_WAIT
+                )
         else:
+            # Merge shrink: no spawn — sources already hold ranks 0..NS-1.
+            # Duplicate the communicator so Stage-3 traffic cannot
+            # cross-match the application's (paper §3.2).
+            self._merged = comm = yield from mpi.comm_dup(self.comm)
+        if not overlapped:
+            record.spawn_finished_at = record.redist_started_at = mpi.now
+        elif record.redist_started_at is None:
+            record.redist_started_at = mpi.now
+        if not baseline and self.rank < nt:
+            self._dst_dataset = self._make_target_dataset(plan, self.rank)
+        # Under A/T configs the first wave moves the constant fields (what
+        # the targets expect); the variable fields follow in _handoff.
+        names = self.dataset.field_names()
+        if self.config.strategy is not Strategy.SYNC:
+            names = self._const_names() or names
+        session = self._session_for(mpi, comm, names)
+        if self.config.strategy is not Strategy.ASYNC_NONBLOCKING:
             yield from session.run_blocking()
+            return
+        # A-config targets post the non-blocking collectives (see
+        # _target_entry); COL's blocking pair is another wire schedule.
+        yield from session.start()
+        if overlapped and not spawned:
+            yield _Phase.REDIST  # the beginning checkpoint
+        while self._pipeline is not None and not (yield from session.test()):
+            yield _Phase.REDIST
+        if not session.finished:
+            yield from session.finish()
 
-    def _merge_stage2_blocking(self):
-        ns, nt = self._plan.n_sources, self._plan.n_targets
-        if nt > ns:
-            inter = yield from self.mpi.comm_spawn(
-                _target_entry, slots=self._spawn_slots(range(ns, nt)),
-                comm=self.comm, args=self._child_args(),
-            )
-            self._inter = inter
-            merged = yield from self.mpi.merge_intercomm(inter, high=False)
-            return merged
-        # Shrink: no spawn — sources already hold ranks 0..NS-1.  Duplicate
-        # the communicator so Stage-3 traffic cannot cross-match the
-        # application's (paper §3.2).
-        dup = yield from self.mpi.comm_dup(self.comm)
-        return dup
+    def _await(self, mpi, handle, phase: _Phase):
+        """A Stage-2 wait.  Blocking it is ``wait_async`` — exactly
+        ``comm_spawn``/``merge_intercomm``; while A steps, it tests
+        ``handle`` once per checkpoint and suspends at ``phase`` between."""
+        while self._pipeline is not None:
+            if handle.completed or handle.failed:
+                return handle.result  # raises a stored failure
+            yield phase
+        result = yield from mpi.wait_async(handle)
+        return result
+
+    def _step(self, drain: bool):
+        """Advance A's pipeline to its next checkpoint wait — ``drain``: to
+        its end, every wait blocking — and return whether its first wave is
+        locally through.  Kernel commands pass through, kernel throws are
+        delivered where the pipeline waits, and a yielded phase ends the
+        step."""
+        pipeline = self._pipeline
+        if drain:
+            self._pipeline = None
+        send = throw = None
+        while True:
+            try:
+                cmd = pipeline.throw(throw) if throw is not None else pipeline.send(send)
+            except StopIteration:
+                self._phase = _Phase.REDIST
+                return True
+            if isinstance(cmd, _Phase):
+                self._phase = cmd
+                return False
+            try:
+                send, throw = (yield cmd), None
+            except BaseException as e:
+                send, throw = None, e
+
+    def _begin_thread(self):
+        def stage23_thread(tmpi):
+            """Auxiliary thread: :meth:`_stage23`, blocking.
+
+            A communication failure is *returned* (not raised) so the main
+            flow reads the verdict at its next checkpoint and drives the
+            recovery ladder itself — a dead auxiliary thread must never
+            take the rank down with it."""
+            try:
+                yield from self._stage23(tmpi)
+            except CommFailedError as e:
+                return ("stage23-failed", e)
+            return "stage23-done"
+
+        self._thread = yield from self.mpi.spawn_thread(
+            stage23_thread, name=f"auxthread.g{self.mpi.gid}"
+        )
+        self._phase = _Phase.THREAD_WAIT
 
     # ........................................ fault-tolerant ladder (faults)
     def _spawn_slots(self, indices) -> list[int]:
@@ -372,13 +421,6 @@ class GroupRunner:
             if c is not None:
                 world.abort_comm(c)
 
-    def _ft_sync_reconfig(self):
-        """Synchronous reconfiguration under a fault schedule: run the
-        escalation ladder from a clean slate."""
-        record = self._ensure_record()
-        outcome = yield from self._ft_ladder(record, attempt=0, last_err=None)
-        return outcome
-
     def _ft_ladder(
         self,
         record: ReconfigRecord,
@@ -406,7 +448,7 @@ class GroupRunner:
                 yield from self.mpi.sleep(policy.retry_backoff * attempt)
             err: Optional[CommFailedError] = None
             try:
-                yield from self._sync_stage23()
+                yield from self._stage23(self.mpi)
             except CommFailedError as e:
                 err = e
                 # Unstick peers still blocked inside this attempt's session
@@ -454,9 +496,7 @@ class GroupRunner:
         surviving members of the half-spawned target group."""
         record.mark_first_failure(self.mpi.now)
         world = self.mpi.world
-        for comm in (self._merged, self._inter):
-            if comm is not None:
-                world.abort_comm(comm)
+        self._abort_session_comms()
         if self._thread is not None and not self._thread.finished:
             self.mpi.sim.kill_now(
                 self._thread.proc,
@@ -473,11 +513,9 @@ class GroupRunner:
                     reason=f"reconf{self.group_index} attempt aborted",
                 )
         self._phase = _Phase.IDLE
-        self._spawn_handle = None
-        self._merge_handle = None
         self._inter = None
         self._merged = None
-        self._session = None
+        self._pipeline = None
         self._thread = None
         self._dst_dataset = None
         # Zero-cost yield keeps this a generator and lets the kernel settle
@@ -607,151 +645,6 @@ class GroupRunner:
 
         world.sim.schedule(cr.requeue_delay + cr.restart_cost, relaunch)
 
-    # ................................................. non-blocking path (A)
-    def _begin_async(self):
-        ns, nt = self._plan.n_sources, self._plan.n_targets
-        if self.config.spawn is SpawnMethod.BASELINE:
-            self._spawn_handle = yield from self.mpi.comm_spawn_async(
-                _target_entry, slots=self._spawn_slots(range(nt)),
-                comm=self.comm, args=self._child_args(),
-            )
-            self._phase = _Phase.SPAWN_WAIT
-        elif nt > ns:  # Merge expansion
-            self._spawn_handle = yield from self.mpi.comm_spawn_async(
-                _target_entry, slots=self._spawn_slots(range(ns, nt)),
-                comm=self.comm, args=self._child_args(),
-            )
-            self._phase = _Phase.SPAWN_WAIT
-        else:  # Merge shrink: redistribute over a duplicate communicator
-            self._merged = yield from self.mpi.comm_dup(self.comm)
-            yield from self._start_const_session(self._merged)
-            self._phase = _Phase.REDIST
-
-    def _advance_async(self, drain: bool):
-        """Advance the A-strategy pipeline and return local completion of
-        the constant-data redistribution: one non-blocking step per
-        checkpoint, or — ``drain`` — every remaining step, blocking."""
-        record = self._ensure_record()
-        if self._phase is _Phase.SPAWN_WAIT:
-            if drain:
-                yield from self.mpi.wait_async(self._spawn_handle)
-            if self._spawn_handle.failed:
-                self._spawn_handle.result  # raises the stored failure
-            if not self._spawn_handle.completed:
-                return False
-            self._inter = self._spawn_handle.result
-            if record.spawn_finished_at is None:
-                record.spawn_finished_at = self.mpi.now
-            if self.config.spawn is SpawnMethod.BASELINE:
-                yield from self._start_const_session(self._inter)
-                self._phase = _Phase.REDIST
-            else:
-                self._merge_handle = yield from self.mpi.merge_intercomm_async(
-                    self._inter, high=False
-                )
-                self._phase = _Phase.MERGE_WAIT
-        if self._phase is _Phase.MERGE_WAIT:
-            if drain:
-                yield from self.mpi.wait_async(self._merge_handle)
-            if self._merge_handle.failed:
-                self._merge_handle.result  # raises the stored failure
-            if not self._merge_handle.completed:
-                return False
-            self._merged = self._merge_handle.result
-            yield from self._start_const_session(self._merged)
-            self._phase = _Phase.REDIST
-        if self._phase is _Phase.REDIST:
-            if drain:
-                if not self._session.finished:
-                    yield from self._session.finish()
-                return True
-            done = yield from self._session.test()
-            return done
-        return False
-
-    def _start_const_session(self, comm):
-        record = self._ensure_record()
-        if record.redist_started_at is None:
-            record.redist_started_at = self.mpi.now
-        nt = self._plan.n_targets
-        names = self._const_names() or self.dataset.field_names()
-        dst_dataset = None
-        if self.config.spawn is SpawnMethod.MERGE and self.rank < nt:
-            self._dst_dataset = dst_dataset = self._make_target_dataset(
-                self._plan, self.rank
-            )
-        self._session = self._session_for(comm, names=names, dst_dataset=dst_dataset)
-        yield from self._session.start()
-
-    # .................................................... thread path (T)
-    def _begin_thread(self):
-        runner = self
-
-        def stage23_thread(tmpi):
-            """Auxiliary thread: blocking Stage 2 + constant-data Stage 3.
-
-            A communication failure is *returned* (not raised) so the main
-            flow reads the verdict at its next checkpoint and drives the
-            recovery ladder itself — a dead auxiliary thread must never
-            take the rank down with it."""
-            try:
-                if runner.config.spawn is SpawnMethod.BASELINE:
-                    inter = yield from tmpi.comm_spawn(
-                        _target_entry,
-                        slots=runner._spawn_slots(range(runner._plan.n_targets)),
-                        comm=runner.comm, args=runner._child_args(),
-                    )
-                    runner._inter = inter
-                    comm = inter
-                    dst_dataset = None
-                else:
-                    ns, nt = runner._plan.n_sources, runner._plan.n_targets
-                    if nt > ns:
-                        inter = yield from tmpi.comm_spawn(
-                            _target_entry,
-                            slots=runner._spawn_slots(range(ns, nt)),
-                            comm=runner.comm, args=runner._child_args(),
-                        )
-                        runner._inter = inter
-                        merged = yield from tmpi.merge_intercomm(inter, high=False)
-                    else:
-                        merged = yield from tmpi.comm_dup(runner.comm)
-                    runner._merged = comm = merged
-                    dst_dataset = None
-                    if runner.rank < nt:
-                        runner._dst_dataset = dst_dataset = (
-                            runner._make_target_dataset(runner._plan, runner.rank)
-                        )
-                record = runner._ensure_record()
-                if record.spawn_finished_at is None:
-                    record.spawn_finished_at = tmpi.now
-                if record.redist_started_at is None:
-                    record.redist_started_at = tmpi.now
-                names = runner._const_names() or runner.dataset.field_names()
-                nt = runner._plan.n_targets
-                session = make_session(
-                    runner.config.redist, tmpi, comm, runner._plan,
-                    names=names,
-                    src_rank=runner.rank,
-                    dst_rank=(
-                        runner.rank
-                        if runner.config.spawn is SpawnMethod.MERGE and runner.rank < nt
-                        else None
-                    ),
-                    src_dataset=runner.dataset,
-                    dst_dataset=dst_dataset,
-                    label=f"reconf{runner.group_index}",
-                )
-                yield from session.run_blocking()
-            except CommFailedError as e:
-                return ("stage23-failed", e)
-            return "stage23-done"
-
-        self._thread = yield from self.mpi.spawn_thread(
-            stage23_thread, name=f"auxthread.g{self.mpi.gid}"
-        )
-        self._phase = _Phase.THREAD_WAIT
-
     # ------------------------------------------------------- stop agreement
     def _overlap_checkpoint(self, drain: bool):
         """Poll the overlapped reconfiguration and act on the agreed
@@ -804,7 +697,7 @@ class GroupRunner:
                     err = res[1]
         else:
             try:
-                local_done = yield from self._advance_async(drain)
+                local_done = yield from self._step(drain)
             except CommFailedError as e:
                 err = e
                 local_done = False
@@ -850,8 +743,7 @@ class GroupRunner:
         nt = self._plan.n_targets
 
         if var_names:
-            dst_dataset = getattr(self, "_dst_dataset", None)
-            session = self._session_for(comm3, names=var_names, dst_dataset=dst_dataset)
+            session = self._session_for(self.mpi, comm3, var_names)
             yield from session.run_blocking()
 
         if self.config.spawn is SpawnMethod.BASELINE:
@@ -881,7 +773,7 @@ class GroupRunner:
                 self._reset_reconfig_state()
                 return RankOutcome.RETIRED
         # Persisting rank: swap to the new group's state and keep looping.
-        dst_dataset = getattr(self, "_dst_dataset", None)
+        dst_dataset = self._dst_dataset
         if dst_dataset is None:
             raise RuntimeError("persisting rank has no target dataset")
         record.mark_data_complete(self.mpi.now)
@@ -898,11 +790,9 @@ class GroupRunner:
         self._phase = _Phase.IDLE
         self._req = None
         self._plan = None
-        self._spawn_handle = None
-        self._merge_handle = None
         self._inter = None
         self._merged = None
-        self._session = None
+        self._pipeline = None
         self._thread = None
         self._record = None
         self._dst_dataset = None

@@ -1,8 +1,8 @@
 """Known defect: Baseline + RMA + async deadlocks under checkpoint skew.
 
-``MalleabilityManager._advance_async`` starts the constant-data session
-as soon as *this* rank sees ``_spawn_handle.completed``, and
-``RmaRedistribution.start()`` opens with the blocking collective
+``GroupRunner._stage23``, stepped at A's checkpoints, starts the
+constant-data session as soon as *this* rank sees its spawn handle
+complete, and ``RmaRedistribution.start()`` opens with the blocking collective
 ``win_create`` (the P2P/COL ``start()`` only post non-blocking ops).  When
 spawn completion falls between two sources' checkpoints, the source that
 saw it (rank 2 here) and the 8 targets block in ``win_create``
