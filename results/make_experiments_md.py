@@ -12,8 +12,8 @@ from repro.harness import ResultSet, experiments_markdown
 EXTRA = """\
 ## Extension experiments (beyond the paper's figures)
 
-These cover the paper's §2 motivation and §5 future work; regenerate with
-`pytest benchmarks/ --benchmark-only` (tables print inline):
+These cover the paper's §2 motivation and §5 future work; re-run them with
+`PYTHONPATH=src python -m pytest benchmarks/test_*.py -q` (tiny scale):
 
 | experiment | claim | where |
 |---|---|---|
@@ -41,18 +41,25 @@ See DESIGN.md §8. In brief:
   the P2P flavour where the paper shows COL — the paper itself calls the
   two statistically tied for Merge;
 * the Ethernet-threads vs Infiniband-non-blocking nuance of Figure 9
-  weakens at reduced scale (A and T are within noise of each other), though
-  the alpha ordering alpha(T) > alpha(A) on Ethernet does reproduce.
+  weakens at reduced scale: Infiniband's winners do lean on A, but
+  Ethernet's lean on A too (`fig9.winners-lean-on-t.ethernet`), though the
+  alpha ordering alpha(T) > alpha(A) on Ethernet does reproduce;
+* Merge wins every synchronous comparison in aggregate, but not at every
+  point: expanding 8 -> 32 on Ethernet, Merge COLS takes 1.089x Baseline
+  COLS (`fig2.merge-within-5pct-per-point.ethernet`).
 
 ## Paper-scale feasibility
 
 The full `paper` scale (8x20 cores, ladder 2..160, 1000 iterations) runs
-~12.5 minutes per simulated job on one CPU core (measured:
-`merge-col-s 160->120` on Infiniband, reconfig 0.30 s, app 54.4 s simulated,
-754 s wall) — a complete 42-pair x 12-config x 2-fabric x 5-rep sweep is a
-multi-day, embarrassingly parallel batch. The committed record therefore
-uses the `small` scale, which preserves every mechanism (oversubscription,
-spawn-cost gap, protocol stalls, serialized collectives) at 1/8 data scale.
+~2 minutes per 160-rank job on one CPU core (measured:
+`merge-col-s 160->120` on Infiniband, reconfig 0.288 s, app 54.40 s
+simulated, 131 s wall, one `run_one` on a shared 2-core Intel Xeon host
+under Python 3.11; smaller cells take seconds). The figures' slices alone
+(12 pairs x 12 configs x 2 fabrics) are several core-hours per repetition,
+and the complete 42-pair x 5-rep sweep is an embarrassingly parallel batch
+of tens of core-hours. The committed record therefore uses the `small`
+scale, which preserves every mechanism (oversubscription, spawn-cost gap,
+protocol stalls, serialized collectives) at 1/8 data scale.
 """
 
 if __name__ == "__main__":

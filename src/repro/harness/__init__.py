@@ -9,8 +9,9 @@ from .cache import CACHE_VERSION, CellCache
 from .executor import SweepCellError, resolve_workers
 from .fleet import WorkerFleet, active_fleet, get_fleet, shutdown_fleet
 from .experiments import EXPERIMENTS, ExperimentSpec, async_sync_pairs, pairs_for
-from .expmd import Claim, evaluate_claims, experiments_markdown
-from .report import FigureData, build_figure, figure_report, headline_speedups
+from .expmd import CLAIMS, Claim, evaluate_claims, experiments_markdown
+from .expmd import headline_speedups
+from .report import FigureData, build_figure, figure_report
 from .runner import (
     ResultSet,
     RunResult,
@@ -44,6 +45,7 @@ __all__ = [
     "figure_report",
     "headline_speedups",
     "Claim",
+    "CLAIMS",
     "evaluate_claims",
     "experiments_markdown",
 ]

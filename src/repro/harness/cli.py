@@ -18,8 +18,8 @@ from ..malleability.config import ALL_CONFIGS
 from ..sanitize import static_check
 from ..synthetic.presets import SCALES
 from .experiments import EXPERIMENTS, pairs_for
-from .expmd import experiments_markdown
-from .report import figure_report, headline_speedups
+from .expmd import experiments_markdown, headline_speedups
+from .report import figure_report
 from .runner import ResultSet, run_sweep
 
 __all__ = ["main"]

@@ -8,9 +8,9 @@ The config lists are derived from :data:`repro.malleability.config.
 ALL_CONFIGS`, so the views grew with the matrix: since the RMA arm became
 first-class the "synchronous" figures (2/3) plot six series ``{Baseline,
 Merge} x {P2P, COL, RMA}`` and the alpha/speedup/grid figures cover all
-18 cells.  The paper's *expectations* remain claims about its original 12
-two-sided configurations; the RMA series ride along as the §5 extension
-(their dedicated characterisation lives in ``benchmarks/perf/bench_rma``).
+18 cells.  The paper's claims are about its 12 two-sided configurations:
+:mod:`repro.harness.expmd` cuts each figure down to
+:data:`~repro.malleability.config.PAPER_CONFIGS` to check them.
 """
 
 from __future__ import annotations
@@ -39,12 +39,9 @@ class ExperimentSpec:
     fabrics: tuple[str, ...]
     #: how the figure presents the metric
     presentation: str  # 'times' | 'alpha' | 'speedup' | 'preferred'
-    #: the paper's qualitative claims this figure must reproduce
-    expectations: tuple[str, ...] = ()
 
 
 _SYNC = tuple(c.key for c in SYNC_CONFIGS)
-_ASYNC = tuple(c.key for c in ASYNC_CONFIGS)
 _ALL = tuple(c.key for c in ALL_CONFIGS)
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
@@ -58,11 +55,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         config_keys=_SYNC,
         fabrics=("ethernet",),
         presentation="times",
-        expectations=(
-            "Merge reconfigurations outperform Baseline",
-            "Baseline COL slowest (serialized inter-communicator Alltoallv)",
-            "Merge advantage grows with target count when shrinking",
-        ),
     ),
     "fig3": ExperimentSpec(
         exp_id="fig3",
@@ -73,10 +65,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         config_keys=_SYNC,
         fabrics=("infiniband",),
         presentation="times",
-        expectations=(
-            "Merge preferred; both Merge variants close together",
-            "All reconfigurations faster than on Ethernet",
-        ),
     ),
     "fig4": ExperimentSpec(
         exp_id="fig4",
@@ -87,11 +75,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         config_keys=_ALL,
         fabrics=("ethernet",),
         presentation="alpha",
-        expectations=(
-            "Thread (T) strategies give alpha >= their non-blocking (A) "
-            "counterparts",
-            "Baseline COLA can fall below 1 (pairwise-exchange sync baseline)",
-        ),
     ),
     "fig5": ExperimentSpec(
         exp_id="fig5",
@@ -102,10 +85,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         config_keys=_ALL,
         fabrics=("infiniband",),
         presentation="alpha",
-        expectations=(
-            "alpha generally higher than on Ethernet (faster network has "
-            "less slack for overlap)",
-        ),
     ),
     "fig6": ExperimentSpec(
         exp_id="fig6",
@@ -116,9 +95,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         config_keys=_ALL,
         fabrics=("ethernet", "infiniband"),
         presentation="preferred",
-        expectations=(
-            "Merge COLS dominates the grid on both networks",
-        ),
     ),
     "fig7": ExperimentSpec(
         exp_id="fig7",
@@ -129,10 +105,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         config_keys=_ALL,
         fabrics=("ethernet",),
         presentation="speedup",
-        expectations=(
-            "Merge configurations and Baseline P2PS beat Baseline COLS",
-            "Peak speedup in the vicinity of the paper's 1.14x",
-        ),
     ),
     "fig8": ExperimentSpec(
         exp_id="fig8",
@@ -143,9 +115,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         config_keys=_ALL,
         fabrics=("infiniband",),
         presentation="speedup",
-        expectations=(
-            "Merge async configurations lead; peak near the paper's 1.21x",
-        ),
     ),
     "fig9": ExperimentSpec(
         exp_id="fig9",
@@ -156,11 +125,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         config_keys=_ALL,
         fabrics=("ethernet", "infiniband"),
         presentation="preferred",
-        expectations=(
-            "Asynchronous Merge configurations dominate the app-time grids",
-            "Ethernet's winners lean on threads (T), Infiniband's on "
-            "non-blocking (A)",
-        ),
     ),
 }
 

@@ -15,7 +15,7 @@ from ..synthetic.presets import SCALES
 from .experiments import EXPERIMENTS, ExperimentSpec, async_sync_pairs
 from .runner import ResultSet
 
-__all__ = ["FigureData", "build_figure", "figure_report", "headline_speedups"]
+__all__ = ["FigureData", "build_figure", "figure_report"]
 
 BASELINE_REFERENCE = "baseline-col-s"
 
@@ -95,9 +95,10 @@ def build_figure(
         }
         y_label = f"{spec.metric} (s), median"
     elif spec.presentation == "alpha":
-        sync_of = async_sync_pairs()
         fig.series = {}
-        for akey, skey in sync_of.items():
+        for akey, skey in async_sync_pairs().items():
+            if akey not in spec.config_keys:
+                continue
             a = _median_series(rs, spec.metric, pairs, [akey], fabric)[akey]
             s = _median_series(rs, spec.metric, pairs, [skey], fabric)[skey]
             fig.series[_legend_name(akey)] = [x / y for x, y in zip(a, s)]
@@ -153,25 +154,4 @@ def figure_report(exp_id: str, rs: ResultSet, scale: str) -> str:
                 ["figure", "fabric", "direction", "series", "x", "value"], rows
             )
         )
-    if spec.expectations:
-        blocks.append("paper expectations: " + " | ".join(spec.expectations))
     return "\n\n".join(blocks)
-
-
-def headline_speedups(rs: ResultSet, scale: str) -> dict[str, tuple[str, float]]:
-    """The abstract's numbers: best app-time speedup vs Baseline COLS per
-    fabric — the paper reports 1.14x (Ethernet) and 1.21x (Infiniband)."""
-    spec = EXPERIMENTS["fig7"]
-    out: dict[str, tuple[str, float]] = {}
-    for fabric in rs.fabrics():
-        best_key, best_val = "", 0.0
-        for direction in ("shrink", "expand"):
-            fig = build_figure(spec, rs, scale, fabric, direction)
-            for name, series in fig.series.items():
-                if name.endswith("(s)"):
-                    continue
-                peak = max(series)
-                if peak > best_val:
-                    best_key, best_val = name, peak
-        out[fabric] = (best_key, best_val)
-    return out

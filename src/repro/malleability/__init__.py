@@ -1,7 +1,8 @@
 """MPI malleability: the four reconfiguration stages over simulated MPI.
 
-* :class:`ReconfigConfig` / :data:`ALL_CONFIGS` — the paper's 12 evaluated
-  configurations ({Baseline, Merge} x {P2P, COL} x {S, A, T});
+* :class:`ReconfigConfig` / :data:`ALL_CONFIGS` — the 18 configurations
+  ({Baseline, Merge} x {P2P, COL, RMA} x {S, A, T}); :data:`PAPER_CONFIGS`
+  is the paper's 12 two-sided ones;
 * :class:`ScriptedRMS` — Stage 1 (scripted resource decisions);
 * :func:`run_malleable` / :class:`GroupRunner` — Stages 2-4 embedded in the
   application loop (Algorithms 3 and 4);
@@ -11,6 +12,7 @@
 from .config import (
     ALL_CONFIGS,
     ASYNC_CONFIGS,
+    PAPER_CONFIGS,
     SYNC_CONFIGS,
     ReconfigConfig,
     SpawnMethod,
@@ -24,6 +26,7 @@ __all__ = [
     "SpawnMethod",
     "ReconfigConfig",
     "ALL_CONFIGS",
+    "PAPER_CONFIGS",
     "SYNC_CONFIGS",
     "ASYNC_CONFIGS",
     "ScriptedRMS",

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from ..redistribution.api import RedistMethod, Strategy, parse_choice
 
-__all__ = ["SpawnMethod", "ReconfigConfig", "ALL_CONFIGS", "SYNC_CONFIGS", "ASYNC_CONFIGS"]
+__all__ = ["SpawnMethod", "ReconfigConfig", "ALL_CONFIGS", "PAPER_CONFIGS",
+           "SYNC_CONFIGS", "ASYNC_CONFIGS"]
 
 
 class SpawnMethod(enum.Enum):
@@ -93,6 +94,8 @@ def _all_configs() -> tuple[ReconfigConfig, ...]:
 
 #: the 18 configurations (paper's 12 + the RMA arm), in a stable order.
 ALL_CONFIGS: tuple[ReconfigConfig, ...] = _all_configs()
+#: the paper's 12 two-sided configurations, the scope of its claims.
+PAPER_CONFIGS = tuple(c for c in ALL_CONFIGS if c.redist is not RedistMethod.RMA)
 #: the 6 synchronous ones (Figures 2 and 3 use their two-sided subset).
 SYNC_CONFIGS = tuple(c for c in ALL_CONFIGS if c.strategy is Strategy.SYNC)
 #: the 12 asynchronous ones (Figures 4 and 5 use their two-sided subset).
