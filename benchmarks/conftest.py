@@ -1,6 +1,7 @@
-"""Shared options for the ablation and statistics benchmarks: they run at
-``tiny``; ``--bench-scale small`` re-runs the statistics protocol closer to
-paper scale (the ablations skip outside ``tiny``)."""
+"""Shared options for the ablation and statistics benchmarks.  The
+ablations always run at ``tiny``; ``--bench-scale`` selects the scale of
+the statistics protocol bench only (``small`` runs it closer to paper
+scale)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from repro.synthetic.presets import SCALES
 def pytest_addoption(parser):
     parser.addoption(
         "--bench-scale", default="tiny", choices=sorted(SCALES),
-        help="preset the benchmarks run at (default: tiny)",
+        help="preset the statistics protocol bench runs at (default: tiny); "
+        "the ablations always run at tiny",
     )
 
 

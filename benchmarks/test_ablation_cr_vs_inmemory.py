@@ -64,14 +64,11 @@ def reconfig_time_cr(ns, nt, scale):
 
 
 @pytest.mark.parametrize("ns,nt", [(8, 4), (4, 8)])
-def test_in_memory_beats_checkpoint_restart(benchmark, bench_scale, ns, nt):
-    if bench_scale != "tiny":
-        pytest.skip("ablations run at tiny scale only")
-
+def test_in_memory_beats_checkpoint_restart(benchmark, ns, nt):
     def measure():
         return (
-            reconfig_time_inmemory(ns, nt, bench_scale),
-            reconfig_time_cr(ns, nt, bench_scale),
+            reconfig_time_inmemory(ns, nt, "tiny"),
+            reconfig_time_cr(ns, nt, "tiny"),
         )
 
     mem, cr = run_once(benchmark, measure)

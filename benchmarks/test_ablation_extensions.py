@@ -15,24 +15,22 @@ from repro.harness import RunSpec, run_one
 from repro.redistribution import RedistributionPlan
 
 
-def _times(config_key, ns, nt, scale, plan_mode="block", reps=2, fabric="ethernet"):
+def _times(config_key, ns, nt, plan_mode="block", reps=2, fabric="ethernet"):
     return [
-        run_one(RunSpec(ns, nt, config_key, fabric, scale, rep, plan_mode=plan_mode))
+        run_one(RunSpec(ns, nt, config_key, fabric, "tiny", rep, plan_mode=plan_mode))
         for rep in range(reps)
     ]
 
 
 @pytest.mark.parametrize("ns,nt", [(8, 4), (4, 8)])
-def test_rma_redistribution_competitive(benchmark, bench_scale, ns, nt):
+def test_rma_redistribution_competitive(benchmark, ns, nt):
     """Emulated RMA must complete correctly and sit in the same time range
     as Algorithm 1/2 (it saves the size round-trip, so it should not lose
     badly to P2P)."""
-    if bench_scale != "tiny":
-        pytest.skip("ablations run at tiny scale only")
 
     def sweep():
         return {
-            method: median([r.reconfig_time for r in _times(f"merge-{method}-s", ns, nt, bench_scale)])
+            method: median([r.reconfig_time for r in _times(f"merge-{method}-s", ns, nt)])
             for method in ("p2p", "col", "rma")
         }
 
@@ -42,19 +40,17 @@ def test_rma_redistribution_competitive(benchmark, bench_scale, ns, nt):
     assert times["rma"] < times["p2p"] * 1.3
 
 
-def test_movement_minimizing_plan_reduces_reconfig_time(benchmark, bench_scale):
+def test_movement_minimizing_plan_reduces_reconfig_time(benchmark):
     """The §5 idea: letting persisting ranks keep their rows cuts moved
     bytes, so Merge reconfigurations get cheaper (expansion case)."""
-    if bench_scale != "tiny":
-        pytest.skip("ablations run at tiny scale only")
 
     def sweep():
         block = median(
-            [r.reconfig_time for r in _times("merge-p2p-s", 4, 8, bench_scale, "block")]
+            [r.reconfig_time for r in _times("merge-p2p-s", 4, 8, "block")]
         )
         minmove = median(
             [r.reconfig_time
-             for r in _times("merge-p2p-s", 4, 8, bench_scale, "minmove")]
+             for r in _times("merge-p2p-s", 4, 8, "minmove")]
         )
         return block, minmove
 
@@ -75,12 +71,10 @@ def test_movement_minimizing_moves_fewer_rows(benchmark):
     assert opt < base
 
 
-def test_blocking_switch_slows_redistribution(benchmark, bench_scale):
+def test_blocking_switch_slows_redistribution(benchmark):
     """Network ablation: a 4:1 oversubscribed core switch (vs the paper's
     non-blocking fabric) inflates the reconfiguration when many node pairs
     redistribute concurrently."""
-    if bench_scale != "tiny":
-        pytest.skip("ablations run at tiny scale only")
 
     import numpy as np
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "shapiro_normality",
@@ -35,6 +34,7 @@ def shapiro_normality(samples: Sequence[float], alpha: float = 0.05) -> tuple[fl
     normality, which routes the pipeline to the non-parametric tests —
     the same decision the paper reports for all its configurations.
     """
+    from scipy import stats as sps
     x = np.asarray(samples, dtype=np.float64)
     if len(x) < 3 or np.allclose(x, x[0]):
         return 0.0, True
@@ -48,6 +48,7 @@ def kruskal_wallis(groups: Mapping[str, Sequence[float]], alpha: float = 0.05):
     Returns ``(H, p_value, rejects_equal_medians)``.  If every observation
     is identical the groups are trivially equal (p = 1).
     """
+    from scipy import stats as sps
     arrays = [np.asarray(v, dtype=np.float64) for v in groups.values()]
     if len(arrays) < 2:
         raise ValueError("Kruskal-Wallis needs at least two groups")
@@ -71,6 +72,7 @@ def conover_posthoc(
     compared against Student's t with N−k degrees of freedom (two-sided).
     Returns a symmetric dict keyed by group-name pairs.
     """
+    from scipy import stats as sps
     names = list(groups)
     if len(names) < 2:
         raise ValueError("Conover post-hoc needs at least two groups")
@@ -96,10 +98,7 @@ def conover_posthoc(
         return {
             (a, b): 1.0 for a, b in itertools.combinations(names, 2)
         } | {(b, a): 1.0 for a, b in itertools.combinations(names, 2)}
-    try:
-        h, _ = sps.kruskal(*arrays)
-    except ValueError:  # identical data
-        h = 0.0
+    h, _ = sps.kruskal(*arrays)
     df = n_total - k
     factor = s2 * (n_total - 1 - h) / df
     factor = max(factor, 1e-30)

@@ -16,10 +16,14 @@ every bit of solver state inside the redistributable dataset.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse as sp
 
 from ..redistribution.stores import FieldSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse as sp
 
 __all__ = ["ConjugateGradientApp", "cg_reference", "cg_solve"]
 

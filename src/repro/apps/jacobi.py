@@ -8,10 +8,14 @@ redistribution — a useful contrast workload for the malleability study.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse as sp
 
 from ..redistribution.stores import FieldSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse as sp
 
 __all__ = ["JacobiApp"]
 

@@ -16,9 +16,12 @@ We cannot download it offline, so:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as sp
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse as sp
 
 __all__ = ["MatrixStats", "queen4147_stats", "laplacian_3d", "poisson_2d", "spd_check"]
 
@@ -60,6 +63,7 @@ def laplacian_3d(n: int, dofs: int = 1, shift: float = 0.0) -> sp.csr_matrix:
         raise ValueError("grid size must be >= 1")
     if dofs < 1:
         raise ValueError("dofs must be >= 1")
+    from scipy import sparse as sp
     one_d = sp.diags(
         [-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr"
     )
@@ -84,6 +88,7 @@ def poisson_2d(n: int) -> sp.csr_matrix:
     """SPD 5-point Laplacian on an n x n grid (small test problems)."""
     if n < 1:
         raise ValueError("grid size must be >= 1")
+    from scipy import sparse as sp
     one_d = sp.diags(
         [-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr"
     )

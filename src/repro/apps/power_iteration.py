@@ -9,10 +9,14 @@ exercising yet another variable-data flavour.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse as sp
 
 from ..redistribution.stores import FieldSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse as sp
 
 __all__ = ["PowerIterationApp", "power_iteration_reference"]
 

@@ -1,7 +1,7 @@
 """Persistent worker fleet: one pipe per worker, master blocked in ``wait``.
 
 A process pool per ``run_sweep`` call pays interpreter spawn, the
-numpy/scipy imports and the first machine build every time.  The fleet,
+simulator's imports and the first machine build every time.  The fleet,
 modeled on nengo_mpi's ``MpiSimulator`` master/worker design (PAPERS.md),
 keeps the workers alive across sweeps and merges streamed results.
 
@@ -77,11 +77,8 @@ def _fleet_worker(conn, base):
     SweepCellError)`` when it raised — the worker itself keeps serving,
     which is what lets a fleet survive a bad cell.
     """
-    # Pre-warm once per *process*, not per sweep: the heavy imports and
-    # the lazy per-class simulation setup are the bulk of cold-pool cost.
-    import numpy  # noqa: F401
-    import scipy.sparse  # noqa: F401
-
+    # Pre-warm once per *process*, not per sweep: the simulator's imports
+    # and the lazy per-class simulation setup are the bulk of cold-pool cost.
     from ..cluster.fabrics import ETHERNET_10G
     from ..cluster.machine import Machine
     from ..simulate.core import Simulator

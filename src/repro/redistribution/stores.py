@@ -20,12 +20,14 @@ split that decides what may be redistributed asynchronously.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
-from scipy import sparse as sp
 
 from ..smpi.datatypes import BufferPayload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse as sp
 
 __all__ = [
     "FieldSpec",
@@ -262,6 +264,7 @@ class CsrStore(BlockStore):
             indptr[row : row + k] = np.asarray(ip[1:], dtype=idx_dtype) + nnz
             nnz += int(ip[-1])
             row += k
+        from scipy import sparse as sp
         self._matrix = sp.csr_matrix(
             (data, indices, indptr), shape=(n_rows, n_cols), copy=False
         )

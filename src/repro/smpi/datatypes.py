@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Blob", "BufferPayload", "payload_nbytes",
            "copy_payload"]
@@ -90,8 +89,9 @@ def copy_payload(payload: Any) -> Any:
     Without this, a sender mutating its array after ``isend`` would corrupt
     in-flight data — precisely the bug class MPI's semantics rule out.
     This is the one sender-side copy: payloads may be read-only views of
-    the sender's buffers.  A :class:`BufferPayload` or scipy sparse matrix
-    holds buffers too and copies itself.  Immutable objects are returned as-is.
+    the sender's buffers.  A :class:`BufferPayload`, scipy sparse matrix or
+    sparse array holds buffers too and copies itself.  Immutable objects are
+    returned as-is.
     """
     if isinstance(payload, np.ndarray):
         return payload.copy()
@@ -101,6 +101,9 @@ def copy_payload(payload: Any) -> Any:
         return {k: copy_payload(v) for k, v in payload.items()}
     if isinstance(payload, tuple):
         return tuple(copy_payload(x) for x in payload)
-    if isinstance(payload, (BufferPayload, sparse.spmatrix)):
+    if isinstance(payload, BufferPayload):
+        return payload.copy()
+    # Any scipy sparse matrix or array, recognised without importing scipy.
+    if type(payload).__module__.startswith("scipy.sparse"):
         return payload.copy()
     return payload

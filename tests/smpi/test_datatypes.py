@@ -71,6 +71,18 @@ def test_copy_payload_snapshots_sparse_rows():
             np.testing.assert_array_equal(getattr(c, name), getattr(payload, name))
 
 
+@pytest.mark.parametrize("kind", [sp.csr_matrix, sp.csr_array])
+def test_copy_payload_snapshots_sparse_matrices_and_arrays(kind):
+    """scipy's sparse arrays are not ``spmatrix`` subclasses; both are
+    snapshotted at send time, so a later write to the original is not
+    seen by the copy."""
+    original = kind(np.arange(6.0).reshape(2, 3))
+    c = copy_payload(original)
+    assert c is not original and type(c) is kind
+    original.data[:] = -1.0
+    np.testing.assert_array_equal(c.toarray(), np.arange(6.0).reshape(2, 3))
+
+
 def test_copy_payload_passes_blobs_through():
     b = Blob(10)
     assert copy_payload(b) is b
