@@ -13,7 +13,9 @@ import pytest
 
 from repro.cluster import ETHERNET_10G, INFINIBAND_EDR, Machine
 from repro.simulate import Simulator
-from repro.smpi import ArrayExposure, LOCK_EXCLUSIVE, LOCK_SHARED, MpiWorld, run_spmd
+from repro.smpi import (
+    ArrayExposure, CommFailedError, LOCK_EXCLUSIVE, LOCK_SHARED, MpiWorld, run_spmd,
+)
 
 #: 1 M float64 -> 8 MB, far past every inter-node eager threshold.
 BIG = 1_000_000
@@ -172,3 +174,60 @@ def test_epoch_bookkeeping_and_modes():
 
     run_spmd(main, 2, n_nodes=2, cores_per_node=1)
     assert LOCK_SHARED != LOCK_EXCLUSIVE
+
+
+#: the error each one-sided op reports against a dead target, by when the
+#: target died: before the op was issued, or while it was on the wire.
+_DEAD_TARGET_MESSAGES = {
+    ("put", "before-issue"): "win_put to dead rank 1",
+    ("put", "in-flight"): "win_put target rank 1 died in flight",
+    ("get", "before-issue"): "win_get from dead rank 1",
+    ("get", "in-flight"): "win_get target rank 1 died in flight",
+    ("lock", "before-issue"): "win_lock to dead rank 1",
+    ("lock", "in-flight"): "win_lock target rank 1 died",
+}
+
+
+@pytest.mark.parametrize("when", ["before-issue", "in-flight"])
+@pytest.mark.parametrize("op", ["put", "get", "lock"])
+def test_one_sided_op_on_dead_target_fails(op, when):
+    """A put, get or lock against a dead target completes in error, with
+    a CommFailedError naming the dead gid, whether the target died before
+    the op was issued or while it was in flight."""
+    seen = {}
+
+    def issue(mpi, win):
+        if op == "put":
+            ev = yield from mpi.win_put(win, 1, (0, np.ones(BIG)))
+        elif op == "get":
+            ev = yield from mpi.win_iget(win, 1, offset=0, count=BIG)
+        else:
+            ev = yield from mpi.win_ilock(win, 1)
+        return ev
+
+    def main(mpi):
+        win = yield from mpi.win_create(ArrayExposure(np.zeros(BIG)))
+        if mpi.rank == 1:
+            yield from mpi.compute(10.0)  # killed long before this ends
+            return None
+        target = win.peer_gid(mpi.gid, 1)
+        if when == "before-issue":
+            mpi.world.terminate_ranks([target])
+            ev = yield from issue(mpi, win)
+        else:
+            ev = yield from issue(mpi, win)
+            assert ev.pending
+            mpi.world.terminate_ranks([target])
+        yield from mpi.sleep(1.0)
+        seen.update(target=target, ev=ev)
+        return None
+
+    run_spmd(main, 2, n_nodes=2, cores_per_node=1)
+    ev = seen["ev"]
+    assert ev.failed
+    with pytest.raises(CommFailedError) as err:
+        ev.value
+    assert err.value.dead_gids == [seen["target"]]
+    assert str(err.value) == (
+        f"{_DEAD_TARGET_MESSAGES[op, when]} (dead ranks: [{seen['target']}])"
+    )

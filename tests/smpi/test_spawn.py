@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import ETHERNET_10G, Machine
-from repro.simulate import Simulator
-from repro.smpi import MpiWorld, SpawnModel, run_spmd
+from repro.simulate import Simulator, Timeout
+from repro.smpi import CommFailedError, MpiWorld, SpawnModel, run_spmd
 
 
 def run_world(main, n, *, n_nodes=2, cores=2, spawn_model=None, args=()):
@@ -192,3 +192,64 @@ def test_spawn_model_validation():
         model.cost(-1, 1)
     assert model.cost(0, 0) == 0.0
     assert model.cost(10, 2) == pytest.approx(model.base + 10 * model.per_process + 2 * model.per_node)
+
+
+@pytest.mark.parametrize(
+    "kind", ["spawn", "merge", "comm_create", "win_create", "fence"]
+)
+def test_rendezvous_fails_when_a_participant_died(kind):
+    """A participant killed before it reaches a world rendezvous fails the
+    rendezvous for everyone already waiting there: the survivors raise
+    CommFailedError naming it instead of hanging."""
+    sim = Simulator()
+    machine = Machine(sim, 2, 2, ETHERNET_10G)
+    world = MpiWorld(machine)
+    victims, outcomes = [], []
+
+    def victim(mpi):
+        victims.append(mpi.gid)
+        yield from mpi.compute(100.0)  # killed long before this ends
+
+    def survive(op):
+        try:
+            yield from op
+        except CommFailedError as e:
+            outcomes.append(e.dead_gids)
+            return
+        outcomes.append("completed")
+
+    def child(mpi):
+        if mpi.rank == 1:
+            yield from victim(mpi)
+        else:
+            yield from survive(mpi.merge_intercomm(mpi.parent, high=True))
+
+    def main(mpi):
+        if kind == "merge":
+            inter = yield from mpi.comm_spawn(child, slots=[2, 3])
+            yield from survive(mpi.merge_intercomm(inter, high=False))
+            return
+        win = None
+        if kind == "fence":
+            win = yield from mpi.win_create(None)
+        if mpi.rank == 2:
+            yield from victim(mpi)
+            return
+        yield from survive({
+            "spawn": lambda: mpi.comm_spawn(child_noop, slots=[3]),
+            "comm_create": lambda: mpi.comm_create(mpi.comm_world, [0, 1]),
+            "win_create": lambda: mpi.win_create(None),
+            "fence": lambda: mpi.win_fence(win),
+        }[kind]())
+
+    world.launch(main, slots=range(2 if kind == "merge" else 3))
+
+    def assassin():
+        yield Timeout(50.0)
+        world.terminate_ranks(victims)
+
+    sim.spawn(assassin())
+    sim.run()
+    assert len(victims) == 1
+    survivors = 3 if kind == "merge" else 2  # merge: 2 parents + 1 child
+    assert outcomes == [victims] * survivors
