@@ -44,13 +44,13 @@ class Observer:
       ``on_alltoallv(ctx, comm, tag_base, send_map, recv_from)`` at both
       vector all-to-all entries; ``on_finalize(endpoint)`` when a rank
       closes.
-    * ``MpiWorld``, one-sided — ``on_rma(kind)`` per put, lock, flush,
-      flush_local and unlock; ``on_rma_deferred()`` when a landing waits
+    * ``MpiWorld``, one-sided — ``on_rma(kind)`` per put, get, lock,
+      flush and unlock; ``on_rma_deferred()`` when a landing waits
       for its target to enter MPI; ``on_win_put(ctx, win, target_rank,
       payload, done)`` once the put is on the wire; ``on_win_lock(ctx,
       win, target_rank)`` at lock issue; ``on_win_lock_granted(win, mode,
-      t0)`` when the epoch opens; ``on_win_flush(ctx, win, target_rank,
-      local_only)`` after a flush wait; ``on_win_unlock(ctx, win,
+      t0)`` when the epoch opens; ``on_win_flush(ctx, win,
+      target_rank)`` after a flush wait; ``on_win_unlock(ctx, win,
       target_rank)`` before the epoch closes.
     * ``MpiWorld``, redistribution and recovery —
       ``on_redist_transfer(session, phase, nbytes)``;
@@ -119,7 +119,7 @@ class Observer:
     def on_win_put(self, ctx, win, target_rank, payload, done): pass
     def on_win_lock(self, ctx, win, target_rank): pass
     def on_win_lock_granted(self, win, mode, t0): pass
-    def on_win_flush(self, ctx, win, target_rank, local_only): pass
+    def on_win_flush(self, ctx, win, target_rank): pass
     def on_win_unlock(self, ctx, win, target_rank): pass
     def on_redist_transfer(self, session, phase, nbytes): pass
     def on_redist_phase(self, session, phase, t0): pass

@@ -33,10 +33,10 @@ SAN009  passive-target lock epoch still open at origin finalize
 
 For one-sided traffic the buffer-race rule is **epoch-aware**: a put
 issued inside a ``win_lock`` epoch holds its origin-buffer fingerprint
-until the epoch is flushed (``win_flush`` / ``win_flush_local`` /
-``win_unlock``) — the strict MPI reuse rule — rather than only until the
-operation's own completion event.  The simulation itself is forgiving
-(puts snapshot payloads at issue), so these stay pure observations.
+until the epoch is flushed (``win_flush`` / ``win_unlock``) — the strict
+MPI reuse rule — rather than only until the operation's own completion
+event.  The simulation itself is forgiving (puts snapshot payloads at
+issue), so these stay pure observations.
 
 All checks are *observations*: the sanitizer never changes simulation
 behaviour, it only records :class:`~repro.sanitize.findings.Finding`
@@ -294,12 +294,10 @@ class Sanitizer(Observer):
             comm.ctx_id, self._now(),
         )
 
-    def on_win_flush(self, ctx, win, target_rank: Optional[int],
-                     local_only: bool) -> None:
+    def on_win_flush(self, ctx, win, target_rank: Optional[int]) -> None:
         """Hooked after a flush wait: the epoch's put buffers become legal
         to reuse exactly now — verify none was touched while held
-        (epoch-aware SAN001).  ``MPI_Win_flush_local`` also completes put
-        origin buffers, so both variants release the held fingerprints."""
+        (epoch-aware SAN001)."""
         dst_gid = (
             win.peer_gid(ctx.gid, target_rank) if target_rank is not None else None
         )
@@ -575,9 +573,8 @@ class Sanitizer(Observer):
             comm = any_decl[0]
             if ctx_id in world.aborted_ctxs:
                 continue
-            members = set(comm.group) | set(comm.remote_group or ())
             missing = sorted(
-                g for g in members
+                g for g in comm.members
                 if g not in group and g not in world.dead_gids
             )
             if not missing:

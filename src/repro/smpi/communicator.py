@@ -51,6 +51,8 @@ class Communicator:
         self.ctx_id = ctx_id
         self.group = tuple(group)
         self.remote_group = tuple(remote_group) if remote_group is not None else None
+        #: every gid of both groups (the local group of an intra-communicator).
+        self.members = self.group + (self.remote_group or ())
         self.name = name or f"comm{ctx_id}"
         self._local_index = {gid: i for i, gid in enumerate(self.group)}
         self._remote_index = (

@@ -28,6 +28,7 @@ from .datatypes import ANY_SOURCE, ANY_TAG, copy_payload, payload_nbytes
 from .endpoint import Endpoint, Message
 from .errors import CommFailedError
 from .requests import RecvRequest, Request, SendRequest
+from .rma import RmaOps
 
 __all__ = ["RankCtx", "ThreadHandle"]
 
@@ -85,8 +86,12 @@ class ThreadHandle:
         return self.proc.result
 
 
-class RankCtx:
-    """The simulated-MPI handle of one rank (or one of its threads)."""
+class RankCtx(RmaOps):
+    """The simulated-MPI handle of one rank (or one of its threads).
+
+    Point-to-point, collectives, world operations (spawn, merge, dup,
+    create) and threads live here; the one-sided half comes from
+    :class:`~repro.smpi.rma.RmaOps`."""
 
     def __init__(
         self,
@@ -451,10 +456,62 @@ class RankCtx:
         return result
 
     # -------------------------------------------------------------- world ops
-    def _op_key(self, kind: str, comm: Communicator) -> str:
+    def _rendezvous(
+        self,
+        kind: str,
+        comm: Communicator,
+        complete: Callable[[Any], tuple[Any, Callable[[], Any]]],
+        join: Optional[Callable[[Any], None]] = None,
+    ) -> SimEvent:
+        """Arrive at the world-level collective ``kind`` over every member
+        of ``comm`` (both groups of an inter-communicator); returns the
+        event all of them wait on.
+
+        ``join(op)`` runs at each arrival and may record the caller's share
+        in ``op.result``.  The last arrival calls ``complete(op)`` for
+        ``(after, make)``: once ``after`` — a delay, or a list of events
+        that must all end — has passed, ``make()``'s value ends the op for
+        everyone (an exception value fails it).  A participant that dies
+        first fails the op instead (:meth:`MpiWorld.mark_ranks_dead`) and
+        ``make`` never runs.
+        """
+        world = self.world
         seq = self._op_seq.get((kind, comm.ctx_id), 0)
         self._op_seq[(kind, comm.ctx_id)] = seq + 1
-        return f"{kind}:{comm.ctx_id}:{seq}"
+        key = f"{kind}:{comm.ctx_id}:{seq}"
+        members = comm.members
+        op = world.pending_op(key, expected=len(members), participants=members)
+        if join is not None:
+            join(op)
+        if op.arrive():
+            after, make = complete(op)
+            ev = op.event
+
+            def fire() -> None:
+                if not ev.pending:
+                    return  # op aborted (a participant died) meanwhile
+                result = make()
+                world.finish_op(key)
+                if isinstance(result, BaseException):
+                    ev.fail(result)
+                else:
+                    ev.trigger(result)
+
+            if not isinstance(after, list):
+                self.sim.schedule(after, fire)
+            elif not after:
+                fire()
+            else:
+                left = [len(after)]
+
+                def count(_e) -> None:
+                    left[0] -= 1
+                    if left[0] == 0:
+                        fire()
+
+                for e in after:
+                    e.add_callback(count)
+        return op.event
 
     def _comm_spawn_begin(
         self,
@@ -468,41 +525,32 @@ class RankCtx:
         arrival schedules the launch after the spawn-model cost and the
         returned event fires with the parent-side inter-communicator."""
         slots = list(slots)
-        key = self._op_key("spawn", comm)
-        op = self.world.pending_op(key, expected=comm.size, participants=comm.group)
-        if op.arrive():
-            cost = self.world.spawn_model.cost(
-                len(slots), self.world.nodes_of_slots(slots)
+        world = self.world
+
+        def launch():
+            err = world.spawn_failure(slots)
+            if err is not None:
+                return err
+            inter_ctx_id = next(world._ctx_ids)
+            res = world.launch(
+                func,
+                slots,
+                args=args,
+                name_prefix=name_prefix,
+                parent_intercomm_info=(inter_ctx_id, tuple(comm.group)),
             )
-            world = self.world
+            return Communicator(
+                inter_ctx_id,
+                comm.group,
+                remote_group=res.comm.group,
+                name=f"spawn{inter_ctx_id}.parent",
+            )
 
-            def fire() -> None:
-                if not op.event.pending:
-                    return  # op aborted (a participant died) while launching
-                err = world.spawn_failure(slots)
-                if err is not None:
-                    world.finish_op(key)
-                    op.event.fail(err)
-                    return
-                inter_ctx_id = next(world._ctx_ids)
-                res = world.launch(
-                    func,
-                    slots,
-                    args=args,
-                    name_prefix=name_prefix,
-                    parent_intercomm_info=(inter_ctx_id, tuple(comm.group)),
-                )
-                local_inter = Communicator(
-                    inter_ctx_id,
-                    comm.group,
-                    remote_group=res.comm.group,
-                    name=f"spawn{inter_ctx_id}.parent",
-                )
-                world.finish_op(key)
-                op.event.trigger(local_inter)
+        def complete(_op):
+            cost = world.spawn_model.cost(len(slots), world.nodes_of_slots(slots))
+            return cost, launch
 
-            self.sim.schedule(cost, fire)
-        return op.event
+        return self._rendezvous("spawn", comm, complete)
 
     def comm_spawn(
         self,
@@ -546,50 +594,29 @@ class RankCtx:
     def _merge_begin(self, inter: Communicator, high: bool) -> SimEvent:
         if not inter.is_inter:
             raise ValueError("merge_intercomm needs an inter-communicator")
-        seq = self._op_seq.get(("merge", inter.ctx_id), 0)
-        self._op_seq[("merge", inter.ctx_id)] = seq + 1
-        key = f"merge:{inter.ctx_id}:{seq}"
-        expected = inter.size + inter.remote_size
-        op = self.world.pending_op(
-            key,
-            expected=expected,
-            participants=tuple(inter.group) + tuple(inter.remote_group),
-        )
-        meta = op.result if op.result is not None else {
-            "groups": (tuple(inter.group), tuple(inter.remote_group)),
-            "high": {},
-        }
-        op.result = meta
-        # Normalise: record flags against the canonical (first-caller) groups.
-        group_a, group_b = meta["groups"]
-        side = "a" if self.gid in group_a else "b"
-        prev = meta["high"].get(side)
-        if prev is not None and prev != high:
-            raise ValueError("inconsistent high flags within one merge side")
-        meta["high"][side] = high
-        if op.arrive():
-            if set(meta["high"].values()) != {True, False}:
+
+        def join(op) -> None:
+            # Record flags against the canonical (first-caller) groups.
+            group_a, _ = op.result.setdefault("groups", (inter.group, inter.remote_group))
+            flags = op.result.setdefault("high", {})
+            if flags.setdefault("a" if self.gid in group_a else "b", high) != high:
+                raise ValueError("inconsistent high flags within one merge side")
+
+        def complete(op):
+            (group_a, group_b), flags = op.result["groups"], op.result["high"]
+            if set(flags.values()) != {True, False}:
                 raise ValueError(
                     "Intercomm_merge: both sides passed the same high flag"
                 )
-            low_first = group_a if meta["high"]["a"] is False else group_b
-            high_last = group_b if low_first is group_a else group_a
-            world = self.world
+            low, high_ = (group_a, group_b) if flags["a"] is False else (group_b, group_a)
 
-            def fire() -> None:
-                if not op.event.pending:
-                    return  # op aborted (a participant died) while merging
-                ctx_id = next(world._ctx_ids)
-                merged = Communicator(
-                    ctx_id,
-                    tuple(low_first) + tuple(high_last),
-                    name=f"merged{ctx_id}",
-                )
-                world.finish_op(key)
-                op.event.trigger(merged)
+            def merge():
+                ctx_id = next(self.world._ctx_ids)
+                return Communicator(ctx_id, low + high_, name=f"merged{ctx_id}")
 
-            self.sim.schedule(self.world.spawn_model.merge_cost, fire)
-        return op.event
+            return self.world.spawn_model.merge_cost, merge
+
+        return self._rendezvous("merge", inter, complete, join)
 
     def merge_intercomm(self, inter: Communicator, high: bool):
         """Collective ``MPI_Intercomm_merge`` over both groups of ``inter``.
@@ -628,421 +655,24 @@ class RankCtx:
         ranks = list(ranks)
         if not ranks:
             raise ValueError("comm_create needs a non-empty rank list")
-        key = self._op_key("create", comm)
-        op = self.world.pending_op(key, expected=comm.size, participants=comm.group)
-        if op.arrive():
+
+        def complete(_op):
             gids = tuple(comm.group[r] for r in ranks)
-            world = self.world
 
-            def fire() -> None:
-                if not op.event.pending:
-                    return  # op aborted (a participant died)
-                ctx_id = next(world._ctx_ids)
-                sub = Communicator(ctx_id, gids, name=f"sub{ctx_id}")
-                world.finish_op(key)
-                op.event.trigger(sub)
+            def create():
+                ctx_id = next(self.world._ctx_ids)
+                return Communicator(ctx_id, gids, name=f"sub{ctx_id}")
 
-            self.sim.schedule(self.world.spawn_model.merge_cost, fire)
-        sub = yield from self._polling_block(WaitEvent(op.event))
+            return self.world.spawn_model.merge_cost, create
+
+        sub = yield from self._polling_block(
+            WaitEvent(self._rendezvous("create", comm, complete))
+        )
         return sub if sub.contains_gid(self.gid) else None
 
     def disconnect(self, comm: Communicator):
         """``MPI_Comm_disconnect``: small synchronisation cost."""
         yield Timeout(self.world.spawn_model.disconnect_cost)
-
-    # -------------------------------------------------------------------- RMA
-    def win_create(self, exposure: Any, comm: Optional[Communicator] = None):
-        """Collective window creation (``MPI_Win_create`` shape).
-
-        Each rank exposes ``exposure`` (any object with an ``apply_put``
-        method, e.g. :class:`~repro.smpi.rma.ArrayExposure`; ``None`` to
-        expose nothing).  Returns the shared :class:`~repro.smpi.rma.Window`.
-        """
-        from .rma import Window
-
-        comm = self._comm(comm)
-        key = self._op_key("win", comm)
-        expected = comm.size + (comm.remote_size if comm.is_inter else 0)
-        op = self.world.pending_op(
-            key,
-            expected=expected,
-            participants=tuple(comm.group) + tuple(comm.remote_group or ()),
-        )
-        meta = op.result if op.result is not None else {"exposures": {}}
-        op.result = meta
-        meta["exposures"][self.gid] = exposure
-        if op.arrive():
-            world = self.world
-            exposures = meta["exposures"]
-
-            def fire() -> None:
-                if not op.event.pending:
-                    return  # op aborted (a participant died)
-                win = Window(world, comm, exposures)
-                world.finish_op(key)
-                op.event.trigger(win)
-
-            self.sim.schedule(self.world.spawn_model.merge_cost, fire)
-        win = yield from self._polling_block(WaitEvent(op.event))
-        return win
-
-    def _rma_count(self, kind: str) -> None:
-        for o in self.world.observers:
-            o.on_rma(kind)
-
-    def win_put(self, win, target_rank: int, payload: Any,
-                nbytes: Optional[int] = None, label: str = ""):
-        """One-sided put: ships ``payload`` to the target's exposure.
-
-        Outside a lock epoch (active-target use, synchronised by fences)
-        the put lands with no target-side MPI call.  Inside a passive-
-        target epoch the rendezvous-progress rule applies: payloads above
-        the fabric's eager threshold on a non-RDMA fabric only land while
-        the target is inside an MPI call.  Returns the completion event
-        (tracked by the window for fences and epoch flushes)."""
-        dst_gid = win.peer_gid(self.gid, target_rank)
-        world = self.world
-        epoch = win.epoch_mode(self.gid, dst_gid)
-        self._rma_count("put")
-        done = self.sim.event(name=f"put@{win.win_id}->{target_rank}")
-        if dst_gid in world.dead_gids:
-            # One-sided op against a dead target: complete in error without
-            # touching the wire (the origin discovers it at its next wait).
-            done.fail(
-                CommFailedError(
-                    f"win_put to dead rank {target_rank}", dead_gids=[dst_gid]
-                )
-            )
-            win._track(done)
-            if epoch is not None:
-                win._track_epoch_op(self.gid, dst_gid, "put", done)
-            return done
-        size = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        spec = self.world.channel_spec(self.gid, dst_gid)
-        if spec.cpu_overhead > 0:
-            yield Compute(spec.cpu_overhead)
-        src_node = self.node
-        dst_ep = self.world.endpoints[dst_gid]
-        dst_node = dst_ep.node
-        if label:
-            self.world.bytes_by_label[label] = (
-                self.world.bytes_by_label.get(label, 0.0) + size
-            )
-        flow_done = self.machine.transfer(
-            src_node, dst_node, size, label=f"rma-put:{label or size}"
-        )
-        snapshot = copy_payload(payload)
-        exposure = win.exposures.get(dst_gid)
-        # Software-agent RMA: a rendezvous-sized payload inside a passive
-        # epoch needs the target inside MPI before it can land.
-        deferred = (
-            epoch is not None and not spec.rdma and size > spec.eager_threshold
-        )
-
-        def land(_ev) -> None:
-            def apply() -> None:
-                if not done.pending:
-                    return
-                if dst_gid in world.dead_gids:
-                    done.fail(
-                        CommFailedError(
-                            f"win_put target rank {target_rank} died in flight",
-                            dead_gids=[dst_gid],
-                        )
-                    )
-                    return
-                if exposure is not None:
-                    exposure.apply_put(snapshot)
-                win._notify_put(dst_gid)
-                done.trigger(None)
-
-            def begin() -> None:
-                # The target-side copy still costs target CPU on CPU-bound
-                # fabrics (RDMA fabrics make it negligible via copy_rate).
-                if spec.copy_rate > 0 and size > 0:
-                    dst_node.submit(size / spec.copy_rate, apply,
-                                    label=f"rma-copy:{label or size}")
-                else:
-                    apply()
-
-            if deferred and not dst_ep.progress:
-                dst_ep.pending_rma.append(begin)
-                for o in world.observers:
-                    o.on_rma_deferred()
-            else:
-                begin()
-
-        for o in world.observers:
-            o.on_win_put(self, win, target_rank, payload, done)
-        flow_done.add_callback(land)
-        win._track(done)
-        if epoch is not None:
-            win._track_epoch_op(self.gid, dst_gid, "put", done)
-        return done
-
-    def win_iget(self, win, target_rank: int, offset: int, count: int,
-                 item_nbytes: int = 8, label: str = ""):
-        """Non-blocking one-sided get: request latency out, data flow back.
-
-        Returns the completion event; it triggers with the data read from
-        the target's exposure at response time.  Inside a passive-target
-        epoch the response obeys the rendezvous-progress rule (the *data
-        holder* must be inside MPI for rendezvous-sized responses on
-        non-RDMA fabrics) — the target-driven mirror of ``win_put``."""
-        dst_gid = win.peer_gid(self.gid, target_rank)
-        world = self.world
-        dst_ep = self.world.endpoints[dst_gid]
-        dst_node = dst_ep.node
-        exposure = win.exposures.get(dst_gid)
-        if exposure is None:
-            raise ValueError(f"rank {target_rank} exposes nothing in {win!r}")
-        epoch = win.epoch_mode(self.gid, dst_gid)
-        self._rma_count("get")
-        done = self.sim.event(name=f"get@{win.win_id}<-{target_rank}")
-        if dst_gid in world.dead_gids:
-            done.fail(
-                CommFailedError(
-                    f"win_get from dead rank {target_rank}", dead_gids=[dst_gid]
-                )
-            )
-            win._track(done)
-            if epoch is not None:
-                win._track_epoch_op(self.gid, dst_gid, "get", done)
-            return done
-        spec = self.world.channel_spec(self.gid, dst_gid)
-        if spec.cpu_overhead > 0:
-            yield Compute(spec.cpu_overhead)
-        if hasattr(exposure, "read_nbytes"):
-            size = exposure.read_nbytes(offset, count)
-        else:
-            size = count * item_nbytes
-        deferred = (
-            epoch is not None and not spec.rdma and size > spec.eager_threshold
-        )
-
-        def respond(_ev) -> None:
-            def serve() -> None:
-                if not done.pending:
-                    return
-                if dst_gid in world.dead_gids:
-                    done.fail(
-                        CommFailedError(
-                            f"win_get target rank {target_rank} died in flight",
-                            dead_gids=[dst_gid],
-                        )
-                    )
-                    return
-                # Snapshot at serve time, as puts do at issue time: the
-                # exposer is notified now and may write before the data lands.
-                data = copy_payload(exposure.read(offset, count))
-                if label:
-                    world.bytes_by_label[label] = (
-                        world.bytes_by_label.get(label, 0.0) + size
-                    )
-                # One op observed at the exposer: target-driven sessions
-                # use this to learn their data was fully served.
-                win._notify_put(dst_gid)
-                back = self.machine.transfer(
-                    dst_node, self.node, size, label=f"rma-get:{label or size}"
-                )
-
-                def landed(_e) -> None:
-                    if done.pending:
-                        done.trigger(data)
-
-                back.add_callback(landed)
-
-            if deferred and not dst_ep.progress:
-                dst_ep.pending_rma.append(serve)
-                for o in world.observers:
-                    o.on_rma_deferred()
-            else:
-                serve()
-
-        req_flow = self.machine.transfer(self.node, dst_node, 0, label="rma-get-req")
-        req_flow.add_callback(respond)
-        win._track(done)
-        if epoch is not None:
-            win._track_epoch_op(self.gid, dst_gid, "get", done)
-        return done
-
-    def win_get(self, win, target_rank: int, offset: int, count: int,
-                item_nbytes: int = 8, label: str = ""):
-        """Blocking one-sided get (``win_iget`` + polling wait)."""
-        done = yield from self.win_iget(
-            win, target_rank, offset, count, item_nbytes, label
-        )
-        data = yield from self._polling_block(WaitEvent(done))
-        return data
-
-    # ------------------------------------------------- passive-target epochs
-    def win_ilock(self, win, target_rank: int, exclusive: bool = False):
-        """Begin acquiring a passive-target lock (``MPI_Win_lock`` shape).
-
-        Returns the grant event; the epoch is open once it triggers.  The
-        request travels to the target's lock word (one control-message
-        latency), queues FIFO behind incompatible holders, and the grant
-        travels back — no target-side MPI call is needed to grant."""
-        from .rma import LOCK_EXCLUSIVE, LOCK_SHARED
-
-        dst_gid = win.peer_gid(self.gid, target_rank)
-        world = self.world
-        if win.epoch_mode(self.gid, dst_gid) is not None:
-            raise ValueError(
-                f"win_lock: an epoch to rank {target_rank} is already open"
-            )
-        self._rma_count("lock")
-        for o in world.observers:
-            o.on_win_lock(self, win, target_rank)
-        granted = self.sim.event(name=f"lock@{win.win_id}->{target_rank}")
-        if dst_gid in world.dead_gids:
-            granted.fail(
-                CommFailedError(
-                    f"win_lock to dead rank {target_rank}", dead_gids=[dst_gid]
-                )
-            )
-            return granted
-        spec = self.world.channel_spec(self.gid, dst_gid)
-        if spec.cpu_overhead > 0:
-            yield Compute(spec.cpu_overhead)
-        mode = LOCK_EXCLUSIVE if exclusive else LOCK_SHARED
-        origin_node = self.node
-        dst_node = self.world.endpoints[dst_gid].node
-        t0 = self.sim.now
-
-        def arrived(_ev) -> None:
-            def grant() -> None:
-                back = self.machine.transfer(
-                    dst_node, origin_node, 0, label="rma-lock-grant"
-                )
-
-                def opened(_e) -> None:
-                    if not granted.pending:
-                        return
-                    if dst_gid in world.dead_gids:
-                        granted.fail(
-                            CommFailedError(
-                                f"win_lock target rank {target_rank} died",
-                                dead_gids=[dst_gid],
-                            )
-                        )
-                        return
-                    win._epoch_opened(self.gid, dst_gid, mode, self.sim.now)
-                    for o in world.observers:
-                        o.on_win_lock_granted(win, mode, t0)
-                    granted.trigger(None)
-
-                back.add_callback(opened)
-
-            win.lock_state(dst_gid).request(self.gid, exclusive, grant)
-
-        req_flow = self.machine.transfer(
-            origin_node, dst_node, 0, label="rma-lock"
-        )
-        req_flow.add_callback(arrived)
-        return granted
-
-    def win_lock(self, win, target_rank: int, exclusive: bool = False):
-        """Blocking passive-target lock: open an access epoch to one rank."""
-        granted = yield from self.win_ilock(win, target_rank, exclusive)
-        yield from self._polling_block(WaitEvent(granted))
-        return granted
-
-    def win_flush(self, win, target_rank: Optional[int] = None):
-        """Wait until my epoch's operations completed **at the target(s)**
-        (``MPI_Win_flush`` / ``MPI_Win_flush_all``).  The epoch stays open."""
-        yield from self._win_flush(win, target_rank, local_only=False)
-
-    def win_flush_local(self, win, target_rank: Optional[int] = None):
-        """Wait until my epoch's operations completed **locally**
-        (``MPI_Win_flush_local``): gets have delivered their data; puts are
-        locally complete at issue time (the payload is snapshotted), though
-        the *strict* MPI reuse rule is still checked by the sanitizer."""
-        yield from self._win_flush(win, target_rank, local_only=True)
-
-    def _win_flush(self, win, target_rank, local_only: bool):
-        dst_gid = None
-        if target_rank is not None:
-            dst_gid = win.peer_gid(self.gid, target_rank)
-            if win.epoch_mode(self.gid, dst_gid) is None:
-                raise ValueError(
-                    f"win_flush: no epoch open to rank {target_rank}"
-                )
-        elif not win.open_epochs(self.gid):
-            raise ValueError("win_flush: no epoch open on this window")
-        self._rma_count("flush_local" if local_only else "flush")
-        pending = win.epoch_pending(self.gid, dst_gid, local_only=local_only)
-        if pending:
-            yield from self._polling_block(AllOf(pending))
-        # The origin buffers of this epoch's puts become reusable exactly
-        # now (a sanitizer checks them: epoch-aware SAN001).
-        for o in self.world.observers:
-            o.on_win_flush(self, win, target_rank, local_only)
-
-    def win_unlock(self, win, target_rank: int):
-        """Close the passive-target epoch (``MPI_Win_unlock``): flush every
-        operation of the epoch, then release the target's lock word."""
-        dst_gid = win.peer_gid(self.gid, target_rank)
-        mode = win.epoch_mode(self.gid, dst_gid)
-        if mode is None:
-            raise ValueError(
-                f"win_unlock: no epoch open to rank {target_rank}"
-            )
-        yield from self.win_flush(win, target_rank)
-        self._rma_count("unlock")
-        for o in self.world.observers:
-            o.on_win_unlock(self, win, target_rank)
-        win._epoch_closed(self.gid, dst_gid)
-        spec = self.world.channel_spec(self.gid, dst_gid)
-        if spec.cpu_overhead > 0:
-            yield Compute(spec.cpu_overhead)
-        if dst_gid in self.world.dead_gids:
-            return
-        dst_node = self.world.endpoints[dst_gid].node
-        release = self.machine.transfer(
-            self.node, dst_node, 0, label="rma-unlock"
-        )
-        gid = self.gid
-        release.add_callback(
-            lambda _e: win.lock_state(dst_gid).release(gid)
-        )
-
-    def win_fence(self, win):
-        """Collective fence: every member waits until all one-sided
-        operations of the epoch have completed everywhere."""
-        comm = win.comm
-        key = self._op_key("fence", comm)
-        expected = comm.size + (comm.remote_size if comm.is_inter else 0)
-        op = self.world.pending_op(
-            key,
-            expected=expected,
-            participants=tuple(comm.group) + tuple(comm.remote_group or ()),
-        )
-        if op.arrive():
-            world = self.world
-            pending = win.pending_ops()
-            ev = op.event
-
-            def finish() -> None:
-                if not ev.pending:
-                    return  # fence aborted (a participant died)
-                win.drain_completed()
-                world.finish_op(key)
-                ev.trigger(None)
-
-            if pending:
-                remaining = {"n": len(pending)}
-
-                def on_done(_e) -> None:
-                    remaining["n"] -= 1
-                    if remaining["n"] == 0:
-                        finish()
-
-                for p in pending:
-                    p.add_callback(on_done)
-            else:
-                finish()
-        yield from self._polling_block(WaitEvent(op.event))
 
     # ---------------------------------------------------------------- threads
     def spawn_thread(self, fn: Callable[..., Any], *args, name: str = ""):

@@ -373,8 +373,7 @@ class Endpoint:  # repro: noqa[REP005] - one per rank (not per message); queues 
         def excusable_req(r: RecvRequest) -> bool:
             if r.failed or r.comm.ctx_id in aborted:
                 return True
-            groups = set(r.comm.group) | set(r.comm.remote_group or ())
-            return bool(groups & dead)
+            return not dead.isdisjoint(r.comm.members)
 
         posted = [r for r in self.posted if not excusable_req(r)]
         unexpected = [m for m in self.unexpected if not excusable_msg(m)]

@@ -1,11 +1,19 @@
 """One-sided communication (MPI-3 RMA subset) with passive-target epochs.
 
-Since PR 7 this is a full third transport, not just the notification
-substrate: a :class:`Window` carries per-target **lock queues**
-(``MPI_Win_lock`` shared/exclusive semantics), per-``(origin, target)``
-epoch bookkeeping for ``MPI_Win_flush`` / ``MPI_Win_flush_local``, and the
-completed-op notification counters redistribution uses to detect
-completeness without two-sided matching.
+A full third transport beside point-to-point and collectives: a
+:class:`Window` carries per-target **lock queues** (``MPI_Win_lock``
+shared/exclusive semantics), per-``(origin, target)`` epoch bookkeeping
+for ``MPI_Win_flush``, and the completed-op notification counters
+redistribution uses to detect completeness without two-sided matching.
+:class:`RmaOps` is the one-sided half of the per-rank API
+(:class:`~repro.smpi.context.RankCtx` inherits it): ``win_create``,
+``win_put``, ``win_iget``/``win_get``, ``win_ilock``/``win_lock``,
+``win_flush``, ``win_unlock`` and ``win_fence``.
+
+Each rank exposes one object, or ``None`` to expose nothing.  An exposure
+answers three calls: ``apply_put(payload)`` lands a put,
+``read(offset, count)`` serves a get, and ``read_nbytes(offset, count)``
+prices that get on the wire.  :class:`ArrayExposure` is the numpy one.
 
 Progress semantics (the part that shapes the 18-config sweep):
 
@@ -30,11 +38,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from ..cluster.cpu import Compute
 from ..simulate.events import SimEvent
+from ..simulate.primitives import AllOf, WaitEvent
 from .communicator import Communicator
+from .datatypes import copy_payload, payload_nbytes
 from .errors import CommFailedError
 
-__all__ = ["Window", "ArrayExposure", "LOCK_SHARED", "LOCK_EXCLUSIVE"]
+__all__ = ["Window", "ArrayExposure", "RmaOps", "LOCK_SHARED", "LOCK_EXCLUSIVE"]
 
 #: lock mode constants (``MPI_LOCK_SHARED`` / ``MPI_LOCK_EXCLUSIVE``).
 LOCK_SHARED = "shared"
@@ -57,6 +68,9 @@ class ArrayExposure:
 
     def read(self, offset: int, count: int):
         return self.array[offset : offset + count]
+
+    def read_nbytes(self, offset: int, count: int) -> int:
+        return count * self.array.itemsize
 
 
 class _TargetLock:
@@ -131,19 +145,20 @@ class Window:
         self.exposures = exposures
         #: in-flight one-sided operations (cleared by fences).
         self._pending: list[SimEvent] = []
-        members = tuple(comm.group) + tuple(comm.remote_group or ())
         #: completed one-sided ops *observed at* each member gid: puts that
         #: landed there plus gets served from its exposure (the notify
         #: counters behind :meth:`notification_event`).
-        self.puts_received: dict[int, int] = {g: 0 for g in members}
+        self.puts_received: dict[int, int] = {g: 0 for g in comm.members}
         self._watchers: list[tuple[int, int, SimEvent]] = []
         #: per-target-gid passive-target lock word (lazily created).
         self._locks: dict[int, _TargetLock] = {}
+        #: (origin_gid, target_gid) lock requests still waiting for a grant.
+        self._lock_requests: set[tuple[int, int]] = set()
         #: (origin_gid, target_gid) -> open-epoch record: (lock mode, t0).
         self._epochs: dict[tuple[int, int], tuple[str, float]] = {}
-        #: (origin_gid, target_gid) -> in-flight ops of the open epoch,
-        #: as (kind, event) with kind in {"put", "get"} — the flush set.
-        self._epoch_ops: dict[tuple[int, int], list[tuple[str, SimEvent]]] = {}
+        #: (origin_gid, target_gid) -> ops issued in the open epoch: the
+        #: flush set.
+        self._epoch_ops: dict[tuple[int, int], list[SimEvent]] = {}
         world.windows.append(self)
 
     # -------------------------------------------------------------- plumbing
@@ -163,8 +178,14 @@ class Window:
             return comm.group[rank]
         return comm.peer_gid(rank)
 
-    def _track(self, ev: SimEvent) -> None:
+    def _track(
+        self, ev: SimEvent, origin_gid: int, target_gid: int, in_epoch: bool
+    ) -> None:
+        """Record an issued put/get: fences wait for it, and so does the
+        flush of the ``origin -> target`` epoch it was issued in."""
         self._pending.append(ev)
+        if in_epoch:
+            self._epoch_ops[(origin_gid, target_gid)].append(ev)
 
     def _notify_put(self, target_gid: int) -> None:
         self.puts_received[target_gid] += 1
@@ -228,34 +249,17 @@ class Window:
         self._epochs.pop((origin_gid, target_gid), None)
         self._epoch_ops.pop((origin_gid, target_gid), None)
 
-    def _track_epoch_op(
-        self, origin_gid: int, target_gid: int, kind: str, ev: SimEvent
-    ) -> None:
-        self._epoch_ops[(origin_gid, target_gid)].append((kind, ev))
-
     def epoch_pending(
-        self,
-        origin_gid: int,
-        target_gid: Optional[int] = None,
-        local_only: bool = False,
+        self, origin_gid: int, target_gid: Optional[int] = None
     ) -> list[SimEvent]:
-        """In-flight epoch ops of one origin (optionally to one target).
-
-        ``local_only=True`` restricts to ops with a *local* completion
-        requirement (gets; puts complete locally at issue time because the
-        payload is snapshotted) — the ``MPI_Win_flush_local`` wait set.
-        """
+        """In-flight epoch ops of one origin (optionally to one target)."""
         out = []
         for (o, t), ops in sorted(self._epoch_ops.items()):
             if o != origin_gid:
                 continue
             if target_gid is not None and t != target_gid:
                 continue
-            for kind, ev in ops:
-                if local_only and kind != "get":
-                    continue
-                if ev.pending:
-                    out.append(ev)
+            out.extend(ev for ev in ops if ev.pending)
         return out
 
     def fail_ops_to(self, dead: set[int], reason: str) -> None:
@@ -263,7 +267,7 @@ class Window:
         (its landing may have been lost with the node)."""
         for (_origin, target), ops in sorted(self._epoch_ops.items()):
             if target in dead:
-                for _kind, ev in ops:
+                for ev in ops:
                     if ev.pending:
                         ev.fail(CommFailedError(
                             f"{reason}: one-sided op to dead rank gid={target}",
@@ -272,3 +276,292 @@ class Window:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Window {self.win_id} over {self.comm.name}>"
+
+
+class RmaOps:
+    """The one-sided half of the per-rank MPI API.
+
+    :class:`~repro.smpi.context.RankCtx` inherits it; the methods use the
+    rank's ``world``, ``sim``, ``machine``, ``gid`` and ``node``, its
+    blocking wait ``_polling_block`` and its world rendezvous
+    ``_rendezvous``.  Every put, get and lock names its target by rank in
+    the window's communicator and returns its completion event, which fails
+    with :class:`~repro.smpi.errors.CommFailedError` when the target is
+    dead at issue or dies before the op completes there.
+    """
+
+    def win_create(self, exposure: Any, comm: Optional[Communicator] = None):
+        """Collective window creation (``MPI_Win_create`` shape) over every
+        member of ``comm``; each rank passes its exposure (see the module
+        docstring).  Returns the shared :class:`Window`."""
+        comm = self._comm(comm)
+        world = self.world
+
+        def join(op) -> None:
+            op.result[self.gid] = exposure
+
+        def complete(op):
+            return world.spawn_model.merge_cost, lambda: Window(world, comm, op.result)
+
+        win = yield from self._polling_block(
+            WaitEvent(self._rendezvous("win", comm, complete, join))
+        )
+        return win
+
+    def win_fence(self, win: Window):
+        """Collective fence: every member waits until all one-sided
+        operations of the epoch have completed everywhere."""
+        ev = self._rendezvous(
+            "fence", win.comm, lambda op: (win.pending_ops(), win.drain_completed)
+        )
+        yield from self._polling_block(WaitEvent(ev))
+
+    # ---------------------------------------------------------- shared rules
+    def _rma_count(self, kind: str) -> None:
+        for o in self.world.observers:
+            o.on_rma(kind)
+
+    def _dead_end(self, ev: SimEvent, dst_gid: int, message: str, rank: int) -> bool:
+        """Whether ``ev`` can no longer complete: it already ended, or its
+        target ``dst_gid`` is dead and ``ev`` fails now with ``message``
+        (formatted with the target's ``rank``)."""
+        if not ev.pending:
+            return True
+        if dst_gid not in self.world.dead_gids:
+            return False
+        ev.fail(CommFailedError(message.format(rank), dead_gids=[dst_gid]))
+        return True
+
+    def _at_target(self, spec, in_epoch: bool, size: int, dst_ep, step) -> None:
+        """Run the target side of an op: now, or — a rendezvous-sized op of
+        a passive epoch on a non-RDMA fabric (software-agent RMA) — when
+        the target next enters MPI."""
+        if (in_epoch and not spec.rdma and size > spec.eager_threshold
+                and not dst_ep.progress):
+            dst_ep.pending_rma.append(step)
+            for o in self.world.observers:
+                o.on_rma_deferred()
+        else:
+            step()
+
+    # ------------------------------------------------------------ put / get
+    def win_put(self, win: Window, target_rank: int, payload: Any,
+                nbytes: Optional[int] = None, label: str = ""):
+        """One-sided put: ships ``payload`` to the target's exposure.
+
+        Outside a lock epoch (active-target use, synchronised by fences)
+        the put lands with no target-side MPI call; inside one the
+        rendezvous-progress rule applies (:meth:`_at_target`).  Returns the
+        completion event (tracked by the window for fences and flushes)."""
+        dst_gid = win.peer_gid(self.gid, target_rank)
+        world = self.world
+        in_epoch = win.epoch_mode(self.gid, dst_gid) is not None
+        self._rma_count("put")
+        done = self.sim.event(name=f"put@{win.win_id}->{target_rank}")
+        if self._dead_end(done, dst_gid, "win_put to dead rank {}", target_rank):
+            win._track(done, self.gid, dst_gid, in_epoch)
+            return done
+        size = payload_nbytes(payload) if nbytes is None else int(nbytes)
+        spec = world.channel_spec(self.gid, dst_gid)
+        if spec.cpu_overhead > 0:
+            yield Compute(spec.cpu_overhead)
+        dst_ep = world.endpoints[dst_gid]
+        dst_node = dst_ep.node
+        if label:
+            world.bytes_by_label[label] = world.bytes_by_label.get(label, 0.0) + size
+        flow_done = self.machine.transfer(
+            self.node, dst_node, size, label=f"rma-put:{label or size}"
+        )
+        snapshot = copy_payload(payload)
+        exposure = win.exposures.get(dst_gid)
+
+        def apply() -> None:
+            if self._dead_end(done, dst_gid,
+                              "win_put target rank {} died in flight", target_rank):
+                return
+            if exposure is not None:
+                exposure.apply_put(snapshot)
+            win._notify_put(dst_gid)
+            done.trigger(None)
+
+        def begin() -> None:
+            # The target-side copy still costs target CPU on CPU-bound
+            # fabrics (RDMA fabrics make it negligible via copy_rate).
+            if spec.copy_rate > 0 and size > 0:
+                dst_node.submit(size / spec.copy_rate, apply,
+                                label=f"rma-copy:{label or size}")
+            else:
+                apply()
+
+        for o in world.observers:
+            o.on_win_put(self, win, target_rank, payload, done)
+        flow_done.add_callback(
+            lambda _ev: self._at_target(spec, in_epoch, size, dst_ep, begin)
+        )
+        win._track(done, self.gid, dst_gid, in_epoch)
+        return done
+
+    def win_iget(self, win: Window, target_rank: int, offset: int, count: int,
+                 label: str = ""):
+        """Non-blocking one-sided get: request latency out, data flow back.
+
+        Returns the completion event; it triggers with the data read from
+        the target's exposure at response time.  Inside a passive-target
+        epoch the response obeys the rendezvous-progress rule with the
+        *data holder* as the side that must be inside MPI — the
+        target-driven mirror of :meth:`win_put`."""
+        dst_gid = win.peer_gid(self.gid, target_rank)
+        world = self.world
+        dst_ep = world.endpoints[dst_gid]
+        dst_node = dst_ep.node
+        exposure = win.exposures.get(dst_gid)
+        if exposure is None:
+            raise ValueError(f"rank {target_rank} exposes nothing in {win!r}")
+        in_epoch = win.epoch_mode(self.gid, dst_gid) is not None
+        self._rma_count("get")
+        done = self.sim.event(name=f"get@{win.win_id}<-{target_rank}")
+        if self._dead_end(done, dst_gid, "win_get from dead rank {}", target_rank):
+            win._track(done, self.gid, dst_gid, in_epoch)
+            return done
+        spec = world.channel_spec(self.gid, dst_gid)
+        if spec.cpu_overhead > 0:
+            yield Compute(spec.cpu_overhead)
+        size = exposure.read_nbytes(offset, count)
+
+        def serve() -> None:
+            if self._dead_end(done, dst_gid,
+                              "win_get target rank {} died in flight", target_rank):
+                return
+            # Snapshot at serve time, as puts do at issue time: the
+            # exposer is notified now and may write before the data lands.
+            data = copy_payload(exposure.read(offset, count))
+            if label:
+                world.bytes_by_label[label] = world.bytes_by_label.get(label, 0.0) + size
+            # One op observed at the exposer: target-driven sessions
+            # use this to learn their data was fully served.
+            win._notify_put(dst_gid)
+            back = self.machine.transfer(
+                dst_node, self.node, size, label=f"rma-get:{label or size}"
+            )
+
+            def landed(_e) -> None:
+                if done.pending:
+                    done.trigger(data)
+
+            back.add_callback(landed)
+
+        req_flow = self.machine.transfer(self.node, dst_node, 0, label="rma-get-req")
+        req_flow.add_callback(
+            lambda _ev: self._at_target(spec, in_epoch, size, dst_ep, serve)
+        )
+        win._track(done, self.gid, dst_gid, in_epoch)
+        return done
+
+    def win_get(self, win: Window, target_rank: int, offset: int, count: int,
+                label: str = ""):
+        """Blocking one-sided get (``win_iget`` + polling wait)."""
+        done = yield from self.win_iget(win, target_rank, offset, count, label)
+        data = yield from self._polling_block(WaitEvent(done))
+        return data
+
+    # ------------------------------------------------- passive-target epochs
+    def win_ilock(self, win: Window, target_rank: int, exclusive: bool = False):
+        """Begin acquiring a passive-target lock (``MPI_Win_lock`` shape).
+
+        Returns the grant event; the epoch is open once it triggers.  The
+        request travels to the target's lock word (one control-message
+        latency), queues FIFO behind incompatible holders, and the grant
+        travels back — no target-side MPI call is needed to grant.  A
+        second request to the same target while one is open or still
+        waiting for its grant raises :class:`ValueError`."""
+        dst_gid = win.peer_gid(self.gid, target_rank)
+        world = self.world
+        key = (self.gid, dst_gid)
+        if key in win._epochs or key in win._lock_requests:
+            raise ValueError(
+                f"win_lock: an epoch to rank {target_rank} is already open "
+                f"or requested"
+            )
+        self._rma_count("lock")
+        for o in world.observers:
+            o.on_win_lock(self, win, target_rank)
+        granted = self.sim.event(name=f"lock@{win.win_id}->{target_rank}")
+        if self._dead_end(granted, dst_gid, "win_lock to dead rank {}", target_rank):
+            return granted
+        win._lock_requests.add(key)
+        spec = world.channel_spec(self.gid, dst_gid)
+        if spec.cpu_overhead > 0:
+            yield Compute(spec.cpu_overhead)
+        mode = LOCK_EXCLUSIVE if exclusive else LOCK_SHARED
+        origin_node = self.node
+        dst_node = world.endpoints[dst_gid].node
+        t0 = self.sim.now
+
+        def opened(_e) -> None:
+            win._lock_requests.discard(key)
+            if self._dead_end(granted, dst_gid,
+                              "win_lock target rank {} died", target_rank):
+                return
+            win._epoch_opened(self.gid, dst_gid, mode, self.sim.now)
+            for o in world.observers:
+                o.on_win_lock_granted(win, mode, t0)
+            granted.trigger(None)
+
+        def grant() -> None:
+            self.machine.transfer(
+                dst_node, origin_node, 0, label="rma-lock-grant"
+            ).add_callback(opened)
+
+        self.machine.transfer(
+            origin_node, dst_node, 0, label="rma-lock"
+        ).add_callback(
+            lambda _ev: win.lock_state(dst_gid).request(self.gid, exclusive, grant)
+        )
+        return granted
+
+    def win_lock(self, win: Window, target_rank: int, exclusive: bool = False):
+        """Blocking passive-target lock: open an access epoch to one rank."""
+        granted = yield from self.win_ilock(win, target_rank, exclusive)
+        yield from self._polling_block(WaitEvent(granted))
+        return granted
+
+    def win_flush(self, win: Window, target_rank: Optional[int] = None):
+        """Wait until my epoch's operations completed **at the target(s)**
+        (``MPI_Win_flush`` / ``MPI_Win_flush_all``).  The epoch stays open."""
+        dst_gid = None
+        if target_rank is not None:
+            dst_gid = win.peer_gid(self.gid, target_rank)
+            if win.epoch_mode(self.gid, dst_gid) is None:
+                raise ValueError(f"win_flush: no epoch open to rank {target_rank}")
+        elif not win.open_epochs(self.gid):
+            raise ValueError("win_flush: no epoch open on this window")
+        self._rma_count("flush")
+        pending = win.epoch_pending(self.gid, dst_gid)
+        if pending:
+            yield from self._polling_block(AllOf(pending))
+        # The origin buffers of this epoch's puts become reusable exactly
+        # now (a sanitizer checks them: epoch-aware SAN001).
+        for o in self.world.observers:
+            o.on_win_flush(self, win, target_rank)
+
+    def win_unlock(self, win: Window, target_rank: int):
+        """Close the passive-target epoch (``MPI_Win_unlock``): flush every
+        operation of the epoch, then release the target's lock word."""
+        dst_gid = win.peer_gid(self.gid, target_rank)
+        if win.epoch_mode(self.gid, dst_gid) is None:
+            raise ValueError(f"win_unlock: no epoch open to rank {target_rank}")
+        yield from self.win_flush(win, target_rank)
+        world = self.world
+        self._rma_count("unlock")
+        for o in world.observers:
+            o.on_win_unlock(self, win, target_rank)
+        win._epoch_closed(self.gid, dst_gid)
+        spec = world.channel_spec(self.gid, dst_gid)
+        if spec.cpu_overhead > 0:
+            yield Compute(spec.cpu_overhead)
+        if dst_gid in world.dead_gids:
+            return
+        gid = self.gid
+        self.machine.transfer(
+            self.node, world.endpoints[dst_gid].node, 0, label="rma-unlock"
+        ).add_callback(lambda _e: win.lock_state(dst_gid).release(gid))

@@ -37,14 +37,16 @@ class LaunchResult:
 
 
 class _PendingOp:
-    """A world-level collective op (spawn or merge) that all participants
-    must reach before any can leave."""
+    """A world-level collective op (spawn, merge, communicator or window
+    creation, fence) that all participants must reach before any can
+    leave."""
 
     def __init__(self, sim: Simulator, expected: int, name: str):
         self.expected = expected
         self.arrived = 0
         self.event: SimEvent = sim.event(name=name)
-        self.result: Any = None
+        #: what the arrivals contributed, keyed as the op chooses.
+        self.result: dict = {}
         #: gids expected to arrive — lets :meth:`MpiWorld.mark_ranks_dead`
         #: fail the op when a participant dies before reaching it.
         self.participants: set[int] = set()
@@ -461,8 +463,7 @@ class MpiWorld:
             msg.send_req._fail(CommFailedError(reason))
             if msg.recv_req is not None:
                 msg.recv_req._fail(CommFailedError(reason))
-        members = set(comm.group) | set(comm.remote_group or ())
-        for gid in sorted(members):
+        for gid in sorted(comm.members):
             if gid in self.dead_gids:
                 continue
             ep = self.endpoints.get(gid)

@@ -14,7 +14,8 @@ import pytest
 from repro.cluster import ETHERNET_10G, INFINIBAND_EDR, Machine
 from repro.simulate import Simulator
 from repro.smpi import (
-    ArrayExposure, CommFailedError, LOCK_EXCLUSIVE, LOCK_SHARED, MpiWorld, run_spmd,
+    ArrayExposure, AsyncOpHandle, CommFailedError, LOCK_EXCLUSIVE, LOCK_SHARED,
+    MpiWorld, run_spmd,
 )
 
 #: 1 M float64 -> 8 MB, far past every inter-node eager threshold.
@@ -231,3 +232,32 @@ def test_one_sided_op_on_dead_target_fails(op, when):
     assert str(err.value) == (
         f"{_DEAD_TARGET_MESSAGES[op, when]} (dead ranks: [{seen['target']}])"
     )
+
+
+def test_second_lock_request_before_grant_raises():
+    """A second lock request to a target whose first grant is still in
+    flight is a usage error, like re-locking an open epoch.  Accepting it
+    would enter the origin into the lock word twice, and one unlock would
+    leave the target locked forever (a third rank's exclusive lock then
+    never gets its grant)."""
+
+    def main(mpi):
+        win = yield from mpi.win_create(ArrayExposure(np.zeros(2)))
+        caught = []
+        if mpi.rank == 1:
+            granted = yield from mpi.win_ilock(win, 0)
+            try:
+                yield from mpi.win_ilock(win, 0)
+            except ValueError:
+                caught.append("second-request")
+            yield from mpi.wait_async(AsyncOpHandle(granted))
+            yield from mpi.win_unlock(win, 0)
+        yield from mpi.barrier()
+        if mpi.rank == 2:
+            yield from mpi.win_lock(win, 0, exclusive=True)
+            yield from mpi.win_unlock(win, 0)
+        yield from mpi.barrier()
+        return caught
+
+    results, _ = run_spmd(main, 3, n_nodes=3, cores_per_node=1)
+    assert results[1] == ["second-request"]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import ETHERNET_10G, Machine
 from repro.simulate import Simulator, Timeout
-from repro.smpi import CommFailedError, MpiWorld, SpawnModel, run_spmd
+from repro.smpi import Blob, CommFailedError, MpiWorld, SpawnModel, run_spmd
 
 
 def run_world(main, n, *, n_nodes=2, cores=2, spawn_model=None, args=()):
@@ -246,6 +246,65 @@ def test_rendezvous_fails_when_a_participant_died(kind):
 
     def assassin():
         yield Timeout(50.0)
+        world.terminate_ranks(victims)
+
+    sim.spawn(assassin())
+    sim.run()
+    assert len(victims) == 1
+    survivors = 3 if kind == "merge" else 2  # merge: 2 parents + 1 child
+    assert outcomes == [victims] * survivors
+
+
+@pytest.mark.parametrize(
+    "kind", ["spawn", "merge", "comm_create", "win_create", "fence"]
+)
+def test_rendezvous_fails_when_a_participant_dies_after_arriving(kind):
+    """A participant that reached the rendezvous and then died while it was
+    completing (spawn or merge cost, a fence's in-flight put) fails it for
+    the survivors; the completion that comes due later does nothing."""
+    sim = Simulator()
+    machine = Machine(sim, 2, 2, ETHERNET_10G)
+    world = MpiWorld(machine, spawn_model=SpawnModel(base=10.0, merge_cost=10.0))
+    victims, outcomes = [], []
+
+    def take_part(mpi, op, is_victim):
+        if is_victim:
+            victims.append(mpi.gid)
+        try:
+            yield from op
+        except CommFailedError as e:
+            outcomes.append(e.dead_gids)
+            return
+        outcomes.append("completed")
+
+    def child(mpi):
+        yield from take_part(
+            mpi, mpi.merge_intercomm(mpi.parent, high=True), mpi.rank == 1
+        )
+
+    def main(mpi):
+        if kind == "merge":
+            inter = yield from mpi.comm_spawn(child, slots=[2, 3])
+            yield from take_part(mpi, mpi.merge_intercomm(inter, high=False), False)
+            return
+        win = None
+        if kind == "fence":
+            win = yield from mpi.win_create(None)
+            if mpi.rank == 0:  # ~80 s on the wire: the fence waits for it
+                yield from mpi.win_put(win, 1, Blob(1e11))
+        yield from take_part(mpi, {
+            "spawn": lambda: mpi.comm_spawn(child_noop, slots=[3]),
+            "comm_create": lambda: mpi.comm_create(mpi.comm_world, [0, 1]),
+            "win_create": lambda: mpi.win_create(None),
+            "fence": lambda: mpi.win_fence(win),
+        }[kind](), mpi.rank == 2)
+
+    world.launch(main, slots=range(2 if kind == "merge" else 3))
+
+    def assassin():
+        # Everyone has arrived; the rendezvous completes at ~10 s (~20 s
+        # for merge, after the spawn; ~90 s for fence, when the put lands).
+        yield Timeout(15.0 if kind in ("merge", "fence") else 5.0)
         world.terminate_ranks(victims)
 
     sim.spawn(assassin())
