@@ -11,15 +11,23 @@ fabric/spawn parameters the simulator uses.  Two purposes:
 
 The models deliberately ignore CPU oversubscription and cross-traffic —
 exactly the effects the simulator adds on top.
+
+Every price is one walk over the overlaps of the plan's two partitions
+(:func:`~repro.redistribution.blockdist.range_overlaps`, §3.1: "only the
+dimension of vectors and matrices is sufficient"), so pricing builds no
+:class:`~repro.redistribution.plan.Transfer` and a plan that is only
+priced never builds its transfer index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from ..cluster.fabrics import FabricSpec
-from ..redistribution.plan import RedistributionPlan, Transfer
+from ..redistribution.blockdist import range_overlaps
+from ..redistribution.plan import RedistributionPlan
 from ..redistribution.session import is_memcpy
 from ..smpi.spawn import SpawnModel
 
@@ -48,16 +56,18 @@ def message_time(fabric: FabricSpec, nbytes: float) -> float:
     return t
 
 
-def _wire_transfers(plan: RedistributionPlan, merge: bool) -> list[Transfer]:
-    """The chunks that cross the wire, by the sessions' own memcpy-vs-wire
+def _wire_chunks(
+    plan: RedistributionPlan, merge: bool
+) -> Iterator[tuple[int, int, int]]:
+    """``(src, dst, n_rows)`` of every chunk that crosses the wire, in
+    :func:`range_overlaps` order, by the sessions' own memcpy-vs-wire
     decision: a Merge rank ``r`` is source ``r`` and (if ``r < NT``) target
     ``r``, so its overlap stays local; Baseline's source and target groups
     are disjoint processes, so every chunk is wire traffic."""
     nt = plan.n_targets
-    return [
-        tr for tr in plan.all_transfers()
-        if not is_memcpy(tr.dst, tr.src if merge and tr.src < nt else None)
-    ]
+    for src, dst, lo, hi in range_overlaps(plan.src_offsets, plan.dst_offsets):
+        if not is_memcpy(dst, src if merge and src < nt else None):
+            yield src, dst, hi - lo
 
 
 def chunk_times(
@@ -66,8 +76,8 @@ def chunk_times(
 ) -> dict[tuple[int, int], float]:
     """Uncontended per-chunk times for every (src, dst) wire transfer."""
     return {
-        (tr.src, tr.dst): message_time(fabric, tr.n_rows * bytes_per_row)
-        for tr in _wire_transfers(plan, merge)
+        (src, dst): message_time(fabric, rows * bytes_per_row)
+        for src, dst, rows in _wire_chunks(plan, merge)
     }
 
 
@@ -77,14 +87,11 @@ def _bottleneck_bytes(
     """The serialisation floor: the busiest endpoint's total traffic."""
     out_bytes: dict[int, float] = {}
     in_bytes: dict[int, float] = {}
-    for tr in _wire_transfers(plan, merge):
-        b = tr.n_rows * bytes_per_row
-        out_bytes[tr.src] = out_bytes.get(tr.src, 0.0) + b
-        in_bytes[tr.dst] = in_bytes.get(tr.dst, 0.0) + b
-    peak = max(
-        [*out_bytes.values(), *in_bytes.values()], default=0.0
-    )
-    return peak
+    for src, dst, rows in _wire_chunks(plan, merge):
+        b = rows * bytes_per_row
+        out_bytes[src] = out_bytes.get(src, 0.0) + b
+        in_bytes[dst] = in_bytes.get(dst, 0.0) + b
+    return max([*out_bytes.values(), *in_bytes.values()], default=0.0)
 
 
 def predict_p2p_redistribution(
@@ -110,17 +117,22 @@ def predict_pairwise_alltoallv(
     merge: bool = True,
 ) -> float:
     """Algorithm 2's blocking schedule: P serialized phases per rank; each
-    phase costs its chunk's message time (empty phases still pay latency)."""
+    phase costs its chunk's message time (empty phases still pay latency).
+
+    Phase i moves pairs (r, (r+i) mod P) and lasts as long as its slowest
+    pair.  One pass files every wire chunk under its phase, so the price
+    is O(NS + NT)."""
     P = max(plan.n_sources, plan.n_targets)
-    times = chunk_times(plan, bytes_per_row, fabric, merge)
+    slowest: list[Optional[float]] = [None] * P
+    for src, dst, rows in _wire_chunks(plan, merge):
+        t = message_time(fabric, rows * bytes_per_row)
+        i = (dst - src) % P
+        m = slowest[i]
+        if m is None or t > m:
+            slowest[i] = t
     total = 0.0
-    # Phase i moves pairs (r, (r+i) mod P); the phase lasts as long as its
-    # slowest pair.
-    for i in range(P):
-        phase = [
-            t for (src, dst), t in times.items() if (dst - src) % P == i
-        ]
-        total += max(phase) if phase else 2 * fabric.latency
+    for m in slowest:
+        total += 2 * fabric.latency if m is None else m
     return total
 
 

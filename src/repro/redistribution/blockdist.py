@@ -93,21 +93,27 @@ def range_overlaps(
     Yields ``(rank_a, rank_b, lo, hi)`` in lexicographic order.  A classic
     two-pointer merge: O(pa + pb), never materialising the pa x pb matrix —
     with block partitions each source only overlaps a contiguous run of
-    targets, which is why the redistribution pattern is sparse.
+    targets, which is why the redistribution pattern is sparse.  The walk
+    runs over Python ints (one ``tolist`` per partition), not numpy scalars.
     """
-    if offsets_a[-1] != offsets_b[-1]:
+    a_off, b_off = offsets_a.tolist(), offsets_b.tolist()
+    if a_off[-1] != b_off[-1]:
         raise ValueError(
-            f"partitions cover different ranges: {offsets_a[-1]} vs {offsets_b[-1]}"
+            f"partitions cover different ranges: {a_off[-1]} vs {b_off[-1]}"
         )
     a, b = 0, 0
-    pa, pb = len(offsets_a) - 1, len(offsets_b) - 1
+    pa, pb = len(a_off) - 1, len(b_off) - 1
+    # Both partitions only grow, so ``lo`` (the larger of the two current
+    # starts) is where the previous overlap ended.
+    lo = max(a_off[0], b_off[0])
     while a < pa and b < pb:
-        lo = max(offsets_a[a], offsets_b[b])
-        hi = min(offsets_a[a + 1], offsets_b[b + 1])
+        a_hi, b_hi = a_off[a + 1], b_off[b + 1]
+        hi = a_hi if a_hi <= b_hi else b_hi
         if lo < hi:
-            yield a, b, int(lo), int(hi)
+            yield a, b, lo, hi
+            lo = hi
         # Advance whichever range ends first.
-        if offsets_a[a + 1] <= offsets_b[b + 1]:
+        if a_hi <= b_hi:
             a += 1
         else:
             b += 1

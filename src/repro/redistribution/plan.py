@@ -15,8 +15,7 @@ much of their data as possible", §5) and is exercised by an ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,7 +93,11 @@ class RedistributionPlan:
     """Communication pattern between NS source ranks and NT target ranks.
 
     Built from explicit partition offsets so that non-uniform distributions
-    (the movement-minimising extension) use the same machinery.
+    (the movement-minimising extension) use the same machinery.  The two
+    partitions are the whole plan: the per-rank :class:`Transfer` index
+    behind the queries is built on the first per-rank query, so a plan
+    that is only priced (:mod:`repro.analysis.models` folds the overlaps
+    of the offsets) never materialises a chunk object.
     """
 
     def __init__(self, src_offsets: np.ndarray, dst_offsets: np.ndarray):
@@ -112,15 +115,28 @@ class RedistributionPlan:
         self.n_rows = int(src_offsets[-1])
         self.n_sources = len(src_offsets) - 1
         self.n_targets = len(dst_offsets) - 1
-        self._by_src: dict[int, list[Transfer]] = {}
-        self._by_dst: dict[int, list[Transfer]] = {}
-        for s, t, lo, hi in range_overlaps(src_offsets, dst_offsets):
-            tr = Transfer(s, t, lo, hi)
-            self._by_src.setdefault(s, []).append(tr)
-            self._by_dst.setdefault(t, []).append(tr)
         #: compiled per-rank programs, built lazily (plans are shared via
         #: the LRU caches, so one compilation serves every session).
         self._programs: dict[tuple[str, int], PlanProgram] = {}
+
+    @cached_property
+    def _index(self) -> tuple[dict[int, list[Transfer]], dict[int, list[Transfer]]]:
+        """The chunks by source rank and by target rank, built once."""
+        by_src: dict[int, list[Transfer]] = {}
+        by_dst: dict[int, list[Transfer]] = {}
+        for s, t, lo, hi in range_overlaps(self.src_offsets, self.dst_offsets):
+            tr = Transfer(s, t, lo, hi)
+            by_src.setdefault(s, []).append(tr)
+            by_dst.setdefault(t, []).append(tr)
+        return by_src, by_dst
+
+    @property
+    def _by_src(self) -> dict[int, list[Transfer]]:
+        return self._index[0]
+
+    @property
+    def _by_dst(self) -> dict[int, list[Transfer]]:
+        return self._index[1]
 
     # --------------------------------------------------------------- factory
     @classmethod
@@ -196,20 +212,19 @@ class RedistributionPlan:
         self._check("target", dst, self.n_targets)
         return int(self.dst_offsets[dst]), int(self.dst_offsets[dst + 1])
 
-    def all_transfers(self) -> Iterator[Transfer]:
-        for s in sorted(self._by_src):
-            yield from self._by_src[s]
-
     def self_rows(self, rank: int) -> int:
         """Rows a rank that is both source and target keeps locally
         (the ``memcpy`` branch of Algorithm 1)."""
         if rank >= self.n_sources or rank >= self.n_targets:
             return 0
-        return sum(t.n_rows for t in self._by_src.get(rank, []) if t.dst == rank)
+        s_lo, s_hi = self.src_range(rank)
+        d_lo, d_hi = self.dst_range(rank)
+        return max(0, min(s_hi, d_hi) - max(s_lo, d_lo))
 
     def moved_rows(self) -> int:
         """Rows that cross rank boundaries (excludes self-chunks)."""
-        return sum(t.n_rows for t in self.all_transfers() if t.src != t.dst)
+        persisting = range(min(self.n_sources, self.n_targets))
+        return self.n_rows - sum(map(self.self_rows, persisting))
 
     @staticmethod
     def _check(what: str, rank: int, n: int) -> None:
@@ -225,6 +240,12 @@ class RedistributionPlan:
 
 @lru_cache(maxsize=512)
 def _block_plan_cached(n_rows: int, n_sources: int, n_targets: int) -> "RedistributionPlan":
+    """The shared block plan of one ``(n_rows, NS, NT)``.
+
+    Every rank of a simulated run queries the same plan, so its index and
+    compiled programs are built once per key.  A plan that is only priced
+    holds nothing but its two (themselves cached) offset arrays.
+    """
     return RedistributionPlan(
         block_offsets(n_rows, n_sources), block_offsets(n_rows, n_targets)
     )

@@ -72,11 +72,11 @@ _IMMEDIATE_OPS = frozenset({"isend", "memcpy", "lock", "unlock", "put", "get"})
 
 
 # ===================================================================== plans
-def _plan_transfers(plan: RedistributionPlan) -> list:
+def _plan_transfers(by_src: list[list], by_dst: list[list]) -> list:
     """Union of both transfer views, deduplicated, in deterministic order."""
     seen = {}
-    for view in (plan._by_src, plan._by_dst):
-        for trs in view.values():
+    for view in (by_src, by_dst):
+        for trs in view:
             for tr in trs:
                 seen[(tr.src, tr.dst, tr.lo, tr.hi)] = tr
     return [seen[k] for k in sorted(seen)]
@@ -115,10 +115,12 @@ def verify_plan(plan: RedistributionPlan, *, label: str = "plan") -> list[Findin
     """Check one plan for conservation (STA001), coverage (STA002) and
     range validity (STA003); returns sorted findings (empty = proven)."""
     findings: list[Finding] = []
+    by_src = [plan.sends_for(s) for s in range(plan.n_sources)]
+    by_dst = [plan.recvs_for(d) for d in range(plan.n_targets)]
 
     # STA001 — row conservation between the two transfer views.
-    rows_src = sum(tr.n_rows for trs in plan._by_src.values() for tr in trs)
-    rows_dst = sum(tr.n_rows for trs in plan._by_dst.values() for tr in trs)
+    rows_src = sum(tr.n_rows for trs in by_src for tr in trs)
+    rows_dst = sum(tr.n_rows for trs in by_dst for tr in trs)
     if rows_src != rows_dst:
         findings.append(Finding(
             rule="STA001",
@@ -130,7 +132,7 @@ def verify_plan(plan: RedistributionPlan, *, label: str = "plan") -> list[Findin
 
     # STA003 — every transfer must read inside its source's owned range and
     # land inside its target's owned range, non-empty and non-inverted.
-    for tr in _plan_transfers(plan):
+    for tr in _plan_transfers(by_src, by_dst):
         problems = []
         if not 0 <= tr.src < plan.n_sources:
             problems.append(f"source rank {tr.src} out of range "
@@ -163,12 +165,12 @@ def verify_plan(plan: RedistributionPlan, *, label: str = "plan") -> list[Findin
     # STA002 — gap/overlap-free tiling of both layouts.
     for d in range(plan.n_targets):
         d_lo, d_hi = plan.dst_range(d)
-        chunks = [(tr.lo, tr.hi) for tr in plan._by_dst.get(d, [])]
+        chunks = [(tr.lo, tr.hi) for tr in by_dst[d]]
         findings.extend(
             _coverage_findings(label, "target", d, d_lo, d_hi, chunks))
     for s in range(plan.n_sources):
         s_lo, s_hi = plan.src_range(s)
-        chunks = [(tr.lo, tr.hi) for tr in plan._by_src.get(s, [])]
+        chunks = [(tr.lo, tr.hi) for tr in by_src[s]]
         findings.extend(
             _coverage_findings(label, "source", s, s_lo, s_hi, chunks))
 

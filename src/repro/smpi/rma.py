@@ -91,8 +91,9 @@ class _TargetLock:
         #: waiting (origin_gid, exclusive, grant_callback) in arrival order.
         self.queue: list[tuple[int, bool, Callable[[], None]]] = []
 
-    def request(self, origin: int, exclusive: bool, grant: Callable[[], None]) -> None:
-        """One lock request arrived at the target; grant now or enqueue."""
+    def request(self, origin: int, exclusive: bool, grant: Callable[[], None]) -> bool:
+        """One lock request arrived at the target; grant now (True) or
+        enqueue (False)."""
         wanted = LOCK_EXCLUSIVE if exclusive else LOCK_SHARED
         if self.mode is None or (
             not self.queue and wanted == LOCK_SHARED and self.mode == LOCK_SHARED
@@ -100,8 +101,9 @@ class _TargetLock:
             self.mode = wanted
             self.holders.append(origin)
             grant()
-        else:
-            self.queue.append((origin, exclusive, grant))
+            return True
+        self.queue.append((origin, exclusive, grant))
+        return False
 
     def release(self, origin: int) -> None:
         """The unlock of ``origin`` arrived; hand the lock to the queue."""
@@ -152,8 +154,9 @@ class Window:
         self._watchers: list[tuple[int, int, SimEvent]] = []
         #: per-target-gid passive-target lock word (lazily created).
         self._locks: dict[int, _TargetLock] = {}
-        #: (origin_gid, target_gid) lock requests still waiting for a grant.
-        self._lock_requests: set[tuple[int, int]] = set()
+        #: (origin_gid, target_gid) -> grant event of a lock request still
+        #: waiting for its grant.
+        self._lock_requests: dict[tuple[int, int], SimEvent] = {}
         #: (origin_gid, target_gid) -> open-epoch record: (lock mode, t0).
         self._epochs: dict[tuple[int, int], tuple[str, float]] = {}
         #: (origin_gid, target_gid) -> ops issued in the open epoch: the
@@ -264,7 +267,9 @@ class Window:
 
     def fail_ops_to(self, dead: set[int], reason: str) -> None:
         """Complete in error every in-flight epoch op against a dead target
-        (its landing may have been lost with the node)."""
+        (its landing may have been lost with the node), and every lock
+        request queued at a dead target's lock word (no release will ever
+        reach it)."""
         for (_origin, target), ops in sorted(self._epoch_ops.items()):
             if target in dead:
                 for ev in ops:
@@ -273,6 +278,18 @@ class Window:
                             f"{reason}: one-sided op to dead rank gid={target}",
                             dead_gids=[target],
                         ))
+        for target, lock in sorted(self._locks.items()):
+            if target not in dead:
+                continue
+            for origin, _exclusive, _grant in lock.queue:
+                ev = self._lock_requests.pop((origin, target))
+                if ev.pending:
+                    ev.fail(CommFailedError(
+                        f"{reason}: lock request queued at dead rank "
+                        f"gid={target}",
+                        dead_gids=[target],
+                    ))
+            lock.queue.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Window {self.win_id} over {self.comm.name}>"
@@ -488,7 +505,7 @@ class RmaOps:
         granted = self.sim.event(name=f"lock@{win.win_id}->{target_rank}")
         if self._dead_end(granted, dst_gid, "win_lock to dead rank {}", target_rank):
             return granted
-        win._lock_requests.add(key)
+        win._lock_requests[key] = granted
         spec = world.channel_spec(self.gid, dst_gid)
         if spec.cpu_overhead > 0:
             yield Compute(spec.cpu_overhead)
@@ -498,7 +515,7 @@ class RmaOps:
         t0 = self.sim.now
 
         def opened(_e) -> None:
-            win._lock_requests.discard(key)
+            win._lock_requests.pop(key, None)
             if self._dead_end(granted, dst_gid,
                               "win_lock target rank {} died", target_rank):
                 return
@@ -512,11 +529,15 @@ class RmaOps:
                 dst_node, origin_node, 0, label="rma-lock-grant"
             ).add_callback(opened)
 
+        def arrived(_e) -> None:
+            queued = not win.lock_state(dst_gid).request(self.gid, exclusive, grant)
+            if queued and dst_gid in world.dead_gids:
+                # The target died while the request was on the wire.
+                win.fail_ops_to({dst_gid}, "win_lock")
+
         self.machine.transfer(
             origin_node, dst_node, 0, label="rma-lock"
-        ).add_callback(
-            lambda _ev: win.lock_state(dst_gid).request(self.gid, exclusive, grant)
-        )
+        ).add_callback(arrived)
         return granted
 
     def win_lock(self, win: Window, target_rank: int, exclusive: bool = False):

@@ -372,7 +372,8 @@ class MpiWorld:
         * pending world-level collectives (spawn/merge) with a dead
           participant fail for everyone still waiting at the rendezvous;
         * puts/gets of an open epoch to a dead target fail, so the origin's
-          flush returns (the target-side copy died with the node).
+          flush returns (the target-side copy died with the node), and so
+          do lock requests queued at a dead target's lock word.
         """
         new = sorted(g for g in dict.fromkeys(gids) if g not in self.dead_gids)
         if not new:

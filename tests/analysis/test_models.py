@@ -130,7 +130,9 @@ def test_pairwise_model_exceeds_p2p_model(ns, nt):
 def test_chunk_times_cover_all_cross_transfers():
     plan = RedistributionPlan.block(1000, 3, 5)
     times = chunk_times(plan, 8.0, ETHERNET_10G)
-    crossing = [t for t in plan.all_transfers() if t.src != t.dst]
+    crossing = [
+        t for s in range(3) for t in plan.sends_for(s) if t.src != t.dst
+    ]
     assert len(times) == len(crossing)
     assert all(v > 0 for v in times.values())
 

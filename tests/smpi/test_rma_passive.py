@@ -261,3 +261,45 @@ def test_second_lock_request_before_grant_raises():
 
     results, _ = run_spmd(main, 3, n_nodes=3, cores_per_node=1)
     assert results[1] == ["second-request"]
+
+
+def _queued_lock_on_dying_target(die_before_arrival):
+    """Rank 1 holds an exclusive lock on rank 0 and rank 2 asks for one too;
+    rank 0 dies and rank 1 unlocks.  Rank 0 dies after rank 2's request
+    has queued at its lock word, or while the request is still on the wire.
+    Returns (rank 0's gid, rank 2's grant event)."""
+    seen = {}
+
+    def main(mpi):
+        win = yield from mpi.win_create(ArrayExposure(np.zeros(4)))
+        target = win.peer_gid(mpi.gid, 0)
+        if mpi.rank == 0:
+            yield from mpi.compute(10.0)  # killed long before this ends
+        elif mpi.rank == 1:
+            yield from mpi.win_lock(win, 0, exclusive=True)
+            yield from mpi.sleep(1e-3)  # rank 2 asks at 5e-4
+            if not die_before_arrival:
+                mpi.world.terminate_ranks([target])
+            yield from mpi.win_unlock(win, 0)
+        else:
+            yield from mpi.sleep(5e-4)
+            granted = yield from mpi.win_ilock(win, 0, exclusive=True)
+            if die_before_arrival:
+                mpi.world.terminate_ranks([target])
+            yield from mpi.sleep(1.0)
+            seen.update(target=target, granted=granted)
+        return None
+
+    run_spmd(main, 3, n_nodes=3, cores_per_node=1)
+    return seen["target"], seen["granted"]
+
+
+@pytest.mark.parametrize("die_before_arrival", [False, True])
+def test_lock_request_queued_at_dead_target_fails(die_before_arrival):
+    """No release ever reaches a dead target's lock word, so a request
+    waiting there fails with the dead gid instead of waiting forever."""
+    target, granted = _queued_lock_on_dying_target(die_before_arrival)
+    assert granted.failed
+    with pytest.raises(CommFailedError) as err:
+        granted.value
+    assert err.value.dead_gids == [target]
