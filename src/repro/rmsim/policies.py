@@ -132,19 +132,16 @@ class FifoPolicy(SchedulingPolicy):
 
     def resize(self, sched: "TraceScheduler") -> None:
         # Candidate order decides who gets the free slots and in what order
-        # commits land, so jobs that cannot act (``ready`` is False) are
-        # skipped in place.  The verb itself applies the iterations guard.
+        # commits land; the ready sets keep it and hold only jobs that can
+        # act.  The verb itself applies the iterations guard.
         if sched.queue:
-            for job in sched.shrink_candidates():
-                if job.ready:
-                    sched.request_resize(job, job.spec.min_procs)
+            for job in sched.ready_to_shrink():
+                sched.request_resize(job, job.spec.min_procs)
             return
         free = sched.free_slots
         if free <= 0:
             return
-        for job in sched.grow_candidates():
-            if not job.ready:
-                continue
+        for job in sched.ready_to_grow():
             target = min(job.spec.max_procs, job.pool_procs + free)
             if sched.request_resize(job, target):
                 free = sched.free_slots
@@ -224,6 +221,11 @@ class EasyBackfillPolicy(FifoPolicy):
         return None
 
 
+def _widest_first(job) -> tuple:
+    """Donor order: most slots above the minimum first, then name."""
+    return (job.spec.min_procs - job.pool_procs, job.spec.name)
+
+
 class MalleableAwarePolicy(EasyBackfillPolicy):
     """EASY backfilling plus *priced* malleability.
 
@@ -260,16 +262,14 @@ class MalleableAwarePolicy(EasyBackfillPolicy):
         grow_window: int = 64,
     ):
         super().__init__(backfill_window)
+        if grow_window < 0:
+            raise ValueError("grow_window must be >= 0")
         self.shrink_cost_fraction = shrink_cost_fraction
         self.shrink_payoff = shrink_payoff
         self.grow_payoff = grow_payoff
         self.min_dwell = min_dwell
         self.grow_window = grow_window
         self._rr = 0
-
-    def _settled(self, sched: "TraceScheduler", job) -> bool:
-        """True when the job has dwelt at its current size long enough."""
-        return sched.now - job.record.size_history[-1][0] >= self.min_dwell
 
     def resize(self, sched: "TraceScheduler") -> None:
         if sched.queue:
@@ -282,27 +282,30 @@ class MalleableAwarePolicy(EasyBackfillPolicy):
         need = head.min_procs - sched.free_slots
         if need <= 0:
             return  # enough is already free: schedule() starts it next pass
-        head_rt = head.runtime(head.min_procs)
-        donors = sorted(
-            [job for job in sched.shrink_candidates() if job.ready],
-            key=lambda j: (-(j.pool_procs - j.spec.min_procs), j.spec.name),
-        )
-        for job in donors:
-            if need <= 0:
-                return
+        max_cost = self.shrink_payoff * head.runtime(head.min_procs)
+        now = sched.now
+        dwell = self.min_dwell
+        # Hysteresis first: most ready donors resized moments ago.  Every
+        # test reads the same instant, so their order moves no decision.
+        settled = [
+            job
+            for job in sched.ready_to_shrink()
+            if now - job.record.size_history[-1][0] >= dwell
+        ]
+        for job in sorted(settled, key=_widest_first):
+            if not sched.can_resize(job):
+                continue
             spec = job.spec
-            gain = job.pool_procs - spec.min_procs
-            if gain <= 0 or not sched.can_resize(job):
-                continue
-            if not self._settled(sched, job):
-                continue
             cost = sched.resize_cost(job, spec.min_procs)
             if cost > self.shrink_cost_fraction * sched.est_remaining(job):
                 continue  # the resize would eat too much of the donor
-            if cost > self.shrink_payoff * head_rt:
+            if cost > max_cost:
                 continue  # the head is too short to justify the disruption
+            gain = job.pool_procs - spec.min_procs
             if sched.request_resize(job, spec.min_procs):
                 need -= gain
+                if need <= 0:
+                    return
 
     def _grow_into_idle(self, sched: "TraceScheduler") -> None:
         cands = sched.grow_candidates()
@@ -310,25 +313,26 @@ class MalleableAwarePolicy(EasyBackfillPolicy):
         if n == 0:
             return
         start = self._rr % n
+        free = sched.free_slots
+        now = sched.now
+        dwell = self.min_dwell
         scanned = 0
-        for idx in range(start, start + n):
-            if scanned >= self.grow_window:
-                break
-            free = sched.free_slots
+        window = cands[start : start + self.grow_window]
+        window += cands[: min(start, self.grow_window - len(window))]
+        for job in window:
             if free <= 0:
                 break
-            job = cands[idx % n]
             scanned += 1
-            if not self._settled(sched, job) or not sched.can_resize(job):
+            settled = now - job.record.size_history[-1][0] >= dwell
+            if not settled or not sched.can_resize(job):
                 continue
-            spec = job.spec
-            target = min(spec.max_procs, job.pool_procs + free)
-            if target <= job.pool_procs:
-                continue
+            # A candidate is below its maximum and slots are free: a grow.
+            target = min(job.spec.max_procs, job.pool_procs + free)
             cost = sched.resize_cost(job, target)
             if sched.time_saved(job, target) <= self.grow_payoff * cost:
                 continue
-            sched.request_resize(job, target)
+            if sched.request_resize(job, target):
+                free = sched.free_slots
         self._rr = start + scanned
 
 

@@ -18,18 +18,17 @@ The base class integrates progress analytically ("integrate it").
 :class:`MalleableScheduler` overrides only the hooks and runs every job
 through the full malleability engine ("simulate it"): decisions go on the
 job's :class:`~repro.rmsim.board.DecisionBoard`, and reconfigurations cost
-what the simulated MPI machinery makes them cost.  Both are event-driven
-daemons on one simulator and run the same traces under the same policies.
+what the simulated MPI machinery makes them cost.  Both drive the core from
+simulator callbacks and run the same traces under the same policies.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -40,7 +39,7 @@ from ..malleability.stats import RunStats
 from ..obs.registry import MetricsRegistry
 from ..redistribution.plan import RedistributionPlan
 from ..simulate.core import Simulator
-from ..simulate.primitives import Passivate
+from ..simulate.errors import DeadlockError
 from ..smpi.spawn import SpawnModel
 from ..smpi.world import MpiWorld
 from ..synthetic.application import SyntheticApp
@@ -113,39 +112,41 @@ class SlotPool:
     def release_runs(self, runs: Sequence[tuple[int, int]]) -> None:
         """Free ``[lo, hi)`` runs, merging adjacent free ranges.  Every run
         is validated (in range, not already free, not given twice) before
-        the first is freed, so a rejected call changes nothing."""
-        runs = sorted(runs)
-        end = 0
-        for lo, hi in runs:
-            self._check_free_ok(lo, hi)
+        the first is freed, so a rejected call changes nothing.
+
+        One bisect per run: validation finds each run's gap in ``_free``
+        (a double free can only overlap its neighbours there), and the runs
+        are then applied from the highest down.  Applying a run touches the
+        list only from its left neighbour on, and merges into that
+        neighbour only when no lower run shares its gap, so every lower
+        run's index stays valid.
+        """
+        free = self._free
+        n = len(free)
+        total = self.total
+        found: list[tuple[int, int, int]] = []
+        end = freed = 0
+        for lo, hi in sorted(runs):
+            if not 0 <= lo < hi <= total:
+                raise ValueError(f"release out of range: [{lo},{hi})")
+            i = bisect.bisect_left(free, (lo, hi))
+            if i > 0 and free[i - 1][1] > lo:
+                raise ValueError(f"double free: [{lo},{hi}) overlaps {free[i - 1]}")
+            if i < n and free[i][0] < hi:
+                raise ValueError(f"double free: [{lo},{hi}) overlaps {free[i]}")
             if lo < end:
                 raise ValueError(f"double free: [{lo},{hi}) given twice")
             end = hi
-        free = self._free
-        for lo, hi in runs:
-            self.free_slots += hi - lo
-            i = bisect.bisect_left(free, (lo, hi))
+            freed += hi - lo
+            found.append((i, lo, hi))
+        self.free_slots += freed
+        for i, lo, hi in reversed(found):
             if i > 0 and free[i - 1][1] == lo:
                 i -= 1
                 lo = free.pop(i)[0]
             if i < len(free) and free[i][0] == hi:
                 hi = free.pop(i)[1]
             free.insert(i, (lo, hi))
-
-    def _check_free_ok(self, lo: int, hi: int) -> None:
-        """Raise if freeing [lo, hi) is out of range or a double free (it
-        can only overlap its neighbours in sort order).  No mutation."""
-        if not 0 <= lo < hi <= self.total:
-            raise ValueError(f"release out of range: [{lo},{hi})")
-        i = bisect.bisect_left(self._free, (lo, hi))
-        if i > 0 and self._free[i - 1][1] > lo:
-            raise ValueError(
-                f"double free: [{lo},{hi}) overlaps {self._free[i - 1]}"
-            )
-        if i < len(self._free) and self._free[i][0] < hi:
-            raise ValueError(
-                f"double free: [{lo},{hi}) overlaps {self._free[i]}"
-            )
 
 
 @dataclass
@@ -223,7 +224,9 @@ class _TraceJob:
         "synced_at",
         "proj_finish",
         "finish_handle",
-        "fin_epoch",
+        "fin_entry",
+        "wide_seq",
+        "narrow_seq",
         "alloc_since",
         "busy",
     )
@@ -255,12 +258,54 @@ class _TraceJob:
         self.synced_at = 0.0
         self.proj_finish = math.inf
         self.finish_handle = None
-        #: bumped whenever the projected finish is invalidated; stale
-        #: entries in the scheduler's finish heap are skipped lazily.
-        self.fin_epoch = 0
+        #: this job's ``(t, seq, job)`` entry in the scheduler's finish
+        #: index while it runs or reconfigures, else None.
+        self.fin_entry: Optional[tuple] = None
+        #: when it last joined the wide / narrow candidate set.
+        self.wide_seq = -1
+        self.narrow_seq = -1
         self.alloc_since = 0.0
         #: allocated core-seconds accumulated so far.
         self.busy = 0.0
+
+
+class _CandidateSet:
+    """Running malleable jobs that may resize one way, in first-insertion
+    order: ``members`` (name -> job) and, in the same order, the ``ready``
+    ones.  A job takes a fresh sequence number (``seq_attr``) each time it
+    joins, so one that leaves and rejoins goes to the end, as a dict
+    re-insertion would; ``ready`` is kept sorted on that number."""
+
+    __slots__ = ("members", "ready", "_seq_attr", "_seq_of", "_seqs")
+
+    def __init__(self, seq_attr: str):
+        self.members: dict[str, _TraceJob] = {}
+        self.ready: list[_TraceJob] = []
+        self._seq_attr = seq_attr
+        self._seq_of = attrgetter(seq_attr)
+        self._seqs = itertools.count()
+
+    def update(self, job: _TraceJob, member: bool) -> None:
+        """Make ``job`` a member or not, with its ``ready`` entry following
+        ``job.ready``."""
+        name = job.spec.name
+        ready = self.ready
+        if name not in self.members:
+            if member:
+                self.members[name] = job
+                setattr(job, self._seq_attr, next(self._seqs))
+                if job.ready:
+                    ready.append(job)  # the newest member sorts last
+            return
+        if not member:
+            del self.members[name]
+        i = bisect.bisect_left(ready, self._seq_of(job), key=self._seq_of)
+        listed = i < len(ready) and ready[i] is job
+        keep = member and job.ready
+        if listed and not keep:
+            del ready[i]
+        elif keep and not listed:
+            ready.insert(i, job)
 
 
 class TraceScheduler:
@@ -282,24 +327,28 @@ class TraceScheduler:
     * progress is integrated lazily at decision points, so simulated cost
       is O(events), not O(iterations).
 
-    **Batched main loop.**  All trace arrivals enter the event heap in one
-    :meth:`~repro.simulate.core.Simulator.schedule_batch` call, and the
-    daemon is event-driven rather than tick-polling: every arrival /
-    completion / commit callback wakes it at most once per timestamp
-    (same-time events coalesce into one pass), and each pass drains its
-    event buffers in batch before consulting the policy.  With a fixed
+    **Callback-driven main loop.**  All trace arrivals enter the event heap
+    in one :meth:`~repro.simulate.core.Simulator.schedule_batch` call.  The
+    RMS is no process: every arrival / completion / commit callback arms at
+    most one *pass* per timestamp (an owner-held simulator timer, so
+    same-time events coalesce into one pass), and each pass drains its
+    event buffers in batch before consulting the policy.  A trace that can
+    never finish ends :meth:`run` in a :class:`DeadlockError`.  With a fixed
     trace and policy the run is fully deterministic — byte-identical
     summaries across repeats and hosts (see ``docs/rmsim.md``).
 
-    **Cost of a pass** is O(its events + resize candidates at one
-    attribute test each): the free count is pool state, jobs hold slot
-    *runs*, and the resize scans skip a job that cannot act on its
-    ``ready`` flag.  See "Cost of a pass" in ``docs/rmsim.md``.
+    **Cost of a pass** is O(its events + the jobs that can act): the free
+    count is pool state, jobs hold slot *runs*, the FIFO-family resize loops
+    and the malleable donor list read ordered ready-sets (the ``ready``
+    members of the candidate sets, in first-insertion order), and an EASY
+    reservation walks a live finish index, one entry per running job, from
+    the soonest finish only as far as the head needs.  See "Cost of a pass"
+    in ``docs/rmsim.md``.
 
     The policy object (see :mod:`repro.rmsim.policies`) decides queue
     order, starts, and resizes through this class's verbs: :meth:`start`,
     :meth:`request_resize`, :meth:`reservation_for`, :meth:`resize_cost`.
-    The analytic projections (``proj_finish``, the finish heap) are kept
+    The analytic projections (``proj_finish``, the finish index) are kept
     under either executor: they are the runtime estimates the policies
     price and reserve with.
     """
@@ -343,21 +392,25 @@ class TraceScheduler:
         self.queue: list[_TraceJob] = []
         self.running: dict[str, _TraceJob] = {}
         #: running malleable jobs above their minimum / below their maximum
-        #: width — the policies' resize candidate sets.  Kept incrementally
-        #: so an all-shrunk (or all-grown) steady state costs O(1) per pass.
-        #: Insertion order is who is offered slots first: never re-insert.
-        self._wide: dict[str, _TraceJob] = {}
-        self._narrow: dict[str, _TraceJob] = {}
+        #: width — the policies' resize candidate sets, each with its ready
+        #: members in the same order.  Kept incrementally, one update per
+        #: state change, so a pass pays only for the jobs that can act.
+        #: Insertion order is who is offered slots first.
+        self._wide = _CandidateSet("wide_seq")
+        self._narrow = _CandidateSet("narrow_seq")
         self._arrival_ptr = 0
         self._finished_buf: list[_TraceJob] = []
         self._commit_buf: list[_TraceJob] = []
-        self._staged: list[tuple[float, object]] = []
-        self._staged_jobs: list[_TraceJob] = []
-        #: projected-finish heap for EASY reservations: (t, seq, job, epoch).
-        self._fin_heap: list[tuple[float, int, _TraceJob, int]] = []
+        #: the live finish index for EASY reservations: one ``(t, seq, job)``
+        #: per running or reconfiguring job, sorted; ``t`` is the projected
+        #: finish when the job started or last posted a resize.
+        self._fin: list[tuple[float, int, _TraceJob]] = []
         self._fin_seq = itertools.count()
-        self._proc = None
+        self._started = False
+        #: a pass is pending (or the trace is done); the pass is this
+        #: object's owner-held simulator timer (``_on_timer``).
         self._woke = False
+        self._timer_seq = -1
         self._done = 0
         self.n_events = 0
         self.n_starts = 0
@@ -394,9 +447,11 @@ class TraceScheduler:
     # ------------------------------------------------------------------ run
     def run(self) -> ScheduleResult:
         """Execute the whole trace; returns the schedule metrics."""
-        if self._proc is not None:
+        if self._started:
             raise RuntimeError("run() may only be called once")
-        self._proc = self.sim.spawn(self._daemon(), name="rms-daemon")
+        self._started = True
+        self._woke = True
+        self.sim.set_timer(self, 0.0)
         if self.jobs:
             # The batch-wakeup lane: all trace arrivals enter the heap in
             # one O(N + K) heapify instead of K pushes.
@@ -404,13 +459,17 @@ class TraceScheduler:
                 (spec.arrival_time, self._wake) for spec in self.jobs
             )
         self.sim.run()
-        unfinished = [
-            name
-            for name, j in self._tjobs.items()
-            if j.record.finished_at is None
-        ]
-        if unfinished:  # pragma: no cover - the daemon only exits when done
-            raise RuntimeError(f"jobs never finished: {unfinished[:5]}")
+        if self._done < len(self.jobs):
+            # Nothing is left to wake a pass (say, a policy that never
+            # starts the head): the RMS is blocked for good.
+            unfinished = [
+                name
+                for name, j in self._tjobs.items()
+                if j.record.finished_at is None
+            ]
+            raise DeadlockError(
+                [f"rms ({len(unfinished)} jobs never finished: {unfinished[:5]})"]
+            )
         records = {name: j.record for name, j in self._tjobs.items()}
         finished = [r.finished_at for r in records.values()]
         makespan = max(finished) if finished else 0.0
@@ -429,23 +488,22 @@ class TraceScheduler:
             n_shrinks=self.n_shrinks,
         )
 
-    # ---------------------------------------------------------------- daemon
-    def _daemon(self):
-        """Event-driven RMS main loop: wake, drain buffers, consult policy."""
-        n_jobs = len(self.jobs)
-        while True:
-            self._woke = False
-            self._pass()
-            if self._done >= n_jobs:
-                return "rms-done"
-            yield Passivate("rms-idle")
+    # ------------------------------------------------------------ main loop
+    def _on_timer(self) -> None:
+        """The RMS main loop body, one simulator callback per wake-up:
+        drain the event buffers, consult the policy."""
+        self._woke = False
+        self._pass()
+        if self._done >= len(self.jobs):
+            self._woke = True  # the trace is done: later wakes are no-ops
 
     def _wake(self) -> None:
-        # Coalesce same-timestamp callbacks into one daemon pass: the first
-        # one queues the resume, the rest just land in the event buffers.
+        # Coalesce same-timestamp callbacks into one pass: the first one
+        # queues the pass behind the events already due now, the rest just
+        # land in the event buffers.
         if not self._woke:
             self._woke = True
-            self.sim.resume(self._proc)
+            self.sim.set_timer(self, 0.0)
 
     def _pass(self) -> None:
         now = self.sim.now
@@ -471,25 +529,13 @@ class TraceScheduler:
                 self._finish(job, now)
         # ---- policy: starts, then (with finish timers live) resizes
         self.policy.schedule(self)
-        self._flush_staged()
         self.policy.resize(self)
-        self._flush_staged()
         m = self._m
         if m is not None:
             if arrived:
                 m["arrived"].inc(arrived)
             m["queue_depth"].set(float(len(self.queue)), t=now)
             m["free_slots"].set(float(self.pool.free_slots), t=now)
-
-    def _flush_staged(self) -> None:
-        """Schedule the pass's finish timers in one heap batch."""
-        if not self._staged:
-            return
-        handles = self.sim.schedule_batch(self._staged)
-        for job, handle in zip(self._staged_jobs, handles):
-            job.finish_handle = handle
-        self._staged.clear()
-        self._staged_jobs.clear()
 
     # ------------------------------------------------------------- lifecycle
     def _enqueue(self, job: _TraceJob) -> None:
@@ -527,12 +573,10 @@ class TraceScheduler:
         rec.procs = width
         rec.size_history.append((now, width))
         self.running[spec.name] = job
-        self._update_width_sets(job)
+        self._sync_sets(job)
         finish = now + job.rem_iters * job.it_time
         job.proj_finish = finish
-        heapq.heappush(
-            self._fin_heap, (finish, next(self._fin_seq), job, job.fin_epoch)
-        )
+        self._index_finish(job, finish)
         self._launch(job, finish)
         self.n_events += 1
         self.n_starts += 1
@@ -556,15 +600,17 @@ class TraceScheduler:
         self._account(job, now)
         job.state = _DONE
         job.ready = False
-        job.fin_epoch += 1
         job.finish_handle = None
+        fin = self._fin
+        del fin[bisect.bisect_left(fin, job.fin_entry)]
+        job.fin_entry = None
         self.pool.release_runs(job.slots)
         job.slots = []
         job.pool_procs = 0
         rec = job.record
         rec.finished_at = now
         del self.running[job.spec.name]
-        self._update_width_sets(job)
+        self._sync_sets(job)
         self.busy_total += job.busy
         self._done += 1
         self.n_events += 1
@@ -581,9 +627,11 @@ class TraceScheduler:
         remainder (the executor's :meth:`_rem_iters_at` counts them)."""
         if not job.ready:
             return False
-        rem = self._rem_iters_at(job, self.sim.now)
-        job.ready = rem > DecisionBoard.SAFETY_MARGIN + 3
-        return job.ready
+        if self._rem_iters_at(job, self.sim.now) > DecisionBoard.SAFETY_MARGIN + 3:
+            return True
+        job.ready = False
+        self._sync_sets(job)
+        return False
 
     def resize_cost(self, job: _TraceJob, new_procs: int) -> float:
         """Predicted stall of resizing ``job`` to ``new_procs``.
@@ -615,14 +663,21 @@ class TraceScheduler:
         rem = self._rem_iters_at(job, self.sim.now)
         return rem * (job.it_time - job.spec.iteration_time(new_procs))
 
-    def shrink_candidates(self) -> list[_TraceJob]:
-        """Running malleable jobs above their minimum width (insertion
-        order — deterministic, since the event order is)."""
-        return list(self._wide.values())
+    def ready_to_shrink(self) -> list[_TraceJob]:
+        """Running malleable jobs above their minimum width that can post a
+        resize (``ready``), in first-insertion order (deterministic, since
+        the event order is)."""
+        return list(self._wide.ready)
+
+    def ready_to_grow(self) -> list[_TraceJob]:
+        """Running malleable jobs below their maximum width that can post a
+        resize, in first-insertion order."""
+        return list(self._narrow.ready)
 
     def grow_candidates(self) -> list[_TraceJob]:
-        """Running malleable jobs below their maximum width."""
-        return list(self._narrow.values())
+        """Running malleable jobs below their maximum width, ready or not,
+        in first-insertion order."""
+        return list(self._narrow.members.values())
 
     def request_resize(self, job: _TraceJob, target: int) -> bool:
         """Post a resize decision.  The projection: the job runs its
@@ -662,12 +717,8 @@ class TraceScheduler:
         job.ready = False
         job.pending_procs = target
         job.proj_finish = t_commit + job.rem_iters * spec.iteration_time(target)
-        job.fin_epoch += 1
-        heapq.heappush(
-            self._fin_heap,
-            (job.proj_finish, next(self._fin_seq), job, job.fin_epoch),
-        )
-        self._update_width_sets(job)
+        self._index_finish(job, job.proj_finish)
+        self._sync_sets(job)
         self._post_resize(job, target, t_commit)
         self.n_events += 1
         if self._m is not None:
@@ -701,15 +752,16 @@ class TraceScheduler:
         rec = job.record
         rec.procs = target
         rec.size_history.append((now, target))
-        self._update_width_sets(job)
+        self._sync_sets(job)
         self.n_events += 1
 
     # -------------------------------------------------------- executor hooks
     def _launch(self, job: _TraceJob, finish: float) -> None:
         """Run a job that just started; ``finish`` is its projected end.
-        Analytic: a finish timer, scheduled with the pass's others."""
-        self._staged.append((finish, lambda j=job: self._on_finish(j)))
-        self._staged_jobs.append(job)
+        Analytic: a finish timer."""
+        job.finish_handle = self.sim.schedule_at(
+            finish, partial(self._on_finish, job)
+        )
 
     def _post_resize(self, job: _TraceJob, target: int, t_commit: float) -> None:
         """Execute a resize decision (progress is already frozen).
@@ -718,7 +770,7 @@ class TraceScheduler:
         if job.finish_handle is not None:
             job.finish_handle.cancelled = True
             job.finish_handle = None
-        self.sim.schedule_at(t_commit, lambda j=job: self._on_commit(j))
+        self.sim.schedule_at(t_commit, partial(self._on_commit, job))
 
     #: A resize committed; the job now ends at ``finish``.  Analytic: a new
     #: finish timer, as at the start (an executor overrides both hooks).
@@ -752,18 +804,24 @@ class TraceScheduler:
         job.busy += job.pool_procs * (now - job.alloc_since)
         job.alloc_since = now
 
-    def _update_width_sets(self, job: _TraceJob) -> None:
+    def _sync_sets(self, job: _TraceJob) -> None:
+        """Bring the job's candidate-set and ready-set entries in line with
+        its state, width and ``ready`` flag (one call per state change)."""
         spec = job.spec
-        name = spec.name
-        alive = job.state in (_RUNNING, _RECONF) and spec.malleable
-        if alive and job.pool_procs > spec.min_procs:
-            self._wide[name] = job
-        else:
-            self._wide.pop(name, None)
-        if alive and job.pool_procs < spec.max_procs:
-            self._narrow[name] = job
-        else:
-            self._narrow.pop(name, None)
+        lo, hi = spec.min_procs, spec.max_procs
+        if lo < hi:  # malleable
+            live = job.state != _DONE
+            self._wide.update(job, live and job.pool_procs > lo)
+            self._narrow.update(job, live and job.pool_procs < hi)
+
+    def _index_finish(self, job: _TraceJob, t: float) -> None:
+        """(Re-)key the job's one finish-index entry at ``t``; a later key
+        of the same ``t`` sorts after the earlier ones (``seq``)."""
+        fin = self._fin
+        if job.fin_entry is not None:
+            del fin[bisect.bisect_left(fin, job.fin_entry)]
+        job.fin_entry = (t, next(self._fin_seq), job)
+        bisect.insort(fin, job.fin_entry)
 
     def reservation_for(self, width: int) -> tuple[float, int]:
         """EASY reservation for the queue head: the *shadow time* when
@@ -773,21 +831,10 @@ class TraceScheduler:
         free = self.pool.free_slots
         if free >= width:
             return (self.sim.now, free - width)
-        heap = self._fin_heap
-        # Prune stale heads in place so repeated calls stay cheap.
-        while heap and (
-            heap[0][3] != heap[0][2].fin_epoch or heap[0][2].state == _DONE
-        ):
-            heapq.heappop(heap)
-        snap = list(heap)
-        released = 0
-        while snap:
-            t, _seq, job, epoch = heapq.heappop(snap)
-            if epoch != job.fin_epoch or job.state == _DONE:
-                continue
-            released += job.pool_procs
-            if free + released >= width:
-                return (t, free + released - width)
+        for t, _seq, job in self._fin:
+            free += job.pool_procs
+            if free >= width:
+                return (t, free - width)
         return (math.inf, 0)  # pragma: no cover - width is capped at total
 
 

@@ -43,6 +43,11 @@ def test_policy_kwargs_forwarded():
         policy_by_name("easy", backfill_window=-1)
 
 
+def test_negative_grow_window_rejected():
+    with pytest.raises(ValueError, match="grow_window"):
+        policy_by_name("malleable", grow_window=-1)
+
+
 # ------------------------------------------------------------ ordering keys
 def test_priority_sort_key_orders_by_priority_then_arrival_then_name():
     pol = PriorityPolicy()

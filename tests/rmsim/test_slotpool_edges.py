@@ -238,3 +238,41 @@ def test_shrink_frees_last_allocated_slots_and_keeps_base():
     assert pool._free == [(11, 14), (20, 32)]
     assert pool.free_slots == 15
     assert job.record.base == job.slots[0][0] == 2
+
+
+# ------------------------------------------- one bisect per run, applied top-down
+def test_runs_released_into_one_gap_coalesce_with_each_other_and_both_neighbours():
+    """Every run of one call can share a gap of the free list: the runs are
+    applied from the highest down on indexes found before any of them, and
+    they merge with each other and with the free ranges on both sides."""
+    pool = SlotPool(20)
+    pool.allocate_runs(20)
+    pool.release_runs([(0, 4), (12, 20)])
+    assert pool._free == [(0, 4), (12, 20)]
+    # Three runs in the gap [4, 12), out of order: together they close it.
+    pool.release_runs([(6, 9), (9, 12), (4, 6)])
+    assert _snapshot(pool) == ([(0, 20)], 20)
+
+
+def test_runs_released_into_one_gap_without_touching_stay_apart():
+    pool = SlotPool(20)
+    pool.allocate_runs(20)
+    pool.release_runs([(0, 4), (16, 20)])
+    # Into the gap [4, 16): one touches the left range, one the right, one
+    # neither, and two touch each other.
+    pool.release_runs([(14, 16), (7, 8), (4, 5), (10, 11), (11, 12)])
+    assert _snapshot(pool) == ([(0, 5), (7, 8), (10, 12), (14, 20)], 14)
+
+
+def test_double_free_in_the_last_run_of_a_release_changes_nothing():
+    pool = SlotPool(20)
+    pool.allocate_runs(20)
+    pool.release_runs([(2, 4), (10, 12)])
+    before = _snapshot(pool)
+    # The lower runs are valid and would coalesce with (2, 4); the highest
+    # one is already free.
+    with pytest.raises(ValueError, match="double free"):
+        pool.release_runs([(0, 2), (4, 6), (11, 12)])
+    assert _snapshot(pool) == before
+    pool.release_runs([(0, 2), (4, 6)])
+    assert _snapshot(pool) == ([(0, 6), (10, 12)], 8)
