@@ -236,3 +236,32 @@ def test_cr_with_real_cg_data_preserves_numerics():
     _, ref = cg_reference(a, b, iters)
     assert app.residuals == pytest.approx(ref, rel=1e-12)
     assert stats.total_iterations() == iters
+
+
+#: (ns, nt) -> reconfiguration_time, finished_at, spawn_started_at,
+#: spawn_finished_at, data_complete_at of the ToyApp C/R run above, the
+#: PFS bytes read and written, and the iterations each group ran.
+CR_PINS = {
+    (4, 2): (0.7542144184333334, 0.8144955250999998, 0.02527759733333334,
+             0.7774277597666667, 0.7794920157666667),
+    (2, 4): (0.7540968841666666, 0.8144880270999996, 0.025002506666666667,
+             0.7770672628333334, 0.7790993908333333),
+    (3, 3): (0.7541384783222222, 0.8147818141888891, 0.025277252000000004,
+             0.7773723575222222, 0.7794157303222222),
+    (5, 7): (0.7541760588083334, 0.8154978561861113, 0.025550159111111116,
+             0.7776994445861112, 0.7797262179194445),
+}
+
+
+@pytest.mark.parametrize("ns,nt", sorted(CR_PINS))
+def test_cr_run_pinned(ns, nt):
+    """The C/R lane's simulated times and disk traffic, exactly: the
+    checkpoint write, the requeue and the overlapping reads are one event
+    sequence, whichever code drives the loop around them."""
+    stats, pfs = run_cr(ns, nt)
+    rec = stats.reconfigs[0]
+    got = (rec.reconfiguration_time, stats.finished_at, rec.spawn_started_at,
+           rec.spawn_finished_at, rec.data_complete_at)
+    assert got == CR_PINS[ns, nt]
+    assert (pfs.bytes_read, pfs.bytes_written) == (80320.0, 80320.0)
+    assert stats.iterations_by_group == {0: RECONF_AT, 1: N_ITERS - RECONF_AT}

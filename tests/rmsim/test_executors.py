@@ -87,3 +87,34 @@ def test_executors_agree_on_times_within_the_bound(both):
         assert engine.records[name].finished_at == pytest.approx(
             rec.finished_at, rel=bound
         ), name
+
+
+#: the engine executor's makespan and per-job width history on the
+#: workload above, exactly (rigid, then ``fifo`` with 2 grows, 2 shrinks).
+ENGINE_PINS = {
+    "rigid": (45.477342623288784, 0, 0, {
+        "sim-A": [(0.0, 4)],
+        "sim-B": [(0.2, 2)],
+        "render": [(10.148811228333205, 4)],
+        "sim-C": [(10.148811228333205, 2)],
+        "post": [(12.326158396175742, 2)],
+    }),
+    "malleable": (22.16137245623604, 2, 2, {
+        "sim-A": [(0.0, 8), (0.5300000000000002, 4)],
+        "sim-B": [(0.5300000000000002, 4), (1.1600000000000004, 2)],
+        "render": [(9.656833921259388, 4)],
+        "sim-C": [(9.656833921259388, 2), (13.924677138691026, 6),
+                  (15.475104404099755, 8)],
+        "post": [(12.063099102180635, 2)],
+    }),
+}
+
+
+def test_engine_schedule_pinned(both):
+    """The engine lane end to end: the live decision board, the engine's
+    resizes and the scheduler's commits give this schedule to the bit."""
+    kind, _analytic, engine = both
+    makespan, grows, shrinks, history = ENGINE_PINS[kind]
+    assert engine.makespan == makespan
+    assert (engine.n_grows, engine.n_shrinks) == (grows, shrinks)
+    assert {n: r.size_history for n, r in engine.records.items()} == history
