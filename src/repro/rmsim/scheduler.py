@@ -913,6 +913,9 @@ class MalleableScheduler(TraceScheduler):
         self.sim.schedule(self.COMMIT_POLL, poll)
 
     def _retime(self, job: _TraceJob, finish: float) -> None:
+        # The commit lands at the engine's instant, not the priced one:
+        # re-key the finish index on the projection made from it.
+        self._index_finish(job, finish)
         # A shrink's retired ranks held the tail ids (Merge keeps the low ones).
         del self._engine[job.spec.name][2][job.pool_procs:]
 

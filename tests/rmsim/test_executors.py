@@ -118,3 +118,23 @@ def test_engine_schedule_pinned(both):
     assert engine.makespan == makespan
     assert (engine.n_grows, engine.n_shrinks) == (grows, shrinks)
     assert {n: r.size_history for n, r in engine.records.items()} == history
+
+
+def test_engine_commit_rekeys_finish_index():
+    """A commit re-derives the job's projected finish from the real commit
+    instant; the finish index that EASY reservations walk must carry that
+    projection, not the one made when the resize was posted."""
+    machine = Machine(Simulator(), 4, 2, ETHERNET_10G)
+    sched = MalleableScheduler(machine, workload(True), FifoPolicy())
+    checked = []
+    commit = sched._commit_resize
+
+    def checked_commit(job, now):
+        commit(job, now)
+        assert job.fin_entry[0] == job.proj_finish, job.spec.name
+        assert job.fin_entry in sched._fin
+        checked.append(job.spec.name)
+
+    sched._commit_resize = checked_commit
+    sched.run()
+    assert len(checked) == 4
