@@ -6,16 +6,19 @@ of a job in a non-volatile memory device... Traditional C/R solutions show
 a low performance because of the costly disk access when writing and
 reading."
 
-This module implements that historical approach against the same
-application protocol as the in-memory engine, so the two can be compared
-head-to-head (see ``benchmarks/test_ablation_cr_vs_inmemory.py``):
+This module implements that historical approach on the in-memory
+engine's own application loop, :meth:`GroupRunner.run`, so the two can be
+compared head-to-head (see ``benchmarks/test_ablation_cr_vs_inmemory.py``).
+Only the reconfiguration differs:
 
 1. at the checkpoint, every source serialises its dataset block to the
    parallel file system and terminates;
-2. the RMS re-queues the job: a configurable restart delay plus the normal
-   spawn cost for NT fresh processes;
-3. every target reads the file segments overlapping its new block —
-   a redistribution *through the disk* — and the loop resumes.
+2. the RMS re-queues the job (:meth:`GroupRunner._requeue`, the relaunch
+   the in-memory fallback uses too): a configurable requeue delay plus a
+   restart cost, then NT fresh processes;
+3. every target reads the file segments overlapping its new block (the
+   block plan's chunks) — a redistribution *through the disk* — and the
+   loop resumes.
 """
 
 from __future__ import annotations
@@ -23,15 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..cluster.storage import FileSegment, ParallelFileSystem
-from ..redistribution.blockdist import block_range
+from ..redistribution.plan import RedistributionPlan
 from ..redistribution.stores import CsrStore, Dataset
 from ..simulate.primitives import WaitEvent
-from .manager import MalleableApp, RankOutcome
+from .manager import GroupRunner, MalleableApp, RankOutcome, initial_dataset
 from .rms import ReconfigRequest, ScriptedRMS
-from .stats import ReconfigRecord, RunStats
+from .stats import RunStats
 
 __all__ = ["CheckpointRestartConfig", "run_cr_malleable"]
 
@@ -80,104 +81,59 @@ def run_cr_malleable(
     pfs: ParallelFileSystem,
     cr_config: CheckpointRestartConfig = CheckpointRestartConfig(),
 ):
-    """Entry point for first-group ranks (mirrors ``run_malleable``)."""
-    lo, hi = block_range(app.n_rows, mpi.size, mpi.rank)
-    dataset = Dataset.create(
-        app.n_rows, tuple(app.specs), lo, hi,
-        data=app.initial_data(lo, hi), fill_virtual=True,
+    """Entry point for first-group ranks (the C/R twin of ``run_malleable``)."""
+    runner = _DiskRunner(
+        mpi, app, ScriptedRMS(requests), stats, pfs, cr_config,
+        comm=mpi.comm_world, dataset=initial_dataset(mpi, app),
     )
-    outcome = yield from _cr_loop(
-        mpi, app, ScriptedRMS(list(requests)), stats, pfs, cr_config,
-        comm=mpi.comm_world, dataset=dataset, start_iter=0, generation=0,
-    )
+    outcome = yield from runner.run()
     return outcome
 
 
-def _cr_loop(mpi, app, rms, stats, pfs, cr_config, comm, dataset, start_iter, generation):
-    it = start_iter
-    rank = comm.rank_of_gid(mpi.gid)
-    if generation == 0 and rank == 0:
-        stats.started_at = mpi.now
-    while it < app.n_iterations:
-        req = rms.check(it)
-        if req is not None:
-            yield from _do_checkpoint_restart(
-                mpi, app, rms, stats, pfs, cr_config, comm, dataset, it,
-                generation, req,
+class _DiskRunner(GroupRunner):
+    """A rank of the C/R job: :meth:`GroupRunner.run` is its loop, and a
+    reconfiguration goes through the disk instead of Stages 2-4 (so it has
+    no :class:`ReconfigConfig`)."""
+
+    def __init__(self, mpi, app, rms, stats, pfs, cr_config, **kw):
+        super().__init__(mpi, app, None, rms, stats, **kw)
+        self.pfs = pfs
+        self.cr_config = cr_config
+
+    def _begin_reconfig(self, req: ReconfigRequest):
+        """Checkpoint hit: every source writes its block to the PFS
+        (contending for the shared write channel), the group synchronises,
+        rank 0 has the RMS requeue the job on NT fresh processes, and every
+        source terminates."""
+        mpi, generation = self.mpi, self.group_index
+        self._req = req
+        record = self._ensure_record()
+        if record.spawn_started_at is None:
+            record.spawn_started_at = record.redist_started_at = mpi.now
+        name = f"{_checkpoint_name(generation)}.rank{self.rank}"
+        yield WaitEvent(self.pfs.write(mpi.node, name, _serialize(self.dataset)))
+        yield from mpi.barrier(self.comm)
+        if self.rank == 0:
+            self._requeue(
+                self.cr_config, req.n_targets, _cr_target_entry,
+                (self.app, self.rms.child_factory(generation + 1), self.stats,
+                 self.pfs, self.cr_config, generation, self.comm.size, self.it),
             )
-            mpi.finalize()
-            return RankOutcome.RETIRED  # every source dies in C/R
-        yield from app.iterate(mpi, comm, dataset, it)
-        if rank == 0:
-            stats.iterations_by_group[generation] = (
-                stats.iterations_by_group.get(generation, 0) + 1
-            )
-        it += 1
-    if rank == 0:
-        stats.finished_at = mpi.now
-        if stats.finished_event is not None:
-            stats.finished_event.trigger(stats)
-    mpi.finalize()
-    return RankOutcome.COMPLETED
+        mpi.finalize()
+        return RankOutcome.RETIRED
 
 
-def _do_checkpoint_restart(
-    mpi, app, rms, stats, pfs, cr_config, comm, dataset, it, generation, req
-):
-    rank = comm.rank_of_gid(mpi.gid)
-    while len(stats.reconfigs) <= generation:
-        stats.reconfigs.append(
-            ReconfigRecord(
-                n_sources=comm.size,
-                n_targets=req.n_targets,
-                requested_iteration=req.at_iteration,
-            )
-        )
-    record = stats.reconfigs[generation]
-    if record.spawn_started_at is None:
-        record.spawn_started_at = mpi.now
-        record.redist_started_at = mpi.now
-    # Stage "3a": every source writes its block to the PFS (contends for
-    # the shared write channel) ...
-    name = f"{_checkpoint_name(generation)}.rank{rank}"
-    yield WaitEvent(pfs.write(mpi.node, name, _serialize(dataset)))
-    # ... then the group synchronises and rank 0 performs the restart.
-    yield from mpi.barrier(comm)
-    if rank == 0:
-        sim = mpi.sim
-
-        def relaunch():
-            slots = range(req.n_targets)
-            mpi.world.launch(
-                _cr_target_entry,
-                slots,
-                args=(app, rms.requests, stats, pfs, cr_config,
-                      generation, comm.size, it),
-                name_prefix="restarted",
-            )
-
-        sim.schedule(cr_config.requeue_delay + cr_config.restart_cost, relaunch)
-
-
-def _cr_target_entry(mpi, app, requests, stats, pfs, cr_config, generation, ns, resume_at):
+def _cr_target_entry(mpi, app, rms_factory, stats, pfs, cr_config, generation, ns, resume_at):
     """A rank of the restarted job: read my block from the checkpoint."""
     record = stats.reconfigs[generation]
     if record.spawn_finished_at is None:
         record.spawn_finished_at = mpi.now
-    nt = mpi.size
-    lo, hi = block_range(app.n_rows, nt, mpi.rank)
+    plan = RedistributionPlan.block(app.n_rows, ns, mpi.size)
+    lo, hi = plan.dst_range(mpi.rank)
     dataset = Dataset.create(app.n_rows, tuple(app.specs), lo, hi)
-    # Which source files overlap my new block?  Reuse the plan arithmetic.
-    src_offsets = np.zeros(ns + 1, dtype=np.int64)
-    for s in range(ns):
-        src_offsets[s + 1] = block_range(app.n_rows, ns, s)[1]
     reads = []
-    for s in range(ns):
-        s_lo, s_hi = int(src_offsets[s]), int(src_offsets[s + 1])
-        o_lo, o_hi = max(s_lo, lo), min(s_hi, hi)
-        if o_lo >= o_hi:
-            continue
-        name = f"{_checkpoint_name(generation)}.rank{s}"
+    for chunk in plan.recvs_for(mpi.rank):  # the source files overlapping my block
+        name = f"{_checkpoint_name(generation)}.rank{chunk.src}"
         wanted = []
         for seg in pfs.segments_of(name):
             # Slice the writer's whole-block payload down to the overlap;
@@ -185,10 +141,10 @@ def _cr_target_entry(mpi, app, requests, stats, pfs, cr_config, generation, ns, 
             # approximation for CSR where nnz varies per row).
             payload = seg.payload
             if payload is not None:
-                payload = payload[o_lo - seg.lo : o_hi - seg.lo]
-            frac = (o_hi - o_lo) / max(1, seg.hi - seg.lo)
+                payload = payload[chunk.lo - seg.lo : chunk.hi - seg.lo]
+            frac = chunk.n_rows / max(1, seg.hi - seg.lo)
             wanted.append(
-                FileSegment(seg.field_name, o_lo, o_hi,
+                FileSegment(seg.field_name, chunk.lo, chunk.hi,
                             nbytes=int(seg.nbytes * frac), payload=payload)
             )
         reads.append(pfs.read(mpi.node, name, wanted))
@@ -197,11 +153,12 @@ def _cr_target_entry(mpi, app, requests, stats, pfs, cr_config, generation, ns, 
         for seg in segments:
             dataset.stores[seg.field_name].insert(seg.lo, seg.hi, seg.payload)
     app.on_handoff(mpi, dataset)
-    stats.reconfigs[generation].mark_const_complete(mpi.now)
-    stats.reconfigs[generation].mark_data_complete(mpi.now)
-    outcome = yield from _cr_loop(
-        mpi, app, ScriptedRMS(list(requests)[generation + 1 :]), stats, pfs,
-        cr_config, comm=mpi.comm_world, dataset=dataset,
-        start_iter=resume_at, generation=generation + 1,
+    record.mark_const_complete(mpi.now)
+    record.mark_data_complete(mpi.now)
+    runner = _DiskRunner(
+        mpi, app, rms_factory(), stats, pfs, cr_config,
+        comm=mpi.comm_world, dataset=dataset,
+        start_iter=resume_at, group_index=generation + 1,
     )
+    outcome = yield from runner.run()
     return outcome

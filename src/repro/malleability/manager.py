@@ -28,6 +28,7 @@ rest of its program blocking) and then agrees once.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Any, Callable, Optional, Protocol
 
 from ..faults.policy import RecoveryPolicy
@@ -42,6 +43,18 @@ from .rms import ReconfigRequest, ScriptedRMS
 from .stats import ReconfigRecord, RunStats
 
 __all__ = ["MalleableApp", "GroupRunner", "run_malleable", "RankOutcome"]
+
+
+def _waves(strategy: Strategy, dataset: Dataset) -> tuple[list[str], list[str]]:
+    """The fields of Stage 3's two waves (§3.2).  Under S one wave moves
+    every field.  Under A/T the first wave, which may overlap the
+    application, moves the constant fields (every field when there are
+    none), and the variable fields follow once the sources stop."""
+    names = dataset.field_names()
+    if strategy is Strategy.SYNC:
+        return names, []
+    return (dataset.field_names(constant=True) or names,
+            dataset.field_names(constant=False))
 
 
 class MalleableApp(Protocol):
@@ -141,13 +154,7 @@ class GroupRunner:
         """Is a fault schedule attached to this run?  The fault-tolerant
         agreement/retry machinery is gated on this so fault-free runs are
         byte-identical to the pre-fault-layer engine."""
-        return getattr(self.mpi.world, "fault_injector", None) is not None
-
-    def _const_names(self) -> list[str]:
-        return self.dataset.field_names(constant=True)
-
-    def _var_names(self) -> list[str]:
-        return self.dataset.field_names(constant=False)
+        return self.mpi.world.fault_injector is not None
 
     def _ensure_record(self) -> ReconfigRecord:
         while len(self.stats.reconfigs) <= self.group_index:
@@ -301,12 +308,9 @@ class GroupRunner:
             record.redist_started_at = mpi.now
         if not baseline and self.rank < nt:
             self._dst_dataset = self._make_target_dataset(plan, self.rank)
-        # Under A/T configs the first wave moves the constant fields (what
-        # the targets expect); the variable fields follow in _handoff.
-        names = self.dataset.field_names()
-        if self.config.strategy is not Strategy.SYNC:
-            names = self._const_names() or names
-        session = self._session_for(mpi, comm, names)
+        session = self._session_for(
+            mpi, comm, _waves(self.config.strategy, self.dataset)[0]
+        )
         if self.config.strategy is not Strategy.ASYNC_NONBLOCKING:
             yield from session.run_blocking()
             return
@@ -385,16 +389,21 @@ class GroupRunner:
         machine = self.mpi.machine
         if not any(machine.node_for_slot(s).failed for s in slots):
             return slots
-        alive = [
-            s for s in range(machine.total_cores)
-            if not machine.node_for_slot(s).failed
-        ]
+        alive = self._alive_slots()
         if len(alive) < len(slots):
             raise CommFailedError(
                 f"cannot place {len(slots)} targets: only {len(alive)} "
                 "slots survive"
             )
         return alive[: len(slots)]
+
+    def _alive_slots(self) -> list[int]:
+        """Machine slots on nodes that have not failed, in order."""
+        machine = self.mpi.machine
+        return [
+            s for s in range(machine.total_cores)
+            if not machine.node_for_slot(s).failed
+        ]
 
     def _dead_newcomers(self) -> list[int]:
         """Gids of spawned targets that died after joining the new group.
@@ -569,79 +578,68 @@ class GroupRunner:
         """A source rank died (or recovery is otherwise impossible): the
         group's in-memory state is gone.  Terminate what is left of the job
         and relaunch it from the in-run checkpoint — the iteration this
-        group started from — on surviving slots."""
+        group started from — on surviving slots.
+
+        The first survivor to get here is the only one: it terminates every
+        other surviving rank of its group (they would otherwise block on
+        traffic that can never complete) before any of them runs again."""
         if not self.recovery.allow_checkpoint_restart:
             raise err if err is not None else CommFailedError(
                 "reconfiguration failed and checkpoint/restart is disabled"
             )
+        from .checkpoint_restart import CheckpointRestartConfig
+
         record.mark_first_failure(self.mpi.now)
         if record.recovery_policy is None:
             record.recovery_policy = "checkpoint_restart"
         world = self.mpi.world
         yield from self._abort_attempt(err, record)
-        if not getattr(world, "_cr_scheduled", False):
-            # First survivor to get here coordinates: every other surviving
-            # rank of the job is terminated (they would otherwise block on
-            # traffic that can never complete) and the relaunch is queued.
-            world._cr_scheduled = True
-            doomed = sorted(
-                g for g in self.comm.group
-                if g != self.mpi.gid and g not in world.dead_gids
-            )
-            if doomed:
-                world.terminate_ranks(
-                    doomed, reason="checkpoint/restart: job requeued"
-                )
-            self._schedule_restart(record)
+        doomed = sorted(
+            g for g in self.comm.group
+            if g != self.mpi.gid and g not in world.dead_gids
+        )
+        if doomed:
+            world.terminate_ranks(doomed, reason="checkpoint/restart: job requeued")
+        label = f"reconf{self.group_index}"
+
+        def recovered() -> None:
+            now = world.sim.now
+            record.recovered_at = now
+            record.mark_data_complete(now)
+            record.mark_commit_finished(now)
+            for o in world.observers:
+                o.on_recovery("checkpoint_restart", record.first_failure_at, label)
+
+        self._requeue(
+            CheckpointRestartConfig(),
+            self._req.n_targets if self._req is not None else self.comm.size,
+            _run_group,
+            (self.app, self.config, self.rms.child_factory(self.group_index + 1),
+             self.stats, self.plan_factory, self.slot_of, self.recovery,
+             self.start_iter, self.group_index + 1),
+            on_launch=recovered,
+        )
         world.abort_comm(self.comm)
         self.mpi.finalize()
         self._reset_reconfig_state()
         return RankOutcome.RETIRED
 
-    def _schedule_restart(self, record: ReconfigRecord) -> None:
-        """Queue the checkpoint/restart relaunch after the RMS requeue and
-        restart costs (same knobs as the on-disk C/R baseline)."""
-        from .checkpoint_restart import CheckpointRestartConfig
-
+    def _requeue(self, cr, n_targets: int, entry, args: tuple, on_launch=None) -> None:
+        """The RMS requeue of a job whose group is gone, for both
+        checkpoint/restart paths: after ``cr``'s requeue delay and restart
+        cost, launch ``entry`` on the first ``n_targets`` surviving slots
+        (``on_launch`` runs just before).  One rank per lost group calls it:
+        rank 0 of an on-disk checkpoint, or the in-memory fallback's sole
+        survivor."""
         world = self.mpi.world
-        machine = self.mpi.machine
-        cr = CheckpointRestartConfig()
-        app, config, stats = self.app, self.config, self.stats
-        n_targets = (
-            self._req.n_targets if self._req is not None else self.comm.size
-        )
-        group_index = self.group_index + 1
-        rms_factory = self.rms.child_factory(group_index)
-        plan_factory = self.plan_factory
-        slot_of = self.slot_of
-        start_iter = self.start_iter
-        recovery = self.recovery
 
         def relaunch() -> None:
-            alive = [
-                s for s in range(machine.total_cores)
-                if not machine.node_for_slot(s).failed
-            ]
-            n = min(n_targets, len(alive))
-            if n == 0:  # pragma: no cover - the whole machine died
+            slots = self._alive_slots()[:n_targets]
+            if not slots:  # pragma: no cover - the whole machine died
                 return
-            record.recovered_at = world.sim.now
-            record.mark_data_complete(world.sim.now)
-            record.mark_commit_finished(world.sim.now)
-            for o in world.observers:
-                o.on_recovery(
-                    "checkpoint_restart", record.first_failure_at,
-                    f"reconf{group_index - 1}",
-                )
-            world.launch(
-                _restart_entry,
-                alive[:n],
-                args=(
-                    app, config, rms_factory, group_index, stats,
-                    plan_factory, slot_of, start_iter, recovery,
-                ),
-                name_prefix="restarted",
-            )
+            if on_launch is not None:
+                on_launch()
+            world.launch(entry, slots, args=args, name_prefix="restarted")
 
         world.sim.schedule(cr.requeue_delay + cr.restart_cost, relaunch)
 
@@ -735,8 +733,7 @@ class GroupRunner:
         fields, transmit the resume iteration, retire or continue."""
         record = self._ensure_record()
         record.sources_stopped_iteration = stopped_at
-        is_async = self.config.strategy is not Strategy.SYNC
-        var_names = self._var_names() if is_async else []
+        var_names = _waves(self.config.strategy, self.dataset)[1]
         comm3 = self._merged if self._merged is not None else self._inter
         if comm3 is None:
             comm3 = self.comm  # Merge shrink
@@ -839,19 +836,15 @@ def _target_entry(
             my_target = mpi.rank
         lo, hi = plan.dst_range(my_target)
         dataset = Dataset.create(app.n_rows, tuple(app.specs), lo, hi)
+        first_names, var_names = _waves(config.strategy, dataset)
 
-        is_async = config.strategy is not Strategy.SYNC
-        const_names = dataset.field_names(constant=True)
-        var_names = dataset.field_names(constant=False)
-        first_names = (const_names or dataset.field_names()) if is_async else dataset.field_names()
+        def session_for(names, label):
+            return make_session(
+                config.redist, mpi, comm3, plan, names=names,
+                dst_rank=my_target, dst_dataset=dataset, label=label,
+            )
 
-        session = make_session(
-            config.redist, mpi, comm3, plan,
-            names=first_names,
-            dst_rank=my_target,
-            dst_dataset=dataset,
-            label=f"reconf{group_index - 1}",
-        )
+        session = session_for(first_names, f"reconf{group_index - 1}")
         if config.strategy is Strategy.ASYNC_NONBLOCKING:
             # Everyone must enter the same non-blocking collectives (§3.2).
             yield from session.start()
@@ -860,15 +853,8 @@ def _target_entry(
             yield from session.run_blocking()
         record.mark_const_complete(mpi.now)
 
-        if is_async and var_names:
-            var_session = make_session(
-                config.redist, mpi, comm3, plan,
-                names=var_names,
-                dst_rank=my_target,
-                dst_dataset=dataset,
-                label=f"reconf{group_index - 1}v",
-            )
-            yield from var_session.run_blocking()
+        if var_names:
+            yield from session_for(var_names, f"reconf{group_index - 1}v").run_blocking()
 
         # Stage 4: learn where to resume.
         if is_merge:
@@ -892,44 +878,46 @@ def _target_entry(
         return RankOutcome.RETIRED
     record.mark_data_complete(mpi.now)
     record.mark_commit_finished(mpi.now)
-    app.on_handoff(mpi, dataset)
-
-    runner = GroupRunner(
-        mpi, app, config,
-        rms_factory(),
-        stats,
-        comm=new_comm,
-        dataset=dataset,
-        start_iter=resume_at,
-        group_index=group_index,
-        slot_of=slot_of,
-        recovery=recovery,
+    outcome = yield from _run_group(
+        mpi, app, config, rms_factory, stats, RedistributionPlan.block,
+        slot_of, recovery, resume_at, group_index, comm=new_comm, dataset=dataset,
     )
-    outcome = yield from runner.run()
     return outcome
 
 
-def _restart_entry(
-    mpi, app, config, rms_factory, group_index, stats, plan_factory, slot_of,
-    start_iter, recovery,
-):
-    """Entry point of ranks relaunched by the checkpoint/restart fallback.
-
-    The in-run checkpoint is modelled at the iteration the failed group
-    started from: each rank rebuilds its block there and re-executes the
-    lost iterations — the classic cost of degrading to C/R (§2)."""
+def initial_dataset(mpi, app: MalleableApp) -> Dataset:
+    """This rank's block of ``app.initial_data`` on its launch group."""
     lo, hi = block_range(app.n_rows, mpi.size, mpi.rank)
-    dataset = Dataset.create(
+    return Dataset.create(
         app.n_rows, tuple(app.specs), lo, hi,
         data=app.initial_data(lo, hi),
         fill_virtual=True,
     )
-    app.on_handoff(mpi, dataset)
+
+
+def _run_group(
+    mpi, app, config, rms_factory, stats, plan_factory, slot_of, recovery,
+    start_iter=0, group_index=0, comm=None, dataset=None,
+):
+    """Run this rank as a member of group ``group_index`` from ``start_iter``
+    on.  Every group but the first enters through ``on_handoff``.
+
+    A rank launched without a dataset starts from :func:`initial_dataset`
+    on its launch communicator: the first group, or one the
+    checkpoint/restart fallback relaunched.  The fallback's in-run
+    checkpoint is modelled at ``start_iter``, the iteration the failed group
+    started from: each relaunched rank rebuilds its block there and
+    re-executes the lost iterations — the classic cost of degrading to C/R
+    (§2)."""
+    if dataset is None:
+        dataset = initial_dataset(mpi, app)
+    if group_index:
+        app.on_handoff(mpi, dataset)
     runner = GroupRunner(
         mpi, app, config,
         rms_factory(),
         stats,
-        comm=mpi.comm_world,
+        comm=comm if comm is not None else mpi.comm_world,
         dataset=dataset,
         start_iter=start_iter,
         group_index=group_index,
@@ -957,23 +945,14 @@ def run_malleable(
     Builds the rank's initial dataset from ``app.initial_data`` and runs the
     malleable loop; returns the rank's :class:`RankOutcome`.
 
-    ``requests`` is the scripted reconfiguration schedule; a dynamic RMS
-    (``repro.rmsim``) passes ``rms_factory`` instead and each rank builds
-    its own live view.
+    ``requests`` is the reconfiguration schedule, read in place by every
+    rank's :class:`ScriptedRMS` (a live RMS such as ``repro.rmsim`` passes
+    the list it appends its decisions to); ``rms_factory``, when given,
+    builds each rank's RMS instead.
     """
-    lo, hi = block_range(app.n_rows, mpi.size, mpi.rank)
-    dataset = Dataset.create(
-        app.n_rows, tuple(app.specs), lo, hi,
-        data=app.initial_data(lo, hi),
-        fill_virtual=True,
+    if rms_factory is None:
+        rms_factory = partial(ScriptedRMS, requests)
+    outcome = yield from _run_group(
+        mpi, app, config, rms_factory, stats, plan_factory, slot_of, recovery,
     )
-    rms = rms_factory() if rms_factory is not None else ScriptedRMS(list(requests))
-    runner = GroupRunner(
-        mpi, app, config, rms, stats,
-        comm=mpi.comm_world, dataset=dataset,
-        plan_factory=plan_factory,
-        slot_of=slot_of,
-        recovery=recovery,
-    )
-    outcome = yield from runner.run()
     return outcome

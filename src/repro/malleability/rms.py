@@ -29,22 +29,32 @@ class ReconfigRequest:
 
 
 class ScriptedRMS:
-    """Replays a fixed schedule of reconfiguration decisions.
+    """Replays a schedule of reconfiguration decisions with a private cursor.
 
     ``check(iteration)`` is the checkpoint's "contact the RMS" call: it
     returns the pending :class:`ReconfigRequest` when the application has
     reached (or passed) its iteration, else ``None``.  Each request fires
-    exactly once; requests must be scheduled in increasing iteration order.
+    exactly once per view.
+
+    ``requests`` is read in place, not copied, so every rank's view of one
+    job shares one list: a scripted schedule, or a list that a live RMS
+    appends to in increasing iteration order (``repro.rmsim``'s
+    :class:`~repro.rmsim.board.DecisionBoard`).  A scripted schedule given
+    out of order is sorted into a copy; two requests at one iteration are
+    rejected.  ``skip`` starts the cursor past the requests a spawned
+    group's ancestors already consumed.
     """
 
-    def __init__(self, requests: list[ReconfigRequest]):
-        self.requests = sorted(requests, key=lambda r: r.at_iteration)
-        for a, b in zip(self.requests, self.requests[1:]):
-            if a.at_iteration == b.at_iteration:
-                raise ValueError(
-                    f"two reconfigurations scheduled at iteration {a.at_iteration}"
-                )
-        self._next = 0
+    def __init__(self, requests: list[ReconfigRequest], skip: int = 0):
+        ats = [r.at_iteration for r in requests]
+        if ats != sorted(ats):
+            requests = sorted(requests, key=lambda r: r.at_iteration)
+            ats.sort()
+        for a, b in zip(ats, ats[1:]):
+            if a == b:
+                raise ValueError(f"two reconfigurations scheduled at iteration {a}")
+        self.requests = requests
+        self._next = skip
 
     def check(self, iteration: int) -> Optional[ReconfigRequest]:
         """The checkpoint protocol: has the RMS decided to reconfigure us?"""
@@ -59,17 +69,9 @@ class ScriptedRMS:
     def exhausted(self) -> bool:
         return self._next >= len(self.requests)
 
-    def clone(self) -> "ScriptedRMS":
-        """Fresh replay state (each group's manager keeps its own cursor)."""
-        rms = ScriptedRMS(list(self.requests))
-        rms._next = self._next
-        return rms
-
     def child_factory(self, consumed: int):
-        """A factory building per-rank RMS views for a spawned group that
-        has already seen ``consumed`` reconfigurations.  Each child rank
-        calls the factory once, so cursors are never shared between ranks.
-        Dynamic RMS implementations (``repro.rmsim``) override this to hand
-        children a live view of the decision board."""
-        remaining = list(self.requests)[consumed:]
-        return lambda: ScriptedRMS(remaining)
+        """A factory building per-rank views of the same requests for a
+        group that has already seen ``consumed`` reconfigurations.  Each
+        rank calls it once, so cursors are never shared between ranks."""
+        requests = self.requests
+        return lambda: ScriptedRMS(requests, skip=consumed)

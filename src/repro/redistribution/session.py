@@ -226,7 +226,7 @@ class RedistributionSession:
             self._t_started = self.ctx.now
             # Cooperative fault hook: 'redist'-anchored fault events fire
             # relative to the first session that starts moving data.
-            fi = getattr(self.ctx.world, "fault_injector", None)
+            fi = self.ctx.world.fault_injector
             if fi is not None:
                 fi.notify_redist_started(self.ctx.now)
 

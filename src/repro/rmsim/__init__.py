@@ -9,9 +9,8 @@ scheduler core — queue, slot pool, pluggable policies
 (:mod:`repro.rmsim.policies`), billing — and two executors:
 
 * **engine** — :class:`MalleableScheduler` runs every job through the
-  paper's malleability engine, posting live reconfiguration decisions
-  (:class:`DecisionBoard` / :class:`DynamicRMS`) that it executes at full
-  cost.  See ``examples/makespan_study.py`` and
+  paper's malleability engine, posting live reconfiguration decisions on
+  a per-job :class:`DecisionBoard` that it executes at full cost.  See ``examples/makespan_study.py`` and
   ``benchmarks/test_ablation_makespan.py``.
 * **analytic** — :class:`TraceScheduler` (the core itself) models job
   progress analytically and reconfiguration stalls with the paper's cost
@@ -20,7 +19,7 @@ scheduler core — queue, slot pool, pluggable policies
   ``repro-harness rmsim``.
 """
 
-from .board import DecisionBoard, DynamicRMS
+from .board import DecisionBoard
 from .jobs import JobRecord, JobSpec
 from .policies import (
     POLICIES,
@@ -42,7 +41,6 @@ from .traces import TraceConfig, WorkloadTrace, generate_trace
 
 __all__ = [
     "DecisionBoard",
-    "DynamicRMS",
     "JobSpec",
     "JobRecord",
     "SlotPool",

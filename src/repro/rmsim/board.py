@@ -1,11 +1,13 @@
 """Live RMS decisions for running jobs.
 
-The scripted RMS of the core engine replays a fixed schedule; a *dynamic*
-RMS (this module) lets a scheduler post reconfiguration decisions while the
-job runs.  The safety rule: a decision may only fire at an iteration no
-rank has checkpointed yet, otherwise part of the group would enter the
-collective reconfiguration and the rest would not (deadlock).  The board
-therefore targets ``latest_checked_iteration + margin``.
+The core engine's :class:`~repro.malleability.rms.ScriptedRMS` reads a
+job's decisions from one shared list; a :class:`DecisionBoard` is that list
+made live: a scheduler appends reconfiguration decisions while the job
+runs, and every rank's view sees them at its next checkpoint.  The safety
+rule: a decision may only fire at an iteration no rank has checkpointed
+yet, otherwise part of the group would enter the collective
+reconfiguration and the rest would not (deadlock).  The board therefore
+targets ``latest_checked_iteration + margin``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 from ..malleability.rms import ReconfigRequest
 from ..malleability.stats import RunStats
 
-__all__ = ["DecisionBoard", "DynamicRMS"]
+__all__ = ["DecisionBoard"]
 
 
 class DecisionBoard:
@@ -49,33 +51,3 @@ class DecisionBoard:
         req = ReconfigRequest(at_iteration=at, n_targets=n_targets)
         self.decisions.append(req)
         return req
-
-
-class DynamicRMS:
-    """Per-rank view of a :class:`DecisionBoard` (same protocol as
-    :class:`~repro.malleability.rms.ScriptedRMS`)."""
-
-    def __init__(self, board: DecisionBoard, skip: int = 0):
-        self.board = board
-        self._next = skip
-
-    def check(self, iteration: int) -> Optional[ReconfigRequest]:
-        decisions = self.board.decisions
-        if self._next < len(decisions):
-            req = decisions[self._next]
-            if iteration >= req.at_iteration:
-                self._next += 1
-                return req
-        return None
-
-    @property
-    def requests(self) -> list[ReconfigRequest]:
-        return list(self.board.decisions)
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self.board.decisions)
-
-    def child_factory(self, consumed: int):
-        board = self.board
-        return lambda: DynamicRMS(board, skip=consumed)

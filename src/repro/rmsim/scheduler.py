@@ -43,7 +43,7 @@ from ..simulate.errors import DeadlockError
 from ..smpi.spawn import SpawnModel
 from ..smpi.world import MpiWorld
 from ..synthetic.application import SyntheticApp
-from .board import DecisionBoard, DynamicRMS
+from .board import DecisionBoard
 from .jobs import JobRecord, JobSpec
 from .policies import FifoPolicy, SchedulingPolicy, reconfiguration_cost
 
@@ -885,11 +885,10 @@ class MalleableScheduler(TraceScheduler):
             args=(
                 SyntheticApp(spec.synthetic_config()),
                 spec.config,
-                [],                      # decisions come from the board
+                board.decisions if board is not None else [],  # read live
                 stats,
                 RedistributionPlan.block,
                 ids.__getitem__,         # slot_of reads the live id list
-                (lambda: DynamicRMS(board)) if board is not None else None,
             ),
             name_prefix=f"job-{spec.name}",
         )

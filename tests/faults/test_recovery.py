@@ -171,6 +171,44 @@ def test_source_death_degrades_to_checkpoint_restart():
     assert all(o is not RankOutcome.COMPLETED for o in [p.result for p in res.procs])
 
 
+def test_restarted_group_losing_a_source_is_requeued_again():
+    """Each lost group is requeued once: a relaunched group that loses a
+    source in its own reconfiguration is relaunched in turn and the job
+    still finishes.  4 -> 6 loses node 1's sources (first relaunch on 6
+    surviving slots, nodes 0/2/3); the relaunched group's 6 -> 2 then loses
+    node 3's."""
+
+    def run(faults):
+        sim = Simulator()
+        machine = Machine(sim, n_nodes=4, cores_per_node=2, fabric=ETHERNET_10G)
+        world = MpiWorld(
+            machine,
+            spawn_model=SpawnModel(base=0.01, per_process=0.001, per_node=0.002),
+        )
+        stats = RunStats()
+        requests = [ReconfigRequest(5, 6), ReconfigRequest(9, 2)]
+        world.launch(
+            _entry, slots=range(4),
+            args=(ToyApp(), ReconfigConfig.parse("merge-p2p-s"), requests,
+                  stats, None),
+        )
+        FaultInjector(faults, machine, world).attach()
+        sim.run()
+        return stats
+
+    first = "crash@redist+0.002:node=1"
+    once = run(first)
+    assert [r.recovery_policy for r in once.reconfigs] == ["checkpoint_restart", None]
+    second_redist = once.reconfigs[1].redist_started_at
+    stats = run(f"{first};crash@{second_redist + 5e-4}:node=3")
+    assert [r.recovery_policy for r in stats.reconfigs] == [
+        "checkpoint_restart", "checkpoint_restart",
+    ]
+    assert stats.finished_at is not None
+    # Both relaunches resume from iteration 0, the first group's start.
+    assert stats.iterations_by_group == {0: RECONF_AT, 1: 9, 2: N_ITERS}
+
+
 def test_cr_disabled_surfaces_the_failure():
     from repro.simulate import SimulationError
     from repro.smpi import CommFailedError

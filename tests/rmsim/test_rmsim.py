@@ -3,11 +3,10 @@
 import pytest
 
 from repro.cluster import ETHERNET_10G, Machine
-from repro.malleability import ReconfigConfig, RunStats
+from repro.malleability import ReconfigConfig, RunStats, ScriptedRMS
 from repro.analysis.rmsim_summary import schedule_summary
 from repro.rmsim import (
     DecisionBoard,
-    DynamicRMS,
     FifoPolicy,
     JobSpec,
     MalleableScheduler,
@@ -79,8 +78,8 @@ def test_dynamic_rms_views_share_board_with_private_cursors():
     stats.latest_checked_iteration = 0
     board = DecisionBoard(stats)
     board.post(4)
-    rms_a = DynamicRMS(board)
-    rms_b = DynamicRMS(board)
+    rms_a = ScriptedRMS(board.decisions)
+    rms_b = ScriptedRMS(board.decisions)
     assert rms_a.check(1) is None
     got_a = rms_a.check(2)
     got_b = rms_b.check(5)
@@ -93,9 +92,22 @@ def test_dynamic_rms_child_factory_skips_consumed():
     stats.latest_checked_iteration = 0
     board = DecisionBoard(stats)
     board.post(4)
-    parent = DynamicRMS(board)
+    parent = ScriptedRMS(board.decisions)
     child = parent.child_factory(consumed=1)()
     assert child.check(100) is None  # decision 0 already consumed upstream
+
+
+def test_scripted_rms_reads_the_board_live():
+    """A view built before a decision is posted still sees it: the board's
+    list is the RMS's input, read in place."""
+    stats = RunStats()
+    stats.latest_checked_iteration = 0
+    board = DecisionBoard(stats)
+    rms = ScriptedRMS(board.decisions)
+    assert rms.exhausted
+    req = board.post(4)
+    assert rms.check(req.at_iteration) is req
+    assert rms.exhausted
 
 
 # ---------------------------------------------------------------- scheduler
