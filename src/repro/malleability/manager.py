@@ -48,13 +48,12 @@ __all__ = ["MalleableApp", "GroupRunner", "run_malleable", "RankOutcome"]
 def _waves(strategy: Strategy, dataset: Dataset) -> tuple[list[str], list[str]]:
     """The fields of Stage 3's two waves (§3.2).  Under S one wave moves
     every field.  Under A/T the first wave, which may overlap the
-    application, moves the constant fields (every field when there are
-    none), and the variable fields follow once the sources stop."""
-    names = dataset.field_names()
+    application, moves the constant fields (none, so no session, when the
+    application has none), and the variable fields follow once the
+    sources stop."""
     if strategy is Strategy.SYNC:
-        return names, []
-    return (dataset.field_names(constant=True) or names,
-            dataset.field_names(constant=False))
+        return dataset.field_names(), []
+    return dataset.field_names(constant=True), dataset.field_names(constant=False)
 
 
 class MalleableApp(Protocol):
@@ -250,6 +249,13 @@ class GroupRunner:
         if record.decision_at is None:
             record.decision_at = self.mpi.now
         self._plan = self.plan_factory(self.app.n_rows, ns, nt)
+        (lo, hi), ds = self._plan.src_range(self.rank), self.dataset
+        if (lo, hi) != (ds.lo, ds.hi):
+            factory = getattr(self.plan_factory, "__qualname__", self.plan_factory)
+            raise ValueError(
+                f"{factory} plans source rank {self.rank} on rows [{lo},{hi}) "
+                f"but it holds [{ds.lo},{ds.hi}): plans start from a block layout"
+            )
         if record.plan_built_at is None:
             record.plan_built_at = self.mpi.now
         if record.spawn_started_at is None:
@@ -308,9 +314,10 @@ class GroupRunner:
             record.redist_started_at = mpi.now
         if not baseline and self.rank < nt:
             self._dst_dataset = self._make_target_dataset(plan, self.rank)
-        session = self._session_for(
-            mpi, comm, _waves(self.config.strategy, self.dataset)[0]
-        )
+        names = _waves(self.config.strategy, self.dataset)[0]
+        if not names:
+            return
+        session = self._session_for(mpi, comm, names)
         if self.config.strategy is not Strategy.ASYNC_NONBLOCKING:
             yield from session.run_blocking()
             return
@@ -806,14 +813,15 @@ class GroupRunner:
             self.group_index + 1,
             self.stats,
             self._plan,
+            self.plan_factory,
             self.slot_of,
             self.recovery,
         )
 
 
 def _target_entry(
-    mpi, app, config, rms_factory, group_index, stats, plan, slot_of,
-    recovery=None,
+    mpi, app, config, rms_factory, group_index, stats, plan, plan_factory,
+    slot_of, recovery,
 ):
     """Entry point of spawned processes (Baseline targets / Merge newcomers).
 
@@ -844,13 +852,14 @@ def _target_entry(
                 dst_rank=my_target, dst_dataset=dataset, label=label,
             )
 
-        session = session_for(first_names, f"reconf{group_index - 1}")
-        if config.strategy is Strategy.ASYNC_NONBLOCKING:
-            # Everyone must enter the same non-blocking collectives (§3.2).
-            yield from session.start()
-            yield from session.finish()
-        else:
-            yield from session.run_blocking()
+        if first_names:
+            session = session_for(first_names, f"reconf{group_index - 1}")
+            if config.strategy is Strategy.ASYNC_NONBLOCKING:
+                # Everyone must enter the same non-blocking collectives (§3.2).
+                yield from session.start()
+                yield from session.finish()
+            else:
+                yield from session.run_blocking()
         record.mark_const_complete(mpi.now)
 
         if var_names:
@@ -879,7 +888,7 @@ def _target_entry(
     record.mark_data_complete(mpi.now)
     record.mark_commit_finished(mpi.now)
     outcome = yield from _run_group(
-        mpi, app, config, rms_factory, stats, RedistributionPlan.block,
+        mpi, app, config, rms_factory, stats, plan_factory,
         slot_of, recovery, resume_at, group_index, comm=new_comm, dataset=dataset,
     )
     return outcome
@@ -937,7 +946,6 @@ def run_malleable(
     stats: RunStats,
     plan_factory: Callable[[int, int, int], RedistributionPlan] = RedistributionPlan.block,
     slot_of: Callable[[int], int] = lambda i: i,
-    rms_factory: Optional[Callable[[], ScriptedRMS]] = None,
     recovery: Optional[RecoveryPolicy] = None,
 ):
     """Entry point for ranks of the *first* group.
@@ -947,12 +955,10 @@ def run_malleable(
 
     ``requests`` is the reconfiguration schedule, read in place by every
     rank's :class:`ScriptedRMS` (a live RMS such as ``repro.rmsim`` passes
-    the list it appends its decisions to); ``rms_factory``, when given,
-    builds each rank's RMS instead.
+    the list it appends its decisions to).
     """
-    if rms_factory is None:
-        rms_factory = partial(ScriptedRMS, requests)
     outcome = yield from _run_group(
-        mpi, app, config, rms_factory, stats, plan_factory, slot_of, recovery,
+        mpi, app, config, partial(ScriptedRMS, requests), stats, plan_factory,
+        slot_of, recovery,
     )
     return outcome

@@ -139,8 +139,8 @@ class RedistributionPlan:
         return self._index[1]
 
     # --------------------------------------------------------------- factory
-    @classmethod
-    def block(cls, n_rows: int, n_sources: int, n_targets: int) -> "RedistributionPlan":
+    @staticmethod
+    def block(n_rows: int, n_sources: int, n_targets: int) -> "RedistributionPlan":
         """Standard balanced block distribution on both sides (the paper).
 
         LRU-cached: every rank of every run of a sweep derives the identical
@@ -148,27 +148,18 @@ class RedistributionPlan:
         plus per-rank chunk dicts) is shared.  Plans are immutable — queries
         hand out copies.
         """
-        if cls is RedistributionPlan:
-            return _block_plan_cached(int(n_rows), int(n_sources), int(n_targets))
-        return cls(
-            block_offsets(n_rows, n_sources), block_offsets(n_rows, n_targets)
-        )
+        return _block_plan_cached(int(n_rows), int(n_sources), int(n_targets))
 
-    @classmethod
+    @staticmethod
     def movement_minimizing(
-        cls, n_rows: int, n_sources: int, n_targets: int, slack: float = 0.5
+        n_rows: int, n_sources: int, n_targets: int, slack: float = 0.5
     ) -> "RedistributionPlan":
         """Future-work extension: targets that were sources keep their rows.
 
         LRU-cached like :meth:`block`.
         """
-        if cls is RedistributionPlan:
-            return _minmove_plan_cached(
-                int(n_rows), int(n_sources), int(n_targets), float(slack)
-            )
-        return cls(
-            block_offsets(n_rows, n_sources),
-            movement_minimizing_offsets(n_rows, n_sources, n_targets, slack),
+        return _minmove_plan_cached(
+            int(n_rows), int(n_sources), int(n_targets), float(slack)
         )
 
     # ---------------------------------------------------------------- queries

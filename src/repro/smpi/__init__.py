@@ -1,10 +1,12 @@
 """Simulated MPI ("SMPI").
 
 A deterministic, discrete-event reimplementation of the MPI surface the
-paper's malleability framework needs — real payload delivery plus MPICH-like
-timing semantics (eager/rendezvous protocols, polling blocking calls,
-serialized pairwise blocking Alltoallv, dynamic process spawn, auxiliary
-threads).  See DESIGN.md §2 for the substitution argument.
+paper's malleability framework issues — Isend/Irecv/Waitany/Waitall/Testall,
+Alltoall, (I)Alltoallv, Comm_spawn and intercomm merge, the agreement
+allreduce, the application's collectives and the one-sided windows — with
+real payload delivery and MPICH-like timing semantics (eager/rendezvous
+protocols, polling blocking calls, serialized pairwise blocking Alltoallv,
+auxiliary threads).  See DESIGN.md §2 for the substitution argument.
 
 Quick use::
 
@@ -17,7 +19,7 @@ Quick use::
     results, sim = run_spmd(main, 4)
 """
 
-from .collectives import op_max, op_min, op_prod, op_sum
+from .collectives import op_min, op_sum
 from .communicator import Communicator
 from .context import AsyncOpHandle, RankCtx, ThreadHandle
 from .datatypes import ANY_SOURCE, ANY_TAG, Blob, copy_payload, payload_nbytes
@@ -57,7 +59,5 @@ __all__ = [
     "payload_nbytes",
     "copy_payload",
     "op_sum",
-    "op_max",
     "op_min",
-    "op_prod",
 ]

@@ -7,8 +7,8 @@ Algorithms mirror MPICH's choices where the paper depends on them:
 * ``allreduce`` — recursive doubling with the standard non-power-of-two fold;
 * ``allgatherv`` — ring (p−1 steps), the large-message MPICH schedule (this
   is the per-iteration collective of the emulated CG's SpMV);
-* ``alltoall`` — Bruck (⌈log₂p⌉ rounds) on intra-communicators, direct
-  non-blocking exchange on inter-communicators;
+* ``alltoall`` — Bruck (⌈log₂p⌉ rounds) on intra-communicators of more
+  than two ranks, else ``ialltoall``'s direct exchange, waited on;
 * ``alltoallv`` (blocking) — **serialized pairwise exchange**, the schedule
   the paper identifies as the reason blocking inter-communicator
   ``MPI_Alltoallv`` (Baseline COL-S) underperforms (§4.4.2);
@@ -28,10 +28,9 @@ from .datatypes import copy_payload
 from .requests import MultiRequest
 
 __all__ = [
-    "op_sum", "op_max", "op_min", "op_prod",
+    "op_sum", "op_min",
     "barrier", "bcast", "allreduce", "allgatherv",
     "alltoall", "ialltoall", "alltoallv_pairwise", "ialltoallv",
-    "gather", "scatter", "reduce", "exscan",
 ]
 
 
@@ -39,18 +38,6 @@ __all__ = [
 def op_sum(a, b):
     """Elementwise/scalar sum (MPI_SUM)."""
     return a + b
-
-
-def op_prod(a, b):
-    """Elementwise/scalar product (MPI_PROD)."""
-    return a * b
-
-
-def op_max(a, b):
-    """Elementwise/scalar max (MPI_MAX)."""
-    import numpy as np
-
-    return np.maximum(a, b) if hasattr(a, "shape") or hasattr(b, "shape") else max(a, b)
 
 
 def op_min(a, b):
@@ -190,50 +177,25 @@ def allgatherv(ctx, block: Any, comm: Communicator):
 
 
 # ---------------------------------------------------------------- alltoall
-def alltoall(ctx, sendlist: Sequence[Any], comm: Communicator, algorithm: str = "auto"):
+def alltoall(ctx, sendlist: Sequence[Any], comm: Communicator):
     """All-to-all of one item per peer; returns the received list by source.
 
-    Intra-communicators default to Bruck (⌈log₂p⌉ aggregated rounds, the
-    MPICH small-message schedule — this is the size-exchange step of the
-    paper's COL redistribution, Algorithm 2).  Inter-communicators and
-    ``algorithm="direct"`` post the full non-blocking exchange.
+    Intra-communicators of more than two ranks use Bruck (⌈log₂p⌉
+    aggregated rounds, the MPICH small-message schedule — this is the
+    size-exchange step of the paper's COL redistribution, Algorithm 2).
+    Inter-communicators and pairs wait on :func:`ialltoall`'s direct
+    exchange.
     """
     if len(sendlist) != comm.remote_size:
         raise ValueError(
             f"alltoall needs one item per peer: got {len(sendlist)}, "
             f"expected {comm.remote_size}"
         )
-    if algorithm not in ("auto", "bruck", "direct"):
-        raise ValueError(f"unknown alltoall algorithm {algorithm!r}")
-    if comm.is_inter or algorithm == "direct" or comm.size <= 2:
-        result = yield from _alltoall_direct(ctx, sendlist, comm)
+    if comm.is_inter or comm.size <= 2:
+        req, result = yield from ialltoall(ctx, sendlist, comm)
+        yield from ctx.waitall(req.children)
         return result
     result = yield from _alltoall_bruck(ctx, sendlist, comm)
-    return result
-
-
-def _alltoall_direct(ctx, sendlist, comm: Communicator):
-    base = ctx.next_coll_tag(comm)
-    me_as_peer = _self_peer_rank(ctx, comm)
-    reqs = []
-    recv_reqs = {}
-    for peer in range(comm.remote_size):
-        if peer == me_as_peer:
-            continue
-        rreq = yield from ctx.irecv(source=_peer_seen_rank(ctx, comm, peer), tag=base, comm=comm)
-        recv_reqs[peer] = rreq
-        reqs.append(rreq)
-    for peer in range(comm.remote_size):
-        if peer == me_as_peer:
-            continue
-        sreq = yield from ctx.isend(sendlist[peer], peer, tag=base, comm=comm)
-        reqs.append(sreq)
-    yield from ctx.waitall(reqs)
-    result = [None] * comm.remote_size
-    for peer, rreq in recv_reqs.items():
-        result[rreq.status.source] = rreq.data
-    if me_as_peer is not None:
-        result[me_as_peer] = copy_payload(sendlist[me_as_peer])
     return result
 
 
@@ -242,16 +204,6 @@ def _self_peer_rank(ctx, comm: Communicator) -> Optional[int]:
     if comm.is_inter:
         return None
     return ctx.rank_in(comm)
-
-
-def _peer_seen_rank(ctx, comm: Communicator, peer: int) -> int:
-    """Status.source value messages from ``peer`` will carry.
-
-    Peers stamp their *own local rank*; for both intra and inter comms that
-    equals the peer index, so this is the identity — kept as a function to
-    document the invariant.
-    """
-    return peer
 
 
 def _alltoall_bruck(ctx, sendlist, comm: Communicator):
@@ -415,120 +367,3 @@ def ialltoallv(
         )
         reqs.append(sreq)
     return MultiRequest(ctx.sim, reqs), result
-
-
-# ----------------------------------------------------- rooted collectives
-def gather(ctx, value: Any, root: int, comm: Communicator):
-    """Gather one item per rank to ``root`` (binomial tree, bottom-up).
-
-    Returns the list (by rank) at the root, ``None`` elsewhere.
-    """
-    if comm.is_inter:
-        raise ValueError("gather is only implemented for intra-communicators")
-    p = comm.size
-    r = ctx.rank_in(comm)
-    base = ctx.next_coll_tag(comm)
-    vrank = (r - root) % p
-    # Each node accumulates its subtree: children are at vrank + 2^k while
-    # vrank's low bits are zero.
-    bucket: dict[int, Any] = {vrank: copy_payload(value)}
-    mask = 1
-    while mask < p:
-        if vrank & mask:
-            parent = ((vrank & ~mask) + root) % p
-            yield from ctx.send(bucket, parent, tag=base, comm=comm)
-            return None
-        child = vrank + mask
-        if child < p:
-            got = yield from ctx.recv(
-                source=(child + root) % p, tag=base, comm=comm
-            )
-            bucket.update(got)
-        mask <<= 1
-    # Buckets are keyed by *virtual* rank; translate back to real ranks.
-    return [bucket[(i - root) % p] for i in range(p)] if r == root else None
-
-
-def scatter(ctx, values: Optional[Sequence[Any]], root: int, comm: Communicator):
-    """Scatter one item per rank from ``root`` (binomial tree, top-down).
-
-    ``values`` is read at the root only; every rank returns its item.
-    """
-    if comm.is_inter:
-        raise ValueError("scatter is only implemented for intra-communicators")
-    p = comm.size
-    r = ctx.rank_in(comm)
-    if r == root:
-        if values is None or len(values) != p:
-            raise ValueError(f"scatter root needs exactly {p} values")
-    base = ctx.next_coll_tag(comm)
-    vrank = (r - root) % p
-    if r == root:
-        bucket = {i: copy_payload(v) for i, v in enumerate(values)}
-    else:
-        # Receive my subtree's bucket from my parent.
-        mask = 1
-        while not (vrank & mask):
-            mask <<= 1
-        parent = ((vrank & ~mask) + root) % p
-        bucket = yield from ctx.recv(source=parent, tag=base, comm=comm)
-    # Forward each child its sub-bucket.
-    mask = 1
-    while mask < p:
-        if vrank & mask:
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        child = vrank + mask
-        if child < p:
-            child_keys = {
-                k for k in bucket
-                if (k - root) % p >= child and (k - root) % p < child + mask
-            }
-            sub = {k: bucket.pop(k) for k in child_keys}
-            yield from ctx.send(sub, (child + root) % p, tag=base, comm=comm)
-        mask >>= 1
-    return bucket[r]
-
-
-def reduce(ctx, value: Any, op: Callable[[Any, Any], Any], root: int,
-           comm: Communicator):
-    """Reduce to ``root`` (gather + rank-ordered fold; deterministic for
-    non-commutative ops).  Returns the result at the root, None elsewhere."""
-    items = yield from gather(ctx, value, root, comm)
-    if items is None:
-        return None
-    acc = items[0]
-    for item in items[1:]:
-        acc = op(acc, item)
-    return acc
-
-
-def exscan(ctx, value: Any, op: Callable[[Any, Any], Any], comm: Communicator):
-    """Exclusive prefix reduction: rank r gets op-fold of ranks 0..r-1
-    (None at rank 0) — the building block of distributed offsets."""
-    if comm.is_inter:
-        raise ValueError("exscan is only implemented for intra-communicators")
-    p = comm.size
-    r = ctx.rank_in(comm)
-    base = ctx.next_coll_tag(comm)
-    # Simple logarithmic exclusive scan (Hillis-Steele shape).
-    acc = None          # fold of ranks [r-dist_covered, r)
-    mine = copy_payload(value)
-    carried = mine      # fold of ranks [r-dist_covered, r]
-    dist = 1
-    phase = 0
-    while dist < p:
-        sreq = None
-        if r + dist < p:
-            sreq = yield from ctx.isend(carried, r + dist, tag=base - phase, comm=comm)
-        if r - dist >= 0:
-            got = yield from ctx.recv(source=r - dist, tag=base - phase, comm=comm)
-            acc = got if acc is None else op(got, acc)
-            carried = op(got, carried)
-        if sreq is not None:
-            yield from ctx.wait(sreq)
-        dist <<= 1
-        phase += 1
-    return acc

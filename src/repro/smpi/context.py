@@ -409,8 +409,8 @@ class RankCtx(RmaOps):
         result = yield from _coll.allgatherv(self, block, self._comm(comm))
         return result
 
-    def alltoall(self, sendlist, comm=None, algorithm: str = "auto"):
-        result = yield from _coll.alltoall(self, sendlist, self._comm(comm), algorithm)
+    def alltoall(self, sendlist, comm=None):
+        result = yield from _coll.alltoall(self, sendlist, self._comm(comm))
         return result
 
     def alltoallv(self, send_map, recv_from, comm=None, nbytes_map=None, label=""):
@@ -431,28 +431,6 @@ class RankCtx(RmaOps):
 
     def ialltoall(self, sendlist, comm=None):
         result = yield from _coll.ialltoall(self, sendlist, self._comm(comm))
-        return result
-
-    def gather(self, value, root: int = 0, comm=None):
-        """Gather one item per rank to the root (list by rank; None elsewhere)."""
-        result = yield from _coll.gather(self, value, root, self._comm(comm))
-        return result
-
-    def scatter(self, values=None, root: int = 0, comm=None):
-        """Scatter one item per rank from the root; returns my item."""
-        result = yield from _coll.scatter(self, values, root, self._comm(comm))
-        return result
-
-    def reduce(self, value, op=None, root: int = 0, comm=None):
-        """Reduce to the root (rank-ordered fold; None elsewhere)."""
-        op = _coll.op_sum if op is None else op
-        result = yield from _coll.reduce(self, value, op, root, self._comm(comm))
-        return result
-
-    def exscan(self, value, op=None, comm=None):
-        """Exclusive prefix reduction (None at rank 0)."""
-        op = _coll.op_sum if op is None else op
-        result = yield from _coll.exscan(self, value, op, self._comm(comm))
         return result
 
     # -------------------------------------------------------------- world ops

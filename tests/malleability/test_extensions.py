@@ -12,7 +12,7 @@ from repro.malleability import (
     run_malleable,
 )
 from repro.redistribution import RedistMethod, RedistributionPlan
-from repro.simulate import Simulator
+from repro.simulate import SimulationError, Simulator
 from repro.smpi import MpiWorld, SpawnModel
 from tests.malleability.test_manager import N_ITERS, RECONF_AT, ToyApp
 
@@ -66,4 +66,26 @@ def test_movement_minimizing_reduces_redistributed_bytes():
     # And the persisting ranks' self-kept rows grew.
     assert sum(opt.self_rows(r) for r in range(2)) > sum(
         base.self_rows(r) for r in range(2)
+    )
+
+
+@pytest.mark.parametrize("config_key", ["merge-p2p-s", "baseline-p2p-s"])
+def test_chained_movement_minimizing_reconfiguration_is_refused(config_key):
+    """The spawned group inherits the run's plan factory, and a plan that
+    does not start from the layout the group holds is refused before any
+    traffic: movement-minimising plans start from a block layout, which a
+    group they produced no longer holds."""
+    sim = Simulator()
+    world = MpiWorld(Machine(sim, 4, 2, ETHERNET_10G))
+    requests = [ReconfigRequest(3, 6), ReconfigRequest(7, 3)]
+    world.launch(
+        run_malleable, slots=range(4),
+        args=(ToyApp(), ReconfigConfig.parse(config_key), requests, RunStats(),
+              RedistributionPlan.movement_minimizing),
+    )
+    with pytest.raises(SimulationError) as err:
+        sim.run()
+    assert isinstance(err.value.__cause__, ValueError)
+    assert str(err.value.__cause__).startswith(
+        "RedistributionPlan.movement_minimizing plans source rank"
     )

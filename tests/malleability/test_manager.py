@@ -132,6 +132,29 @@ def test_async_strategies_overlap_iterations():
     assert stats_s.last_reconfig.sources_stopped_iteration == RECONF_AT
 
 
+class VariableOnlyApp(ToyApp):
+    """ToyApp without its constant field."""
+
+    specs = ToyApp.specs[:1]
+
+
+@pytest.mark.parametrize("key", ["merge-p2p-s", "merge-p2p-a", "merge-p2p-t"])
+def test_variable_data_crosses_the_wire_once(key):
+    """With no constant field, A/T have no first wave to overlap: the
+    variable vector moves once, after the sources stop, as under S."""
+    sim = Simulator()
+    world = MpiWorld(Machine(sim, n_nodes=4, cores_per_node=2, fabric=ETHERNET_10G))
+    stats = RunStats()
+    requests = [ReconfigRequest(at_iteration=RECONF_AT, n_targets=4)]
+    world.launch(
+        run_malleable, slots=range(2),
+        args=(VariableOnlyApp(), ReconfigConfig.parse(key), requests, stats),
+    )
+    sim.run()
+    assert stats.total_iterations() == N_ITERS
+    assert world.bytes_by_label["reconf0:values"] == 240
+
+
 def test_two_sequential_reconfigurations():
     """Expand then shrink in one run (the manager supports chains)."""
     config = ReconfigConfig.parse("merge-p2p-s")

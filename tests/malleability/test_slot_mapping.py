@@ -43,27 +43,3 @@ def test_spawned_ranks_follow_the_slot_map(config_key):
     # Every process the world ever placed sits inside the block.
     for gid, slot in world.slot_of.items():
         assert base <= slot < base + 8, f"gid {gid} placed at slot {slot}"
-
-
-def test_rms_factory_overrides_requests():
-    """A factory-supplied RMS wins over the (empty) request list."""
-    from repro.malleability import ScriptedRMS
-
-    sim = Simulator()
-    machine = Machine(sim, 4, 2, ETHERNET_10G)
-    world = MpiWorld(
-        machine, spawn_model=SpawnModel(base=0.01, per_process=0.001, per_node=0.002)
-    )
-    stats = RunStats()
-    app = ToyApp()
-    config = ReconfigConfig.parse("merge-col-s")
-    factory = lambda: ScriptedRMS([ReconfigRequest(4, 6)])  # noqa: E731
-    world.launch(
-        run_malleable,
-        slots=range(3),
-        args=(app, config, [], stats, RedistributionPlan.block,
-              (lambda i: i), factory),
-    )
-    sim.run()
-    assert len(stats.reconfigs) == 1
-    assert stats.reconfigs[0].n_targets == 6

@@ -73,12 +73,3 @@ def test_redistribution_64_to_24():
 
     results, _ = run_spmd(main, 64, n_nodes=8, cores_per_node=8)
     assert all(r for r in results[:24])
-
-
-def test_exscan_64_ranks():
-    def main(mpi):
-        offset = yield from mpi.exscan(1)
-        return 0 if offset is None else offset
-
-    results, _ = run_spmd(main, 64, n_nodes=8, cores_per_node=8)
-    assert results == list(range(64))
