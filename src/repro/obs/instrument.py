@@ -48,10 +48,10 @@ class Observer:
       flush and unlock; ``on_rma_deferred()`` when a landing waits
       for its target to enter MPI; ``on_win_put(ctx, win, target_rank,
       payload, done)`` once the put is on the wire; ``on_win_lock(ctx,
-      win, target_rank)`` at lock issue; ``on_win_lock_granted(win, mode,
-      t0)`` when the epoch opens; ``on_win_flush(ctx, win,
-      target_rank)`` after a flush wait; ``on_win_unlock(ctx, win,
-      target_rank)`` before the epoch closes.
+      win, target_rank)`` at lock issue; ``on_win_lock_granted(win, t0)``
+      when the epoch opens; ``on_win_flush(ctx, win, target_rank)`` after
+      a flush wait; ``on_win_unlock(ctx, win, target_rank)`` before the
+      epoch closes.
     * ``MpiWorld``, redistribution and recovery —
       ``on_redist_transfer(session, phase, nbytes)``;
       ``on_redist_phase(session, phase, t0)`` when a phase ends;
@@ -118,7 +118,7 @@ class Observer:
     def on_rma_deferred(self): pass
     def on_win_put(self, ctx, win, target_rank, payload, done): pass
     def on_win_lock(self, ctx, win, target_rank): pass
-    def on_win_lock_granted(self, win, mode, t0): pass
+    def on_win_lock_granted(self, win, t0): pass
     def on_win_flush(self, ctx, win, target_rank): pass
     def on_win_unlock(self, ctx, win, target_rank): pass
     def on_redist_transfer(self, session, phase, nbytes): pass
@@ -241,16 +241,16 @@ class MetricsProbe(Observer):
     def on_rma_deferred(self) -> None:
         self.registry.counter("rma.deferred_landings").inc()
 
-    def on_win_lock_granted(self, win, mode: str, t0: float) -> None:
-        self.registry.timer("rma.lock_wait_seconds", mode=mode).record(
+    # Every lock is shared; the ``mode`` label stays so the metrics
+    # documents keep their schema.
+    def on_win_lock_granted(self, win, t0: float) -> None:
+        self.registry.timer("rma.lock_wait_seconds", mode="shared").record(
             t0, self.world.sim.now, label=f"win{win.win_id}"
         )
 
     def on_win_unlock(self, ctx, win, target_rank) -> None:
         dst_gid = win.peer_gid(ctx.gid, target_rank)
-        self.registry.timer(
-            "rma.epoch_seconds", mode=win.epoch_mode(ctx.gid, dst_gid)
-        ).record(
+        self.registry.timer("rma.epoch_seconds", mode="shared").record(
             win.epoch_t0(ctx.gid, dst_gid), ctx.sim.now,
             label=f"win{win.win_id}",
         )

@@ -122,10 +122,6 @@ class Strategy(enum.Enum):
             aliases=("sync", "async", "non-blocking", "thread"),
         )
 
-    @property
-    def is_async(self) -> bool:
-        return self is not Strategy.SYNC
-
 
 def make_session(
     method: "RedistMethod | str",

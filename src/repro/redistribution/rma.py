@@ -3,7 +3,7 @@ first-class third method alongside P2P (Algorithm 1) and COL (Algorithm 2).
 
 Built on the passive-target subsystem (:mod:`repro.smpi.rma`): a window is
 created collectively over the redistribution communicator and the data
-moves inside ``win_lock`` epochs, in one of two symmetrical variants:
+moves inside shared lock epochs, in one of two symmetrical variants:
 
 * **origin-driven** (``variant="origin"``, the default): each *source*
   opens a shared lock epoch per destination and issues one *put* per chunk
@@ -47,8 +47,7 @@ class _DatasetExposure:
         #: target-driven variant: ``(lo, hi) -> (payloads, nbytes)``
         #: pre-packed from the exposing source's program, which lists its
         #: full get schedule up front, so one batched store pass serves every
-        #: request.  Reads outside the staged schedule (never issued by the
-        #: sessions) are extracted on demand.
+        #: request.
         self._staged = staged or {}
 
     def apply_put(self, payload) -> None:
@@ -61,20 +60,10 @@ class _DatasetExposure:
         The byte count rides along because only the data-holding side can
         price a chunk (the requesting side's dataset is still empty — with
         CSR fields the wire size depends on the rows' population)."""
-        lo, hi = offset, offset + count
-        hit = self._staged.get((lo, hi))
-        if hit is not None:
-            return hit
-        return (
-            self.dataset.extract(lo, hi, list(self.names)),
-            self.dataset.range_nbytes(lo, hi, list(self.names)),
-        )
+        return self._staged[(offset, offset + count)]
 
     def read_nbytes(self, offset: int, count: int) -> int:
-        hit = self._staged.get((offset, offset + count))
-        if hit is not None:
-            return hit[1]
-        return self.dataset.range_nbytes(offset, offset + count, list(self.names))
+        return self._staged[(offset, offset + count)][1]
 
 
 class RmaRedistribution(RedistributionSession):

@@ -29,7 +29,7 @@ stable rule codes; runtime findings export into an obs registry as
 ``sanitizer_findings{rule=...}``.
 """
 
-from .findings import ALL_RULES, Finding, REP_RULES, SAN_RULES, STA_RULES, rule_doc
+from .findings import ALL_RULES, Finding, REP_RULES, SAN_RULES, STA_RULES
 from .runtime import Sanitizer, SanitizerError, fingerprint_payload
 
 __all__ = [
@@ -41,5 +41,4 @@ __all__ = [
     "Sanitizer",
     "SanitizerError",
     "fingerprint_payload",
-    "rule_doc",
 ]

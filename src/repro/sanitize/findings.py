@@ -23,7 +23,6 @@ __all__ = [
     "REP_RULES",
     "STA_RULES",
     "ALL_RULES",
-    "rule_doc",
 ]
 
 
@@ -94,11 +93,6 @@ STA_RULES: dict[str, str] = {
 }
 
 ALL_RULES: dict[str, str] = {**SAN_RULES, **REP_RULES, **STA_RULES}
-
-
-def rule_doc(code: str) -> str:
-    """One-line description of a rule code (raises KeyError if unknown)."""
-    return ALL_RULES[code]
 
 
 @dataclass

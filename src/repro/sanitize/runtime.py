@@ -31,12 +31,12 @@ SAN008  simulator deadlock (wait-for-graph explanation)
 SAN009  passive-target lock epoch still open at origin finalize
 ======  ==============================================================
 
-For one-sided traffic the buffer-race rule is **epoch-aware**: a put
-issued inside a ``win_lock`` epoch holds its origin-buffer fingerprint
-until the epoch is flushed (``win_flush`` / ``win_unlock``) — the strict
-MPI reuse rule — rather than only until the operation's own completion
-event.  The simulation itself is forgiving (puts snapshot payloads at
-issue), so these stay pure observations.
+For one-sided traffic the buffer-race rule is **epoch-aware**: every put
+lies in a lock epoch and holds its origin-buffer fingerprint until the
+epoch is flushed (``win_flush`` / ``win_unlock``) — the strict MPI reuse
+rule — rather than only until the operation's own completion event.  The
+simulation itself is forgiving (puts snapshot payloads at issue), so
+these stay pure observations.
 
 All checks are *observations*: the sanitizer never changes simulation
 behaviour, it only records :class:`~repro.sanitize.findings.Finding`
@@ -221,7 +221,7 @@ class Sanitizer(Observer):
                 return
             if _ev.failed:
                 return  # aborted by the failure layer: not a race
-            if op.fp is not None and op.kind in ("send", "put"):
+            if op.fp is not None and op.kind == "send":
                 if fingerprint_payload(op.payload) != op.fp:
                     self._emit(
                         "SAN001",
@@ -263,18 +263,12 @@ class Sanitizer(Observer):
     def on_win_put(self, ctx, win, target_rank: int, payload, done) -> None:
         """Hooked from :meth:`RankCtx.win_put` once the flow is launched.
 
-        Outside an epoch (fence-synchronised use) the origin buffer is
-        checked at the put's own completion, like an isend.  Inside a
-        ``win_lock`` epoch the strict rule applies: the fingerprint is held
-        until the epoch is flushed (:meth:`on_win_flush`)."""
+        Every put lies in a lock epoch, so the strict rule applies: the
+        fingerprint is held until the epoch is flushed
+        (:meth:`on_win_flush`)."""
         comm = win.comm
         self._check_aborted(ctx, comm, "win_put")
         dst_gid = win.peer_gid(ctx.gid, target_rank)
-        if win.epoch_mode(ctx.gid, dst_gid) is None:
-            self._register(
-                "put", ctx.gid, comm.ctx_id, None, dst_gid, payload, done,
-            )
-            return
         fp = fingerprint_payload(payload)
         if fp is None:
             return
@@ -294,31 +288,25 @@ class Sanitizer(Observer):
             comm.ctx_id, self._now(),
         )
 
-    def on_win_flush(self, ctx, win, target_rank: Optional[int]) -> None:
+    def on_win_flush(self, ctx, win, target_rank: int) -> None:
         """Hooked after a flush wait: the epoch's put buffers become legal
         to reuse exactly now — verify none was touched while held
         (epoch-aware SAN001)."""
-        dst_gid = (
-            win.peer_gid(ctx.gid, target_rank) if target_rank is not None else None
-        )
+        win_id = win.win_id
         now = self._now()
-        for key in sorted(self._epoch_puts):
-            win_id, origin, target = key
-            if win_id != win.win_id or origin != ctx.gid:
-                continue
-            if dst_gid is not None and target != dst_gid:
-                continue
-            for op in self._epoch_puts.pop(key):
-                if fingerprint_payload(op.payload) != op.fp:
-                    self._emit(
-                        "SAN001",
-                        f"put buffer to peer gid={op.peer} modified inside "
-                        f"a lock epoch before it was flushed "
-                        f"(posted at t={op.t0:.6f})",
-                        rank=op.gid, ctx=op.ctx, t=now,
-                        detail={"peer": op.peer, "kind": "put",
-                                "win": win_id, "epoch": True},
-                    )
+        for op in self._epoch_puts.pop(
+            (win_id, ctx.gid, win.peer_gid(ctx.gid, target_rank)), ()
+        ):
+            if fingerprint_payload(op.payload) != op.fp:
+                self._emit(
+                    "SAN001",
+                    f"put buffer to peer gid={op.peer} modified inside "
+                    f"a lock epoch before it was flushed "
+                    f"(posted at t={op.t0:.6f})",
+                    rank=op.gid, ctx=op.ctx, t=now,
+                    detail={"peer": op.peer, "kind": "put",
+                            "win": win_id, "epoch": True},
+                )
 
     def on_win_unlock(self, ctx, win, target_rank: int) -> None:
         """Hooked from :meth:`RankCtx.win_unlock` after the closing flush."""

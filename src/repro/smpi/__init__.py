@@ -26,7 +26,7 @@ from .datatypes import ANY_SOURCE, ANY_TAG, Blob, copy_payload, payload_nbytes
 from .endpoint import Endpoint, Message
 from .errors import CommFailedError, SpawnFailedError
 from .requests import MultiRequest, RecvRequest, Request, SendRequest
-from .rma import LOCK_EXCLUSIVE, LOCK_SHARED, ArrayExposure, Window
+from .rma import Window
 from .spawn import SpawnModel
 from .status import Status
 from .world import LaunchResult, MpiWorld, run_spmd
@@ -44,9 +44,6 @@ __all__ = [
     "RecvRequest",
     "MultiRequest",
     "Window",
-    "ArrayExposure",
-    "LOCK_SHARED",
-    "LOCK_EXCLUSIVE",
     "Status",
     "SpawnModel",
     "Endpoint",

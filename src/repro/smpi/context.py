@@ -447,11 +447,10 @@ class RankCtx(RmaOps):
 
         ``join(op)`` runs at each arrival and may record the caller's share
         in ``op.result``.  The last arrival calls ``complete(op)`` for
-        ``(after, make)``: once ``after`` — a delay, or a list of events
-        that must all end — has passed, ``make()``'s value ends the op for
-        everyone (an exception value fails it).  A participant that dies
-        first fails the op instead (:meth:`MpiWorld.mark_ranks_dead`) and
-        ``make`` never runs.
+        ``(after, make)``: once the delay ``after`` has passed, ``make()``'s
+        value ends the op for everyone (an exception value fails it).  A
+        participant that dies first fails the op instead
+        (:meth:`MpiWorld.mark_ranks_dead`) and ``make`` never runs.
         """
         world = self.world
         seq = self._op_seq.get((kind, comm.ctx_id), 0)
@@ -475,20 +474,7 @@ class RankCtx(RmaOps):
                 else:
                     ev.trigger(result)
 
-            if not isinstance(after, list):
-                self.sim.schedule(after, fire)
-            elif not after:
-                fire()
-            else:
-                left = [len(after)]
-
-                def count(_e) -> None:
-                    left[0] -= 1
-                    if left[0] == 0:
-                        fire()
-
-                for e in after:
-                    e.add_callback(count)
+            self.sim.schedule(after, fire)
         return op.event
 
     def _comm_spawn_begin(

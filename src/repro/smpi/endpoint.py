@@ -193,11 +193,24 @@ class Endpoint:  # repro: noqa[REP005] - one per rank (not per message); queues 
     def rts_arrived(self, msg: Message) -> None:
         """A rendezvous announcement arrived (physically)."""
         if self.closed:
-            if msg.src_gid in self.world.dead_gids or msg.ctx_id in self.world.aborted_ctxs:
+            if msg.src_gid in self.world.dead_gids:
                 self.world.retire_msg(msg)
-                return  # straggler from an aborted session / dead sender
+                return  # straggler from a dead sender
+            if msg.ctx_id in self.world.aborted_ctxs:
+                self._drop_aborted_rts(msg)
+                return
             raise RuntimeError(f"gid {self.gid}: RTS after finalize: {msg!r}")
         self._arrive("rts", msg)
+
+    def _drop_aborted_rts(self, msg: Message) -> None:
+        """Drop a rendezvous announcement of an abandoned session.  No
+        receive will ever pull its payload, so its send completes in error:
+        a sender that posted it after the abort would otherwise wait
+        forever."""
+        self.world.retire_msg(msg)
+        msg.send_req._fail(CommFailedError(
+            f"send to gid={msg.dst_gid} on an aborted communicator"
+        ))
 
     def _arrive(self, kind: str, msg: Message) -> None:
         """Per-channel FIFO gate: dispatch in seq order, buffering gaps."""
@@ -220,7 +233,10 @@ class Endpoint:  # repro: noqa[REP005] - one per rank (not per message); queues 
             # the FIFO gate accounted its sequence number — removing it any
             # earlier would wedge the shared (src, dst) channel for every
             # other communicator.
-            self.world.retire_msg(msg)
+            if kind == "eager":
+                self.world.retire_msg(msg)
+            else:
+                self._drop_aborted_rts(msg)
             return
         if kind == "eager":
             req = self._find_posted(msg)

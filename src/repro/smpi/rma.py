@@ -1,31 +1,30 @@
-"""One-sided communication (MPI-3 RMA subset) with passive-target epochs.
+"""One-sided communication (MPI-3 RMA subset): passive-target shared epochs.
 
-A full third transport beside point-to-point and collectives: a
-:class:`Window` carries per-target **lock queues** (``MPI_Win_lock``
-shared/exclusive semantics), per-``(origin, target)`` epoch bookkeeping
-for ``MPI_Win_flush``, and the completed-op notification counters
-redistribution uses to detect completeness without two-sided matching.
-:class:`RmaOps` is the one-sided half of the per-rank API
-(:class:`~repro.smpi.context.RankCtx` inherits it): ``win_create``,
-``win_put``, ``win_iget``/``win_get``, ``win_ilock``/``win_lock``,
-``win_flush``, ``win_unlock`` and ``win_fence``.
+The third transport beside point-to-point and collectives, cut to what the
+RMA redistribution issues: a collective ``win_create``, one shared lock
+epoch per ``(origin, target)`` pair (``win_ilock`` … ``win_unlock``), puts
+and gets inside it, ``win_flush`` of one target's epoch, and the
+completed-op notification counters redistribution uses to detect
+completeness without two-sided matching.  :class:`RmaOps` is the one-sided
+half of the per-rank API (:class:`~repro.smpi.context.RankCtx` inherits
+it).
+
+Every lock is shared (``MPI_LOCK_SHARED``), so a request is granted the
+moment it reaches its target: no request ever queues and the target keeps
+no lock word.  A put, get or flush outside an open epoch to its target is
+a usage error and raises :class:`ValueError`.
 
 Each rank exposes one object, or ``None`` to expose nothing.  An exposure
 answers three calls: ``apply_put(payload)`` lands a put,
 ``read(offset, count)`` serves a get, and ``read_nbytes(offset, count)``
-prices that get on the wire.  :class:`ArrayExposure` is the numpy one.
+prices that get on the wire.
 
-Progress semantics (the part that shapes the 18-config sweep):
-
-* **active target** (put/get outside any lock epoch, synchronised by
-  ``win_fence``) keeps the original model — the payload lands without any
-  target-side MPI call;
-* **passive target** (inside a ``win_lock`` epoch) follows the same
-  rendezvous-progress rule as two-sided traffic: payloads **larger than
-  the fabric's eager threshold** on a non-RDMA fabric only land while the
-  target rank is *inside an MPI call* (its progress engine is active),
-  exactly like MPICH's software-agent RMA over CH3.  RDMA-capable fabrics
-  (``FabricSpec.rdma``) complete in hardware and never defer.
+Progress follows the same rendezvous-progress rule as two-sided traffic:
+payloads **larger than the fabric's eager threshold** on a non-RDMA fabric
+only land while the target rank is *inside an MPI call* (its progress
+engine is active), exactly like MPICH's software-agent RMA over CH3.
+RDMA-capable fabrics (``FabricSpec.rdma``) complete in hardware and never
+defer.
 
 The simulation is forgiving about origin buffers (puts snapshot their
 payload at issue time, gets when the target serves them); the *strict*
@@ -36,7 +35,7 @@ is enforced by the sanitizer's epoch-aware SAN001 fingerprinting instead
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..cluster.cpu import Compute
 from ..simulate.events import SimEvent
@@ -45,84 +44,7 @@ from .communicator import Communicator
 from .datatypes import copy_payload, payload_nbytes
 from .errors import CommFailedError
 
-__all__ = ["Window", "ArrayExposure", "RmaOps", "LOCK_SHARED", "LOCK_EXCLUSIVE"]
-
-#: lock mode constants (``MPI_LOCK_SHARED`` / ``MPI_LOCK_EXCLUSIVE``).
-LOCK_SHARED = "shared"
-LOCK_EXCLUSIVE = "exclusive"
-
-
-class ArrayExposure:
-    """Adapter exposing a numpy array through a window.
-
-    Puts carry ``(offset, values)`` tuples; gets read slices (views: the
-    transport snapshots them when the get is served).
-    """
-
-    def __init__(self, array):
-        self.array = array
-
-    def apply_put(self, payload) -> None:
-        offset, values = payload
-        self.array[offset : offset + len(values)] = values
-
-    def read(self, offset: int, count: int):
-        return self.array[offset : offset + count]
-
-    def read_nbytes(self, offset: int, count: int) -> int:
-        return count * self.array.itemsize
-
-
-class _TargetLock:
-    """The lock word of one window member: holders + FIFO waiter queue.
-
-    Grants are deterministic: requests are queued in (simulated) arrival
-    order; a release grants the head of the queue, and consecutive shared
-    requests behind a granted shared head are granted with it.
-    """
-
-    __slots__ = ("mode", "holders", "queue")
-
-    def __init__(self) -> None:
-        #: None (unlocked) | LOCK_SHARED | LOCK_EXCLUSIVE.
-        self.mode: Optional[str] = None
-        #: origin gids currently holding the lock (insertion-ordered).
-        self.holders: list[int] = []
-        #: waiting (origin_gid, exclusive, grant_callback) in arrival order.
-        self.queue: list[tuple[int, bool, Callable[[], None]]] = []
-
-    def request(self, origin: int, exclusive: bool, grant: Callable[[], None]) -> bool:
-        """One lock request arrived at the target; grant now (True) or
-        enqueue (False)."""
-        wanted = LOCK_EXCLUSIVE if exclusive else LOCK_SHARED
-        if self.mode is None or (
-            not self.queue and wanted == LOCK_SHARED and self.mode == LOCK_SHARED
-        ):
-            self.mode = wanted
-            self.holders.append(origin)
-            grant()
-            return True
-        self.queue.append((origin, exclusive, grant))
-        return False
-
-    def release(self, origin: int) -> None:
-        """The unlock of ``origin`` arrived; hand the lock to the queue."""
-        self.holders.remove(origin)
-        if self.holders:
-            return  # other shared holders keep the lock
-        self.mode = None
-        if not self.queue:
-            return
-        origin2, exclusive, grant = self.queue.pop(0)
-        self.mode = LOCK_EXCLUSIVE if exclusive else LOCK_SHARED
-        self.holders.append(origin2)
-        grant()
-        if self.mode == LOCK_SHARED:
-            # Grant every consecutive shared waiter with the head.
-            while self.queue and not self.queue[0][1]:
-                origin3, _, grant3 = self.queue.pop(0)
-                self.holders.append(origin3)
-                grant3()
+__all__ = ["Window", "RmaOps"]
 
 
 class Window:
@@ -145,23 +67,17 @@ class Window:
         #: by gid so inter-communicator windows (Baseline redistribution)
         #: cannot collide the two sides' rank numberings.
         self.exposures = exposures
-        #: in-flight one-sided operations (cleared by fences).
-        self._pending: list[SimEvent] = []
         #: completed one-sided ops *observed at* each member gid: puts that
         #: landed there plus gets served from its exposure (the notify
         #: counters behind :meth:`notification_event`).
         self.puts_received: dict[int, int] = {g: 0 for g in comm.members}
         self._watchers: list[tuple[int, int, SimEvent]] = []
-        #: per-target-gid passive-target lock word (lazily created).
-        self._locks: dict[int, _TargetLock] = {}
-        #: (origin_gid, target_gid) -> grant event of a lock request still
-        #: waiting for its grant.
-        self._lock_requests: dict[tuple[int, int], SimEvent] = {}
-        #: (origin_gid, target_gid) -> open-epoch record: (lock mode, t0).
-        self._epochs: dict[tuple[int, int], tuple[str, float]] = {}
-        #: (origin_gid, target_gid) -> ops issued in the open epoch: the
-        #: flush set.
-        self._epoch_ops: dict[tuple[int, int], list[SimEvent]] = {}
+        #: (origin_gid, target_gid) of lock requests still waiting for
+        #: their grant.
+        self._lock_requests: set[tuple[int, int]] = set()
+        #: (origin_gid, target_gid) -> open epoch: (grant time, ops issued
+        #: in it — the flush set).
+        self._epochs: dict[tuple[int, int], tuple[float, list[SimEvent]]] = {}
         world.windows.append(self)
 
     # -------------------------------------------------------------- plumbing
@@ -180,15 +96,6 @@ class Window:
                 )
             return comm.group[rank]
         return comm.peer_gid(rank)
-
-    def _track(
-        self, ev: SimEvent, origin_gid: int, target_gid: int, in_epoch: bool
-    ) -> None:
-        """Record an issued put/get: fences wait for it, and so does the
-        flush of the ``origin -> target`` epoch it was issued in."""
-        self._pending.append(ev)
-        if in_epoch:
-            self._epoch_ops[(origin_gid, target_gid)].append(ev)
 
     def _notify_put(self, target_gid: int) -> None:
         self.puts_received[target_gid] += 1
@@ -214,63 +121,25 @@ class Window:
             self._watchers.append((gid, threshold, ev))
         return ev
 
-    def pending_ops(self) -> list[SimEvent]:
-        return [ev for ev in self._pending if ev.pending]
-
-    def drain_completed(self) -> None:
-        self._pending = [ev for ev in self._pending if ev.pending]
-
-    # ----------------------------------------------------- passive-target API
-    def lock_state(self, target_gid: int) -> _TargetLock:
-        """The (lazily created) lock word of one window member."""
-        lock = self._locks.get(target_gid)
-        if lock is None:
-            lock = self._locks[target_gid] = _TargetLock()
-        return lock
-
-    def epoch_mode(self, origin_gid: int, target_gid: int) -> Optional[str]:
-        """Lock mode of the open ``origin -> target`` epoch, or ``None``."""
+    # ---------------------------------------------------------------- epochs
+    def epoch_t0(self, origin_gid: int, target_gid: int) -> Optional[float]:
+        """Simulated time the open ``origin -> target`` epoch was granted,
+        or ``None`` when no epoch is open."""
         rec = self._epochs.get((origin_gid, target_gid))
         return rec[0] if rec is not None else None
 
-    def epoch_t0(self, origin_gid: int, target_gid: int) -> Optional[float]:
-        """Simulated time the open epoch was granted, or ``None``."""
-        rec = self._epochs.get((origin_gid, target_gid))
-        return rec[1] if rec is not None else None
+    def epoch_pending(self, origin_gid: int, target_gid: int) -> list[SimEvent]:
+        """In-flight ops of the open ``origin -> target`` epoch."""
+        return [ev for ev in self._epochs[(origin_gid, target_gid)][1] if ev.pending]
 
-    def open_epochs(self, origin_gid: int) -> list[int]:
-        """Target gids this origin currently holds an epoch to (sorted)."""
-        return sorted(t for (o, t) in self._epochs if o == origin_gid)
-
-    def _epoch_opened(
-        self, origin_gid: int, target_gid: int, mode: str, t0: float
-    ) -> None:
-        self._epochs[(origin_gid, target_gid)] = (mode, t0)
-        self._epoch_ops.setdefault((origin_gid, target_gid), [])
-
-    def _epoch_closed(self, origin_gid: int, target_gid: int) -> None:
-        self._epochs.pop((origin_gid, target_gid), None)
-        self._epoch_ops.pop((origin_gid, target_gid), None)
-
-    def epoch_pending(
-        self, origin_gid: int, target_gid: Optional[int] = None
-    ) -> list[SimEvent]:
-        """In-flight epoch ops of one origin (optionally to one target)."""
-        out = []
-        for (o, t), ops in sorted(self._epoch_ops.items()):
-            if o != origin_gid:
-                continue
-            if target_gid is not None and t != target_gid:
-                continue
-            out.extend(ev for ev in ops if ev.pending)
-        return out
+    def _track(self, ev: SimEvent, origin_gid: int, target_gid: int) -> None:
+        """Record an issued put/get: the flush of its epoch waits for it."""
+        self._epochs[(origin_gid, target_gid)][1].append(ev)
 
     def fail_ops_to(self, dead: set[int], reason: str) -> None:
         """Complete in error every in-flight epoch op against a dead target
-        (its landing may have been lost with the node), and every lock
-        request queued at a dead target's lock word (no release will ever
-        reach it)."""
-        for (_origin, target), ops in sorted(self._epoch_ops.items()):
+        (its landing may have been lost with the node)."""
+        for (_origin, target), (_t0, ops) in sorted(self._epochs.items()):
             if target in dead:
                 for ev in ops:
                     if ev.pending:
@@ -278,18 +147,6 @@ class Window:
                             f"{reason}: one-sided op to dead rank gid={target}",
                             dead_gids=[target],
                         ))
-        for target, lock in sorted(self._locks.items()):
-            if target not in dead:
-                continue
-            for origin, _exclusive, _grant in lock.queue:
-                ev = self._lock_requests.pop((origin, target))
-                if ev.pending:
-                    ev.fail(CommFailedError(
-                        f"{reason}: lock request queued at dead rank "
-                        f"gid={target}",
-                        dead_gids=[target],
-                    ))
-            lock.queue.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Window {self.win_id} over {self.comm.name}>"
@@ -325,18 +182,17 @@ class RmaOps:
         )
         return win
 
-    def win_fence(self, win: Window):
-        """Collective fence: every member waits until all one-sided
-        operations of the epoch have completed everywhere."""
-        ev = self._rendezvous(
-            "fence", win.comm, lambda op: (win.pending_ops(), win.drain_completed)
-        )
-        yield from self._polling_block(WaitEvent(ev))
-
     # ---------------------------------------------------------- shared rules
     def _rma_count(self, kind: str) -> None:
         for o in self.world.observers:
             o.on_rma(kind)
+
+    def _epoch_target(self, win: Window, target_rank: int, op: str) -> int:
+        """gid of ``target_rank``; raises unless I hold an epoch to it."""
+        dst_gid = win.peer_gid(self.gid, target_rank)
+        if (self.gid, dst_gid) not in win._epochs:
+            raise ValueError(f"{op}: no epoch open to rank {target_rank}")
+        return dst_gid
 
     def _dead_end(self, ev: SimEvent, dst_gid: int, message: str, rank: int) -> bool:
         """Whether ``ev`` can no longer complete: it already ended, or its
@@ -349,11 +205,11 @@ class RmaOps:
         ev.fail(CommFailedError(message.format(rank), dead_gids=[dst_gid]))
         return True
 
-    def _at_target(self, spec, in_epoch: bool, size: int, dst_ep, step) -> None:
-        """Run the target side of an op: now, or — a rendezvous-sized op of
-        a passive epoch on a non-RDMA fabric (software-agent RMA) — when
-        the target next enters MPI."""
-        if (in_epoch and not spec.rdma and size > spec.eager_threshold
+    def _at_target(self, spec, size: int, dst_ep, step) -> None:
+        """Run the target side of an op: now, or — a rendezvous-sized op on
+        a non-RDMA fabric (software-agent RMA) — when the target next
+        enters MPI."""
+        if (not spec.rdma and size > spec.eager_threshold
                 and not dst_ep.progress):
             dst_ep.pending_rma.append(step)
             for o in self.world.observers:
@@ -364,19 +220,16 @@ class RmaOps:
     # ------------------------------------------------------------ put / get
     def win_put(self, win: Window, target_rank: int, payload: Any,
                 nbytes: Optional[int] = None, label: str = ""):
-        """One-sided put: ships ``payload`` to the target's exposure.
-
-        Outside a lock epoch (active-target use, synchronised by fences)
-        the put lands with no target-side MPI call; inside one the
-        rendezvous-progress rule applies (:meth:`_at_target`).  Returns the
-        completion event (tracked by the window for fences and flushes)."""
-        dst_gid = win.peer_gid(self.gid, target_rank)
+        """One-sided put inside my epoch to ``target_rank``: ships
+        ``payload`` to the target's exposure under the rendezvous-progress
+        rule (:meth:`_at_target`).  Returns the completion event (the
+        epoch's flush waits for it)."""
+        dst_gid = self._epoch_target(win, target_rank, "win_put")
         world = self.world
-        in_epoch = win.epoch_mode(self.gid, dst_gid) is not None
         self._rma_count("put")
         done = self.sim.event(name=f"put@{win.win_id}->{target_rank}")
         if self._dead_end(done, dst_gid, "win_put to dead rank {}", target_rank):
-            win._track(done, self.gid, dst_gid, in_epoch)
+            win._track(done, self.gid, dst_gid)
             return done
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
         spec = world.channel_spec(self.gid, dst_gid)
@@ -413,32 +266,31 @@ class RmaOps:
         for o in world.observers:
             o.on_win_put(self, win, target_rank, payload, done)
         flow_done.add_callback(
-            lambda _ev: self._at_target(spec, in_epoch, size, dst_ep, begin)
+            lambda _ev: self._at_target(spec, size, dst_ep, begin)
         )
-        win._track(done, self.gid, dst_gid, in_epoch)
+        win._track(done, self.gid, dst_gid)
         return done
 
     def win_iget(self, win: Window, target_rank: int, offset: int, count: int,
                  label: str = ""):
-        """Non-blocking one-sided get: request latency out, data flow back.
+        """Non-blocking one-sided get inside my epoch to ``target_rank``:
+        request latency out, data flow back.
 
         Returns the completion event; it triggers with the data read from
-        the target's exposure at response time.  Inside a passive-target
-        epoch the response obeys the rendezvous-progress rule with the
-        *data holder* as the side that must be inside MPI — the
-        target-driven mirror of :meth:`win_put`."""
-        dst_gid = win.peer_gid(self.gid, target_rank)
+        the target's exposure at response time.  The response obeys the
+        rendezvous-progress rule with the *data holder* as the side that
+        must be inside MPI — the target-driven mirror of :meth:`win_put`."""
+        dst_gid = self._epoch_target(win, target_rank, "win_iget")
         world = self.world
         dst_ep = world.endpoints[dst_gid]
         dst_node = dst_ep.node
         exposure = win.exposures.get(dst_gid)
         if exposure is None:
             raise ValueError(f"rank {target_rank} exposes nothing in {win!r}")
-        in_epoch = win.epoch_mode(self.gid, dst_gid) is not None
         self._rma_count("get")
         done = self.sim.event(name=f"get@{win.win_id}<-{target_rank}")
         if self._dead_end(done, dst_gid, "win_get from dead rank {}", target_rank):
-            win._track(done, self.gid, dst_gid, in_epoch)
+            win._track(done, self.gid, dst_gid)
             return done
         spec = world.channel_spec(self.gid, dst_gid)
         if spec.cpu_overhead > 0:
@@ -469,28 +321,22 @@ class RmaOps:
 
         req_flow = self.machine.transfer(self.node, dst_node, 0, label="rma-get-req")
         req_flow.add_callback(
-            lambda _ev: self._at_target(spec, in_epoch, size, dst_ep, serve)
+            lambda _ev: self._at_target(spec, size, dst_ep, serve)
         )
-        win._track(done, self.gid, dst_gid, in_epoch)
+        win._track(done, self.gid, dst_gid)
         return done
 
-    def win_get(self, win: Window, target_rank: int, offset: int, count: int,
-                label: str = ""):
-        """Blocking one-sided get (``win_iget`` + polling wait)."""
-        done = yield from self.win_iget(win, target_rank, offset, count, label)
-        data = yield from self._polling_block(WaitEvent(done))
-        return data
-
     # ------------------------------------------------- passive-target epochs
-    def win_ilock(self, win: Window, target_rank: int, exclusive: bool = False):
-        """Begin acquiring a passive-target lock (``MPI_Win_lock`` shape).
+    def win_ilock(self, win: Window, target_rank: int):
+        """Begin acquiring a shared passive-target lock (``MPI_Win_lock``
+        with ``MPI_LOCK_SHARED``).
 
         Returns the grant event; the epoch is open once it triggers.  The
-        request travels to the target's lock word (one control-message
-        latency), queues FIFO behind incompatible holders, and the grant
-        travels back — no target-side MPI call is needed to grant.  A
-        second request to the same target while one is open or still
-        waiting for its grant raises :class:`ValueError`."""
+        request travels to the target (one control-message latency), is
+        granted on arrival, and the grant travels back — no target-side MPI
+        call is needed to grant.  A second request to the same target while
+        one is open or still waiting for its grant raises
+        :class:`ValueError`."""
         dst_gid = win.peer_gid(self.gid, target_rank)
         world = self.world
         key = (self.gid, dst_gid)
@@ -505,57 +351,38 @@ class RmaOps:
         granted = self.sim.event(name=f"lock@{win.win_id}->{target_rank}")
         if self._dead_end(granted, dst_gid, "win_lock to dead rank {}", target_rank):
             return granted
-        win._lock_requests[key] = granted
+        win._lock_requests.add(key)
         spec = world.channel_spec(self.gid, dst_gid)
         if spec.cpu_overhead > 0:
             yield Compute(spec.cpu_overhead)
-        mode = LOCK_EXCLUSIVE if exclusive else LOCK_SHARED
         origin_node = self.node
         dst_node = world.endpoints[dst_gid].node
         t0 = self.sim.now
 
         def opened(_e) -> None:
-            win._lock_requests.pop(key, None)
+            win._lock_requests.discard(key)
             if self._dead_end(granted, dst_gid,
                               "win_lock target rank {} died", target_rank):
                 return
-            win._epoch_opened(self.gid, dst_gid, mode, self.sim.now)
+            win._epochs[key] = (self.sim.now, [])
             for o in world.observers:
-                o.on_win_lock_granted(win, mode, t0)
+                o.on_win_lock_granted(win, t0)
             granted.trigger(None)
 
-        def grant() -> None:
+        def arrived(_e) -> None:
             self.machine.transfer(
                 dst_node, origin_node, 0, label="rma-lock-grant"
             ).add_callback(opened)
-
-        def arrived(_e) -> None:
-            queued = not win.lock_state(dst_gid).request(self.gid, exclusive, grant)
-            if queued and dst_gid in world.dead_gids:
-                # The target died while the request was on the wire.
-                win.fail_ops_to({dst_gid}, "win_lock")
 
         self.machine.transfer(
             origin_node, dst_node, 0, label="rma-lock"
         ).add_callback(arrived)
         return granted
 
-    def win_lock(self, win: Window, target_rank: int, exclusive: bool = False):
-        """Blocking passive-target lock: open an access epoch to one rank."""
-        granted = yield from self.win_ilock(win, target_rank, exclusive)
-        yield from self._polling_block(WaitEvent(granted))
-        return granted
-
-    def win_flush(self, win: Window, target_rank: Optional[int] = None):
-        """Wait until my epoch's operations completed **at the target(s)**
-        (``MPI_Win_flush`` / ``MPI_Win_flush_all``).  The epoch stays open."""
-        dst_gid = None
-        if target_rank is not None:
-            dst_gid = win.peer_gid(self.gid, target_rank)
-            if win.epoch_mode(self.gid, dst_gid) is None:
-                raise ValueError(f"win_flush: no epoch open to rank {target_rank}")
-        elif not win.open_epochs(self.gid):
-            raise ValueError("win_flush: no epoch open on this window")
+    def win_flush(self, win: Window, target_rank: int):
+        """Wait until my epoch's operations to ``target_rank`` completed
+        **at the target** (``MPI_Win_flush``).  The epoch stays open."""
+        dst_gid = self._epoch_target(win, target_rank, "win_flush")
         self._rma_count("flush")
         pending = win.epoch_pending(self.gid, dst_gid)
         if pending:
@@ -567,22 +394,21 @@ class RmaOps:
 
     def win_unlock(self, win: Window, target_rank: int):
         """Close the passive-target epoch (``MPI_Win_unlock``): flush every
-        operation of the epoch, then release the target's lock word."""
-        dst_gid = win.peer_gid(self.gid, target_rank)
-        if win.epoch_mode(self.gid, dst_gid) is None:
-            raise ValueError(f"win_unlock: no epoch open to rank {target_rank}")
+        operation of the epoch, then send the release to the target."""
+        dst_gid = self._epoch_target(win, target_rank, "win_unlock")
         yield from self.win_flush(win, target_rank)
         world = self.world
         self._rma_count("unlock")
         for o in world.observers:
             o.on_win_unlock(self, win, target_rank)
-        win._epoch_closed(self.gid, dst_gid)
+        win._epochs.pop((self.gid, dst_gid), None)
         spec = world.channel_spec(self.gid, dst_gid)
         if spec.cpu_overhead > 0:
             yield Compute(spec.cpu_overhead)
         if dst_gid in world.dead_gids:
             return
-        gid = self.gid
+        # The release is modelled wire traffic; a shared lock has no lock
+        # word for it to update at the target.
         self.machine.transfer(
             self.node, world.endpoints[dst_gid].node, 0, label="rma-unlock"
-        ).add_callback(lambda _e: win.lock_state(dst_gid).release(gid))
+        )

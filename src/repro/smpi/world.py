@@ -38,8 +38,7 @@ class LaunchResult:
 
 class _PendingOp:
     """A world-level collective op (spawn, merge, communicator or window
-    creation, fence) that all participants must reach before any can
-    leave."""
+    creation) that all participants must reach before any can leave."""
 
     def __init__(self, sim: Simulator, expected: int, name: str):
         self.expected = expected
@@ -372,8 +371,7 @@ class MpiWorld:
         * pending world-level collectives (spawn/merge) with a dead
           participant fail for everyone still waiting at the rendezvous;
         * puts/gets of an open epoch to a dead target fail, so the origin's
-          flush returns (the target-side copy died with the node), and so
-          do lock requests queued at a dead target's lock word.
+          flush returns (the target-side copy died with the node).
         """
         new = sorted(g for g in dict.fromkeys(gids) if g not in self.dead_gids)
         if not new:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.smpi import ArrayExposure
+from tests.smpi.rma_fakes import ArrayExposure, lock
 
 from .conftest import run_sanitized
 
@@ -26,7 +26,7 @@ def test_san001_epoch_put_buffer_mutated_before_flush():
     def main(mpi):
         win = yield from mpi.win_create(ArrayExposure(np.zeros(BIG)))
         if mpi.rank == 0:
-            yield from mpi.win_lock(win, 1)
+            yield from lock(mpi, win, 1)
             buf = np.ones(BIG)
             yield from mpi.win_put(win, 1, (0, buf))
             buf[0] = -1.0  # BUG: origin buffer is pledged until the flush
@@ -47,7 +47,7 @@ def test_epoch_put_clean_when_mutated_after_unlock():
     def main(mpi):
         win = yield from mpi.win_create(ArrayExposure(np.zeros(BIG)))
         if mpi.rank == 0:
-            yield from mpi.win_lock(win, 1)
+            yield from lock(mpi, win, 1)
             buf = np.ones(BIG)
             yield from mpi.win_put(win, 1, (0, buf))
             yield from mpi.win_unlock(win, 1)
@@ -66,7 +66,7 @@ def test_epoch_put_clean_when_mutated_after_explicit_flush():
     def main(mpi):
         win = yield from mpi.win_create(ArrayExposure(np.zeros(BIG)))
         if mpi.rank == 0:
-            yield from mpi.win_lock(win, 1)
+            yield from lock(mpi, win, 1)
             buf = np.ones(BIG)
             yield from mpi.win_put(win, 1, (0, buf))
             yield from mpi.win_flush(win, 1)
@@ -84,7 +84,7 @@ def test_san009_epoch_leak_detected():
     def main(mpi):
         win = yield from mpi.win_create(ArrayExposure(np.zeros(4)))
         if mpi.rank == 0:
-            yield from mpi.win_lock(win, 1)
+            yield from lock(mpi, win, 1)
             # BUG: finalizes with the epoch still open (never unlocks).
             mpi.finalize()
             return
@@ -101,7 +101,7 @@ def test_san009_clean_when_unlocked():
     def main(mpi):
         win = yield from mpi.win_create(ArrayExposure(np.zeros(4)))
         if mpi.rank == 0:
-            yield from mpi.win_lock(win, 1)
+            yield from lock(mpi, win, 1)
             yield from mpi.win_put(win, 1, (0, np.array([2.0])))
             yield from mpi.win_unlock(win, 1)
         else:

@@ -282,3 +282,29 @@ def test_testall_raises_after_peer_death():
     sim.spawn(assassin())
     sim.run()
     assert res.procs[0].result == ("testall-raised", (1,))
+
+
+@pytest.mark.parametrize("receiver_finalized", [False, True])
+def test_rendezvous_send_on_aborted_comm_fails(receiver_finalized):
+    """A rendezvous send posted after recovery abandoned its communicator
+    is dropped at the receiver, so no receive ever pulls the payload: the
+    send completes in error instead of leaving its sender blocked forever.
+    The receiver may have left the session (finalized) or still be alive."""
+
+    def main(mpi):
+        dup = yield from mpi.comm_dup(mpi.comm_world)
+        if mpi.rank == 1:
+            mpi.world.abort_comm(dup)
+            if not receiver_finalized:
+                yield from mpi.sleep(1.0)
+            mpi.finalize()
+            return None
+        yield from mpi.sleep(0.01)
+        try:
+            yield from mpi.send(np.ones(100_000), dest=1, comm=dup)  # 800 KB
+        except CommFailedError:
+            return "failed"
+        return "sent"
+
+    results, _ = run_spmd(main, 2, n_nodes=2, cores_per_node=1)
+    assert results[0] == "failed"

@@ -1,4 +1,4 @@
-"""One-sided communication: windows, put/get, fences, notifications."""
+"""One-sided communication: windows, put/get in shared epochs, notifications."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,9 @@ from repro.cluster import ETHERNET_10G, INFINIBAND_EDR, Machine
 from repro.redistribution import Dataset, FieldSpec
 from repro.redistribution.rma import _DatasetExposure
 from repro.simulate import Simulator, WaitEvent
-from repro.smpi import ArrayExposure, MpiWorld, run_spmd
+from repro.smpi import MpiWorld, run_spmd
+
+from .rma_fakes import ArrayExposure, get, lock
 
 
 def test_put_writes_target_exposure_without_target_mpi_calls():
@@ -17,9 +19,11 @@ def test_put_writes_target_exposure_without_target_mpi_calls():
         local = np.zeros(10)
         win = yield from mpi.win_create(ArrayExposure(local))
         if mpi.rank == 0:
+            yield from lock(mpi, win, 1)
             ev = yield from mpi.win_put(win, 1, (2, np.array([7.0, 8.0, 9.0])))
             yield from mpi.compute(0.2)  # plenty of time for delivery
             assert ev.triggered
+            yield from mpi.win_unlock(win, 1)
             return None
         yield from mpi.compute(0.2)  # never calls MPI while the put lands
         return local.copy()
@@ -34,7 +38,9 @@ def test_get_reads_remote_data():
         local = np.arange(8, dtype=np.float64) * (mpi.rank + 1)
         win = yield from mpi.win_create(ArrayExposure(local))
         if mpi.rank == 0:
-            data = yield from mpi.win_get(win, 1, offset=2, count=3)
+            yield from lock(mpi, win, 1)
+            data = yield from get(mpi, win, 1, offset=2, count=3)
+            yield from mpi.win_unlock(win, 1)
             return data
         yield from mpi.compute(0.05)
         return None
@@ -44,7 +50,7 @@ def test_get_reads_remote_data():
 
 
 # Each maker returns (exposure over rows 0..7 valued 0..7, a write of -1 into
-# rows 2..4, and how to pull those rows out of what ``win_get`` returns).
+# rows 2..4, and how to pull those rows out of what a get returns).
 def _array_exposure():
     local = np.arange(8.0)
 
@@ -77,7 +83,9 @@ def test_get_is_snapshotted_when_served(make):
     def main(mpi):
         win = yield from mpi.win_create(exposure if mpi.rank == 1 else None)
         if mpi.rank == 0:
-            data = yield from mpi.win_get(win, 1, offset=2, count=3)
+            yield from lock(mpi, win, 1)
+            data = yield from get(mpi, win, 1, offset=2, count=3)
+            yield from mpi.win_unlock(win, 1)
             return data
         yield WaitEvent(win.notification_event(mpi.gid, threshold=1))
         overwrite()
@@ -93,8 +101,9 @@ def test_get_from_unexposed_rank_rejected():
             ArrayExposure(np.zeros(4)) if mpi.rank == 0 else None
         )
         if mpi.rank == 0:
+            yield from lock(mpi, win, 1)
             try:
-                yield from mpi.win_get(win, 1, 0, 1)
+                yield from mpi.win_iget(win, 1, 0, 1)
             except ValueError:
                 return "rejected"
         yield from mpi.compute(0.01)
@@ -102,39 +111,6 @@ def test_get_from_unexposed_rank_rejected():
 
     results, _ = run_spmd(main, 2)
     assert results[0] == "rejected"
-
-
-def test_fence_completes_epoch():
-    """After the fence, every put has landed on every rank."""
-    p = 4
-
-    def main(mpi):
-        local = np.zeros(p)
-        win = yield from mpi.win_create(ArrayExposure(local))
-        # Everyone puts its rank into everyone else's slot [rank].
-        for target in range(p):
-            if target != mpi.rank:
-                yield from mpi.win_put(
-                    win, target, (mpi.rank, np.array([float(mpi.rank + 1)]))
-                )
-        yield from mpi.win_fence(win)
-        return local.copy()
-
-    results, _ = run_spmd(main, p, n_nodes=4, cores_per_node=2)
-    for r in range(p):
-        for src in range(p):
-            if src != r:
-                assert results[r][src] == float(src + 1)
-
-
-def test_fence_with_no_ops_is_cheap_sync():
-    def main(mpi):
-        win = yield from mpi.win_create(None)
-        yield from mpi.win_fence(win)
-        return mpi.now
-
-    results, _ = run_spmd(main, 3)
-    assert all(t < 0.1 for t in results)
 
 
 def test_notification_counters():
@@ -146,7 +122,9 @@ def test_notification_counters():
             ev = win.notification_event(mpi.gid, threshold=2)
             got = yield WaitEvent(ev)
             return got
+        yield from lock(mpi, win, 0)
         yield from mpi.win_put(win, 0, (mpi.rank, np.array([1.0])))
+        yield from mpi.win_unlock(win, 0)
         return None
 
     results, _ = run_spmd(main, 3, n_nodes=3, cores_per_node=1)
@@ -157,11 +135,13 @@ def test_notification_event_pre_satisfied():
     def main(mpi):
         win = yield from mpi.win_create(ArrayExposure(np.zeros(2)))
         if mpi.rank == 1:
+            yield from lock(mpi, win, 0)
             yield from mpi.win_put(win, 0, (0, np.array([5.0])))
-        yield from mpi.win_fence(win)
+            yield from mpi.win_unlock(win, 0)  # the put landed at rank 0
+        yield from mpi.barrier()
         if mpi.rank == 0:
             ev = win.notification_event(mpi.gid, threshold=1)
-            assert ev.triggered  # already satisfied after the fence
+            assert ev.triggered  # already satisfied after the unlock
             return ev.value
         return None
 
@@ -176,10 +156,17 @@ def test_put_faster_on_infiniband():
         local = np.zeros(1_000_000)
         win = yield from mpi.win_create(ArrayExposure(local))
         if mpi.rank == 0:
+            yield from lock(mpi, win, 1)
+            t0 = mpi.now
             ev = yield from mpi.win_put(win, 1, payload)
             yield from self_wait(mpi, ev)
-            return mpi.now
-        yield from mpi.compute(2.0)
+            t_put = mpi.now - t0
+            yield from mpi.win_unlock(win, 1)
+            yield from mpi.barrier()
+            return t_put
+        # Inside MPI while the put is on the wire, so a non-RDMA fabric
+        # lands it as soon as the data arrives.
+        yield from mpi.barrier()
         return None
 
     def self_wait(mpi, ev):

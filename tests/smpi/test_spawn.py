@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import ETHERNET_10G, Machine
 from repro.simulate import Simulator, Timeout
-from repro.smpi import Blob, CommFailedError, MpiWorld, SpawnModel, run_spmd
+from repro.smpi import CommFailedError, MpiWorld, SpawnModel, run_spmd
 
 
 def run_world(main, n, *, n_nodes=2, cores=2, spawn_model=None, args=()):
@@ -195,7 +195,7 @@ def test_spawn_model_validation():
 
 
 @pytest.mark.parametrize(
-    "kind", ["spawn", "merge", "comm_create", "win_create", "fence"]
+    "kind", ["spawn", "merge", "comm_create", "win_create"]
 )
 def test_rendezvous_fails_when_a_participant_died(kind):
     """A participant killed before it reaches a world rendezvous fails the
@@ -229,9 +229,6 @@ def test_rendezvous_fails_when_a_participant_died(kind):
             inter = yield from mpi.comm_spawn(child, slots=[2, 3])
             yield from survive(mpi.merge_intercomm(inter, high=False))
             return
-        win = None
-        if kind == "fence":
-            win = yield from mpi.win_create(None)
         if mpi.rank == 2:
             yield from victim(mpi)
             return
@@ -239,7 +236,6 @@ def test_rendezvous_fails_when_a_participant_died(kind):
             "spawn": lambda: mpi.comm_spawn(child_noop, slots=[3]),
             "comm_create": lambda: mpi.comm_create(mpi.comm_world, [0, 1]),
             "win_create": lambda: mpi.win_create(None),
-            "fence": lambda: mpi.win_fence(win),
         }[kind]())
 
     world.launch(main, slots=range(2 if kind == "merge" else 3))
@@ -256,11 +252,11 @@ def test_rendezvous_fails_when_a_participant_died(kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["spawn", "merge", "comm_create", "win_create", "fence"]
+    "kind", ["spawn", "merge", "comm_create", "win_create"]
 )
 def test_rendezvous_fails_when_a_participant_dies_after_arriving(kind):
     """A participant that reached the rendezvous and then died while it was
-    completing (spawn or merge cost, a fence's in-flight put) fails it for
+    completing (spawn or merge cost) fails it for
     the survivors; the completion that comes due later does nothing."""
     sim = Simulator()
     machine = Machine(sim, 2, 2, ETHERNET_10G)
@@ -287,24 +283,18 @@ def test_rendezvous_fails_when_a_participant_dies_after_arriving(kind):
             inter = yield from mpi.comm_spawn(child, slots=[2, 3])
             yield from take_part(mpi, mpi.merge_intercomm(inter, high=False), False)
             return
-        win = None
-        if kind == "fence":
-            win = yield from mpi.win_create(None)
-            if mpi.rank == 0:  # ~80 s on the wire: the fence waits for it
-                yield from mpi.win_put(win, 1, Blob(1e11))
         yield from take_part(mpi, {
             "spawn": lambda: mpi.comm_spawn(child_noop, slots=[3]),
             "comm_create": lambda: mpi.comm_create(mpi.comm_world, [0, 1]),
             "win_create": lambda: mpi.win_create(None),
-            "fence": lambda: mpi.win_fence(win),
         }[kind](), mpi.rank == 2)
 
     world.launch(main, slots=range(2 if kind == "merge" else 3))
 
     def assassin():
         # Everyone has arrived; the rendezvous completes at ~10 s (~20 s
-        # for merge, after the spawn; ~90 s for fence, when the put lands).
-        yield Timeout(15.0 if kind in ("merge", "fence") else 5.0)
+        # for merge, after the spawn).
+        yield Timeout(15.0 if kind == "merge" else 5.0)
         world.terminate_ranks(victims)
 
     sim.spawn(assassin())
