@@ -1,21 +1,24 @@
-"""Crash scan: every survivable-or-typed outcome, never a hang.
+"""Fault scan: every survivable-or-typed outcome, never a hang.
 
-Runs the 18 reconfiguration configs over three resizes (4->8, 8->4, 8->2)
-with one node crash at four offsets into the redistribution, on either of
-the first two nodes: 432 tiny Ethernet cells.  docs/faults.md promises that
-a crash ends a cell in recovery or in a typed error, never in a hang, so a
-cell may end in only two ways:
+Two lanes over the 18 reconfiguration configs and three resizes (4->8,
+8->4, 8->2), tiny Ethernet cells:
 
-* ``completed`` — the run finished (possibly after recovery);
-* ``CommFailedError`` — a ``SimulationError`` whose cause is a
-  ``CommFailedError`` (the crash was unsurvivable and said so).
+* the **crash lane** kills one of the first two nodes at four offsets into
+  the redistribution (432 cells).  docs/faults.md promises that a crash
+  ends a cell in recovery or in a typed error, never in a hang, so a cell
+  may end in only two ways: ``completed`` — the run finished (possibly
+  after recovery) — or ``CommFailedError``, raised by a rank (as the cause
+  of a ``SimulationError``) or by ``run_one`` for a job whose every rank
+  died.  The outcome table and the ``CommFailedError`` cells split by
+  where the error was raised are printed;
+* the **spawn-failure lane** fails the first 1, 2 or 3 spawns of the
+  reconfiguration (162 cells), which walks the manager's retry and shrink
+  rungs.  Every cell must complete; the cells are counted by the rung that
+  recovered them and the retries they took.
 
 Anything else — a ``DeadlockError``, a silent stop, another exception, or a
-cell that outlives its time limit — fails the scan, except the cells in
-``KNOWN`` that are exempted by name until fixed.  An exempted cell that no
-longer misbehaves fails the scan too, so the exemption is removed with the
-fix.  The outcome table, the ``CommFailedError`` cells split by where the
-error was raised, and every non-benign cell are printed.
+cell that outlives its time limit — fails the scan, and every such cell is
+printed.
 
 Run from the repository root::
 
@@ -32,21 +35,18 @@ import traceback
 
 from repro.harness import RunSpec, run_one
 from repro.malleability.config import ALL_CONFIGS
+from repro.obs import MetricsRegistry
 from repro.simulate import SimulationError
 from repro.smpi.errors import CommFailedError
 
 PAIRS = ((4, 8), (8, 4), (8, 2))
 OFFSETS = ("0", "0.001", "0.01", "0.05")
 NODES = (0, 1)
+#: consecutive failed spawns of the spawn-failure lane.
+SPAWN_FAILURES = (1, 2, 3)
 BENIGN = ("completed", "CommFailedError")
 #: seconds one cell may run before it counts as a hang (a cell takes < 1 s).
 LIMIT = 60
-
-#: (config, ns, nt, canonical faults) -> the outcome the cell is known to
-#: end in.  tests/faults/test_crash_scan_cells.py pins each one's mechanism.
-KNOWN = {
-    ("merge-p2p-s", 8, 2, "crash@redist+0.05:node=0"): "RuntimeError",
-}
 
 #: packages below the caller of an MPI operation; the deepest frame outside
 #: them names where a CommFailedError surfaced.
@@ -61,13 +61,21 @@ def _on_alarm(_signum, _frame):
     raise _CellTimeout
 
 
-def specs():
+def crash_specs():
     for config in ALL_CONFIGS:
         for ns, nt in PAIRS:
             for offset in OFFSETS:
                 for node in NODES:
                     yield RunSpec(ns, nt, config, "ethernet", "tiny",
                                   faults=f"crash@redist+{offset}:node={node}")
+
+
+def spawnfail_specs():
+    for config in ALL_CONFIGS:
+        for ns, nt in PAIRS:
+            for n in SPAWN_FAILURES:
+                faults = ";".join(f"spawnfail:attempt={i}" for i in range(n))
+                yield RunSpec(ns, nt, config, "ethernet", "tiny", faults=faults)
 
 
 def _site(err: BaseException) -> str:
@@ -81,50 +89,52 @@ def _site(err: BaseException) -> str:
     return site
 
 
-def run_cell(spec: RunSpec) -> tuple[str, str]:
-    """``(outcome, where)`` of one cell; ``where`` names the failing
-    process kind and site of a ``CommFailedError``."""
+def run_cell(spec: RunSpec, metrics=None):
+    """``(outcome, where, result)`` of one cell; ``where`` names the
+    failing process kind (``job`` for a job that lost every rank) and site
+    of a ``CommFailedError``; ``result`` is the completed run's."""
     signal.alarm(LIMIT)
     try:
-        run_one(spec)
-        return "completed", ""
+        return "completed", "", run_one(spec, metrics=metrics)
     except _CellTimeout:
-        return "timeout", ""
+        return "timeout", "", None
+    except CommFailedError as e:
+        return "CommFailedError", f"job {_site(e)}", None
     except SimulationError as e:
         cause = e.__cause__
         if isinstance(cause, CommFailedError):
             proc = str(e).split("'")[1] if "'" in str(e) else "?"
             kind = proc.split(".")[0].rstrip("0123456789")
-            return "CommFailedError", f"{kind} {_site(cause)}"
-        return type(e).__name__, str(e).splitlines()[0][:120]
+            return "CommFailedError", f"{kind} {_site(cause)}", None
+        return type(e).__name__, str(e).splitlines()[0][:120], None
     except Exception as e:  # noqa: BLE001 - every other ending is a finding
-        return type(e).__name__, str(e)[:120]
+        return type(e).__name__, str(e)[:120], None
     finally:
         signal.alarm(0)
 
 
-def main() -> int:
-    signal.signal(signal.SIGALRM, _on_alarm)
+def _rung(metrics: MetricsRegistry) -> str:
+    """The recovery rung a completed run's probe counted, else ``none``."""
+    for policy in ("checkpoint_restart", "shrink", "retry"):
+        if metrics.counter("recoveries", policy=policy).value:
+            return policy
+    return "none"
 
+
+def crash_lane(problems: list[str]) -> None:
     t0 = time.perf_counter()
     by_config = collections.defaultdict(collections.Counter)
     totals = collections.Counter()
     sites = collections.Counter()
-    problems = []
-    for spec in specs():
-        outcome, where = run_cell(spec)
-        key = (spec.config.key, spec.ns, spec.nt, spec.faults)
+    for spec in crash_specs():
+        outcome, where, _ = run_cell(spec)
         by_config[spec.config.key][outcome] += 1
         totals[outcome] += 1
         if outcome == "CommFailedError":
             sites[where] += 1
-        known = KNOWN.get(key)
-        if outcome not in BENIGN and known != outcome:
+        if outcome not in BENIGN:
+            key = (spec.config.key, spec.ns, spec.nt, spec.faults)
             problems.append(f"{key}: {outcome} {where}")
-        elif known is not None and outcome in BENIGN:
-            problems.append(f"{key}: now {outcome}; drop it from KNOWN")
-        elif known is not None:
-            print(f"known: {key}: {outcome} {where}")
     elapsed = time.perf_counter() - t0
 
     outcomes = sorted(totals, key=lambda o: (o not in BENIGN, o))
@@ -138,6 +148,32 @@ def main() -> int:
     print("CommFailedError cells by process kind and site:")
     for where, n in sorted(sites.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"  {n:>4}  {where}")
+
+
+def spawnfail_lane(problems: list[str]) -> None:
+    t0 = time.perf_counter()
+    rungs = collections.Counter()
+    for spec in spawnfail_specs():
+        metrics = MetricsRegistry()
+        outcome, where, res = run_cell(spec, metrics)
+        n_failed = spec.faults.count("spawnfail")
+        if outcome != "completed":
+            key = (spec.config.key, spec.ns, spec.nt, spec.faults)
+            problems.append(f"{key}: {outcome} {where}")
+            continue
+        rungs[n_failed, _rung(metrics), res.retries] += 1
+    elapsed = time.perf_counter() - t0
+    print("spawn-failure cells by failed spawns, recovery rung and retries:")
+    for (n_failed, rung, retries), n in sorted(rungs.items()):
+        print(f"  {n:>4}  {n_failed} failed  {rung:<18} retries={retries}")
+    print(f"{sum(rungs.values())} cells completed in {elapsed:.1f} s")
+
+
+def main() -> int:
+    signal.signal(signal.SIGALRM, _on_alarm)
+    problems: list[str] = []
+    crash_lane(problems)
+    spawnfail_lane(problems)
     for line in problems:
         print(f"FAIL {line}")
     return 1 if problems else 0

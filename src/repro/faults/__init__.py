@@ -8,16 +8,13 @@ straggling hosts.  This package makes those events first-class:
 * :class:`FaultSchedule` — a parsed, seeded, fully deterministic list of
   fault events (``crash@12.5:node=1;straggler@3:node=0,factor=0.5``);
 * :class:`FaultInjector` — replays a schedule against one simulation
-  (``Node.fail``/``Link`` degradation/``kill_now`` + dead-rank marking);
-* :class:`RecoveryPolicy` — knobs of the malleability manager's reaction
-  (bounded spawn retries with backoff, shrink fallback, checkpoint/restart
-  degradation).
+  (``Node.fail``/``Link`` degradation/``kill_now`` + dead-rank marking).
 
-See ``docs/faults.md`` for the spec grammar and recovery semantics.
+See ``docs/faults.md`` for the spec grammar and the malleability manager's
+recovery ladder: retries, then shrink, then checkpoint/restart.
 """
 
 from .injector import FaultInjector
-from .policy import RecoveryPolicy
 from .schedule import FaultEvent, FaultSchedule
 
-__all__ = ["FaultEvent", "FaultSchedule", "FaultInjector", "RecoveryPolicy"]
+__all__ = ["FaultEvent", "FaultSchedule", "FaultInjector"]

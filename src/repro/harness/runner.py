@@ -32,6 +32,7 @@ from ..malleability.config import ReconfigConfig
 from ..malleability.rms import ReconfigRequest
 from ..redistribution.plan import RedistributionPlan
 from ..simulate.core import Simulator
+from ..smpi.errors import CommFailedError
 from ..smpi.world import MpiWorld
 from ..synthetic.application import launch_synthetic
 from ..synthetic.configfile import SyntheticConfig
@@ -215,6 +216,12 @@ def run_one(
         ).attach()
     try:
         sim.run()
+        if stats.finished_at is None and world.dead_gids and all(
+            g in world.dead_gids or ep.closed for g, ep in world.endpoints.items()
+        ):
+            # Every rank died or retired: none is left to recover or report.
+            raise CommFailedError("every rank of the job died",
+                                  dead_gids=world.dead_gids)
     finally:
         # Detach even on deadlock/failure so the sanitizer runs its
         # end-of-run passes and its findings survive the exception.

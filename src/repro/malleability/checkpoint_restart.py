@@ -30,8 +30,8 @@ from ..cluster.storage import FileSegment, ParallelFileSystem
 from ..redistribution.plan import RedistributionPlan
 from ..redistribution.stores import CsrStore, Dataset
 from ..simulate.primitives import WaitEvent
-from .manager import GroupRunner, MalleableApp, RankOutcome, initial_dataset
-from .rms import ReconfigRequest, ScriptedRMS
+from .manager import GroupRunner, MalleableApp, RankOutcome, _Job, initial_dataset
+from .rms import ReconfigRequest
 from .stats import RunStats
 
 __all__ = ["CheckpointRestartConfig", "run_cr_malleable"]
@@ -83,8 +83,8 @@ def run_cr_malleable(
 ):
     """Entry point for first-group ranks (the C/R twin of ``run_malleable``)."""
     runner = _DiskRunner(
-        mpi, app, ScriptedRMS(requests), stats, pfs, cr_config,
-        comm=mpi.comm_world, dataset=initial_dataset(mpi, app),
+        mpi, _Job(app, None, requests, stats), pfs, cr_config,
+        mpi.comm_world, initial_dataset(mpi, app),
     )
     outcome = yield from runner.run()
     return outcome
@@ -95,8 +95,8 @@ class _DiskRunner(GroupRunner):
     reconfiguration goes through the disk instead of Stages 2-4 (so it has
     no :class:`ReconfigConfig`)."""
 
-    def __init__(self, mpi, app, rms, stats, pfs, cr_config, **kw):
-        super().__init__(mpi, app, None, rms, stats, **kw)
+    def __init__(self, mpi, job, pfs, cr_config, *args):
+        super().__init__(mpi, job, *args)
         self.pfs = pfs
         self.cr_config = cr_config
 
@@ -116,16 +116,17 @@ class _DiskRunner(GroupRunner):
         if self.rank == 0:
             self._requeue(
                 self.cr_config, req.n_targets, _cr_target_entry,
-                (self.app, self.rms.child_factory(generation + 1), self.stats,
-                 self.pfs, self.cr_config, generation, self.comm.size, self.it),
+                (self.job, self.pfs, self.cr_config, generation,
+                 self.rms.consumed, self.comm.size, self.it),
             )
         mpi.finalize()
         return RankOutcome.RETIRED
 
 
-def _cr_target_entry(mpi, app, rms_factory, stats, pfs, cr_config, generation, ns, resume_at):
+def _cr_target_entry(mpi, job, pfs, cr_config, generation, consumed, ns, resume_at):
     """A rank of the restarted job: read my block from the checkpoint."""
-    record = stats.reconfigs[generation]
+    app = job.app
+    record = job.stats.reconfigs[consumed - 1]
     if record.spawn_finished_at is None:
         record.spawn_finished_at = mpi.now
     plan = RedistributionPlan.block(app.n_rows, ns, mpi.size)
@@ -156,9 +157,8 @@ def _cr_target_entry(mpi, app, rms_factory, stats, pfs, cr_config, generation, n
     record.mark_const_complete(mpi.now)
     record.mark_data_complete(mpi.now)
     runner = _DiskRunner(
-        mpi, app, rms_factory(), stats, pfs, cr_config,
-        comm=mpi.comm_world, dataset=dataset,
-        start_iter=resume_at, group_index=generation + 1,
+        mpi, job, pfs, cr_config, mpi.comm_world, dataset,
+        resume_at, generation + 1, consumed,
     )
     outcome = yield from runner.run()
     return outcome

@@ -28,10 +28,9 @@ rest of its program blocking) and then agrees once.
 from __future__ import annotations
 
 import enum
-from functools import partial
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Protocol
 
-from ..faults.policy import RecoveryPolicy
 from ..redistribution.api import Strategy, make_session
 from ..redistribution.blockdist import block_range
 from ..redistribution.plan import RedistributionPlan
@@ -43,6 +42,13 @@ from .rms import ReconfigRequest, ScriptedRMS
 from .stats import ReconfigRecord, RunStats
 
 __all__ = ["MalleableApp", "GroupRunner", "run_malleable", "RankOutcome"]
+
+#: spawn/redistribution attempts after the first failure of a
+#: reconfiguration; once they are spent the job shrinks back.
+MAX_RETRIES = 2
+#: simulated seconds before retry ``k`` waits ``k`` times this (the RMS
+#: requeue latency of a respawn).
+RETRY_BACKOFF = 0.25
 
 
 def _waves(strategy: Strategy, dataset: Dataset) -> tuple[list[str], list[str]]:
@@ -94,29 +100,38 @@ class _Phase(enum.Enum):
     THREAD_WAIT = "thread-wait"
 
 
-class GroupRunner:
-    """Drives one rank of the currently active group."""
+@dataclass(frozen=True)
+class _Job:
+    """What every rank of one job shares, in every group it runs."""
 
-    def __init__(
-        self,
-        mpi,
-        app: MalleableApp,
-        config: ReconfigConfig,
-        rms: ScriptedRMS,
-        stats: RunStats,
-        comm,
-        dataset: Dataset,
-        start_iter: int = 0,
-        group_index: int = 0,
-        plan_factory: Callable[[int, int, int], RedistributionPlan] = RedistributionPlan.block,
-        slot_of: Callable[[int], int] = lambda i: i,
-        recovery: Optional[RecoveryPolicy] = None,
-    ):
+    app: MalleableApp
+    #: ``None`` for the checkpoint/restart baseline, which has no Stages 2-4.
+    config: Optional[ReconfigConfig]
+    #: the RMS decisions, read in place (see :class:`ScriptedRMS`).
+    requests: list[ReconfigRequest]
+    stats: RunStats
+    plan_factory: Callable[[int, int, int], RedistributionPlan] = RedistributionPlan.block
+    #: maps a job-internal slot index to a machine slot — identity for
+    #: single-job worlds; a base offset in multi-job RMS simulations.
+    slot_of: Callable[[int], int] = lambda i: i
+
+
+class GroupRunner:
+    """Drives one rank of the currently active group.
+
+    ``consumed`` is how many of the job's requests the group's ancestors
+    took: this rank's :class:`ScriptedRMS` cursor starts there, and request
+    ``k`` is ``stats.reconfigs[k]`` and session label ``reconf<k>``.
+    ``group_index`` numbers the group (one more per handoff, spawn or
+    relaunch) and keys ``iterations_by_group`` only; a shrink fallback
+    consumes a request but keeps its group."""
+
+    def __init__(self, mpi, job: _Job, comm, dataset: Dataset,
+                 start_iter: int = 0, group_index: int = 0, consumed: int = 0):
         self.mpi = mpi
-        self.app = app
-        self.config = config
-        self.rms = rms
-        self.stats = stats
+        self.job = job
+        self.app, self.config, self.stats = job.app, job.config, job.stats
+        self.rms = ScriptedRMS(job.requests, skip=consumed)
         self.comm = comm
         self.dataset = dataset
         self.it = start_iter
@@ -124,11 +139,6 @@ class GroupRunner:
         #: checkpoint/restart fallback resumes from.
         self.start_iter = start_iter
         self.group_index = group_index
-        self.plan_factory = plan_factory
-        self.recovery = recovery if recovery is not None else RecoveryPolicy()
-        #: maps a job-internal slot index to a machine slot — identity for
-        #: single-job worlds; a base offset in multi-job RMS simulations.
-        self.slot_of = slot_of
         self._phase = _Phase.IDLE
         # per-reconfiguration scratch:
         self._req: Optional[ReconfigRequest] = None
@@ -155,16 +165,22 @@ class GroupRunner:
         byte-identical to the pre-fault-layer engine."""
         return self.mpi.world.fault_injector is not None
 
+    @property
+    def _label(self) -> str:
+        """The session label of the request in flight."""
+        return f"reconf{self.rms.consumed - 1}"
+
     def _ensure_record(self) -> ReconfigRecord:
-        while len(self.stats.reconfigs) <= self.group_index:
-            self.stats.reconfigs.append(
-                ReconfigRecord(
-                    n_sources=self.comm.size,
-                    n_targets=self._req.n_targets,
-                    requested_iteration=self._req.at_iteration,
-                )
-            )
-        return self.stats.reconfigs[self.group_index]
+        """The in-flight request's record, made by the first rank to ask."""
+        reconfigs = self.stats.reconfigs
+        if len(reconfigs) < self.rms.consumed:
+            reconfigs.append(ReconfigRecord(
+                n_sources=self.comm.size,
+                n_targets=self._req.n_targets,
+                requested_iteration=self._req.at_iteration,
+            ))
+        self._record = reconfigs[self.rms.consumed - 1]
+        return self._record
 
     def _make_target_dataset(self, plan: RedistributionPlan, t: int) -> Dataset:
         lo, hi = plan.dst_range(t)
@@ -184,7 +200,7 @@ class GroupRunner:
             dst_rank=self.rank if (is_merge and self.rank < nt) else None,
             src_dataset=self.dataset,
             dst_dataset=self._dst_dataset,
-            label=f"reconf{self.group_index}",
+            label=self._label,
         )
 
     # ------------------------------------------------------------- main loop
@@ -202,12 +218,10 @@ class GroupRunner:
                 if req is not None:
                     try:
                         outcome = yield from self._begin_reconfig(req)
-                    except CommFailedError as e:
+                    except CommFailedError:
                         if not self._fault_mode():
                             raise
-                        outcome = yield from self._degrade_to_cr(
-                            e, self._ensure_record()
-                        )
+                        outcome = yield from self._degrade_to_cr(self._record)
                     if outcome is RankOutcome.RETIRED:
                         return RankOutcome.RETIRED
                     # For strategy S, _begin_reconfig completed the handoff
@@ -245,13 +259,14 @@ class GroupRunner:
         """Checkpoint hit: start Stages 2+3 according to the strategy."""
         self._req = req
         ns, nt = self.comm.size, req.n_targets
-        record = self._record = self._ensure_record()
+        record = self._ensure_record()
         if record.decision_at is None:
             record.decision_at = self.mpi.now
-        self._plan = self.plan_factory(self.app.n_rows, ns, nt)
+        plan_factory = self.job.plan_factory
+        self._plan = plan_factory(self.app.n_rows, ns, nt)
         (lo, hi), ds = self._plan.src_range(self.rank), self.dataset
         if (lo, hi) != (ds.lo, ds.hi):
-            factory = getattr(self.plan_factory, "__qualname__", self.plan_factory)
+            factory = getattr(plan_factory, "__qualname__", plan_factory)
             raise ValueError(
                 f"{factory} plans source rank {self.rank} on rows [{lo},{hi}) "
                 f"but it holds [{ds.lo},{ds.hi}): plans start from a block layout"
@@ -263,7 +278,7 @@ class GroupRunner:
 
         if self.config.strategy is Strategy.SYNC:
             if self._fault_mode():
-                outcome = yield from self._ft_ladder(record, attempt=0, last_err=None)
+                outcome = yield from self._ft_ladder(record, attempt=0)
                 return outcome
             yield from self._stage23(self.mpi)
             outcome = yield from self._handoff(stopped_at=self.it)
@@ -284,14 +299,15 @@ class GroupRunner:
         later one tests once and falls through whatever completed.  Stage 4
         is left to :meth:`_handoff` so the ladder can interpose its
         agreement between the data movement and the commit."""
-        plan, record = self._plan, self._ensure_record()
+        plan, record = self._plan, self._record
         ns, nt = plan.n_sources, plan.n_targets
         baseline = self.config.spawn is SpawnMethod.BASELINE
         spawned = baseline or nt > ns
         if spawned:
             spawn = yield from mpi.comm_spawn_async(
                 _target_entry, slots=self._spawn_slots(range(0 if baseline else ns, nt)),
-                comm=self.comm, args=self._child_args(),
+                comm=self.comm,
+                args=(self.job, plan, self.group_index + 1, self.rms.consumed),
             )
             if overlapped:
                 yield _Phase.SPAWN_WAIT  # the beginning checkpoint
@@ -389,10 +405,10 @@ class GroupRunner:
     def _spawn_slots(self, indices) -> list[int]:
         """Slot placement that routes around failed nodes.
 
-        Identical to :meth:`_slots` while every node is healthy (fault-free
-        runs stay byte-identical); once a node has failed, the spawned group
-        is placed on the first surviving slots instead."""
-        slots = self._slots(indices)
+        The job's own slots while every node is healthy (fault-free runs
+        stay byte-identical); once a node has failed, the spawned group is
+        placed on the first surviving slots instead."""
+        slots = [self.job.slot_of(i) for i in indices]
         machine = self.mpi.machine
         if not any(machine.node_for_slot(s).failed for s in slots):
             return slots
@@ -412,8 +428,9 @@ class GroupRunner:
             if not machine.node_for_slot(s).failed
         ]
 
-    def _dead_newcomers(self) -> list[int]:
-        """Gids of spawned targets that died after joining the new group.
+    def _newcomers_lost(self) -> Optional[CommFailedError]:
+        """The failure of spawned targets that died after joining the new
+        group, else ``None``.
 
         Rendezvous sends complete locally once the stream starts, so a
         target dying mid-transfer may not fail any *source* operation —
@@ -421,9 +438,12 @@ class GroupRunner:
         explicit liveness check closes that window before the commit
         agreement."""
         if self._inter is None:
-            return []
+            return None
         dead = self.mpi.world.dead_gids
-        return sorted(g for g in self._inter.remote_group if g in dead)
+        lost = [g for g in self._inter.remote_group if g in dead]
+        if not lost:
+            return None
+        return CommFailedError("targets died during redistribution", dead_gids=lost)
 
     def _abort_session_comms(self) -> None:
         """Abandon this attempt's session communicators (idempotent).
@@ -437,14 +457,9 @@ class GroupRunner:
             if c is not None:
                 world.abort_comm(c)
 
-    def _ft_ladder(
-        self,
-        record: ReconfigRecord,
-        attempt: int,
-        last_err: Optional[CommFailedError],
-    ):
-        """The escalation ladder (docs/faults.md): bounded retries with
-        backoff, then shrink-on-demand, then checkpoint/restart.
+    def _ft_ladder(self, record: ReconfigRecord, attempt: int):
+        """The escalation ladder (docs/faults.md): up to :data:`MAX_RETRIES`
+        retries with backoff, then shrink-on-demand, then checkpoint/restart.
 
         Every attempt ends with a one-scalar agreement over the source
         communicator so all sources observe the same verdict — a source
@@ -452,60 +467,45 @@ class GroupRunner:
         leaving its peers hanging.  The agreement failing at all means a
         *source* died, which loses in-memory state: escalate straight to
         checkpoint/restart."""
-        policy = self.recovery
         while True:
             if attempt > 0:
-                if attempt > policy.max_retries:
-                    outcome = yield from self._exhausted(last_err, record)
-                    return outcome
+                if attempt > MAX_RETRIES:
+                    self._shrink_fallback(record)
+                    return None
                 if self.rank == 0:
                     record.retries += 1
                 # Model the RMS requeue latency of a respawn attempt.
-                yield from self.mpi.sleep(policy.retry_backoff * attempt)
-            err: Optional[CommFailedError] = None
+                yield from self.mpi.sleep(RETRY_BACKOFF * attempt)
             try:
                 yield from self._stage23(self.mpi)
+                err = self._newcomers_lost()
             except CommFailedError as e:
                 err = e
+            if err is not None:
                 # Unstick peers still blocked inside this attempt's session
                 # before the vote: they fall out with their own failure and
                 # participate in the agreement instead of hanging.
                 self._abort_session_comms()
-            if err is None:
-                dead = self._dead_newcomers()
-                if dead:
-                    err = CommFailedError(
-                        "targets died during redistribution", dead_gids=dead
-                    )
-                    self._abort_session_comms()
             try:
                 agreed = yield from self.mpi.allreduce(
                     0 if err is not None else 1, op_min, comm=self.comm
                 )
-            except CommFailedError as e:
-                outcome = yield from self._degrade_to_cr(e, record)
+            except CommFailedError:
+                outcome = yield from self._degrade_to_cr(record)
                 return outcome
             if agreed:
-                self._finish_recovery(record)
+                if record.first_failure_at is not None:
+                    self._stamp_recovery(record, "retry")
                 try:
                     outcome = yield from self._handoff(stopped_at=self.it)
-                except CommFailedError as e:
-                    outcome = yield from self._degrade_to_cr(e, record)
+                except CommFailedError:
+                    outcome = yield from self._degrade_to_cr(record)
                 return outcome
             # At least one source failed Stage 2/3: tear down, escalate.
-            last_err = err if err is not None else last_err
-            yield from self._abort_attempt(err, record)
+            yield from self._abort_attempt(record)
             attempt += 1
 
-    def _exhausted(self, err, record: ReconfigRecord):
-        """Retries are spent: shrink if allowed, else checkpoint/restart."""
-        if self.recovery.allow_shrink:
-            outcome = yield from self._shrink_fallback(record)
-            return outcome
-        outcome = yield from self._degrade_to_cr(err, record)
-        return outcome
-
-    def _abort_attempt(self, err, record: ReconfigRecord):
+    def _abort_attempt(self, record: ReconfigRecord):
         """Tear down a half-built attempt so the next rung starts clean:
         mark the failure, excuse outstanding traffic on the attempt's
         communicators, kill my auxiliary thread, and (rank 0) terminate the
@@ -513,27 +513,17 @@ class GroupRunner:
         record.mark_first_failure(self.mpi.now)
         world = self.mpi.world
         self._abort_session_comms()
+        reason = f"{self._label} attempt aborted"
         if self._thread is not None and not self._thread.finished:
-            self.mpi.sim.kill_now(
-                self._thread.proc,
-                reason=f"reconf{self.group_index} attempt aborted",
-            )
+            self.mpi.sim.kill_now(self._thread.proc, reason=reason)
         if self.rank == 0 and self._inter is not None:
             doomed = [
                 g for g in self._inter.remote_group
                 if g not in world.dead_gids
             ]
             if doomed:
-                world.terminate_ranks(
-                    doomed,
-                    reason=f"reconf{self.group_index} attempt aborted",
-                )
-        self._phase = _Phase.IDLE
-        self._inter = None
-        self._merged = None
-        self._pipeline = None
-        self._thread = None
-        self._dst_dataset = None
+                world.terminate_ranks(doomed, reason=reason)
+        self._clear_attempt()
         # Zero-cost yield keeps this a generator and lets the kernel settle
         # the synchronous kills before the next attempt begins.
         yield from self.mpi.sleep(0.0)
@@ -546,16 +536,10 @@ class GroupRunner:
             record.recovered_at = self.mpi.now
             for o in self.mpi.world.observers:
                 o.on_recovery(
-                    record.recovery_policy, record.first_failure_at,
-                    f"reconf{self.group_index}",
+                    record.recovery_policy, record.first_failure_at, self._label,
                 )
 
-    def _finish_recovery(self, record: ReconfigRecord) -> None:
-        if record.first_failure_at is None:
-            return  # clean first attempt — nothing was recovered from
-        self._stamp_recovery(record, "retry")
-
-    def _shrink_fallback(self, record: ReconfigRecord):
+    def _shrink_fallback(self, record: ReconfigRecord) -> None:
         """Abandon the reconfiguration and keep running on the surviving
         source group: the data never left the sources, so nothing is lost
         (shrink-on-demand)."""
@@ -563,8 +547,6 @@ class GroupRunner:
         record.mark_data_complete(self.mpi.now)
         record.mark_commit_finished(self.mpi.now)
         self._reset_reconfig_state()
-        return None
-        yield  # pragma: no cover - generator for call-site symmetry
 
     def _recover_overlap(self):
         """An overlapped (A/T) reconfiguration failed locally on some source:
@@ -576,38 +558,34 @@ class GroupRunner:
             raise err if err is not None else CommFailedError(
                 "overlapped reconfiguration failed"
             )
-        record = self._ensure_record()
-        yield from self._abort_attempt(err, record)
-        outcome = yield from self._ft_ladder(record, attempt=1, last_err=err)
+        record = self._record
+        yield from self._abort_attempt(record)
+        outcome = yield from self._ft_ladder(record, attempt=1)
         return outcome
 
-    def _degrade_to_cr(self, err, record: ReconfigRecord):
-        """A source rank died (or recovery is otherwise impossible): the
-        group's in-memory state is gone.  Terminate what is left of the job
-        and relaunch it from the in-run checkpoint — the iteration this
-        group started from — on surviving slots.
+    def _degrade_to_cr(self, record: ReconfigRecord):
+        """A source rank died: the group's in-memory state is gone.
+        Terminate what is left of the job and relaunch it from the in-run
+        checkpoint — the iteration this group started from — on surviving
+        slots.
 
         The first survivor to get here is the only one: it terminates every
         other surviving rank of its group (they would otherwise block on
         traffic that can never complete) before any of them runs again."""
-        if not self.recovery.allow_checkpoint_restart:
-            raise err if err is not None else CommFailedError(
-                "reconfiguration failed and checkpoint/restart is disabled"
-            )
         from .checkpoint_restart import CheckpointRestartConfig
 
         record.mark_first_failure(self.mpi.now)
         if record.recovery_policy is None:
             record.recovery_policy = "checkpoint_restart"
         world = self.mpi.world
-        yield from self._abort_attempt(err, record)
+        label = self._label
+        yield from self._abort_attempt(record)
         doomed = sorted(
             g for g in self.comm.group
             if g != self.mpi.gid and g not in world.dead_gids
         )
         if doomed:
             world.terminate_ranks(doomed, reason="checkpoint/restart: job requeued")
-        label = f"reconf{self.group_index}"
 
         def recovered() -> None:
             now = world.sim.now
@@ -621,9 +599,7 @@ class GroupRunner:
             CheckpointRestartConfig(),
             self._req.n_targets if self._req is not None else self.comm.size,
             _run_group,
-            (self.app, self.config, self.rms.child_factory(self.group_index + 1),
-             self.stats, self.plan_factory, self.slot_of, self.recovery,
-             self.start_iter, self.group_index + 1),
+            (self.job, self.start_iter, self.group_index + 1, self.rms.consumed),
             on_launch=recovered,
         )
         world.abort_comm(self.comm)
@@ -661,11 +637,11 @@ class GroupRunner:
             if verdict == "done":
                 outcome = yield from self._complete_reconfig()
                 return outcome
-        except CommFailedError as e:
+        except CommFailedError:
             # The agreement or the handoff failed: a fellow source died.
             if not self._fault_mode():
                 raise
-            outcome = yield from self._degrade_to_cr(e, self._ensure_record())
+            outcome = yield from self._degrade_to_cr(self._record)
             return outcome
         if verdict == "failed":
             outcome = yield from self._recover_overlap()
@@ -709,12 +685,7 @@ class GroupRunner:
         if err is not None and not self._fault_mode():
             raise err
         if err is None and local_done and self._fault_mode():
-            dead = self._dead_newcomers()
-            if dead:
-                err = CommFailedError(
-                    "targets died during redistribution", dead_gids=dead
-                )
-                local_done = False
+            err = self._newcomers_lost()
         if err is not None and drain:
             # A peer blocked in this attempt's session cannot read my vote:
             # fail its waits first, as the synchronous ladder does.
@@ -730,15 +701,14 @@ class GroupRunner:
     # ------------------------------------------------------------- stage 4
     def _complete_reconfig(self):
         """All sources stopped: move variable data synchronously, hand off."""
-        record = self._ensure_record()
-        record.mark_const_complete(self.mpi.now)
+        self._record.mark_const_complete(self.mpi.now)
         outcome = yield from self._handoff(stopped_at=self.it)
         return outcome
 
     def _handoff(self, stopped_at: int):
         """Synchronous tail of every reconfiguration: redistribute variable
         fields, transmit the resume iteration, retire or continue."""
-        record = self._ensure_record()
+        record = self._record
         record.sources_stopped_iteration = stopped_at
         var_names = _waves(self.config.strategy, self.dataset)[1]
         comm3 = self._merged if self._merged is not None else self._inter
@@ -757,10 +727,7 @@ class GroupRunner:
                     stopped_at, dest=0, tag=1900, comm=self._inter
                 )
             yield from self.mpi.disconnect(self._inter)
-            record.mark_commit_finished(self.mpi.now)
-            self.mpi.finalize()
-            self._reset_reconfig_state()
-            return RankOutcome.RETIRED
+            return self._retire(record)
 
         # Merge method.
         ns = self._plan.n_sources
@@ -772,10 +739,7 @@ class GroupRunner:
             # Shrink: survivors get a right-sized communicator.
             new_comm = yield from self.mpi.comm_create(self.comm, range(nt))
             if new_comm is None:
-                record.mark_commit_finished(self.mpi.now)
-                self.mpi.finalize()
-                self._reset_reconfig_state()
-                return RankOutcome.RETIRED
+                return self._retire(record)
         # Persisting rank: swap to the new group's state and keep looping.
         dst_dataset = self._dst_dataset
         if dst_dataset is None:
@@ -790,49 +754,42 @@ class GroupRunner:
         self._reset_reconfig_state()
         return None
 
-    def _reset_reconfig_state(self) -> None:
+    def _retire(self, record: ReconfigRecord) -> RankOutcome:
+        """A source's exit once its group handed off."""
+        record.mark_commit_finished(self.mpi.now)
+        self.mpi.finalize()
+        self._reset_reconfig_state()
+        return RankOutcome.RETIRED
+
+    def _clear_attempt(self) -> None:
+        """Drop what one attempt of a reconfiguration built."""
         self._phase = _Phase.IDLE
-        self._req = None
-        self._plan = None
         self._inter = None
         self._merged = None
         self._pipeline = None
         self._thread = None
-        self._record = None
         self._dst_dataset = None
 
-    # --------------------------------------------------------- child plumbing
-    def _slots(self, indices) -> list[int]:
-        return [self.slot_of(i) for i in indices]
-
-    def _child_args(self) -> tuple:
-        return (
-            self.app,
-            self.config,
-            self.rms.child_factory(self.group_index + 1),
-            self.group_index + 1,
-            self.stats,
-            self._plan,
-            self.plan_factory,
-            self.slot_of,
-            self.recovery,
-        )
+    def _reset_reconfig_state(self) -> None:
+        self._clear_attempt()
+        self._req = None
+        self._plan = None
+        self._record = None
 
 
-def _target_entry(
-    mpi, app, config, rms_factory, group_index, stats, plan, plan_factory,
-    slot_of, recovery,
-):
-    """Entry point of spawned processes (Baseline targets / Merge newcomers).
+def _target_entry(mpi, job: _Job, plan, group_index: int, consumed: int):
+    """Entry point of spawned processes (Baseline targets / Merge newcomers)
+    of group ``group_index``, made for the job's request ``consumed - 1``.
 
     Stages 2-4 (merge, redistribution, resume) run under a failure guard:
     if a peer dies before the handoff commits, this target excuses its
     outstanding traffic and retires — the sources' recovery ladder decides
     what happens next.  Failures *after* the handoff stay loud (a completed
     reconfiguration must never return silent partial results)."""
-    ns, nt = plan.n_sources, plan.n_targets
+    app, config = job.app, job.config
     is_merge = config.spawn is SpawnMethod.MERGE
-    record = stats.reconfigs[group_index - 1]
+    record = job.stats.reconfigs[consumed - 1]
+    label = f"reconf{consumed - 1}"
     comm3 = None
 
     try:
@@ -846,14 +803,14 @@ def _target_entry(
         dataset = Dataset.create(app.n_rows, tuple(app.specs), lo, hi)
         first_names, var_names = _waves(config.strategy, dataset)
 
-        def session_for(names, label):
+        def session_for(names, suffix=""):
             return make_session(
                 config.redist, mpi, comm3, plan, names=names,
-                dst_rank=my_target, dst_dataset=dataset, label=label,
+                dst_rank=my_target, dst_dataset=dataset, label=label + suffix,
             )
 
         if first_names:
-            session = session_for(first_names, f"reconf{group_index - 1}")
+            session = session_for(first_names)
             if config.strategy is Strategy.ASYNC_NONBLOCKING:
                 # Everyone must enter the same non-blocking collectives (§3.2).
                 yield from session.start()
@@ -863,7 +820,7 @@ def _target_entry(
         record.mark_const_complete(mpi.now)
 
         if var_names:
-            yield from session_for(var_names, f"reconf{group_index - 1}v").run_blocking()
+            yield from session_for(var_names, "v").run_blocking()
 
         # Stage 4: learn where to resume.
         if is_merge:
@@ -888,8 +845,7 @@ def _target_entry(
     record.mark_data_complete(mpi.now)
     record.mark_commit_finished(mpi.now)
     outcome = yield from _run_group(
-        mpi, app, config, rms_factory, stats, plan_factory,
-        slot_of, recovery, resume_at, group_index, comm=new_comm, dataset=dataset,
+        mpi, job, resume_at, group_index, consumed, new_comm, dataset
     )
     return outcome
 
@@ -904,12 +860,11 @@ def initial_dataset(mpi, app: MalleableApp) -> Dataset:
     )
 
 
-def _run_group(
-    mpi, app, config, rms_factory, stats, plan_factory, slot_of, recovery,
-    start_iter=0, group_index=0, comm=None, dataset=None,
-):
+def _run_group(mpi, job: _Job, start_iter=0, group_index=0, consumed=0,
+               comm=None, dataset=None):
     """Run this rank as a member of group ``group_index`` from ``start_iter``
-    on.  Every group but the first enters through ``on_handoff``.
+    on, past the job's first ``consumed`` requests.  Every group but the
+    first enters through ``on_handoff``.
 
     A rank launched without a dataset starts from :func:`initial_dataset`
     on its launch communicator: the first group, or one the
@@ -919,20 +874,12 @@ def _run_group(
     re-executes the lost iterations — the classic cost of degrading to C/R
     (§2)."""
     if dataset is None:
-        dataset = initial_dataset(mpi, app)
+        dataset = initial_dataset(mpi, job.app)
     if group_index:
-        app.on_handoff(mpi, dataset)
+        job.app.on_handoff(mpi, dataset)
     runner = GroupRunner(
-        mpi, app, config,
-        rms_factory(),
-        stats,
-        comm=comm if comm is not None else mpi.comm_world,
-        dataset=dataset,
-        start_iter=start_iter,
-        group_index=group_index,
-        plan_factory=plan_factory,
-        slot_of=slot_of,
-        recovery=recovery,
+        mpi, job, comm if comm is not None else mpi.comm_world, dataset,
+        start_iter, group_index, consumed,
     )
     outcome = yield from runner.run()
     return outcome
@@ -946,7 +893,6 @@ def run_malleable(
     stats: RunStats,
     plan_factory: Callable[[int, int, int], RedistributionPlan] = RedistributionPlan.block,
     slot_of: Callable[[int], int] = lambda i: i,
-    recovery: Optional[RecoveryPolicy] = None,
 ):
     """Entry point for ranks of the *first* group.
 
@@ -957,8 +903,6 @@ def run_malleable(
     rank's :class:`ScriptedRMS` (a live RMS such as ``repro.rmsim`` passes
     the list it appends its decisions to).
     """
-    outcome = yield from _run_group(
-        mpi, app, config, partial(ScriptedRMS, requests), stats, plan_factory,
-        slot_of, recovery,
-    )
+    job = _Job(app, config, requests, stats, plan_factory, slot_of)
+    outcome = yield from _run_group(mpi, job)
     return outcome

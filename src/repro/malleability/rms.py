@@ -29,7 +29,7 @@ class ReconfigRequest:
 
 
 class ScriptedRMS:
-    """Replays a schedule of reconfiguration decisions with a private cursor.
+    """Replays a schedule of reconfiguration decisions with a per-rank cursor.
 
     ``check(iteration)`` is the checkpoint's "contact the RMS" call: it
     returns the pending :class:`ReconfigRequest` when the application has
@@ -41,8 +41,8 @@ class ScriptedRMS:
     appends to in increasing iteration order (``repro.rmsim``'s
     :class:`~repro.rmsim.board.DecisionBoard`).  A scripted schedule given
     out of order is sorted into a copy; two requests at one iteration are
-    rejected.  ``skip`` starts the cursor past the requests a spawned
-    group's ancestors already consumed.
+    rejected.  ``consumed`` counts the requests fired so far; ``skip``
+    starts it past those a group's ancestors already consumed.
     """
 
     def __init__(self, requests: list[ReconfigRequest], skip: int = 0):
@@ -54,24 +54,17 @@ class ScriptedRMS:
             if a == b:
                 raise ValueError(f"two reconfigurations scheduled at iteration {a}")
         self.requests = requests
-        self._next = skip
+        self.consumed = skip
 
     def check(self, iteration: int) -> Optional[ReconfigRequest]:
         """The checkpoint protocol: has the RMS decided to reconfigure us?"""
-        if self._next < len(self.requests):
-            req = self.requests[self._next]
+        if self.consumed < len(self.requests):
+            req = self.requests[self.consumed]
             if iteration >= req.at_iteration:
-                self._next += 1
+                self.consumed += 1
                 return req
         return None
 
     @property
     def exhausted(self) -> bool:
-        return self._next >= len(self.requests)
-
-    def child_factory(self, consumed: int):
-        """A factory building per-rank views of the same requests for a
-        group that has already seen ``consumed`` reconfigurations.  Each
-        rank calls it once, so cursors are never shared between ranks."""
-        requests = self.requests
-        return lambda: ScriptedRMS(requests, skip=consumed)
+        return self.consumed >= len(self.requests)

@@ -8,6 +8,7 @@ error, never in a hang.  Each test here pins one cell that broke it.
 import pytest
 
 from repro.harness import RunSpec, run_one
+from repro.smpi import CommFailedError
 from repro.synthetic.presets import SCALES
 
 
@@ -27,9 +28,6 @@ def test_baseline_p2p_sync_survives_abandoned_target_sends():
     assert res.recovery_time > 0
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="a crash that kills every rank of the job leaves "
-                          "no process to recover or report it")
 def test_merge_p2p_sync_crash_after_shrink_commit():
     """``merge-p2p-s`` 8->2, ``crash@redist+0.05:node=0``.
 
@@ -37,9 +35,10 @@ def test_merge_p2p_sync_crash_after_shrink_commit():
     is ranks 0-1, both on node 0.  The crash lands at ~0.0903 s and kills
     both.  No rank of the job is left to run the recovery ladder or the
     checkpoint/restart fallback, so the simulation drains with no process
-    blocked and the run stops without finishing: ``RunStats.app_time``
-    raises ``RuntimeError("run did not finish")``.  The cause is outside
-    the ladder: nothing models the resource manager noticing a job whose
-    every rank died."""
-    run_one(RunSpec(8, 2, "merge-p2p-s", "ethernet", "tiny",
-                    faults="crash@redist+0.05:node=0"))
+    blocked and the run stops without finishing.  ``run_one`` reports the
+    dead job as a typed failure naming its dead ranks, instead of failing
+    later on the unfinished run's statistics."""
+    with pytest.raises(CommFailedError, match="every rank of the job died") as err:
+        run_one(RunSpec(8, 2, "merge-p2p-s", "ethernet", "tiny",
+                        faults="crash@redist+0.05:node=0"))
+    assert err.value.dead_gids == [0, 1]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ETHERNET_10G, Machine
-from repro.faults import FaultInjector, RecoveryPolicy
+from repro.faults import FaultInjector
 from repro.malleability import (
     RankOutcome,
     ReconfigConfig,
@@ -62,14 +62,12 @@ class ToyApp:
         assert dataset.stores["x"].data.shape[0] == dataset.hi - dataset.lo
 
 
-def _entry(mpi, app, config, requests, stats, recovery):
-    outcome = yield from run_malleable(
-        mpi, app, config, requests, stats, recovery=recovery
-    )
+def _entry(mpi, app, config, requests, stats):
+    outcome = yield from run_malleable(mpi, app, config, requests, stats)
     return outcome
 
 
-def run_faulty_job(config, ns, nt, faults, recovery=None, n_iters=N_ITERS):
+def run_faulty_job(config, ns, nt, faults, n_iters=N_ITERS, requests=None):
     if isinstance(config, str):
         config = ReconfigConfig.parse(config)
     sim = Simulator()
@@ -81,9 +79,10 @@ def run_faulty_job(config, ns, nt, faults, recovery=None, n_iters=N_ITERS):
     stats = RunStats()
     app = ToyApp()
     app.n_iterations = n_iters
-    requests = [ReconfigRequest(at_iteration=RECONF_AT, n_targets=nt)]
+    if requests is None:
+        requests = [ReconfigRequest(at_iteration=RECONF_AT, n_targets=nt)]
     res = world.launch(
-        _entry, slots=range(ns), args=(app, config, requests, stats, recovery)
+        _entry, slots=range(ns), args=(app, config, requests, stats)
     )
     inj = FaultInjector(faults, machine, world).attach()
     sim.run()
@@ -132,17 +131,19 @@ def test_spawn_failure_is_retried():
 
 
 # ------------------------------------------------------------ shrink fallback
+SPAWN_FAILS_3 = "spawnfail:attempt=0;spawnfail:attempt=1;spawnfail:attempt=2"
+
+
 def test_shrink_fallback_when_retries_exhausted():
-    """max_retries=0: the first failure escalates straight to shrink —
-    the job abandons the reconfiguration and finishes on the sources."""
+    """The first spawn and both retries fail: the job abandons the
+    reconfiguration and finishes on the sources."""
     stats, res, sim, inj = run_faulty_job(
-        "merge-p2p-s", ns=2, nt=4, faults="spawnfail:attempt=0",
-        recovery=RecoveryPolicy(max_retries=0, allow_shrink=True),
+        "merge-p2p-s", ns=2, nt=4, faults=SPAWN_FAILS_3,
     )
     assert stats.total_iterations() == N_ITERS
     rec = stats.last_reconfig
     assert rec.recovery_policy == "shrink"
-    assert rec.retries == 0
+    assert rec.retries == 2
     # Every iteration ran on the original group; nothing was ever spawned
     # successfully.
     assert stats.iterations_by_group == {0: N_ITERS}
@@ -189,8 +190,7 @@ def test_restarted_group_losing_a_source_is_requeued_again():
         requests = [ReconfigRequest(5, 6), ReconfigRequest(9, 2)]
         world.launch(
             _entry, slots=range(4),
-            args=(ToyApp(), ReconfigConfig.parse("merge-p2p-s"), requests,
-                  stats, None),
+            args=(ToyApp(), ReconfigConfig.parse("merge-p2p-s"), requests, stats),
         )
         FaultInjector(faults, machine, world).attach()
         sim.run()
@@ -209,16 +209,29 @@ def test_restarted_group_losing_a_source_is_requeued_again():
     assert stats.iterations_by_group == {0: RECONF_AT, 1: 9, 2: N_ITERS}
 
 
-def test_cr_disabled_surfaces_the_failure():
-    from repro.simulate import SimulationError
-    from repro.smpi import CommFailedError
-
-    with pytest.raises(SimulationError) as err:
-        run_faulty_job(
-            "merge-p2p-s", ns=4, nt=2, faults="crash@redist+0.002:node=1",
-            recovery=RecoveryPolicy(allow_checkpoint_restart=False),
-        )
-    assert isinstance(err.value.__cause__, CommFailedError)
+@pytest.mark.parametrize(
+    "config", ["merge-p2p-s", "baseline-p2p-s", "merge-p2p-a", "baseline-col-t"]
+)
+def test_request_after_shrink_fallback_is_its_own_reconfiguration(config):
+    """A group that shrank back at its first request is asked again: the
+    second request is its own reconfiguration with its own record, and the
+    group it spawns does not fire either request again."""
+    stats, res, sim, inj = run_faulty_job(
+        config, ns=2, nt=4, faults=SPAWN_FAILS_3,
+        requests=[ReconfigRequest(RECONF_AT, 4), ReconfigRequest(9, 4)],
+    )
+    first, second = stats.reconfigs
+    assert (first.n_sources, first.n_targets, first.requested_iteration) == (2, 4, 5)
+    assert first.recovery_policy == "shrink"
+    assert first.retries == 2
+    assert (second.n_sources, second.n_targets, second.requested_iteration) == (2, 4, 9)
+    assert second.recovery_policy is None
+    assert second.retries == 0
+    assert second.data_complete_at is not None
+    assert stats.finished_at is not None
+    assert stats.total_iterations() == N_ITERS
+    if config.endswith("-s"):
+        assert stats.iterations_by_group == {0: 9, 1: 3}
 
 
 # ------------------------------------------------------ overlapped strategies

@@ -92,8 +92,7 @@ def test_dynamic_rms_child_factory_skips_consumed():
     stats.latest_checked_iteration = 0
     board = DecisionBoard(stats)
     board.post(4)
-    parent = ScriptedRMS(board.decisions)
-    child = parent.child_factory(consumed=1)()
+    child = ScriptedRMS(board.decisions, skip=1)
     assert child.check(100) is None  # decision 0 already consumed upstream
 
 
