@@ -223,7 +223,8 @@ class _TraceJob:
         "rem_iters",
         "synced_at",
         "proj_finish",
-        "finish_handle",
+        "_on_timer",
+        "_timer_seq",
         "fin_entry",
         "wide_seq",
         "narrow_seq",
@@ -257,7 +258,10 @@ class _TraceJob:
         self.rem_iters = 0.0
         self.synced_at = 0.0
         self.proj_finish = math.inf
-        self.finish_handle = None
+        #: the analytic executor's one owner-held simulator timer: the
+        #: finish while running, the commit while reconfiguring.
+        self._on_timer = None
+        self._timer_seq = -1
         #: this job's ``(t, seq, job)`` entry in the scheduler's finish
         #: index while it runs or reconfigures, else None.
         self.fin_entry: Optional[tuple] = None
@@ -452,12 +456,15 @@ class TraceScheduler:
         self._started = True
         self._woke = True
         self.sim.set_timer(self, 0.0)
-        if self.jobs:
-            # The batch-wakeup lane: all trace arrivals enter the heap in
-            # one O(N + K) heapify instead of K pushes.
-            self.sim.schedule_batch(
-                (spec.arrival_time, self._wake) for spec in self.jobs
-            )
+        start = self.sim.now
+        # The batch-wakeup lane: all trace arrivals enter the heap in one
+        # O(N + K) heapify instead of K pushes.  Arrivals at the start
+        # instant need no wake: the opening pass admits them.
+        self.sim.schedule_batch(
+            (spec.arrival_time, self._wake)
+            for spec in self.jobs
+            if spec.arrival_time != start
+        )
         self.sim.run()
         if self._done < len(self.jobs):
             # Nothing is left to wake a pass (say, a policy that never
@@ -596,11 +603,19 @@ class TraceScheduler:
         self._commit_buf.append(job)
         self._wake()
 
+    def _on_job_timer(self, job: _TraceJob) -> None:
+        """The analytic executor's job timer fired: a reconfiguring job
+        commits, a running one finishes."""
+        if job.state == _RECONF:
+            self._on_commit(job)
+        else:
+            self._on_finish(job)
+
     def _finish(self, job: _TraceJob, now: float) -> None:
         self._account(job, now)
         job.state = _DONE
         job.ready = False
-        job.finish_handle = None
+        job._on_timer = None  # job -> callback -> scheduler is a cycle
         fin = self._fin
         del fin[bisect.bisect_left(fin, job.fin_entry)]
         job.fin_entry = None
@@ -758,23 +773,20 @@ class TraceScheduler:
     # -------------------------------------------------------- executor hooks
     def _launch(self, job: _TraceJob, finish: float) -> None:
         """Run a job that just started; ``finish`` is its projected end.
-        Analytic: a finish timer."""
-        job.finish_handle = self.sim.schedule_at(
-            finish, partial(self._on_finish, job)
-        )
+        Analytic: the job's timer, armed for the finish."""
+        job._on_timer = partial(self._on_job_timer, job)
+        self.sim.set_timer(job, finish - self.sim.now)
 
     def _post_resize(self, job: _TraceJob, target: int, t_commit: float) -> None:
         """Execute a resize decision (progress is already frozen).
-        Analytic: the finish timer is void and the commit fires at the
-        priced ``t_commit``."""
-        if job.finish_handle is not None:
-            job.finish_handle.cancelled = True
-            job.finish_handle = None
-        self.sim.schedule_at(t_commit, partial(self._on_commit, job))
+        Analytic: the job's timer is re-armed for the priced ``t_commit``,
+        which voids the finish."""
+        self.sim.set_timer(job, t_commit - self.sim.now)
 
-    #: A resize committed; the job now ends at ``finish``.  Analytic: a new
-    #: finish timer, as at the start (an executor overrides both hooks).
-    _retime = _launch
+    def _retime(self, job: _TraceJob, finish: float) -> None:
+        """A resize committed; the job now ends at ``finish``.  Analytic:
+        the job's timer, re-armed for the finish."""
+        self.sim.set_timer(job, finish - self.sim.now)
 
     def _rem_iters_at(self, job: _TraceJob, now: float) -> float:
         """Iterations left at ``now`` (frozen during a reconfiguration:

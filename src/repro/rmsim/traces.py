@@ -25,6 +25,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from random import Random
 from typing import Union
@@ -92,6 +94,10 @@ class TraceConfig:
             raise ValueError("need 1 <= min_procs <= max_procs")
         if not 0.0 <= self.malleable_fraction <= 1.0:
             raise ValueError("malleable_fraction must be in [0, 1]")
+        if self.iteration_s <= 0:
+            raise ValueError("iteration_s must be > 0")
+        if not 0.0 <= self.serial_fraction < 1.0:
+            raise ValueError("serial_fraction must be in [0, 1)")
         if len(self.priorities) != len(self.priority_weights):
             raise ValueError("priorities and priority_weights must pair up")
         ReconfigConfig.parse(self.config_key)  # fail fast on bad keys
@@ -115,9 +121,12 @@ class TraceConfig:
     ) -> "TraceConfig":
         """A config whose arrival rate targets ``load`` × machine capacity.
 
-        The expected core-seconds of one job are estimated from a small
-        seeded pilot sample (deterministic), then the rate is set so the
-        offered load — rate × E[core-seconds] / slots — hits the target.
+        The expected core-seconds of one job are estimated from a seeded
+        pilot sample (deterministic), then the rate is set so the offered
+        load — rate × E[core-seconds] / slots — hits the target.  The pilot
+        is drawn once and re-timed per fixed-point round; when it has
+        ``n_jobs`` jobs (256 <= n_jobs <= 16384), :func:`generate_trace`
+        re-times the same draws for the final trace.
         """
         if total_slots < 1:
             raise ValueError("total_slots must be >= 1")
@@ -127,21 +136,27 @@ class TraceConfig:
         # Offered load scales ~linearly with the base rate, but bursts and
         # the diurnal window shift the constant, so fixed-point iterate: at
         # each step measure the pilot trace's offered load and rescale.
-        # Generation is cheap (~10 us/job) and fully seeded, so this stays
-        # deterministic.  Three rounds land within a few percent.
+        # Only arrival times depend on the rate, so the pilot is drawn once
+        # and re-timed per round.  Three rounds land within a few percent.
         pilot_n = min(max(n_jobs, 256), 16384)
-        cfg = replace(base, n_jobs=pilot_n)
+        pilot = replace(base, n_jobs=pilot_n)
+        draws = _draw(replace(pilot, arrival_rate=1.0))
+        f = base.serial_fraction
+        # runtime(max_procs) * max_procs of each job, associated as JobSpec does.
+        core = [
+            it * (work * (f + (1.0 - f) / p)) * p
+            for _, _, _, p, it, work, _, _ in draws
+        ]
+        rate = base.arrival_rate
         for _ in range(3):
-            sample = generate_trace(cfg)
-            horizon = max(sample.jobs[-1].arrival_time, 1e-9)
-            core_s = sum(
-                s.runtime(s.max_procs) * s.max_procs for s in sample.jobs
-            )
+            arrivals = _arrivals(replace(pilot, arrival_rate=rate), draws)
+            # The float sum depends on the order: the trace's (arrival, name).
+            order = sorted(range(pilot_n), key=arrivals.__getitem__)
+            horizon = max(arrivals[order[-1]], 1e-9)
+            core_s = sum(core[i] for i in order)
             offered = core_s / (horizon * total_slots)
-            cfg = replace(
-                cfg, arrival_rate=cfg.arrival_rate * load / offered
-            )
-        return replace(base, arrival_rate=cfg.arrival_rate)
+            rate = rate * load / offered
+        return replace(base, arrival_rate=rate)
 
 
 @dataclass
@@ -206,31 +221,42 @@ class WorkloadTrace:
         return cls.from_json(Path(path).read_text())
 
 
-def generate_trace(cfg: TraceConfig) -> WorkloadTrace:
-    """Generate the one trace ``cfg`` maps to (seeded, deterministic)."""
+@lru_cache(maxsize=1)
+def _draw(cfg: TraceConfig) -> tuple[tuple, ...]:
+    """The rate-free draws of ``cfg``'s trace, one tuple per job in
+    generation order: ``(burst, step, min_procs, max_procs, iterations,
+    work, payload, priority)``.
+
+    One ``Random(cfg.seed)`` pass in the generator's draw order.  A regular
+    arrival records the unit-rate gap ``expovariate(1.0)`` as ``step``; a
+    burst member records its offset from the burst's opening arrival.  Only
+    :func:`_arrivals` reads the rate, so callers key this one-entry cache
+    with ``arrival_rate`` normalised to 1.0.  ``payload`` and ``priority``
+    are indexes into the config's tuples, because configs that compare
+    equal may hold those values as different types (``16e6 == 16_000_000``).
+    """
     rng = Random(cfg.seed)
-    config = ReconfigConfig.parse(cfg.config_key)
     lo_k = math.log2(cfg.min_procs)
     hi_k = math.log2(cfg.max_procs)
     # lognormal with mean runtime_mean_s: mu = ln(mean) - sigma^2 / 2.
     mu = math.log(cfg.runtime_mean_s) - cfg.runtime_sigma**2 / 2.0
-
-    width = max(5, len(str(max(0, cfg.n_jobs - 1))))
-    jobs: list[JobSpec] = []
-    t = 0.0
+    f = cfg.serial_fraction
+    payloads = range(len(cfg.data_bytes_choices))
+    levels = range(len(cfg.priorities))
+    # ``choices(weights=)`` accumulates on every call; the draws are the same.
+    cum_weights = list(accumulate(cfg.priority_weights))
+    draws = []
     burst_left = 0
-    burst_t0 = 0.0
-    for i in range(cfg.n_jobs):
-        # ----------------------------------------------------- arrival time
-        if burst_left > 0:
+    for _ in range(cfg.n_jobs):
+        # ----------------------------------------------------- arrival step
+        burst = burst_left > 0
+        if burst:
             burst_left -= 1
-            arrival = burst_t0 + rng.uniform(0.0, cfg.burst_spread)
+            step = rng.uniform(0.0, cfg.burst_spread)
         else:
-            t += rng.expovariate(cfg.rate_at(t))
-            arrival = t
+            step = rng.expovariate(1.0)
             if rng.random() < cfg.burst_prob:
                 burst_left = 1 + int(rng.expovariate(1.0 / cfg.burst_mean_size))
-                burst_t0 = t
         # ----------------------------------------------------------- width
         k = round(rng.gauss(cfg.size_mean_log2, cfg.size_sigma_log2))
         k = min(max(k, lo_k), hi_k)
@@ -244,27 +270,58 @@ def generate_trace(cfg: TraceConfig) -> WorkloadTrace:
         # --------------------------------------------------------- runtime
         runtime = rng.lognormvariate(mu, cfg.runtime_sigma)
         iterations = max(3, round(runtime / cfg.iteration_s))
-        f = cfg.serial_fraction
         # per-iteration aggregate work such that one iteration at the
         # submitted width takes ~iteration_s of wall time.
         work = cfg.iteration_s / (f + (1.0 - f) / max_p)
-        jobs.append(
-            JobSpec(
-                name=f"j{i:0{width}d}",
-                arrival_time=round(arrival, 6),
-                iterations=iterations,
-                work_per_iteration=round(work, 6),
-                min_procs=min_p,
-                max_procs=max_p,
-                data_bytes=rng.choice(cfg.data_bytes_choices),
-                config=config,
-                n_rows=cfg.n_rows,
-                priority=rng.choices(
-                    cfg.priorities, weights=cfg.priority_weights
-                )[0],
-                serial_fraction=f,
-            )
+        draws.append((
+            burst, step, min_p, max_p, iterations, round(work, 6),
+            rng.choice(payloads), rng.choices(levels, cum_weights=cum_weights)[0],
+        ))
+    return tuple(draws)
+
+
+def _arrivals(cfg: TraceConfig, draws: tuple[tuple, ...]) -> list[float]:
+    """Each drawn job's arrival time at ``cfg``'s rate, rounded as stored.
+    ``step / rate`` is ``expovariate(rate)`` bit for bit: the unit-rate
+    draw was divided by 1.0, which is exact."""
+    rate_at = cfg.rate_at
+    t = 0.0
+    arrivals = []
+    for burst, step, *_ in draws:
+        if burst:
+            arrivals.append(round(t + step, 6))
+        else:
+            t += step / rate_at(t)
+            arrivals.append(round(t, 6))
+    return arrivals
+
+
+def generate_trace(cfg: TraceConfig) -> WorkloadTrace:
+    """Generate the one trace ``cfg`` maps to (seeded, deterministic).
+
+    The draws of the last config are reused when only ``arrival_rate``
+    differs, as after :meth:`TraceConfig.sized` with a pilot of ``n_jobs``.
+    """
+    draws = _draw(replace(cfg, arrival_rate=1.0))
+    config = ReconfigConfig.parse(cfg.config_key)
+    width = max(5, len(str(max(0, cfg.n_jobs - 1))))
+    jobs = [
+        JobSpec(
+            name=f"j{i:0{width}d}",
+            arrival_time=arrival,
+            iterations=iterations,
+            work_per_iteration=work,
+            min_procs=min_p,
+            max_procs=max_p,
+            data_bytes=cfg.data_bytes_choices[payload],
+            config=config,
+            n_rows=cfg.n_rows,
+            priority=cfg.priorities[priority],
+            serial_fraction=cfg.serial_fraction,
         )
+        for i, (arrival, (_, _, min_p, max_p, iterations, work, payload, priority))
+        in enumerate(zip(_arrivals(cfg, draws), draws))
+    ]
     jobs.sort(key=lambda j: (j.arrival_time, j.name))
     meta = {
         "generator": "repro.rmsim.traces",

@@ -143,6 +143,22 @@ def test_one_pass_per_distinct_event_timestamp():
     assert res.n_grows + res.n_shrinks > 0
 
 
+@pytest.mark.parametrize("policy", ["fifo", "malleable"])
+def test_arrivals_at_the_start_share_the_opening_pass(policy):
+    """Jobs that arrive at t = 0 are admitted by the opening pass and wake
+    no second one (a second pass at t = 0 would rotate the malleable
+    policy's grow window once more than the events warrant)."""
+    jobs = [JobSpec(f"a{i}", 0.0, 4, 16.0, 8, 8) for i in range(3)]
+    jobs += [JobSpec(f"m{i}", 0.0, 60, 1.0, 4, 32) for i in range(3)]
+    jobs += [JobSpec(f"b{i}", 9.0, 4, 1.0, 8, 8) for i in range(2)]
+    sched = PassCounter(64, jobs, policy=policy_by_name(policy))
+    res = sched.run()
+    times = sched.pass_times
+    assert times == sorted(set(times))
+    assert len(times) == {"fifo": 13, "malleable": 7}[policy]
+    assert res.makespan == 9.5
+
+
 def test_a_trace_that_cannot_finish_ends_in_a_deadlock_error():
     class NeverStart(SchedulingPolicy):
         def schedule(self, sched):

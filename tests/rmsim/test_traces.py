@@ -1,11 +1,14 @@
 """Workload-trace generator: determinism, JSON round-trip, distributions."""
 
 import dataclasses
+import hashlib
 import json
+from random import Random
 
 import pytest
 
 from repro.rmsim import TraceConfig, WorkloadTrace, generate_trace
+from repro.rmsim import traces
 from repro.rmsim.traces import TRACE_VERSION
 
 
@@ -125,6 +128,11 @@ def test_config_validation():
         TraceConfig(priorities=(0, 1), priority_weights=(1.0,))
     with pytest.raises(ValueError):
         TraceConfig(config_key="not-a-config")
+    # Per-job knobs fail at the config, before the sized pilot prices them.
+    with pytest.raises(ValueError, match="iteration_s"):
+        TraceConfig.sized(1024, 50, iteration_s=-1.0)
+    with pytest.raises(ValueError, match="serial_fraction"):
+        TraceConfig.sized(1024, 50, serial_fraction=1.0)
 
 
 def test_sized_targets_offered_load():
@@ -141,3 +149,57 @@ def test_sized_is_deterministic():
     a = TraceConfig.sized(1024, 500, seed=9)
     b = TraceConfig.sized(1024, 500, seed=9)
     assert a == b
+
+
+# ------------------------------------------------------------- sized draws
+#: (slots, n_jobs, seed, load) -> (repr of the fitted rate, sha256 of the
+#: trace JSON).  The first pilot has 256 jobs, not n (the CI smoke trace);
+#: the second has n.
+SIZED_GOLDENS = {
+    (1024, 200, 3, 0.85): (
+        "0.0875526541699542",
+        "0f8647ee8e696302ae4790ccbe3adc7a7a4edea40f567ba34f96fb6e3f5e0f33",
+    ),
+    (1024, 400, 0, 0.85): (
+        "0.0986395895757451",
+        "5695fd43451578a3858fbcb8dd16924a45f54929b2a139ea4710884249096b5a",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", SIZED_GOLDENS, ids=str)
+def test_sized_trace_pinned(key):
+    slots, n_jobs, seed, load = key
+    cfg = TraceConfig.sized(slots, n_jobs, seed, load=load)
+    text = generate_trace(cfg).to_json()
+    assert (repr(cfg.arrival_rate), hashlib.sha256(text.encode()).hexdigest()) == (
+        SIZED_GOLDENS[key]
+    )
+
+
+@pytest.mark.parametrize("n_jobs, drawn", [(400, 400), (200, 256 + 200)])
+def test_sized_trace_draws_each_job_once(monkeypatch, n_jobs, drawn):
+    """The pilot is drawn once and re-timed per fixed-point round, and the
+    final trace reuses it when the pilot has ``n_jobs`` jobs."""
+    calls = []
+
+    class CountingRandom(Random):
+        def gauss(self, *args):  # one call per job drawn
+            calls.append(None)
+            return super().gauss(*args)
+
+    monkeypatch.setattr(traces, "Random", CountingRandom)
+    traces._draw.cache_clear()
+    generate_trace(TraceConfig.sized(1024, n_jobs, 0))
+    traces._draw.cache_clear()
+    assert len(calls) == drawn
+
+
+def test_cached_draws_keep_each_configs_own_values():
+    """Configs equal as values share one cached draw; each trace still
+    carries its own config's payload values."""
+    as_int = small_cfg(data_bytes_choices=(16_000_000, 64_000_000))
+    as_float = small_cfg(data_bytes_choices=(16e6, 64e6))
+    assert as_int == as_float
+    assert {type(j.data_bytes) for j in generate_trace(as_int).jobs} == {int}
+    assert {type(j.data_bytes) for j in generate_trace(as_float).jobs} == {float}
