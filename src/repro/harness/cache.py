@@ -10,8 +10,10 @@ re-run the CLI) costs milliseconds instead of minutes.
 
 Keying — the cache token concatenates, in order:
 
-* :data:`CACHE_VERSION` (bump on any entry-format or cell-semantics
-  change the other components cannot see);
+* :data:`CACHE_VERSION` (bump on any entry-format change);
+* the **code digest** (:func:`code_digest`): a sha256 over the ``repro``
+  package's ``.py`` files, so an edit to the simulator never serves the
+  rows of the code before it;
 * the observability **schema fingerprint**
   (:func:`repro.obs.schema.schema_fingerprint`) — metrics-shape changes
   invalidate every entry that carries a metrics document;
@@ -43,6 +45,7 @@ does not route through :func:`CellCache.get` / :func:`CellCache.put`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -52,12 +55,25 @@ from typing import Optional, Union
 
 __all__ = ["CACHE_VERSION", "CellCache"]
 
-#: Bump to invalidate every existing cache entry (entry-format or cell
-#: semantics changes that the schema fingerprint cannot see).
+#: Bump to invalidate every existing cache entry on an entry-format change
+#: (a change of cell semantics moves :func:`code_digest` instead).
 CACHE_VERSION = 2
 
 #: Field separator inside the token (never appears in any component).
 _SEP = "\x1f"
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """sha256 over the sorted relative paths and bytes of the ``repro``
+    package's ``.py`` files, computed once per process."""
+    package = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    files = {p.relative_to(package).as_posix(): p for p in package.rglob("*.py")}
+    for rel in sorted(files):
+        h.update(rel.encode() + b"\0")
+        h.update(files[rel].read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 class CellCache:
@@ -89,6 +105,7 @@ class CellCache:
         return _SEP.join(
             (
                 f"v{CACHE_VERSION}",
+                code_digest(),
                 schema_fingerprint() if with_metrics else "nometrics-schema",
                 str(spec.ns),
                 str(spec.nt),

@@ -151,19 +151,11 @@ class GroupRunner:
         self._thread = None
         self._record: Optional[ReconfigRecord] = None
         self._dst_dataset: Optional[Dataset] = None
-        #: failure observed during an overlapped (A/T) reconfiguration.
-        self._overlap_error: Optional[CommFailedError] = None
 
     # ------------------------------------------------------------- utilities
     @property
     def rank(self) -> int:
         return self.comm.rank_of_gid(self.mpi.gid)
-
-    def _fault_mode(self) -> bool:
-        """Is a fault schedule attached to this run?  The fault-tolerant
-        agreement/retry machinery is gated on this so fault-free runs are
-        byte-identical to the pre-fault-layer engine."""
-        return self.mpi.world.fault_injector is not None
 
     @property
     def _label(self) -> str:
@@ -219,8 +211,6 @@ class GroupRunner:
                     try:
                         outcome = yield from self._begin_reconfig(req)
                     except CommFailedError:
-                        if not self._fault_mode():
-                            raise
                         outcome = yield from self._degrade_to_cr(self._record)
                     if outcome is RankOutcome.RETIRED:
                         return RankOutcome.RETIRED
@@ -277,11 +267,7 @@ class GroupRunner:
             record.spawn_started_at = self.mpi.now
 
         if self.config.strategy is Strategy.SYNC:
-            if self._fault_mode():
-                outcome = yield from self._ft_ladder(record, attempt=0)
-                return outcome
-            yield from self._stage23(self.mpi)
-            outcome = yield from self._handoff(stopped_at=self.it)
+            outcome = yield from self._ft_ladder(record, attempt=0)
             return outcome
         if self.config.strategy is Strategy.ASYNC_NONBLOCKING:
             self._pipeline = self._stage23(self.mpi, overlapped=True)
@@ -293,12 +279,12 @@ class GroupRunner:
     def _stage23(self, mpi, overlapped: bool = False):
         """Stage 2 and the first Stage-3 wave: the one program of S, A and T.
 
-        S and the recovery ladder run it blocking on the rank, T on its
-        auxiliary thread's ``mpi``; A (``overlapped``) steps it through
-        :meth:`_step`.  The checkpoint that begins A only issues work; each
-        later one tests once and falls through whatever completed.  Stage 4
-        is left to :meth:`_handoff` so the ladder can interpose its
-        agreement between the data movement and the commit."""
+        The recovery ladder (every S attempt, every retry) runs it blocking
+        on the rank, T on its auxiliary thread's ``mpi``; A (``overlapped``)
+        steps it through :meth:`_step`.  The checkpoint that begins A only
+        issues work; each later one tests once and falls through whatever
+        completed.  Stage 4 is left to :meth:`_handoff`, after the agreement
+        that commits it."""
         plan, record = self._plan, self._record
         ns, nt = plan.n_sources, plan.n_targets
         baseline = self.config.spawn is SpawnMethod.BASELINE
@@ -401,13 +387,10 @@ class GroupRunner:
         )
         self._phase = _Phase.THREAD_WAIT
 
-    # ........................................ fault-tolerant ladder (faults)
+    # ........................................................ recovery ladder
     def _spawn_slots(self, indices) -> list[int]:
-        """Slot placement that routes around failed nodes.
-
-        The job's own slots while every node is healthy (fault-free runs
-        stay byte-identical); once a node has failed, the spawned group is
-        placed on the first surviving slots instead."""
+        """The job's own slots while every node they sit on is healthy, else
+        the first surviving slots."""
         slots = [self.job.slot_of(i) for i in indices]
         machine = self.mpi.machine
         if not any(machine.node_for_slot(s).failed for s in slots):
@@ -458,8 +441,10 @@ class GroupRunner:
                 world.abort_comm(c)
 
     def _ft_ladder(self, record: ReconfigRecord, attempt: int):
-        """The escalation ladder (docs/faults.md): up to :data:`MAX_RETRIES`
-        retries with backoff, then shrink-on-demand, then checkpoint/restart.
+        """The reconfiguration protocol of S, and of an overlapped attempt
+        that failed (docs/faults.md): Stages 2+3, a commit agreement, Stage
+        4.  A failed attempt escalates: up to :data:`MAX_RETRIES` retries
+        with backoff, then shrink-on-demand, then checkpoint/restart.
 
         Every attempt ends with a one-scalar agreement over the source
         communicator so all sources observe the same verdict — a source
@@ -548,21 +533,6 @@ class GroupRunner:
         record.mark_commit_finished(self.mpi.now)
         self._reset_reconfig_state()
 
-    def _recover_overlap(self):
-        """An overlapped (A/T) reconfiguration failed locally on some source:
-        abort the attempt and fall back to the synchronous ladder (the
-        remaining attempts run without overlap)."""
-        err = self._overlap_error
-        self._overlap_error = None
-        if not self._fault_mode():
-            raise err if err is not None else CommFailedError(
-                "overlapped reconfiguration failed"
-            )
-        record = self._record
-        yield from self._abort_attempt(record)
-        outcome = yield from self._ft_ladder(record, attempt=1)
-        return outcome
-
     def _degrade_to_cr(self, record: ReconfigRecord):
         """A source rank died: the group's in-memory state is gone.
         Terminate what is left of the job and relaunch it from the in-run
@@ -639,12 +609,13 @@ class GroupRunner:
                 return outcome
         except CommFailedError:
             # The agreement or the handoff failed: a fellow source died.
-            if not self._fault_mode():
-                raise
             outcome = yield from self._degrade_to_cr(self._record)
             return outcome
         if verdict == "failed":
-            outcome = yield from self._recover_overlap()
+            # Some source's attempt failed: abort it and fall back to the
+            # synchronous ladder (the remaining attempts run without overlap).
+            yield from self._abort_attempt(self._record)
+            outcome = yield from self._ft_ladder(self._record, attempt=1)
             return outcome
         if drain:
             # Every source voted after blocking to completion or failure.
@@ -664,9 +635,7 @@ class GroupRunner:
 
         Returns ``"done"`` / ``"pending"`` / ``"failed"``.  Failures vote
         ``-1`` in the same agreement scalar, so every source learns about a
-        peer's failure at the next checkpoint without extra traffic; without
-        a fault schedule attached the error is raised instead and the votes
-        are the historical 0/1 — fault-free runs are unchanged."""
+        peer's failure at the next checkpoint without extra traffic."""
         err: Optional[CommFailedError] = None
         if self._phase is _Phase.THREAD_WAIT:
             if drain:
@@ -682,9 +651,7 @@ class GroupRunner:
             except CommFailedError as e:
                 err = e
                 local_done = False
-        if err is not None and not self._fault_mode():
-            raise err
-        if err is None and local_done and self._fault_mode():
+        if err is None and local_done:
             err = self._newcomers_lost()
         if err is not None and drain:
             # A peer blocked in this attempt's session cannot read my vote:
@@ -693,8 +660,6 @@ class GroupRunner:
         vote = -1 if err is not None else (1 if local_done else 0)
         agreed = yield from self.mpi.allreduce(vote, op_min, comm=self.comm)
         if agreed == -1:
-            if self._overlap_error is None:
-                self._overlap_error = err
             return "failed"
         return "done" if agreed == 1 else "pending"
 

@@ -469,11 +469,3 @@ class Dataset:
     def total_nbytes(self) -> int:
         return self.range_nbytes(self.lo, self.hi, list(self.stores))
 
-    def constant_fraction(self) -> float:
-        """Fraction of the local bytes held in constant fields — the paper
-        reports 96.6 % asynchronously-redistributable for the CG dataset."""
-        total = self.total_nbytes()
-        if total == 0:
-            return 0.0
-        const = self.range_nbytes(self.lo, self.hi, self.field_names(constant=True))
-        return const / total

@@ -94,6 +94,12 @@ class TraceConfig:
             raise ValueError("need 1 <= min_procs <= max_procs")
         if not 0.0 <= self.malleable_fraction <= 1.0:
             raise ValueError("malleable_fraction must be in [0, 1]")
+        if self.burst_mean_size <= 0:
+            raise ValueError("burst_mean_size must be > 0")
+        if self.burst_spread < 0:
+            raise ValueError("burst_spread must be >= 0")
+        if self.runtime_mean_s <= 0:
+            raise ValueError("runtime_mean_s must be > 0")
         if self.iteration_s <= 0:
             raise ValueError("iteration_s must be > 0")
         if not 0.0 <= self.serial_fraction < 1.0:

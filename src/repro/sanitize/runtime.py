@@ -178,12 +178,6 @@ class Sanitizer(Observer):
     def _emit(self, rule: str, message: str, **kw) -> None:
         self.findings.append(Finding(rule=rule, message=message, **kw))
 
-    def findings_by_rule(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for f in self.findings:
-            out[f.rule] = out.get(f.rule, 0) + 1
-        return dict(sorted(out.items()))
-
     def report(self) -> str:
         """Human-readable multi-line summary (deterministic order)."""
         if not self.findings:

@@ -55,11 +55,6 @@ class Communicator:
         self.members = self.group + (self.remote_group or ())
         self.name = name or f"comm{ctx_id}"
         self._local_index = {gid: i for i, gid in enumerate(self.group)}
-        self._remote_index = (
-            {gid: i for i, gid in enumerate(self.remote_group)}
-            if self.remote_group is not None
-            else None
-        )
 
     # ------------------------------------------------------------------ shape
     @property
@@ -96,15 +91,6 @@ class Communicator:
                 f"{self.name}: peer rank {rank} out of range 0..{len(table) - 1}"
             )
         return table[rank]
-
-    def peer_rank_of_gid(self, gid: int) -> int:
-        """Inverse of :meth:`peer_gid` — the rank a received message's sender
-        has from this side's point of view (what lands in Status.source)."""
-        index = self._remote_index if self.is_inter else self._local_index
-        try:
-            return index[gid]
-        except KeyError:
-            raise KeyError(f"gid {gid} not a valid peer of {self.name}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "inter" if self.is_inter else "intra"

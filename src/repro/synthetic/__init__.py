@@ -8,7 +8,6 @@ preset.
 
 from .application import SyntheticApp, launch_synthetic
 from .configfile import SyntheticConfig
-from .monitoring import read_stats_json, stats_to_dict, write_stats_json
 from .presets import SCALES, ScalePreset, cg_emulation_config
 from .stages import STAGE_KINDS, StageSpec, run_stage
 
@@ -22,7 +21,4 @@ __all__ = [
     "SCALES",
     "ScalePreset",
     "cg_emulation_config",
-    "stats_to_dict",
-    "write_stats_json",
-    "read_stats_json",
 ]

@@ -8,10 +8,9 @@ Five modules, as in Figure 1 of the paper:
 * **Application emulation** — :meth:`SyntheticApp.iterate` runs the
   configured stage sequence each iteration;
 * **Malleability** — delegated to :mod:`repro.malleability` (Stages 1-4);
-* **Monitoring** — :class:`~repro.malleability.stats.RunStats`, exported by
-  :mod:`repro.synthetic.monitoring`;
-* **Completion** — process finalisation inside the manager plus the
-  monitoring dump.
+* **Monitoring** — :class:`~repro.malleability.stats.RunStats`, which the
+  harness turns into a results-CSV row;
+* **Completion** — process finalisation inside the manager.
 """
 
 from __future__ import annotations

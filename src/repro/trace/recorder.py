@@ -91,14 +91,6 @@ class Tracer(Observer):
     def between(self, t0: float, t1: float) -> list[TraceEvent]:
         return [e for e in self.events if e.t1 >= t0 and e.t0 <= t1]
 
-    def total_time(self, lane: Optional[str] = None, category: Optional[str] = None) -> float:
-        return sum(
-            e.duration
-            for e in self.events
-            if (lane is None or e.lane == lane)
-            and (category is None or e.category == category)
-        )
-
     # ----------------------------------------------------------------- export
     def to_chrome_trace(self) -> str:
         """Chrome/Perfetto trace JSON (open in ``chrome://tracing``)."""

@@ -4,8 +4,8 @@ The headline contract: a cached sweep's CSV and merged metrics document
 are **byte-identical** to a fresh run's, because cache entries replay the
 exact CSV row and metrics document a fresh cell produces (a float's
 ``str`` is its ``repr``, which parses back bit for bit).  The rest is invalidation hygiene:
-any change to the spec, the base workload, the metrics schema or the
-cache version must miss rather than serve a stale entry, and corrupt
+any change to the spec, the base workload, the metrics schema, the code
+or the cache version must miss rather than serve a stale entry, and corrupt
 entries must degrade to misses.
 """
 
@@ -13,6 +13,7 @@ import dataclasses
 import json
 
 from repro.harness import CellCache, run_sweep
+from repro.harness import cache as cache_module
 from repro.harness.cache import CACHE_VERSION
 from repro.harness.runner import RunSpec, run_one
 from repro.obs import MetricsRegistry
@@ -117,6 +118,17 @@ def test_stale_version_is_a_miss(tmp_path):
     doc["v"] = CACHE_VERSION - 1
     entry.write_text(json.dumps(doc))
     assert cache.get(spec, base, False) is None
+
+
+def test_edited_code_misses_every_cell(tmp_path, monkeypatch):
+    """An edit to the simulator's source moves the code digest, and no
+    entry of the code before it is served."""
+    cache = CellCache(tmp_path)
+    fresh = _sweep(cache)
+    monkeypatch.setattr(cache_module, "code_digest", lambda: "edited")
+    cache.hits = cache.misses = 0
+    assert _sweep(cache).to_csv() == fresh.to_csv()
+    assert cache.hits == 0 and cache.misses == len(fresh.results)
 
 
 def test_corrupt_entries_degrade_to_misses(tmp_path):

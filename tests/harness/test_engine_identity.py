@@ -40,6 +40,20 @@ beyond 1e-9, integer columns identical.  The paper cells moved by at most
 6.4e-15 relative (``ethernet 20->80 baseline-col-t`` ``app_time``
 3.7181429286139567 -> 3.7181429286139345 s); ``infiniband 20->80
 merge-col-a`` did not move.
+
+Re-captured once more by the declared modelling change that gives S one
+reconfiguration protocol, faulted or not: every S reconfiguration walks the
+recovery ladder, whose commit agreement (a one-scalar allreduce over the
+sources) now sits between Stage 3 and Stage 4 in fault-free runs too.  Of
+the 72 sweep rows exactly the 24 S rows moved, ``reconfig_time``
+x1.000003-1.045 (median x1.001; ``ethernet 8->4 baseline-p2p-s`` the
+largest) and ``app_time`` x1.000001-1.018; every A/T row is byte-identical.
+Of the paper cells only the two S ones moved: ``ethernet 20->80
+merge-col-s`` ``reconfig_time`` 3.5067172248086664 -> 3.506728728142 s,
+``app_time`` 4.312333606931347 -> 4.312345110264678 s; ``infiniband 80->20
+merge-p2p-s`` ``reconfig_time`` 0.24866143556720147 -> 0.24867246140053487
+s, ``app_time`` 1.1630648452952077 -> 1.1577558924220803 s (x0.9954: the
+shifted event order hands the seeded compute jitter out differently).
 """
 
 import dataclasses
@@ -56,7 +70,7 @@ from repro.smpi import MpiWorld, SpawnModel
 from repro.synthetic.application import launch_synthetic
 from repro.synthetic.presets import SCALES, cg_emulation_config
 
-SWEEP_SHA256 = "782ba90f711d846b0d68adc20cd5869d60e41de265581594f81828e60ae3a37a"
+SWEEP_SHA256 = "ff8ed55fd7c973ae68d773e6109c08800020e45b9fedee530b40287a1475ba56"
 
 ITERATIONS = 12
 RECONFIGURE_AT = 3
@@ -65,9 +79,9 @@ RECONFIGURE_AT = 3
 #: overlapped_iterations)).
 PAPER_CELLS = {
     ("ethernet", 20, 80, "merge-col-s"):
-        "(3.5067172248086664, 4.312333606931347, 0)",
+        "(3.506728728142, 4.312345110264678, 0)",
     ("infiniband", 80, 20, "merge-p2p-s"):
-        "(0.24866143556720147, 1.1630648452952077, 0)",
+        "(0.24867246140053487, 1.1577558924220803, 0)",
     # budget ends inside the redistribution: the sources drain (T joins its
     # thread, A waits on the session) and agree once.
     ("ethernet", 20, 80, "baseline-col-t"):

@@ -202,7 +202,8 @@ def test_dataset_constant_fraction():
         FieldSpec("small", "virtual", constant=False, bytes_per_row=3.4),
     )
     ds = Dataset.create(100, specs, 0, 100, fill_virtual=True)
-    assert ds.constant_fraction() == pytest.approx(0.966)
+    const = ds.range_nbytes(0, 100, ds.field_names(constant=True))
+    assert const / ds.total_nbytes() == pytest.approx(0.966)
 
 
 def test_dataset_extract_insert_roundtrip():

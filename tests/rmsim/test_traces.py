@@ -133,6 +133,12 @@ def test_config_validation():
         TraceConfig.sized(1024, 50, iteration_s=-1.0)
     with pytest.raises(ValueError, match="serial_fraction"):
         TraceConfig.sized(1024, 50, serial_fraction=1.0)
+    with pytest.raises(ValueError, match="runtime_mean_s"):
+        TraceConfig.sized(1024, 50, runtime_mean_s=0.0)
+    with pytest.raises(ValueError, match="burst_mean_size"):
+        TraceConfig.sized(1024, 50, burst_mean_size=0.0)
+    with pytest.raises(ValueError, match="burst_spread"):
+        TraceConfig.sized(1024, 50, burst_spread=-1.0)
 
 
 def test_sized_targets_offered_load():

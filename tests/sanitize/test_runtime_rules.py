@@ -307,7 +307,6 @@ def test_report_flush_and_assert_clean():
 
     san, _err = run_sanitized(main, 2)
     assert "SAN003" in san.report()
-    assert san.findings_by_rule() == {"SAN003": 1}
     with pytest.raises(SanitizerError) as exc:
         san.assert_clean()
     assert exc.value.findings == san.findings

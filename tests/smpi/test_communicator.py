@@ -12,7 +12,6 @@ def test_intra_basicum():
     assert c.size == 3 and c.remote_size == 3
     assert c.rank_of_gid(11) == 1
     assert c.peer_gid(2) == 12
-    assert c.peer_rank_of_gid(10) == 0
     assert c.contains_gid(12) and not c.contains_gid(99)
 
 
@@ -21,9 +20,6 @@ def test_inter_lookups():
     assert c.is_inter
     assert c.size == 2 and c.remote_size == 3
     assert c.peer_gid(1) == 8  # peers index the remote group
-    assert c.peer_rank_of_gid(9) == 2
-    with pytest.raises(KeyError):
-        c.peer_rank_of_gid(1)  # local gid is not a peer on an inter-comm
 
 
 def test_group_validation():

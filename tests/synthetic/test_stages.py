@@ -6,7 +6,6 @@ from repro.cluster import ETHERNET_10G, Machine
 from repro.simulate import Simulator
 from repro.smpi import MpiWorld, run_spmd
 from repro.synthetic import StageSpec, run_stage
-from repro.synthetic.monitoring import read_stats_json, write_stats_json
 
 
 def run_stage_spmd(spec, p, fidelity="full", iterations=1, n_nodes=4, cores=2):
@@ -87,17 +86,3 @@ def test_unknown_fidelity_rejected():
     with pytest.raises(SimulationError):
         run_spmd(main, 1)
 
-
-# ------------------------------------------------------------- monitoring
-def test_stats_json_roundtrip(tmp_path):
-    from repro.malleability import RunStats
-
-    stats = RunStats()
-    stats.started_at = 0.0
-    stats.finished_at = 2.5
-    stats.iterations_by_group[0] = 10
-    path = tmp_path / "stats.json"
-    write_stats_json(stats, path)
-    back = read_stats_json(path)
-    assert back["app_time"] == 2.5
-    assert back["total_iterations"] == 10

@@ -53,7 +53,6 @@ def test_tracer_marks_and_queries():
     tracer = Tracer()
     tracer.mark("app", "checkpoint", 1.0)
     tracer.mark("app", "reconfig", 1.0, 2.5)
-    assert tracer.total_time(lane="app", category="mark") == pytest.approx(1.5)
     assert tracer.between(0.5, 1.2)
     assert not tracer.between(5.0, 6.0)
 
