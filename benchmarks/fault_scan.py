@@ -13,12 +13,15 @@ Two lanes over the 18 reconfiguration configs and three resizes (4->8,
   where the error was raised are printed;
 * the **spawn-failure lane** fails the first 1, 2 or 3 spawns of the
   reconfiguration (162 cells), which walks the manager's retry and shrink
-  rungs.  Every cell must complete; the cells are counted by the rung that
-  recovered them and the retries they took.
+  rungs.  Every cell must complete on the rung its failed-spawn count k
+  calls for: a cell that spawns (Baseline, or a Merge grow) retries k
+  times up to ``MAX_RETRIES`` and shrinks back past it, and a Merge shrink,
+  which spawns nothing, recovers from nothing.  The cells are counted by
+  the rung that recovered them and the retries they took.
 
-Anything else — a ``DeadlockError``, a silent stop, another exception, or a
-cell that outlives its time limit — fails the scan, and every such cell is
-printed.
+Anything else — a ``DeadlockError``, a silent stop, another exception, a
+spawn-failure cell on the wrong rung, or a cell that outlives its time
+limit — fails the scan, and every such cell is printed.
 
 Run from the repository root::
 
@@ -34,7 +37,8 @@ import time
 import traceback
 
 from repro.harness import RunSpec, run_one
-from repro.malleability.config import ALL_CONFIGS
+from repro.malleability.config import ALL_CONFIGS, SpawnMethod
+from repro.malleability.manager import MAX_RETRIES
 from repro.obs import MetricsRegistry
 from repro.simulate import SimulationError
 from repro.smpi.errors import CommFailedError
@@ -121,6 +125,15 @@ def _rung(metrics: MetricsRegistry) -> str:
     return "none"
 
 
+def _expected_rung(spec: RunSpec, n_failed: int) -> tuple[str, int]:
+    """``(rung, retries)`` of a cell whose first ``n_failed`` spawns fail."""
+    if spec.config.spawn is SpawnMethod.MERGE and spec.nt <= spec.ns:
+        return "none", 0  # a Merge shrink spawns nothing
+    if n_failed <= MAX_RETRIES:
+        return "retry", n_failed
+    return "shrink", MAX_RETRIES
+
+
 def crash_lane(problems: list[str]) -> None:
     t0 = time.perf_counter()
     by_config = collections.defaultdict(collections.Counter)
@@ -157,11 +170,16 @@ def spawnfail_lane(problems: list[str]) -> None:
         metrics = MetricsRegistry()
         outcome, where, res = run_cell(spec, metrics)
         n_failed = spec.faults.count("spawnfail")
+        key = (spec.config.key, spec.ns, spec.nt, spec.faults)
         if outcome != "completed":
-            key = (spec.config.key, spec.ns, spec.nt, spec.faults)
             problems.append(f"{key}: {outcome} {where}")
             continue
-        rungs[n_failed, _rung(metrics), res.retries] += 1
+        rung = _rung(metrics)
+        rungs[n_failed, rung, res.retries] += 1
+        want, want_retries = _expected_rung(spec, n_failed)
+        if (rung, res.retries) != (want, want_retries):
+            problems.append(f"{key}: {rung} retries={res.retries}, expected "
+                            f"{want} retries={want_retries}")
     elapsed = time.perf_counter() - t0
     print("spawn-failure cells by failed spawns, recovery rung and retries:")
     for (n_failed, rung, retries), n in sorted(rungs.items()):

@@ -6,7 +6,7 @@ terminal-plot emission.
 """
 
 from .asciiplot import line_chart, method_grid
-from .metrics import alpha_ratio, alpha_table, median, speedup, speedup_table
+from .metrics import alpha_ratio, median, speedup
 from .obs_summary import metrics_summary
 from .models import (
     Prediction,
@@ -36,9 +36,7 @@ __all__ = [
     "GroupComparison",
     "median",
     "alpha_ratio",
-    "alpha_table",
     "speedup",
-    "speedup_table",
     "message_time",
     "chunk_times",
     "predict_p2p_redistribution",

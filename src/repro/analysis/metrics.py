@@ -10,11 +10,11 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["median", "alpha_ratio", "speedup", "alpha_table", "speedup_table"]
+__all__ = ["median", "alpha_ratio", "speedup"]
 
 
 def median(samples: Sequence[float]) -> float:
@@ -38,28 +38,3 @@ def speedup(baseline_times: Sequence[float], config_times: Sequence[float]) -> f
     if cfg <= 0:
         raise ValueError("application time must be > 0")
     return median(baseline_times) / cfg
-
-
-def alpha_table(
-    reconfig_times: Mapping[str, Sequence[float]],
-    sync_of: Mapping[str, str],
-) -> dict[str, float]:
-    """α per asynchronous configuration.
-
-    ``sync_of`` maps each async configuration key to its synchronous
-    counterpart (e.g. ``merge-col-a -> merge-col-s``).
-    """
-    out = {}
-    for key, counterpart in sync_of.items():
-        out[key] = alpha_ratio(reconfig_times[key], reconfig_times[counterpart])
-    return out
-
-
-def speedup_table(
-    app_times: Mapping[str, Sequence[float]], reference: str
-) -> dict[str, float]:
-    """Speedup of every configuration against ``reference``."""
-    if reference not in app_times:
-        raise KeyError(f"reference {reference!r} missing from results")
-    ref = app_times[reference]
-    return {key: speedup(ref, times) for key, times in app_times.items()}

@@ -19,7 +19,7 @@ exact constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["FabricSpec", "ETHERNET_10G", "INFINIBAND_EDR", "MEMORY_CHANNEL", "fabric_by_name"]
 
@@ -62,10 +62,6 @@ class FabricSpec:
     def transfer_time(self, nbytes: float) -> float:
         """Uncontended wire time of one message (latency + serialisation)."""
         return self.latency + nbytes / self.bandwidth
-
-    def with_overrides(self, **kwargs) -> "FabricSpec":
-        """A modified copy — used by ablation benchmarks."""
-        return replace(self, **kwargs)
 
 
 #: 10 Gb/s Ethernet: high latency, modest bandwidth (1.25 GB/s), and a

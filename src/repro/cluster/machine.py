@@ -22,7 +22,6 @@ runs up to ``2 × cores`` demands and the CPU model slows everyone down
 
 from __future__ import annotations
 
-import math
 from typing import Any, Optional
 
 import numpy as np
@@ -118,10 +117,6 @@ class Machine:
             raise ValueError(f"slot must be >= 0, got {slot}")
         return self.nodes[(slot // self.cores_per_node) % self.n_nodes]
 
-    def nodes_touched(self, n_slots: int) -> int:
-        """⌈N/cores⌉ nodes, clamped to the machine size (paper §4.3)."""
-        return min(self.n_nodes, math.ceil(n_slots / self.cores_per_node))
-
     def links_of_node(self, node_id: int) -> dict:
         """The NIC/memory links of one node, keyed ``up``/``down``/``mem``
         (fault layer: link degradation targets these by name)."""
@@ -165,11 +160,6 @@ class Machine:
                 route.insert(1, self._switch)
             lat = self.fabric.latency if latency is None else latency
         return self.network.start_flow(route, nbytes, latency=lat, label=label)
-
-    def uncontended_transfer_time(self, src: Node, dst: Node, nbytes: float) -> float:
-        """Analytic best-case message time, for models and sanity checks."""
-        spec = self.memory_channel if src.node_id == dst.node_id else self.fabric
-        return spec.transfer_time(nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -117,8 +117,5 @@ class ParallelFileSystem:
             raise FileNotFoundError(f"PFS has no file {name!r}")
         return list(self._files[name])
 
-    def delete(self, name: str) -> None:
-        self._files.pop(name, None)
-
     def files(self) -> list[str]:
         return sorted(self._files)

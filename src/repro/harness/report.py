@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..analysis.asciiplot import line_chart, method_grid
-from ..analysis.metrics import median
+from ..analysis.metrics import alpha_ratio, median, speedup
 from ..analysis.selection import dominance_count, preferred_map
 from ..analysis.tables import markdown_table
 from ..malleability.config import ReconfigConfig
@@ -50,19 +50,6 @@ def _slice_pairs(ladder: Sequence[int], direction: str) -> list[tuple[int, int]]
     return [(x, top) for x in others]
 
 
-def _median_series(
-    rs: ResultSet,
-    metric: str,
-    pairs: Sequence[tuple[int, int]],
-    keys: Sequence[str],
-    fabric: str,
-) -> dict[str, list[float]]:
-    return {
-        key: [median(rs.times(metric, ns, nt, key, fabric)) for ns, nt in pairs]
-        for key in keys
-    }
-
-
 def _legend_name(key: str) -> str:
     return ReconfigConfig.parse(key).name
 
@@ -84,36 +71,39 @@ def build_figure(
         )
         return fig
 
+    def times(key: str, ns: int, nt: int) -> list[float]:
+        return rs.times(spec.metric, ns, nt, key, fabric)
+
     pairs = _slice_pairs(ladder, direction)
     fig.x_values = [nt if direction == "shrink" else ns for ns, nt in pairs]
     if spec.presentation == "times":
         fig.series = {
-            _legend_name(k): v
-            for k, v in _median_series(
-                rs, spec.metric, pairs, spec.config_keys, fabric
-            ).items()
+            _legend_name(key): [median(times(key, ns, nt)) for ns, nt in pairs]
+            for key in spec.config_keys
         }
         y_label = f"{spec.metric} (s), median"
     elif spec.presentation == "alpha":
-        fig.series = {}
-        for akey, skey in async_sync_pairs().items():
-            if akey not in spec.config_keys:
-                continue
-            a = _median_series(rs, spec.metric, pairs, [akey], fabric)[akey]
-            s = _median_series(rs, spec.metric, pairs, [skey], fabric)[skey]
-            fig.series[_legend_name(akey)] = [x / y for x, y in zip(a, s)]
+        fig.series = {
+            _legend_name(akey): [
+                alpha_ratio(times(akey, ns, nt), times(skey, ns, nt))
+                for ns, nt in pairs
+            ]
+            for akey, skey in async_sync_pairs().items()
+            if akey in spec.config_keys
+        }
         y_label = "alpha = async/sync reconfiguration time"
     elif spec.presentation == "speedup":
-        ref = _median_series(
-            rs, spec.metric, pairs, [BASELINE_REFERENCE], fabric
-        )[BASELINE_REFERENCE]
-        fig.series = {}
-        for key in spec.config_keys:
-            if key == BASELINE_REFERENCE:
-                continue
-            v = _median_series(rs, spec.metric, pairs, [key], fabric)[key]
-            fig.series[_legend_name(key)] = [r / x for r, x in zip(ref, v)]
-        fig.series["Baseline COLS time (s)"] = ref
+        fig.series = {
+            _legend_name(key): [
+                speedup(times(BASELINE_REFERENCE, ns, nt), times(key, ns, nt))
+                for ns, nt in pairs
+            ]
+            for key in spec.config_keys
+            if key != BASELINE_REFERENCE
+        }
+        fig.series["Baseline COLS time (s)"] = [
+            median(times(BASELINE_REFERENCE, ns, nt)) for ns, nt in pairs
+        ]
         y_label = "speedup vs Baseline COLS (reference series in seconds)"
     else:  # pragma: no cover - registry is closed
         raise ValueError(f"unknown presentation {spec.presentation}")

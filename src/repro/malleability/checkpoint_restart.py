@@ -154,7 +154,6 @@ def _cr_target_entry(mpi, job, pfs, cr_config, generation, consumed, ns, resume_
         for seg in segments:
             dataset.stores[seg.field_name].insert(seg.lo, seg.hi, seg.payload)
     app.on_handoff(mpi, dataset)
-    record.mark_const_complete(mpi.now)
     record.mark_data_complete(mpi.now)
     runner = _DiskRunner(
         mpi, job, pfs, cr_config, mpi.comm_world, dataset,

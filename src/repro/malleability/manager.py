@@ -13,16 +13,16 @@ paper's checkpoint protocol embedded (Algorithms 3 and 4):
   resume iteration.
 
 Stage 2 and the first Stage-3 wave are one program,
-:meth:`GroupRunner._stage23`: S and the recovery ladder run it blocking, T
-runs it blocking on its auxiliary thread, and A steps it at its checkpoints.
+:meth:`GroupRunner._stage23`: A steps it at its checkpoints, T runs it
+blocking on its auxiliary thread, and S and every retry drain it at once.
 
-The async stop protocol: a source may only leave the loop when *every*
-source finished its redistribution, because per-iteration collectives would
-otherwise hang.  Sources agree with a one-scalar allreduce per checkpoint
-(the kind of reduction iterative solvers perform anyway).  A source whose
-iterations ran out has no checkpoint left and nothing to overlap with: it
-blocks until its own part is done (T sleeps in the thread join, A runs the
-rest of its program blocking) and then agrees once.
+One stop agreement commits every attempt: a source may only leave the loop
+when *every* source finished its redistribution, because per-iteration
+collectives would otherwise hang.  Sources vote -1 (failed), 0 (pending) or
+1 (done) in a one-scalar allreduce per checkpoint (the kind of reduction
+iterative solvers perform anyway).  S, a retry, or A/T whose iterations ran
+out has no checkpoint to overlap with: it blocks until its own part is done
+or failed (T sleeps in the thread join) and then agrees once.
 """
 
 from __future__ import annotations
@@ -146,9 +146,11 @@ class GroupRunner:
         self._inter = None
         self._merged = None
         #: A's :meth:`_stage23` while it steps at checkpoints (its waits
-        #: test); ``None`` for S/T/ladder runs and once A drains (they block).
+        #: test); ``None`` for T and once an attempt drains (its waits block).
         self._pipeline = None
         self._thread = None
+        #: the in-flight attempt: 0, then one more per retry.
+        self._attempt = 0
         self._record: Optional[ReconfigRecord] = None
         self._dst_dataset: Optional[Dataset] = None
 
@@ -214,8 +216,8 @@ class GroupRunner:
                         outcome = yield from self._degrade_to_cr(self._record)
                     if outcome is RankOutcome.RETIRED:
                         return RankOutcome.RETIRED
-                    # For strategy S, _begin_reconfig completed the handoff
-                    # inline and we continue as a member of the new group.
+                    # S drained its attempt inline: this rank continues as a
+                    # member of the new group, or of the old one after a shrink.
             else:
                 outcome = yield from self._overlap_checkpoint(drain=False)
                 if outcome is RankOutcome.RETIRED:
@@ -265,7 +267,7 @@ class GroupRunner:
             record.plan_built_at = self.mpi.now
         if record.spawn_started_at is None:
             record.spawn_started_at = self.mpi.now
-
+        self._attempt = 0
         if self.config.strategy is Strategy.SYNC:
             outcome = yield from self._ft_ladder(record, attempt=0)
             return outcome
@@ -279,12 +281,13 @@ class GroupRunner:
     def _stage23(self, mpi, overlapped: bool = False):
         """Stage 2 and the first Stage-3 wave: the one program of S, A and T.
 
-        The recovery ladder (every S attempt, every retry) runs it blocking
-        on the rank, T on its auxiliary thread's ``mpi``; A (``overlapped``)
-        steps it through :meth:`_step`.  The checkpoint that begins A only
-        issues work; each later one tests once and falls through whatever
-        completed.  Stage 4 is left to :meth:`_handoff`, after the agreement
-        that commits it."""
+        T runs it blocking on its auxiliary thread's ``mpi``; every other
+        attempt goes through :meth:`_step`.  A (``overlapped``) steps it at
+        its checkpoints: the one that begins A only issues work, each later
+        one tests once and falls through whatever completed.  S and every
+        retry (:meth:`_ft_ladder`) drain it at once, every wait blocking.
+        Stage 4 is left to :meth:`_handoff`, after the agreement that
+        commits it."""
         plan, record = self._plan, self._record
         ns, nt = plan.n_sources, plan.n_targets
         baseline = self.config.spawn is SpawnMethod.BASELINE
@@ -345,11 +348,11 @@ class GroupRunner:
         return result
 
     def _step(self, drain: bool):
-        """Advance A's pipeline to its next checkpoint wait — ``drain``: to
-        its end, every wait blocking — and return whether its first wave is
-        locally through.  Kernel commands pass through, kernel throws are
-        delivered where the pipeline waits, and a yielded phase ends the
-        step."""
+        """Advance the attempt's pipeline to its next checkpoint wait —
+        ``drain``: to its end, every wait blocking — and return whether its
+        first wave is locally through.  Kernel commands pass through, kernel
+        throws are delivered where the pipeline waits, and a yielded phase
+        ends the step."""
         pipeline = self._pipeline
         if drain:
             self._pipeline = None
@@ -372,15 +375,15 @@ class GroupRunner:
         def stage23_thread(tmpi):
             """Auxiliary thread: :meth:`_stage23`, blocking.
 
-            A communication failure is *returned* (not raised) so the main
-            flow reads the verdict at its next checkpoint and drives the
-            recovery ladder itself — a dead auxiliary thread must never
-            take the rank down with it."""
+            A communication failure is *returned* (not raised), ``None``
+            otherwise, so the main flow reads the verdict at its next
+            checkpoint and drives the recovery ladder itself — a dead
+            auxiliary thread must never take the rank down with it."""
             try:
                 yield from self._stage23(tmpi)
             except CommFailedError as e:
-                return ("stage23-failed", e)
-            return "stage23-done"
+                return e
+            return None
 
         self._thread = yield from self.mpi.spawn_thread(
             stage23_thread, name=f"auxthread.g{self.mpi.gid}"
@@ -441,54 +444,25 @@ class GroupRunner:
                 world.abort_comm(c)
 
     def _ft_ladder(self, record: ReconfigRecord, attempt: int):
-        """The reconfiguration protocol of S, and of an overlapped attempt
-        that failed (docs/faults.md): Stages 2+3, a commit agreement, Stage
-        4.  A failed attempt escalates: up to :data:`MAX_RETRIES` retries
-        with backoff, then shrink-on-demand, then checkpoint/restart.
-
-        Every attempt ends with a one-scalar agreement over the source
-        communicator so all sources observe the same verdict — a source
-        whose own Stage 2/3 failed still participates (vote 0) instead of
-        leaving its peers hanging.  The agreement failing at all means a
-        *source* died, which loses in-memory state: escalate straight to
-        checkpoint/restart."""
-        while True:
-            if attempt > 0:
-                if attempt > MAX_RETRIES:
-                    self._shrink_fallback(record)
-                    return None
-                if self.rank == 0:
-                    record.retries += 1
-                # Model the RMS requeue latency of a respawn attempt.
-                yield from self.mpi.sleep(RETRY_BACKOFF * attempt)
-            try:
-                yield from self._stage23(self.mpi)
-                err = self._newcomers_lost()
-            except CommFailedError as e:
-                err = e
-            if err is not None:
-                # Unstick peers still blocked inside this attempt's session
-                # before the vote: they fall out with their own failure and
-                # participate in the agreement instead of hanging.
-                self._abort_session_comms()
-            try:
-                agreed = yield from self.mpi.allreduce(
-                    0 if err is not None else 1, op_min, comm=self.comm
-                )
-            except CommFailedError:
-                outcome = yield from self._degrade_to_cr(record)
-                return outcome
-            if agreed:
-                if record.first_failure_at is not None:
-                    self._stamp_recovery(record, "retry")
-                try:
-                    outcome = yield from self._handoff(stopped_at=self.it)
-                except CommFailedError:
-                    outcome = yield from self._degrade_to_cr(record)
-                return outcome
-            # At least one source failed Stage 2/3: tear down, escalate.
-            yield from self._abort_attempt(record)
-            attempt += 1
+        """Attempt ``attempt`` of a reconfiguration (docs/faults.md): S's
+        first, or the retry after an attempt that failed.  Past
+        :data:`MAX_RETRIES` retries the job shrinks back; otherwise a retry
+        waits out its backoff, and the attempt drains Stages 2+3 at once
+        and commits through the one stop agreement
+        (:meth:`_overlap_checkpoint`), whose ``"failed"`` verdict comes
+        back here with the next attempt."""
+        self._attempt = attempt
+        if attempt > MAX_RETRIES:
+            self._shrink_fallback(record)
+            return None
+        if attempt > 0:
+            if self.rank == 0:
+                record.retries += 1
+            # Model the RMS requeue latency of a respawn attempt.
+            yield from self.mpi.sleep(RETRY_BACKOFF * attempt)
+        self._pipeline = self._stage23(self.mpi)
+        outcome = yield from self._overlap_checkpoint(drain=True)
+        return outcome
 
     def _abort_attempt(self, record: ReconfigRecord):
         """Tear down a half-built attempt so the next rung starts clean:
@@ -598,24 +572,27 @@ class GroupRunner:
 
     # ------------------------------------------------------- stop agreement
     def _overlap_checkpoint(self, drain: bool):
-        """Poll the overlapped reconfiguration and act on the agreed
-        verdict: keep iterating, hand off, or enter the recovery ladder.
-        A failure is handled alike whether a test at a checkpoint or a
+        """Poll the attempt in flight and act on the agreed verdict: keep
+        iterating, hand off, or escalate through the recovery ladder.  A
+        failure is handled alike whether a test at a checkpoint or a
         blocked wait of the drain observed it."""
+        record = self._record
         try:
             verdict = yield from self._poll_reconfig(drain)
             if verdict == "done":
-                outcome = yield from self._complete_reconfig()
+                if record.first_failure_at is not None:
+                    self._stamp_recovery(record, "retry")
+                outcome = yield from self._handoff(stopped_at=self.it)
                 return outcome
         except CommFailedError:
             # The agreement or the handoff failed: a fellow source died.
-            outcome = yield from self._degrade_to_cr(self._record)
+            outcome = yield from self._degrade_to_cr(record)
             return outcome
         if verdict == "failed":
-            # Some source's attempt failed: abort it and fall back to the
-            # synchronous ladder (the remaining attempts run without overlap).
-            yield from self._abort_attempt(self._record)
-            outcome = yield from self._ft_ladder(self._record, attempt=1)
+            # Some source's attempt failed: abort it and escalate (the
+            # remaining attempts run without overlap).
+            yield from self._abort_attempt(record)
+            outcome = yield from self._ft_ladder(record, self._attempt + 1)
             return outcome
         if drain:
             # Every source voted after blocking to completion or failure.
@@ -623,15 +600,14 @@ class GroupRunner:
                 f"rank {self.rank} ({self.config.key}): drain agreement "
                 f"still pending in phase {self._phase.value}"
             )
-        if self.rank == 0 and self._record is not None:
-            self._record.overlapped_iterations += 1
+        if self.rank == 0 and record is not None:
+            record.overlapped_iterations += 1
         return None
 
     def _poll_reconfig(self, drain: bool):
-        """One stop agreement of an overlapped reconfiguration: advance my
-        pipeline — a non-blocking step at a checkpoint, blocking until it is
-        through when ``drain`` — then agree with the other sources on
-        stopping.
+        """The stop agreement of every attempt: advance my pipeline — a
+        non-blocking step at a checkpoint, blocking until it is through when
+        ``drain`` — then agree with the other sources on stopping.
 
         Returns ``"done"`` / ``"pending"`` / ``"failed"``.  Failures vote
         ``-1`` in the same agreement scalar, so every source learns about a
@@ -642,9 +618,7 @@ class GroupRunner:
                 yield from self.mpi.join_thread(self._thread)
             local_done = self._thread.finished
             if local_done:
-                res = self._thread.result
-                if isinstance(res, tuple) and res and res[0] == "stage23-failed":
-                    err = res[1]
+                err = self._thread.result
         else:
             try:
                 local_done = yield from self._step(drain)
@@ -655,7 +629,7 @@ class GroupRunner:
             err = self._newcomers_lost()
         if err is not None and drain:
             # A peer blocked in this attempt's session cannot read my vote:
-            # fail its waits first, as the synchronous ladder does.
+            # fail its waits first.
             self._abort_session_comms()
         vote = -1 if err is not None else (1 if local_done else 0)
         agreed = yield from self.mpi.allreduce(vote, op_min, comm=self.comm)
@@ -664,12 +638,6 @@ class GroupRunner:
         return "done" if agreed == 1 else "pending"
 
     # ------------------------------------------------------------- stage 4
-    def _complete_reconfig(self):
-        """All sources stopped: move variable data synchronously, hand off."""
-        self._record.mark_const_complete(self.mpi.now)
-        outcome = yield from self._handoff(stopped_at=self.it)
-        return outcome
-
     def _handoff(self, stopped_at: int):
         """Synchronous tail of every reconfiguration: redistribute variable
         fields, transmit the resume iteration, retire or continue."""
@@ -782,7 +750,6 @@ def _target_entry(mpi, job: _Job, plan, group_index: int, consumed: int):
                 yield from session.finish()
             else:
                 yield from session.run_blocking()
-        record.mark_const_complete(mpi.now)
 
         if var_names:
             yield from session_for(var_names, "v").run_blocking()

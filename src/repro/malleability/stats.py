@@ -18,7 +18,7 @@ Figures 2-6 do — without attaching any probe; the stamps are always on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Optional
 
 __all__ = ["ReconfigBreakdown", "ReconfigRecord", "RunStats"]
@@ -51,16 +51,7 @@ class ReconfigBreakdown:
     total_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_sources": self.n_sources,
-            "n_targets": self.n_targets,
-            "rms_decision_seconds": self.rms_decision_seconds,
-            "plan_build_seconds": self.plan_build_seconds,
-            "spawn_seconds": self.spawn_seconds,
-            "redistribution_seconds": self.redistribution_seconds,
-            "commit_seconds": self.commit_seconds,
-            "total_seconds": self.total_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -78,8 +69,6 @@ class ReconfigRecord:
     spawn_started_at: Optional[float] = None
     spawn_finished_at: Optional[float] = None
     redist_started_at: Optional[float] = None
-    #: per-target completion of the *constant* data.
-    const_data_complete_at: Optional[float] = None
     #: per-target completion of *all* data (max over targets).
     data_complete_at: Optional[float] = None
     #: iteration at which the sources stopped (== requested_iteration for S).
@@ -121,10 +110,6 @@ class ReconfigRecord:
         if self.data_complete_at is None or t > self.data_complete_at:
             self.data_complete_at = t
 
-    def mark_const_complete(self, t: float) -> None:
-        if self.const_data_complete_at is None or t > self.const_data_complete_at:
-            self.const_data_complete_at = t
-
     @property
     def reconfiguration_time(self) -> float:
         """Spawn start -> all data received by all targets (§4.4)."""
@@ -139,21 +124,7 @@ class ReconfigRecord:
         if self.spawn_started_at is None or self.data_complete_at is None:
             raise RuntimeError("reconfiguration did not complete")
 
-        def span(t0: Optional[float], t1: Optional[float]) -> float:
-            if t0 is None or t1 is None:
-                return 0.0
-            return max(0.0, t1 - t0)
-
-        decision = span(self.decision_at, self.plan_built_at)
-        plan = span(self.plan_built_at, self.spawn_started_at)
-        spawn = span(self.spawn_started_at, self.spawn_finished_at)
-        redist = span(
-            self.redist_started_at
-            if self.redist_started_at is not None
-            else self.spawn_finished_at,
-            self.data_complete_at,
-        )
-        commit = span(self.data_complete_at, self.commit_finished_at)
+        spans = {stage: t1 - t0 for stage, t0, t1 in self.stage_spans()}
         start = self.decision_at if self.decision_at is not None else self.spawn_started_at
         end = (
             self.commit_finished_at
@@ -163,12 +134,12 @@ class ReconfigRecord:
         return ReconfigBreakdown(
             n_sources=self.n_sources,
             n_targets=self.n_targets,
-            rms_decision_seconds=decision,
-            plan_build_seconds=plan,
-            spawn_seconds=spawn,
-            redistribution_seconds=redist,
-            commit_seconds=commit,
-            total_seconds=span(start, end),
+            rms_decision_seconds=spans.get("rms_decision", 0.0),
+            plan_build_seconds=spans.get("plan_build", 0.0),
+            spawn_seconds=spans.get("spawn", 0.0),
+            redistribution_seconds=spans.get("redistribution", 0.0),
+            commit_seconds=spans.get("commit", 0.0),
+            total_seconds=max(0.0, end - start),
         )
 
     def stage_spans(self) -> Iterator[tuple[str, float, float]]:

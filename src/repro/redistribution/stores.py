@@ -465,7 +465,3 @@ class Dataset:
             ):
                 totals[i] += nbytes
         return totals
-
-    def total_nbytes(self) -> int:
-        return self.range_nbytes(self.lo, self.hi, list(self.stores))
-

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     alpha_ratio,
-    alpha_table,
     compare_groups,
     conover_posthoc,
     dominance_count,
@@ -17,7 +16,6 @@ from repro.analysis import (
     preferred_map,
     shapiro_normality,
     speedup,
-    speedup_table,
 )
 
 
@@ -187,20 +185,3 @@ def test_alpha_and_speedup():
     with pytest.raises(ValueError):
         alpha_ratio([1.0], [0.0])
 
-
-def test_alpha_and_speedup_tables():
-    times = {
-        "merge-col-a": [2.2], "merge-col-t": [2.6], "merge-col-s": [2.0],
-    }
-    alphas = alpha_table(
-        times, {"merge-col-a": "merge-col-s", "merge-col-t": "merge-col-s"}
-    )
-    assert alphas["merge-col-a"] == pytest.approx(1.1)
-    assert alphas["merge-col-t"] == pytest.approx(1.3)
-
-    apps = {"baseline-col-s": [12.0], "merge-p2p-a": [10.0]}
-    sp = speedup_table(apps, reference="baseline-col-s")
-    assert sp["merge-p2p-a"] == pytest.approx(1.2)
-    assert sp["baseline-col-s"] == pytest.approx(1.0)
-    with pytest.raises(KeyError):
-        speedup_table(apps, reference="nope")

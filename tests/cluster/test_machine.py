@@ -27,15 +27,6 @@ def test_block_placement_matches_paper_rule():
     assert m.node_for_slot(159).node_id == 7
 
 
-def test_nodes_touched_is_ceil_div():
-    sim, m = make_machine(n_nodes=8, cores=20)
-    assert m.nodes_touched(1) == 1
-    assert m.nodes_touched(20) == 1
-    assert m.nodes_touched(21) == 2
-    assert m.nodes_touched(160) == 8
-    assert m.nodes_touched(500) == 8  # clamped
-
-
 def test_slot_wraps_beyond_machine():
     sim, m = make_machine(n_nodes=2, cores=2)
     assert m.node_for_slot(4).node_id == 0  # wrapped
@@ -103,12 +94,6 @@ def test_concurrent_transfers_share_sender_nic():
     assert all(t == pytest.approx(2.0, rel=1e-3) for t in times)
 
 
-def test_uncontended_transfer_time_matches_fabric_math():
-    sim, m = make_machine(fabric=INFINIBAND_EDR)
-    t = m.uncontended_transfer_time(m.nodes[0], m.nodes[1], 12.5e9)
-    assert t == pytest.approx(INFINIBAND_EDR.latency + 1.0)
-
-
 # -------------------------------------------------------------------- fabrics
 def test_fabric_lookup():
     assert fabric_by_name("ethernet") is ETHERNET_10G
@@ -122,13 +107,6 @@ def test_fabric_validation():
         FabricSpec("bad", bandwidth=0, latency=0, cpu_overhead=0, eager_threshold=0)
     with pytest.raises(ValueError):
         FabricSpec("bad", bandwidth=1, latency=-1, cpu_overhead=0, eager_threshold=0)
-
-
-def test_fabric_with_overrides():
-    slow = INFINIBAND_EDR.with_overrides(bandwidth=1e6)
-    assert slow.bandwidth == 1e6
-    assert slow.latency == INFINIBAND_EDR.latency
-    assert INFINIBAND_EDR.bandwidth == 12.5e9  # original untouched
 
 
 def test_machine_shape_validation():

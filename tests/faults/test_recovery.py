@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import ETHERNET_10G, Machine
 from repro.faults import FaultInjector
 from repro.malleability import (
+    GroupRunner,
     RankOutcome,
     ReconfigConfig,
     ReconfigRequest,
@@ -249,3 +250,40 @@ def test_overlapped_reconfiguration_recovers(strategy):
     assert rec.recovery_policy == "retry"
     assert stats.finished_at is not None
     assert _outcomes(sim, "spawned").count(RankOutcome.COMPLETED) == 2
+
+
+# ------------------------------------------------------ one stop agreement
+#: (config, failed spawns) -> each source's drained verdicts, in order.
+DRAINED_VERDICTS = {
+    ("merge-p2p-s", 0): ["done"],
+    ("merge-p2p-s", 1): ["failed", "done"],
+    ("merge-p2p-s", 3): ["failed"] * 3,
+    ("baseline-col-s", 1): ["failed", "done"],
+    ("merge-p2p-a", 1): ["done"],
+    ("merge-p2p-t", 1): ["done"],
+}
+
+
+@pytest.mark.parametrize("config, failed_spawns", DRAINED_VERDICTS)
+def test_every_drained_attempt_commits_through_the_stop_agreement(
+    config, failed_spawns, monkeypatch
+):
+    """S's attempt and every retry drain at once and vote in the same stop
+    agreement as A/T's checkpoints: each source sees one drained verdict
+    per attempt, in order.  A/T's first attempt fails at a checkpoint, so
+    only its retry is drained."""
+    drained = {}
+    poll = GroupRunner._poll_reconfig
+
+    def recorded(self, drain):
+        verdict = yield from poll(self, drain)
+        if drain:
+            drained.setdefault(self.mpi.gid, []).append(verdict)
+        return verdict
+
+    monkeypatch.setattr(GroupRunner, "_poll_reconfig", recorded)
+    faults = ";".join(f"spawnfail:attempt={i}" for i in range(failed_spawns))
+    stats, res, sim, inj = run_faulty_job(config, ns=2, nt=4, faults=faults)
+    assert stats.total_iterations() == N_ITERS
+    verdicts = DRAINED_VERDICTS[config, failed_spawns]
+    assert drained == {0: verdicts, 1: verdicts}

@@ -105,7 +105,6 @@ def test_pfs_validation_and_api():
     with pytest.raises(FileNotFoundError):
         pfs.segments_of("missing")
     assert not pfs.exists("missing")
-    pfs.delete("missing")  # idempotent
 
 
 class TinyCsrApp:
